@@ -9,7 +9,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import fpt, oracle, poly, portfolio, reductions, twdp
+from . import portfolio, reductions
 from .core import (
     compute_params,
     format_instance,
@@ -25,25 +25,7 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
 
-ALGOS = {
-    "auto": portfolio.dispatch,
-    "brute": oracle.brute_force,
-    "av": lambda inst: portfolio._av_result(inst),
-    "mav-deg2": poly.mav_deg2,
-    "ccav-deg2": poly.ccav_deg2,
-    "pav-deg1": poly.pav_deg1,
-    "pav-deg22": poly.pav_deg22,
-    "mav-classes": fpt.mav_by_classes,
-    "mav-kdc": fpt.mav_k_deltac,
-    "mav-grsp": fpt.mav_dual_grsp,
-    "ccav-bb": fpt.ccav_bb_dual,
-    "pav-bb": fpt.pav_bb_dv,
-    "pav-matching": fpt.pav_by_matching,
-    "mav-matching": fpt.mav_by_matching,
-    "ccav-tw": twdp.ccav_tw_dp,
-    "pav-tw": twdp.pav_tw_dp,
-    "mav-tw": twdp.mav_tw_dp,
-}
+ALGOS = {solver.algo: solver.run for solver in portfolio.SOLVERS if solver.algo}
 
 
 def _read_instance(path):
@@ -207,6 +189,9 @@ def main(argv=None):
         return EXIT_BUDGET
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # noqa: BLE001 - exit 1 means "no", never a crash
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -1,8 +1,9 @@
 """Parameterized exact solvers.
 
-Class-count search (standing in for the ILP machinery), vote pruning for MAV,
-the set-packing route for MAV in the dual parameter, branch and bound for CCAV
-and PAV, matching-parameter splitting, and threshold-shortcut dispatchers.
+One class-count search (standing in for the ILP machinery) behind the MAV,
+annotated PAV and matching-parameter solvers, vote pruning for MAV, the
+set-packing route for MAV in the dual parameter, and branch and bound for CCAV
+and PAV.
 """
 
 from __future__ import annotations
@@ -51,8 +52,81 @@ class GrspInstance:
 
 
 # ---------------------------------------------------------------------------
-# Class-count search for MAV
+# Class-count search
 # ---------------------------------------------------------------------------
+
+def _count_search(classes, nv):
+    """The search over how many members of each candidate class join the committee.
+
+    ``classes`` holds (vote positions, members) pairs over ``nv`` considered
+    votes.  The returned ``search(k, bound, ...)`` walks the count vectors x
+    with mins[i] <= x_i <= |members_i| and sum x_i = k, largest counts first,
+    keeping cov[j], the number of committee members that vote j approves.
+
+    ``bound(cov, reach, rem, total)`` caps the value of every completion of a
+    node, where reach[j] is the coverage the remaining classes can still add
+    to vote j and rem the members still to pick; at a complete count vector it
+    is the exact value.  ``gain(cov, support, x)`` is what x members of a class
+    with that support add to the running ``total``.  Values are maximised: a
+    node is cut when its bound does not beat the best value so far (``floor``
+    before the first), and the search stops once a value equals ``goal``.
+    Returns (best value, counts, nodes visited); counts is None when no count
+    vector beats ``floor``.
+    """
+    nc = len(classes)
+    caps = [len(members) for _, members in classes]
+    suffix_cap = [0] * (nc + 1)
+    suffix_cov = [[0] * nv for _ in range(nc + 1)]
+    for i in range(nc - 1, -1, -1):
+        suffix_cap[i] = suffix_cap[i + 1] + caps[i]
+        row = list(suffix_cov[i + 1])
+        for j in classes[i][0]:
+            row[j] += caps[i]
+        suffix_cov[i] = row
+
+    def search(k, bound, gain=None, mins=None, floor=None, goal=None):
+        mins = mins or [0] * nc
+        suffix_min = [0] * (nc + 1)
+        for i in range(nc - 1, -1, -1):
+            suffix_min[i] = suffix_min[i + 1] + mins[i]
+        best = [floor, None]
+        counts = [0] * nc
+        cov = [0] * nv
+        nodes = 0
+
+        def dfs(i, rem, total):
+            nonlocal nodes
+            nodes += 1
+            value = bound(cov, suffix_cov[i], rem, total)
+            if best[0] is not None and value <= best[0]:
+                return False
+            if i == nc:
+                if rem:
+                    return False
+                best[0], best[1] = value, list(counts)
+                return value == goal
+            if not suffix_min[i] <= rem <= suffix_cap[i]:
+                return False
+            support = classes[i][0]
+            lo = max(mins[i], rem - suffix_cap[i + 1])
+            hi = min(caps[i], rem - suffix_min[i + 1])
+            for x in range(hi, lo - 1, -1):
+                counts[i] = x
+                step = gain(cov, support, x) if gain else 0
+                for j in support:
+                    cov[j] += x
+                if dfs(i + 1, rem - x, total + step):
+                    return True
+                for j in support:
+                    cov[j] -= x
+            counts[i] = 0
+            return False
+
+        dfs(0, k, 0)
+        return best[0], best[1], nodes
+
+    return search
+
 
 def mav_by_classes(instance, forced_votes=None, max_n=16):
     """Exact MAV optimum by search over per-class selection counts.
@@ -75,76 +149,30 @@ def mav_by_classes(instance, forced_votes=None, max_n=16):
         raise BudgetExceededError(f"{len(considered)} votes exceeds budget {max_n}")
     vote_pos = {j: i for i, j in enumerate(considered)}
     sizes = [len(e.votes[j]) for j in considered]
-    nv = len(considered)
-    classes = part.classes
-    nc = len(classes)
-    caps = [len(members) for _, members in classes]
-    suffix_cap = [0] * (nc + 1)
-    for i in range(nc - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + caps[i]
-    # how much coverage classes i.. can still add to each vote
-    suffix_cov = [[0] * nv for _ in range(nc + 1)]
-    for i in range(nc - 1, -1, -1):
-        support, members = classes[i]
-        row = list(suffix_cov[i + 1])
-        for j in support:
-            row[vote_pos[j]] += caps[i]
-        suffix_cov[i] = row
+    classes = [
+        (tuple(vote_pos[j] for j in support), members)
+        for support, members in part.classes
+    ]
 
-    best = [None, None]  # value, counts
-    counts = [0] * nc
-    cov = [0] * nv
-    stats = {"nodes": 0}
+    def bound(cov, reach, rem, total):
+        # the search maximises, so it gets the negated largest distance
+        return -max(
+            (size + k - 2 * (c + min(rem, r)) for size, c, r in zip(sizes, cov, reach)),
+            default=0,
+        )
 
-    def dist(j, c):
-        return sizes[j] + k - 2 * c
-
-    def dfs(i, rem):
-        stats["nodes"] += 1
-        if best[0] is not None:
-            bound = max(
-                (
-                    dist(j, cov[j] + min(rem, suffix_cov[i][j]))
-                    for j in range(nv)
-                ),
-                default=0,
-            )
-            if bound >= best[0]:
-                return
-        if i == nc:
-            if rem:
-                return
-            value = max((dist(j, cov[j]) for j in range(nv)), default=0)
-            if best[0] is None or value < best[0]:
-                best[0] = value
-                best[1] = list(counts)
-            return
-        if suffix_cap[i] < rem:
-            return
-        lo = max(0, rem - suffix_cap[i + 1])
-        hi = min(caps[i], rem)
-        support = classes[i][0]
-        for x in range(hi, lo - 1, -1):
-            counts[i] = x
-            for j in support:
-                cov[vote_pos[j]] += x
-            dfs(i + 1, rem - x)
-            for j in support:
-                cov[vote_pos[j]] -= x
-        counts[i] = 0
-
-    dfs(0, k)
-    opt = Fraction(best[0])
+    value, counts, nodes = _count_search(classes, len(considered))(k, bound)
     witness = []
-    for (support, members), x in zip(classes, best[1]):
+    for (support, members), x in zip(classes, counts):
         witness.extend(members[:x])
     witness = tuple(sorted(witness))
+    opt = Fraction(-value)
     return SolveResult(
         decision=opt <= instance.d,
         opt_score=opt,
         witness=witness,
         algorithm="mav_by_classes",
-        stats=stats,
+        stats={"nodes": nodes},
     )
 
 
@@ -329,78 +357,34 @@ def ccav_bb_dual(instance):
 def pav_annotated(ann, max_n=16):
     """Exact annotated PAV optimum by search over per-class selection counts."""
     e = ann.election
-    k = ann.k
     if e.n > max_n:
         raise BudgetExceededError(f"n={e.n} exceeds budget {max_n}")
-    part = class_partition(e)
-    classes = part.classes
-    nc = len(classes)
-    nv = e.n
-    caps = [len(members) for _, members in classes]
+    classes = class_partition(e).classes
     mins = [len(ann.forced & set(members)) for _, members in classes]
-    suffix_cap = [0] * (nc + 1)
-    suffix_min = [0] * (nc + 1)
-    for i in range(nc - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + caps[i]
-        suffix_min[i] = suffix_min[i + 1] + mins[i]
-    suffix_cov = [[0] * nv for _ in range(nc + 1)]
-    for i in range(nc - 1, -1, -1):
-        row = list(suffix_cov[i + 1])
-        for j in classes[i][0]:
-            row[j] += caps[i]
-        suffix_cov[i] = row
 
-    best = [None, None]
-    counts = [0] * nc
-    cov = [0] * nv
-    stats = {"nodes": 0}
-
-    def dfs(i, rem, total):
-        stats["nodes"] += 1
-        ub = total + sum(
-            (
-                harmonic(cov[j] + min(rem, suffix_cov[i][j])) - harmonic(cov[j])
-                for j in range(nv)
-            ),
+    def bound(cov, reach, rem, total):
+        return total + sum(
+            (harmonic(c + min(rem, r)) - harmonic(c) for c, r in zip(cov, reach)),
             Fraction(0),
         )
-        if best[0] is not None and ub <= best[0]:
-            return
-        if i == nc:
-            if rem == 0 and (best[0] is None or total > best[0]):
-                best[0] = total
-                best[1] = list(counts)
-            return
-        if not suffix_min[i] <= rem <= suffix_cap[i]:
-            return
-        support = classes[i][0]
-        lo = max(mins[i], rem - suffix_cap[i + 1])
-        hi = min(caps[i], rem - suffix_min[i + 1])
-        for x in range(hi, lo - 1, -1):
-            counts[i] = x
-            gain = Fraction(0)
-            for j in support:
-                gain += harmonic(cov[j] + x) - harmonic(cov[j])
-            for j in support:
-                cov[j] += x
-            dfs(i + 1, rem - x, total + gain)
-            for j in support:
-                cov[j] -= x
-        counts[i] = 0
 
-    dfs(0, k, Fraction(0))
-    if best[0] is None:
+    def gain(cov, support, x):
+        return sum((harmonic(cov[j] + x) - harmonic(cov[j]) for j in support), Fraction(0))
+
+    value, counts, nodes = _count_search(classes, e.n)(ann.k, bound, gain, mins)
+    stats = {"nodes": nodes}
+    if counts is None:
         return SolveResult(False, None, None, "pav_annotated", stats)
     witness = []
-    for (support, members), x, lo in zip(classes, best[1], mins):
+    for (support, members), x in zip(classes, counts):
         inside = [c for c in members if c in ann.forced]
         outside = [c for c in members if c not in ann.forced]
         witness.extend(inside)
         witness.extend(outside[: x - len(inside)])
     witness = tuple(sorted(witness))
     return SolveResult(
-        decision=best[0] >= ann.d,
-        opt_score=best[0],
+        decision=value >= ann.d,
+        opt_score=value,
         witness=witness,
         algorithm="pav_annotated",
         stats=stats,
@@ -522,6 +506,7 @@ def mav_by_matching(instance):
     c_m_set = set(c_m)
     v_m_set = set(v_m)
     outside = [v for j, v in enumerate(e.votes) if j not in v_m_set]
+    matched = [e.votes[j] for j in v_m]
     by_support = {}
     for c in range(e.m):
         if c in c_m_set:
@@ -529,12 +514,12 @@ def mav_by_matching(instance):
         support = e.approvers(c)
         assert support <= v_m_set
         by_support.setdefault(support, []).append(c)
-    classes = sorted(by_support.items(), key=lambda it: it[1])
-    caps = [len(members) for _, members in classes]
-    nc = len(classes)
-    suffix_cap = [0] * (nc + 1)
-    for i in range(nc - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + caps[i]
+    vote_pos = {j: i for i, j in enumerate(v_m)}
+    classes = [
+        (tuple(vote_pos[j] for j in support), members)
+        for support, members in sorted(by_support.items(), key=lambda it: it[1])
+    ]
+    search = _count_search(classes, len(v_m))
     stats = {"subinstances": 0}
 
     for cprime in _subsets(c_m):
@@ -544,45 +529,14 @@ def mav_by_matching(instance):
         cp = set(cprime)
         if any(len(v) + k - 2 * len(v & cp) > d for v in outside):
             continue
-        need = {}
-        for j in v_m:
-            v = e.votes[j]
-            raw = Fraction(len(v) + k, 1) - d
-            need[j] = max(0, math.ceil(raw / 2 - len(v & cp)))
-        rem0 = k - len(cprime)
-        if rem0 > suffix_cap[0]:
-            continue
-        suffix_cov = [{j: 0 for j in v_m} for _ in range(nc + 1)]
-        for i in range(nc - 1, -1, -1):
-            row = dict(suffix_cov[i + 1])
-            for j in classes[i][0]:
-                row[j] += caps[i]
-            suffix_cov[i] = row
-        cov = {j: 0 for j in v_m}
-        picks = [0] * nc
+        # a matched vote within distance d approves ceil((|v| + k - d) / 2) members
+        need = [max(0, math.ceil((len(v) + k - d) / 2 - len(v & cp))) for v in matched]
 
-        def dfs(i, rem):
-            if any(
-                cov[j] + min(rem, suffix_cov[i][j]) < need[j] for j in v_m
-            ):
-                return False
-            if i == nc:
-                return rem == 0
-            if suffix_cap[i] < rem:
-                return False
-            lo = max(0, rem - suffix_cap[i + 1])
-            for x in range(min(caps[i], rem), lo - 1, -1):
-                picks[i] = x
-                for j in classes[i][0]:
-                    cov[j] += x
-                if dfs(i + 1, rem - x):
-                    return True
-                for j in classes[i][0]:
-                    cov[j] -= x
-            picks[i] = 0
-            return False
+        def feasible(cov, reach, rem, total):
+            return all(c + min(rem, r) >= n for c, r, n in zip(cov, reach, need))
 
-        if dfs(0, rem0):
+        _, picks, _ = search(k - len(cprime), feasible, floor=False, goal=True)
+        if picks is not None:
             w = list(cprime)
             for (support, members), x in zip(classes, picks):
                 w.extend(members[:x])
@@ -632,30 +586,4 @@ def pav_by_matching(instance, max_n=16):
         witness=best_w,
         algorithm="pav_by_matching",
         stats=stats,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Threshold-shortcut dispatchers
-# ---------------------------------------------------------------------------
-
-def dispatch_corollaries(instance):
-    """Score-bound shortcuts, then the default exact solver for the rule."""
-    e = instance.election
-    k, d = instance.k, instance.d
-    if instance.rule == MAV:
-        if d >= k + e.delta_v:
-            w = tuple(range(k))
-            return SolveResult(True, None, w, "dispatch_corollaries", {})
-        res = mav_by_classes(instance)
-    elif instance.rule == CCAV:
-        if d > k * e.delta_c:
-            return SolveResult(False, None, None, "dispatch_corollaries", {})
-        res = ccav_bb_dual(instance)
-    else:
-        if d > k * e.delta_c:
-            return SolveResult(False, None, None, "dispatch_corollaries", {})
-        res = pav_bb_dv(instance)
-    return SolveResult(
-        res.decision, res.opt_score, res.witness, "dispatch_corollaries", res.stats
     )

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import fpt, oracle, poly, twdp
@@ -55,75 +56,140 @@ def _av_result(instance):
     )
 
 
-def _fpt_candidates(instance, params, policy):
-    """(cost estimate, name, callable) rows for the applicable exact solvers."""
-    e = instance.election
-    k, d = instance.k, instance.d
-    p = params
-    rows = []
-    tw_table = 2 ** (p.tw_upper + 1) * (p.m + p.n + 1)
-    if instance.rule == MAV:
-        if p.n <= policy.class_vote_budget:
-            rows.append((2 ** p.n, "mav_by_classes", lambda: fpt.mav_by_classes(instance)))
-        keep = k * p.delta_c + 1
-        if min(p.n, keep) <= policy.class_vote_budget:
-            rows.append((2 ** min(p.n, keep), "mav_k_deltac", lambda: fpt.mav_k_deltac(instance)))
-        rows.append((max(2, p.m) ** p.kbar, "mav_dual_grsp", lambda: fpt.mav_dual_grsp(instance)))
-        if p.alpha <= policy.class_vote_budget:
-            rows.append((4 ** p.alpha, "mav_by_matching", lambda: fpt.mav_by_matching(instance)))
-        if p.tw_upper <= policy.tw_width_cap:
-            rows.append(((k + 1) ** (p.tw_upper + 1) * tw_table, "mav_tw_dp", lambda: twdp.mav_tw_dp(instance)))
-    elif instance.rule == CCAV:
-        rows.append((max(2, p.delta_c * p.kbar) ** p.kbar, "ccav_bb_dual", lambda: fpt.ccav_bb_dual(instance)))
-        if p.tw_upper <= policy.tw_width_cap:
-            rows.append((2 * tw_table * (k + 1), "ccav_tw_dp", lambda: twdp.ccav_tw_dp(instance)))
-    else:
-        depth = max(0, min(k, math.ceil(max(d, 0) * max(p.delta_v, 1))))
-        branch = max(2, math.ceil(max(d, 1) * max(p.delta_v, 1)))
-        rows.append((branch ** depth, "pav_bb_dv", lambda: fpt.pav_bb_dv(instance)))
-        if p.n <= policy.class_vote_budget:
-            rows.append((
-                2 ** p.n,
-                "pav_annotated",
-                lambda: fpt.pav_annotated(
-                    fpt.AnnotatedPavInstance(e, frozenset(), k, d),
-                    max_n=policy.class_vote_budget,
-                ),
-            ))
-        if p.alpha <= policy.class_vote_budget:
-            rows.append((4 ** p.alpha, "pav_by_matching", lambda: fpt.pav_by_matching(instance)))
-        if p.tw_upper <= policy.tw_width_cap:
-            rows.append(((k + 1) ** (p.tw_upper + 1) * tw_table, "pav_tw_dp", lambda: twdp.pav_tw_dp(instance)))
-    return rows
+@dataclass(frozen=True)
+class Solver:
+    """One exact route, as ``solve --algo``, dispatch and verify see it.
+
+    ``run`` looks its solver up on the module at call time, so that a tracer
+    rebinding the module attribute sees every call.  ``degrees(delta_v,
+    delta_c)`` marks a polynomial route and says when it applies; ``cost(
+    instance, params, policy)`` ranks an FPT route for dispatch and is None
+    when the policy gates the route out.
+    """
+
+    algo: str | None  # the --algo name; None for a route only dispatch takes
+    name: str  # SolveResult.algorithm
+    rule: str | None  # None: every rule
+    run: Callable
+    degrees: Callable | None = None
+    cost: Callable | None = None
+
+    def applies(self, instance, delta_v, delta_c):
+        return self.rule in (None, instance.rule) and (
+            self.degrees is None or self.degrees(delta_v, delta_c)
+        )
+
+
+def _class_cost(base, size):
+    def cost(instance, p, policy):
+        s = size(instance, p)
+        return base ** s if s <= policy.class_vote_budget else None
+    return cost
+
+
+def _tw_cost(per_entry):
+    def cost(instance, p, policy):
+        if p.tw_upper > policy.tw_width_cap:
+            return None
+        return per_entry(instance.k, p.tw_upper) * 2 ** (p.tw_upper + 1) * (p.m + p.n + 1)
+    return cost
+
+
+def _pav_bb_cost(instance, p, policy):
+    d = instance.d
+    depth = max(0, min(instance.k, math.ceil(max(d, 0) * max(p.delta_v, 1))))
+    branch = max(2, math.ceil(max(d, 1) * max(p.delta_v, 1)))
+    return branch ** depth
+
+
+SOLVERS = (
+    Solver("auto", "dispatch", None, lambda inst: dispatch(inst)),
+    Solver("brute", "brute_force", None, lambda inst: oracle.brute_force(inst)),
+    # the polynomial routes, in the order dispatch tries them
+    Solver("av", "av_optimal", None, lambda inst: _av_result(inst),
+           degrees=lambda dv, dc: dv <= 1),
+    Solver("mav-deg2", "mav_deg2", MAV, lambda inst: poly.mav_deg2(inst),
+           degrees=lambda dv, dc: dc <= 2),
+    Solver("ccav-deg2", "ccav_deg2", CCAV, lambda inst: poly.ccav_deg2(inst),
+           degrees=lambda dv, dc: dc <= 2),
+    Solver("pav-deg1", "pav_deg1", PAV, lambda inst: poly.pav_deg1(inst),
+           degrees=lambda dv, dc: dc <= 1),
+    Solver("pav-deg22", "pav_deg22", PAV, lambda inst: poly.pav_deg22(inst),
+           degrees=lambda dv, dc: dv <= 2 and dc <= 2),
+    # the FPT routes, ranked by cost in dispatch
+    Solver("mav-classes", "mav_by_classes", MAV, lambda inst: fpt.mav_by_classes(inst),
+           cost=_class_cost(2, lambda inst, p: p.n)),
+    Solver("mav-kdc", "mav_k_deltac", MAV, lambda inst: fpt.mav_k_deltac(inst),
+           cost=_class_cost(2, lambda inst, p: min(p.n, inst.k * p.delta_c + 1))),
+    Solver("mav-grsp", "mav_dual_grsp", MAV, lambda inst: fpt.mav_dual_grsp(inst),
+           cost=lambda inst, p, policy: max(2, p.m) ** p.kbar),
+    Solver("mav-matching", "mav_by_matching", MAV, lambda inst: fpt.mav_by_matching(inst),
+           cost=_class_cost(4, lambda inst, p: p.alpha)),
+    Solver("mav-tw", "mav_tw_dp", MAV, lambda inst: twdp.mav_tw_dp(inst),
+           cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
+    Solver("ccav-bb", "ccav_bb_dual", CCAV, lambda inst: fpt.ccav_bb_dual(inst),
+           cost=lambda inst, p, policy: max(2, p.delta_c * p.kbar) ** p.kbar),
+    Solver("ccav-tw", "ccav_tw_dp", CCAV, lambda inst: twdp.ccav_tw_dp(inst),
+           cost=_tw_cost(lambda k, width: 2 * (k + 1))),
+    Solver("pav-bb", "pav_bb_dv", PAV, lambda inst: fpt.pav_bb_dv(inst),
+           cost=_pav_bb_cost),
+    Solver(None, "pav_annotated", PAV,
+           lambda inst: fpt.pav_annotated(
+               fpt.AnnotatedPavInstance(inst.election, frozenset(), inst.k, inst.d)),
+           cost=_class_cost(2, lambda inst, p: p.n)),
+    Solver("pav-matching", "pav_by_matching", PAV, lambda inst: fpt.pav_by_matching(inst),
+           cost=_class_cost(4, lambda inst, p: p.alpha)),
+    Solver("pav-tw", "pav_tw_dp", PAV, lambda inst: twdp.pav_tw_dp(inst),
+           cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
+)
 
 
 def dispatch(instance, policy=DEFAULT_POLICY):
-    """Route the instance to the cheapest applicable exact solver."""
+    """Route the instance to the cheapest applicable exact solver.
+
+    The polynomial routes come first, then two score bounds: a MAV distance
+    never exceeds k + deltaV, and a CCAV or PAV score never exceeds
+    k * deltaC.  Only then are the parameters computed and the FPT routes
+    tried in order of estimated cost, with brute force as the fallback.
+    """
     e = instance.election
-    if e.delta_v <= 1:
-        return _av_result(instance)
-    if instance.rule == MAV and e.delta_c <= 2:
-        return poly.mav_deg2(instance)
-    if instance.rule == CCAV and e.delta_c <= 2:
-        return poly.ccav_deg2(instance)
-    if instance.rule == PAV and e.delta_c <= 1:
-        return poly.pav_deg1(instance)
-    if instance.rule == PAV and e.delta_v <= 2 and e.delta_c <= 2:
-        return poly.pav_deg22(instance)
+    k, d = instance.k, instance.d
+    delta_v, delta_c = e.delta_v, e.delta_c
+    for solver in SOLVERS:
+        if solver.degrees and solver.applies(instance, delta_v, delta_c):
+            return solver.run(instance)
+    if instance.rule == MAV and d >= k + delta_v:
+        return SolveResult(True, None, tuple(range(k)), "score_bound", {})
+    if instance.rule != MAV and d > k * delta_c:
+        return SolveResult(False, None, None, "score_bound", {})
     params = compute_params(instance)
-    rows = sorted(
-        _fpt_candidates(instance, params, policy), key=lambda r: (r[0], r[1])
-    )
-    for cost, name, run in rows:
-        if cost > policy.fpt_cost_cap:
-            continue
+    ranked = []
+    for solver in SOLVERS:
+        if solver.cost and solver.rule == instance.rule:
+            cost = solver.cost(instance, params, policy)
+            if cost is not None and cost <= policy.fpt_cost_cap:
+                ranked.append((cost, solver.name, solver))
+    for cost, name, solver in sorted(ranked, key=lambda r: r[:2]):
         try:
-            return run()
+            return solver.run(instance)
         except BudgetExceededError:
             continue
     if e.m <= policy.brute_m_budget:
         return oracle.brute_force(instance, max_m=policy.brute_m_budget)
     raise AllSolversExceededError("no solver within policy budgets")
+
+
+def applicable(instance):
+    """The ``solve --algo`` routes that apply to the instance, brute force aside.
+
+    These are the routes verify checks against the brute-force oracle.
+    """
+    e = instance.election
+    delta_v, delta_c = e.delta_v, e.delta_c
+    return [
+        solver for solver in SOLVERS
+        if solver.algo not in (None, "brute") and solver.applies(instance, delta_v, delta_c)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -163,35 +229,6 @@ def generate(config, seed):
 # Corpus verification and benchmarking
 # ---------------------------------------------------------------------------
 
-def _applicable_solvers(instance):
-    e = instance.election
-    rows = [("dispatch", lambda: dispatch(instance))]
-    if e.delta_v <= 1:
-        rows.append(("av_optimal", lambda: _av_result(instance)))
-    if instance.rule == MAV:
-        if e.delta_c <= 2:
-            rows.append(("mav_deg2", lambda: poly.mav_deg2(instance)))
-        rows.append(("mav_by_classes", lambda: fpt.mav_by_classes(instance)))
-        rows.append(("mav_k_deltac", lambda: fpt.mav_k_deltac(instance)))
-        rows.append(("mav_dual_grsp", lambda: fpt.mav_dual_grsp(instance)))
-        rows.append(("mav_by_matching", lambda: fpt.mav_by_matching(instance)))
-        rows.append(("mav_tw_dp", lambda: twdp.mav_tw_dp(instance)))
-    elif instance.rule == CCAV:
-        if e.delta_c <= 2:
-            rows.append(("ccav_deg2", lambda: poly.ccav_deg2(instance)))
-        rows.append(("ccav_bb_dual", lambda: fpt.ccav_bb_dual(instance)))
-        rows.append(("ccav_tw_dp", lambda: twdp.ccav_tw_dp(instance)))
-    else:
-        if e.delta_c <= 1:
-            rows.append(("pav_deg1", lambda: poly.pav_deg1(instance)))
-        if e.delta_v <= 2 and e.delta_c <= 2:
-            rows.append(("pav_deg22", lambda: poly.pav_deg22(instance)))
-        rows.append(("pav_bb_dv", lambda: fpt.pav_bb_dv(instance)))
-        rows.append(("pav_by_matching", lambda: fpt.pav_by_matching(instance)))
-        rows.append(("pav_tw_dp", lambda: twdp.pav_tw_dp(instance)))
-    return rows
-
-
 def check_result(instance, res, truth):
     """Mismatch strings for one solver result against the oracle result."""
     problems = []
@@ -230,9 +267,9 @@ def verify(corpus_dir, budget=22):
         except BudgetExceededError:
             report.append({"instance": name, "status": "skipped", "detail": "oracle budget"})
             continue
-        for solver, run in _applicable_solvers(instance):
+        for solver in applicable(instance):
             try:
-                res = run()
+                res = solver.run(instance)
             except BudgetExceededError:
                 continue
             problems = check_result(instance, res, truth)
@@ -240,7 +277,7 @@ def verify(corpus_dir, budget=22):
                 report.append({
                     "instance": name,
                     "status": "disagreement",
-                    "solver": solver,
+                    "solver": solver.name,
                     "detail": "; ".join(problems) + " | " + text.replace("\n", "\\n"),
                 })
     ok = not any(r["status"] == "disagreement" for r in report)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import itertools
 
-from approvalwd import Election, Instance
+from approvalwd import Election, Instance, MAV, score
+from approvalwd.oracle import brute_force
 
 
 def random_election(rng, max_m=7, max_n=6, max_dv=None, max_dc=None):
@@ -92,3 +93,28 @@ def instances_around_opt(election, rule, k, opt):
         Instance(election=election, rule=rule, k=k, d=opt),
         Instance(election=election, rule=rule, k=k, d=opt + 1),
     ]
+
+
+def check_against_oracle(inst, res):
+    """Assert a solver result agrees with brute force: decision, optimum, witness."""
+    truth = brute_force(inst)
+    assert res.decision == truth.decision
+    if res.opt_score is not None:
+        assert res.opt_score == truth.opt_score
+    if res.decision:
+        assert len(res.witness) == inst.k
+        s = score(inst.election, inst.rule, res.witness)
+        if inst.rule == MAV:
+            assert s <= inst.d
+        else:
+            assert s >= inst.d
+
+
+def sweep_against_oracle(rng, rule, solver, trials, **election_kw):
+    """Check a solver on random elections at thresholds around the optimum."""
+    for _ in range(trials):
+        e = random_election(rng, **election_kw)
+        k = rng.randint(0, e.m)
+        opt = brute_force(Instance(election=e, rule=rule, k=k, d=0)).opt_score
+        for inst in instances_around_opt(e, rule, k, opt):
+            check_against_oracle(inst, solver(inst))

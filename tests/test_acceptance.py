@@ -25,7 +25,7 @@ from approvalwd import (
 )
 from approvalwd import fpt, graphs, poly, twdp
 from approvalwd.oracle import brute_force, BudgetExceededError
-from approvalwd.portfolio import dispatch, generate, GeneratorConfig
+from approvalwd.portfolio import applicable, generate, GeneratorConfig
 from approvalwd.reductions import (
     ccav_phs_convert,
     ids_to_ccav,
@@ -60,61 +60,17 @@ def _witness_ok(inst, res):
 
 
 def _solver_rows(inst, width, k):
-    """(name, callable) rows for every solver applicable to this instance.
+    """Every registered solver applicable to this instance.
 
     The two committee-overlap treewidth tables are budget-gated by their
     worst-case size so the full sweep stays inside the time budget; coverage
     counts below assert they still run on a large share of the sweep.
     """
-    e = inst.election
-    mu_budget = (k + 1) ** (width + 1) * 2 ** min(width + 1, e.m) <= 30000
-    rows = [("dispatch", lambda: dispatch(inst))]
-    if inst.rule == MAV:
-        rows += [
-            ("mav_by_classes", lambda: fpt.mav_by_classes(inst)),
-            ("mav_k_deltac", lambda: fpt.mav_k_deltac(inst)),
-            ("mav_dual_grsp", lambda: fpt.mav_dual_grsp(inst)),
-            ("mav_by_matching", lambda: fpt.mav_by_matching(inst)),
-        ]
-        if e.delta_c <= 2:
-            rows.append(("mav_deg2", lambda: poly.mav_deg2(inst)))
-        if mu_budget:
-            rows.append(("mav_tw_dp", lambda: twdp.mav_tw_dp(inst)))
-    elif inst.rule == CCAV:
-        rows += [
-            ("ccav_bb_dual", lambda: fpt.ccav_bb_dual(inst)),
-            ("ccav_tw_dp", lambda: twdp.ccav_tw_dp(inst)),
-        ]
-        if e.delta_c <= 2:
-            rows.append(("ccav_deg2", lambda: poly.ccav_deg2(inst)))
-    else:
-        rows += [
-            ("pav_bb_dv", lambda: fpt.pav_bb_dv(inst)),
-            ("pav_by_matching", lambda: fpt.pav_by_matching(inst)),
-        ]
-        if e.delta_c <= 1:
-            rows.append(("pav_deg1", lambda: poly.pav_deg1(inst)))
-        if e.delta_v <= 2 and e.delta_c <= 2:
-            rows.append(("pav_deg22", lambda: poly.pav_deg22(inst)))
-        if mu_budget:
-            rows.append(("pav_tw_dp", lambda: twdp.pav_tw_dp(inst)))
-    if e.delta_v <= 1:
-        rows.append(("av_optimal", lambda: _av(inst)))
-    return rows
-
-
-def _av(inst):
-    w = poly.av_optimal(inst.election, inst.k)
-    s = score(inst.election, inst.rule, w)
-    from approvalwd import SolveResult
-
-    return SolveResult(
-        decision=meets_threshold(inst.rule, s, inst.d),
-        opt_score=s,
-        witness=w,
-        algorithm="av_optimal",
-        stats={},
-    )
+    mu_budget = (k + 1) ** (width + 1) * 2 ** min(width + 1, inst.election.m) <= 30000
+    return [
+        solver for solver in applicable(inst)
+        if mu_budget or solver.name not in ("mav_tw_dp", "pav_tw_dp")
+    ]
 
 
 def test_criterion_1_oracle_equivalence_sweep(capsys):
@@ -134,9 +90,10 @@ def test_criterion_1_oracle_equivalence_sweep(capsys):
                 inst = Instance(election=e, rule=rule, k=k, d=d)
                 instances += 1
                 truth = brute_force(inst)
-                for name, run in _solver_rows(inst, width, k):
+                for solver in _solver_rows(inst, width, k):
+                    name = solver.name
                     try:
-                        res = run()
+                        res = solver.run(inst)
                     except BudgetExceededError:
                         continue
                     coverage[name] = coverage.get(name, 0) + 1

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from approvalwd import format_instance, Instance, MAV, PAV
+from approvalwd import cli
 from approvalwd.cli import main
 from approvalwd.reductions import format_graph
 
@@ -39,6 +40,25 @@ def test_solve_errors(tmp_path):
     # wrong rule for a rule-specific algorithm
     path = _write_e1_instance(tmp_path / "i.appr", PAV, 2, 0)
     assert main(["solve", path, "--algo", "mav-deg2"]) == 2
+
+
+def test_algo_names_are_pinned():
+    assert sorted(cli.ALGOS) == [
+        "auto", "av", "brute", "ccav-bb", "ccav-deg2", "ccav-tw",
+        "mav-classes", "mav-deg2", "mav-grsp", "mav-kdc", "mav-matching",
+        "mav-tw", "pav-bb", "pav-deg1", "pav-deg22", "pav-matching", "pav-tw",
+    ]
+
+
+def test_solve_crash_exits_2(tmp_path, monkeypatch, capsys):
+    def crash(instance):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.ALGOS, "brute", crash)
+    path = _write_e1_instance(tmp_path / "i.appr", MAV, 1, 2)
+    assert main(["solve", path, "--algo", "brute"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "boom" in err and err.count("\n") == 1
 
 
 def test_solve_budget_exceeded(tmp_path):

@@ -8,7 +8,6 @@ from approvalwd import CCAV, Election, Instance, MAV, PAV, score
 from approvalwd.fpt import (
     AnnotatedPavInstance,
     ccav_bb_dual,
-    dispatch_corollaries,
     grsp_solve,
     GrspInstance,
     mav_by_classes,
@@ -21,30 +20,13 @@ from approvalwd.fpt import (
 )
 from approvalwd.oracle import brute_force, brute_force_grsp, BudgetExceededError
 
-from helpers import e1, instances_around_opt, random_election
-
-
-def _check(inst, res):
-    truth = brute_force(inst)
-    assert res.decision == truth.decision
-    if res.opt_score is not None:
-        assert res.opt_score == truth.opt_score
-    if res.decision:
-        assert len(res.witness) == inst.k
-        s = score(inst.election, inst.rule, res.witness)
-        if inst.rule == MAV:
-            assert s <= inst.d
-        else:
-            assert s >= inst.d
-
-
-def _sweep(rng, rule, solver, trials, **election_kw):
-    for _ in range(trials):
-        e = random_election(rng, **election_kw)
-        k = rng.randint(0, e.m)
-        opt = brute_force(Instance(election=e, rule=rule, k=k, d=0)).opt_score
-        for inst in instances_around_opt(e, rule, k, opt):
-            _check(inst, solver(inst))
+from helpers import (
+    check_against_oracle,
+    e1,
+    instances_around_opt,
+    random_election,
+    sweep_against_oracle,
+)
 
 
 def test_mav_by_classes_examples():
@@ -66,7 +48,7 @@ def test_mav_by_classes_budget():
 
 
 def test_mav_by_classes_sweep():
-    _sweep(random.Random(40), MAV, mav_by_classes, 60)
+    sweep_against_oracle(random.Random(40), MAV, mav_by_classes, 60)
 
 
 def test_mav_k_deltac_pruning():
@@ -89,7 +71,7 @@ def test_mav_k_deltac_sweep():
         k = rng.randint(0, e.m)
         opt = brute_force(Instance(election=e, rule=MAV, k=k, d=0)).opt_score
         for inst in instances_around_opt(e, MAV, k, opt):
-            _check(inst, mav_k_deltac(inst))
+            check_against_oracle(inst, mav_k_deltac(inst))
 
 
 def test_mav_dual_grsp_examples():
@@ -100,7 +82,7 @@ def test_mav_dual_grsp_examples():
 
 
 def test_mav_dual_grsp_sweep():
-    _sweep(random.Random(42), MAV, mav_dual_grsp, 60)
+    sweep_against_oracle(random.Random(42), MAV, mav_dual_grsp, 60)
 
 
 def test_grsp_examples():
@@ -158,7 +140,7 @@ def test_ccav_bb_dual_sweep_and_node_bound():
         opt = brute_force(Instance(election=e, rule=CCAV, k=k, d=0)).opt_score
         for inst in instances_around_opt(e, CCAV, k, opt):
             res = ccav_bb_dual(inst)
-            _check(inst, res)
+            check_against_oracle(inst, res)
             kbar = e.m - k
             bound = max(1, e.delta_c * kbar) ** kbar * (kbar + 1) + 1
             assert res.stats["nodes"] <= bound
@@ -229,25 +211,9 @@ def test_pav_bb_dv_sweep_and_branch_bound():
         opt = brute_force(Instance(election=e, rule=PAV, k=k, d=0)).opt_score
         for inst in instances_around_opt(e, PAV, k, opt):
             res = pav_bb_dv(inst)
-            _check(inst, res)
+            check_against_oracle(inst, res)
             if inst.d > 0 and "max_branch" in res.stats:
                 assert res.stats["max_branch"] <= math.ceil(inst.d * e.delta_v)
-
-
-def test_dispatch_corollaries():
-    e = e1()
-    assert not dispatch_corollaries(
-        Instance(election=e, rule=CCAV, k=1, d=1 * e.delta_c + 1)
-    ).decision
-    assert not dispatch_corollaries(
-        Instance(election=e, rule=PAV, k=1, d=1 * e.delta_c + 1)
-    ).decision
-    assert dispatch_corollaries(
-        Instance(election=e, rule=MAV, k=1, d=1 + e.delta_v)
-    ).decision
-    rng = random.Random(48)
-    for rule in (MAV, CCAV, PAV):
-        _sweep(rng, rule, dispatch_corollaries, 25, max_m=5, max_n=5)
 
 
 def test_mav_by_matching_examples():
@@ -258,7 +224,7 @@ def test_mav_by_matching_examples():
 
 
 def test_mav_by_matching_sweep():
-    _sweep(random.Random(49), MAV, mav_by_matching, 60, max_m=5, max_n=5)
+    sweep_against_oracle(random.Random(49), MAV, mav_by_matching, 60, max_m=5, max_n=5)
 
 
 def test_pav_by_matching_examples():
@@ -267,4 +233,4 @@ def test_pav_by_matching_examples():
 
 
 def test_pav_by_matching_sweep():
-    _sweep(random.Random(50), PAV, pav_by_matching, 50, max_m=5, max_n=5)
+    sweep_against_oracle(random.Random(50), PAV, pav_by_matching, 50, max_m=5, max_n=5)

@@ -24,7 +24,7 @@ from approvalwd.portfolio import (
     verify,
 )
 
-from helpers import e1, random_election
+from helpers import e1, random_election, sweep_against_oracle
 
 
 def test_dispatch_routing():
@@ -54,6 +54,75 @@ def test_dispatch_fpt_route():
         res = dispatch(inst)
         assert res.decision == brute_force(inst).decision
         assert res.algorithm != "brute_force"
+
+
+def test_dispatch_score_bounds():
+    # e1 is answered by a polynomial route before the bounds are reached;
+    # deltaV = deltaC = 3 leaves the bounds to answer
+    deg3 = Election(
+        m=4,
+        votes=(frozenset({0, 1, 2}), frozenset({0, 2, 3}), frozenset({0, 1, 3})),
+    )
+    for e in (e1(), deg3):
+        for rule, d, decision in (
+            (CCAV, e.delta_c + 1, False),
+            (PAV, e.delta_c + 1, False),
+            (MAV, 1 + e.delta_v, True),
+        ):
+            res = dispatch(Instance(election=e, rule=rule, k=1, d=d))
+            assert res.decision == decision
+            if e is deg3:
+                assert res.algorithm == "score_bound"
+    rng = random.Random(48)
+    for rule in (MAV, CCAV, PAV):
+        sweep_against_oracle(rng, rule, dispatch, 25, max_m=5, max_n=5)
+
+
+def _fpt_instances():
+    """Seeded instances that no polynomial route answers."""
+    rng = random.Random(2107)
+    out = []
+    while len(out) < 36:
+        delta = rng.choice((3, 4))
+        config = GeneratorConfig(
+            m=rng.randint(8, 16), n=rng.randint(6, 14), max_dv=delta, max_dc=delta
+        )
+        e = generate(config, rng.randrange(10**6))
+        if e.delta_v < 2 or e.delta_c < 3:
+            continue
+        rule = RULES[len(out) % 3]
+        k = rng.randint(3, 6)
+        top = k + e.delta_v if rule == MAV else k * e.delta_c + 1
+        out.append(Instance(election=e, rule=rule, k=k, d=rng.randint(0, top)))
+    return out
+
+
+# dispatch's route on each of _fpt_instances(), recorded before dispatch
+# checked the score bounds; only instances inside a bound may differ
+FPT_ROUTES = [
+    "mav_by_classes", "ccav_tw_dp", "pav_annotated", "mav_k_deltac",
+    "ccav_tw_dp", "pav_annotated", "mav_dual_grsp", "ccav_tw_dp",
+    "pav_annotated", "mav_by_classes", "ccav_tw_dp", "pav_annotated",
+    "mav_k_deltac", "ccav_tw_dp", "pav_annotated", "mav_by_classes",
+    "ccav_tw_dp", "pav_annotated", "mav_by_classes", "ccav_tw_dp",
+    "pav_annotated", "mav_k_deltac", "ccav_tw_dp", "pav_bb_dv",
+    "mav_by_classes", "ccav_bb_dual", "pav_annotated", "mav_by_classes",
+    "ccav_tw_dp", "pav_annotated", "mav_k_deltac", "ccav_tw_dp",
+    "pav_annotated", "mav_by_classes", "ccav_tw_dp", "pav_bb_dv",
+]
+
+
+def test_dispatch_route_choice_is_pinned():
+    bounded = 0
+    for inst, route in zip(_fpt_instances(), FPT_ROUTES, strict=True):
+        e = inst.election
+        if inst.rule == MAV and inst.d >= inst.k + e.delta_v or (
+            inst.rule != MAV and inst.d > inst.k * e.delta_c
+        ):
+            route = "score_bound"
+            bounded += 1
+        assert dispatch(inst).algorithm == route
+    assert bounded == 3
 
 
 def test_dispatch_matches_oracle():
