@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,12 +22,15 @@ class FormatError(ValueError):
     """Raised on malformed .appr input."""
 
 
+class InternalError(RuntimeError):
+    """A solver's own exact check of its answer failed: the program is at fault."""
+
+
 @functools.lru_cache(maxsize=None)
 def harmonic(i):
     """Sum of 1/j for j in 1..i (0 for i <= 0), as an exact Fraction."""
-    if i <= 0:
-        return Fraction(0)
-    return harmonic(i - 1) + Fraction(1, i)
+    scale = lcm_upto(i)
+    return Fraction(sum(scale // j for j in range(1, i + 1)), scale)
 
 
 @dataclass(frozen=True)
@@ -204,16 +208,7 @@ def class_partition(election, restrict_votes=None):
 
 def lcm_upto(k):
     """lcm(1..k); PAV scores of k-committees times this value are integers."""
-    out = 1
-    for i in range(2, k + 1):
-        out = out * i // _gcd(out, i)
-    return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return math.lcm(*range(1, k + 1))
 
 
 # ---------------------------------------------------------------------------

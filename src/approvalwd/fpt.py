@@ -356,11 +356,19 @@ def ccav_bb_dual(instance):
 
 def pav_annotated(ann, max_n=16):
     """Exact annotated PAV optimum by search over per-class selection counts."""
-    e = ann.election
+    return _pav_class_search(ann.election, max_n)(ann.forced, ann.k, ann.d)
+
+
+def _pav_class_search(e, max_n):
+    """``solve(forced, k, d)``: the annotated PAV search over the classes of e.
+
+    The class partition and the count search are built once; a forced set
+    only sets the per-class minimums.
+    """
     if e.n > max_n:
         raise BudgetExceededError(f"n={e.n} exceeds budget {max_n}")
     classes = class_partition(e).classes
-    mins = [len(ann.forced & set(members)) for _, members in classes]
+    search = _count_search(classes, e.n)
 
     def bound(cov, reach, rem, total):
         return total + sum(
@@ -371,24 +379,28 @@ def pav_annotated(ann, max_n=16):
     def gain(cov, support, x):
         return sum((harmonic(cov[j] + x) - harmonic(cov[j]) for j in support), Fraction(0))
 
-    value, counts, nodes = _count_search(classes, e.n)(ann.k, bound, gain, mins)
-    stats = {"nodes": nodes}
-    if counts is None:
-        return SolveResult(False, None, None, "pav_annotated", stats)
-    witness = []
-    for (support, members), x in zip(classes, counts):
-        inside = [c for c in members if c in ann.forced]
-        outside = [c for c in members if c not in ann.forced]
-        witness.extend(inside)
-        witness.extend(outside[: x - len(inside)])
-    witness = tuple(sorted(witness))
-    return SolveResult(
-        decision=value >= ann.d,
-        opt_score=value,
-        witness=witness,
-        algorithm="pav_annotated",
-        stats=stats,
-    )
+    def solve(forced, k, d):
+        mins = [len(forced & set(members)) for _, members in classes]
+        value, counts, nodes = search(k, bound, gain, mins)
+        stats = {"nodes": nodes}
+        if counts is None:
+            return SolveResult(False, None, None, "pav_annotated", stats)
+        witness = []
+        for (support, members), x in zip(classes, counts):
+            inside = [c for c in members if c in forced]
+            outside = [c for c in members if c not in forced]
+            witness.extend(inside)
+            witness.extend(outside[: x - len(inside)])
+        witness = tuple(sorted(witness))
+        return SolveResult(
+            decision=value >= d,
+            opt_score=value,
+            witness=witness,
+            algorithm="pav_annotated",
+            stats=stats,
+        )
+
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +573,7 @@ def pav_by_matching(instance, max_n=16):
     k, d = instance.k, instance.d
     c_m, v_m = _matching_split(e)
     outside = [v for j, v in enumerate(e.votes) if j not in set(v_m)]
-    sub = Election(m=e.m, votes=tuple(e.votes[j] for j in v_m))
+    solve = _pav_class_search(Election(m=e.m, votes=tuple(e.votes[j] for j in v_m)), max_n)
     best = None
     best_w = None
     stats = {"subinstances": 0}
@@ -571,9 +583,7 @@ def pav_by_matching(instance, max_n=16):
         stats["subinstances"] += 1
         cp = frozenset(cprime)
         dprime = sum((harmonic(len(v & cp)) for v in outside), Fraction(0))
-        res = pav_annotated(
-            AnnotatedPavInstance(sub, cp, k, d - dprime), max_n=max_n
-        )
+        res = solve(cp, k, d - dprime)
         total = res.opt_score + dprime
         if best is None or total > best:
             best = total

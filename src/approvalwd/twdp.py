@@ -4,15 +4,23 @@ Tables are built bottom-up by forward propagation: every stored entry carries
 the best value together with a concrete committee achieving it, so missing
 entries play the role of minus infinity and witnesses come for free.
 
+Values are plain integers.  PAV values are scaled by L = lcm(1..k), so that
+L * harmonic(x) is an integer for every overlap 0 <= x <= k a table can hold;
+the optimum becomes an exact ``Fraction`` only in the result, after its
+witness is re-scored exactly.  A join meets each entry of one child only with
+the entries of the other child that share its candidate bag set.
+
 Incidence-graph numbering: candidate c is vertex c, vote j is vertex m + j.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 from . import graphs
-from .core import CCAV, harmonic, MAV, PAV, score, SolveResult
+from .core import CCAV, InternalError, lcm_upto, MAV, PAV, score, SolveResult
 
 
 def _prepare(instance, ntd):
@@ -35,6 +43,25 @@ def _merge(table, key, value, witness):
     old = table.get(key)
     if old is None or value > old[0] or (value == old[0] and witness < old[1]):
         table[key] = (value, witness)
+
+
+def _by_cset(table):
+    """Entries as {candidate bag set: [(rest of key, value, witness)]}."""
+    groups = {}
+    for (cset, *rest), (value, witness) in table.items():
+        groups.setdefault(cset, []).append((rest, value, witness))
+    return groups
+
+
+def _checked_witness(e, rule, entry, accept):
+    """The root entry's witness, once ``accept`` passes on its exact score.
+
+    This re-score is what guards the integer table arithmetic, so it is an
+    explicit check that survives ``python -O``.
+    """
+    if entry is None or not accept(score(e, rule, entry[1])):
+        raise InternalError(f"{rule} treewidth DP: root witness fails its exact re-score")
+    return entry[1]
 
 
 class _Stats(dict):
@@ -68,66 +95,72 @@ def ccav_tw_dp(instance, ntd=None):
             return
         if not consistent(cset, vset, bag_votes):
             return
-        _merge(table, (cset, vset, kp), (value,), witness)
+        _merge(table, (cset, vset, kp), value, witness)
 
     tables = {}
     for node in ntd.postorder():
         _, bag_v = _split_bag(node.bag, m)
         table = {}
         if node.kind == "leaf":
-            table[(frozenset(), frozenset(), 0)] = ((0,), ())
+            table[(frozenset(), frozenset(), 0)] = (0, ())
         elif node.kind == "join":
-            ty = tables.pop(id(node.children[0]))
-            tz = tables.pop(id(node.children[1]))
-            for (c1, v1, k1), ((val1,), w1) in ty.items():
-                for (c2, v2, k2), ((val2,), w2) in tz.items():
-                    if c1 != c2:
-                        continue
-                    kp = k1 + k2 - len(c1)
-                    value = val1 + val2 - len(v1 & v2)
-                    witness = tuple(sorted(set(w1) | set(w2)))
-                    store(table, bag_v, c1, v1 | v2, kp, value, witness)
+            left = _by_cset(tables.pop(id(node.children[0])))
+            right = _by_cset(tables.pop(id(node.children[1])))
+            for c1, entries in left.items():
+                bucket = right.get(c1)
+                if bucket is None:
+                    continue
+                nc = len(c1)
+                for (v1, k1), val1, w1 in entries:
+                    s1 = set(w1)
+                    for (v2, k2), val2, w2 in bucket:
+                        kp = k1 + k2 - nc
+                        if kp > k:
+                            continue
+                        # both children hold only entries consistent with this
+                        # same bag, so the union of their covered votes is too
+                        _merge(
+                            table,
+                            (c1, v1 | v2, kp),
+                            val1 + val2 - len(v1 & v2),
+                            tuple(sorted(s1.union(w2))),
+                        )
         else:
             ty = tables.pop(id(node.children[0]))
             h = node.vertex
             if node.kind == "introduce" and h >= m:
                 j = h - m
-                for (cset, vset, kp), ((val,), w) in ty.items():
+                for (cset, vset, kp), (val, w) in ty.items():
                     if e.votes[j] & cset:
                         store(table, bag_v, cset, vset | {j}, kp, val + 1, w)
                     else:
                         store(table, bag_v, cset, vset, kp, val, w)
             elif node.kind == "introduce":
-                for (cset, vset, kp), ((val,), w) in ty.items():
+                approving = {j for j in bag_v if h in e.votes[j]}
+                for (cset, vset, kp), (val, w) in ty.items():
                     store(table, bag_v, cset, vset, kp, val, w)
-                    approving = {j for j in bag_v if h in e.votes[j]}
-                    new_v = vset | approving
-                    gained = len(approving - vset)
                     store(
                         table,
                         bag_v,
                         cset | {h},
-                        new_v,
+                        vset | approving,
                         kp + 1,
-                        val + gained,
+                        val + len(approving - vset),
                         tuple(sorted(w + (h,))),
                     )
             elif node.kind == "forget" and h >= m:
                 j = h - m
-                for (cset, vset, kp), ((val,), w) in ty.items():
+                for (cset, vset, kp), (val, w) in ty.items():
                     store(table, bag_v, cset, vset - {j}, kp, val, w)
             else:
-                for (cset, vset, kp), ((val,), w) in ty.items():
+                for (cset, vset, kp), (val, w) in ty.items():
                     store(table, bag_v, cset - {h}, vset, kp, val, w)
         stats.bump_entries(table)
         tables[id(node)] = table
 
-    root = tables[id(ntd.root)]
-    entry = root.get((frozenset(), frozenset(), k))
-    assert entry is not None
-    (opt,), witness = entry
-    opt = Fraction(opt)
-    assert score(e, CCAV, witness) == opt
+    entry = tables[id(ntd.root)].get((frozenset(), frozenset(), k))
+    opt = None if entry is None else Fraction(entry[0])
+    witness = _checked_witness(e, CCAV, entry, lambda s: s == opt)
     stats["width"] = ntd.width()
     return SolveResult(
         decision=opt >= instance.d,
@@ -142,15 +175,20 @@ def ccav_tw_dp(instance, ntd=None):
 # PAV and MAV: tables keyed by (C', k', mu) with mu over the bag votes
 # ---------------------------------------------------------------------------
 
-def _mu_tuple(mu_map, bag_votes):
-    return tuple(mu_map[j] for j in bag_votes)
-
-
 def _run_mu_dp(instance, ntd, rule):
-    """Shared engine for the PAV (score-valued) and MAV (binary) tables."""
+    """Shared engine for the PAV (score-valued) and MAV (binary) tables.
+
+    A PAV value is L times the subtree committee's score, L = lcm(1..k).
+    For MAV only which entries exist matters; a value is 0 until a vote or
+    a committee member is placed in the subtree and 1 after.
+    """
     e, _, ntd = _prepare(instance, ntd)
     m, k, d = e.m, instance.k, instance.d
+    votes = e.votes
     pav = rule == PAV
+    scale = lcm_upto(k)
+    # hsum[x] = L * harmonic(x), exact for 0 <= x <= k
+    hsum = list(itertools.accumulate((scale // x for x in range(1, k + 1)), initial=0))
     stats = _Stats()
 
     tables = {}
@@ -161,37 +199,40 @@ def _run_mu_dp(instance, ntd, rule):
         def store(cset, kp, mu, value, witness):
             if kp > k or any(x > k for x in mu):
                 return
-            _merge(table, (cset, kp, mu), (value,), witness)
+            _merge(table, (cset, kp, mu), value, witness)
 
         if node.kind == "leaf":
-            table[(frozenset(), 0, ())] = ((Fraction(0),), ())
+            table[(frozenset(), 0, ())] = (0, ())
         elif node.kind == "join":
-            ty = tables.pop(id(node.children[0]))
-            tz = tables.pop(id(node.children[1]))
-            for (c1, k1, mu1), ((val1,), w1) in ty.items():
-                base1 = sum(
-                    (harmonic(x) for x in mu1), Fraction(0)
-                ) if pav else None
-                for (c2, k2, mu2), ((val2,), w2) in tz.items():
-                    if c1 != c2:
-                        continue
-                    kp = k1 + k2 - len(c1)
-                    mu = tuple(
-                        a + b - len(e.votes[j] & c1)
-                        for a, b, j in zip(mu1, mu2, bag_v)
-                    )
-                    if any(x < 0 for x in mu):
-                        continue
-                    if pav:
-                        base2 = sum(
-                            (harmonic(x) for x in mu2), Fraction(0)
-                        )
-                        gmu = sum((harmonic(x) for x in mu), Fraction(0))
-                        value = val1 + val2 - base1 - base2 + gmu
-                    else:
-                        value = Fraction(1)
-                    witness = tuple(sorted(set(w1) | set(w2)))
-                    store(c1, kp, mu, value, witness)
+            left = _by_cset(tables.pop(id(node.children[0])))
+            right = _by_cset(tables.pop(id(node.children[1])))
+            for c1, entries in left.items():
+                bucket = right.get(c1)
+                if bucket is None:
+                    continue
+                # a join value is val1 + val2 - sum hsum[mu1] - sum hsum[mu2]
+                # + sum hsum[mu]: the bag votes' terms are replaced, not added
+                bucket = [
+                    (k2, mu2, val2 - sum(hsum[x] for x in mu2) if pav else 0, w2)
+                    for (k2, mu2), val2, w2 in bucket
+                ]
+                overlap = [len(votes[j] & c1) for j in bag_v]
+                nc = len(c1)
+                for (k1, mu1), val1, w1 in entries:
+                    rest1 = val1 - sum(hsum[x] for x in mu1) if pav else 0
+                    s1 = set(w1)
+                    for k2, mu2, rest2, w2 in bucket:
+                        kp = k1 + k2 - nc
+                        if kp > k:
+                            continue
+                        mu = tuple(a + b - o for a, b, o in zip(mu1, mu2, overlap))
+                        if not all(0 <= x <= k for x in mu):
+                            continue
+                        if pav:
+                            value = rest1 + rest2 + sum(hsum[x] for x in mu)
+                        else:
+                            value = 1
+                        _merge(table, (c1, kp, mu), value, tuple(sorted(s1.union(w2))))
         else:
             ty = tables.pop(id(node.children[0]))
             h = node.vertex
@@ -199,55 +240,55 @@ def _run_mu_dp(instance, ntd, rule):
             if node.kind == "introduce" and h >= m:
                 j = h - m
                 pos = bag_v.index(j)
-                for (cset, kp, mu), ((val,), w) in ty.items():
-                    x = len(e.votes[j] & cset)
-                    new_mu = mu[:pos] + (x,) + mu[pos:]
-                    value = val + harmonic(x) if pav else Fraction(1)
-                    store(cset, kp, new_mu, value, w)
+                for (cset, kp, mu), (val, w) in ty.items():
+                    x = len(votes[j] & cset)
+                    if x > k:
+                        continue
+                    value = val + hsum[x] if pav else 1
+                    store(cset, kp, mu[:pos] + (x,) + mu[pos:], value, w)
             elif node.kind == "introduce":
                 approving = [
-                    i for i, j in enumerate(bag_v) if h in e.votes[j]
+                    i for i, j in enumerate(bag_v) if h in votes[j]
                 ]
-                for (cset, kp, mu), ((val,), w) in ty.items():
+                for (cset, kp, mu), (val, w) in ty.items():
                     store(cset, kp, mu, val, w)
-                    new_mu = tuple(
-                        x + 1 if i in approving else x
-                        for i, x in enumerate(mu)
-                    )
+                    new_mu = list(mu)
+                    for i in approving:
+                        new_mu[i] += 1
+                    # test mu <= k before dividing: scale // (k + 1) is inexact
+                    if kp >= k or any(new_mu[i] > k for i in approving):
+                        continue
                     if pav:
-                        value = val + sum(
-                            (Fraction(1, new_mu[i]) for i in approving),
-                            Fraction(0),
-                        )
+                        value = val + sum(scale // new_mu[i] for i in approving)
                     else:
-                        value = Fraction(1)
+                        value = 1
                     store(
                         cset | {h},
                         kp + 1,
-                        new_mu,
+                        tuple(new_mu),
                         value,
                         tuple(sorted(w + (h,))),
                     )
             elif node.kind == "forget" and h >= m:
                 j = h - m
                 pos = child_bag_v.index(j)
-                for (cset, kp, mu), ((val,), w) in ty.items():
-                    if not pav and 2 * mu[pos] < k + len(e.votes[j]) - d:
+                # MAV keeps vote j only if 2 * mu >= k + |v_j| - d, i.e. >= need
+                need = math.ceil(k + len(votes[j]) - d)
+                for (cset, kp, mu), (val, w) in ty.items():
+                    if not pav and 2 * mu[pos] < need:
                         continue
                     store(cset, kp, mu[:pos] + mu[pos + 1:], val, w)
             else:
-                for (cset, kp, mu), ((val,), w) in ty.items():
+                for (cset, kp, mu), (val, w) in ty.items():
                     store(cset - {h}, kp, mu, val, w)
         stats.bump_entries(table)
         tables[id(node)] = table
 
-    root = tables[id(ntd.root)]
-    entry = root.get((frozenset(), k, ()))
+    entry = tables[id(ntd.root)].get((frozenset(), k, ()))
     stats["width"] = ntd.width()
     if pav:
-        assert entry is not None
-        (opt,), witness = entry
-        assert score(e, PAV, witness) == opt
+        opt = None if entry is None else Fraction(entry[0], scale)
+        witness = _checked_witness(e, PAV, entry, lambda s: s == opt)
         return SolveResult(
             decision=opt >= d,
             opt_score=opt,
@@ -257,8 +298,7 @@ def _run_mu_dp(instance, ntd, rule):
         )
     if entry is None:
         return SolveResult(False, None, None, "mav_tw_dp", stats)
-    _, witness = entry
-    assert score(e, MAV, witness) <= d
+    witness = _checked_witness(e, MAV, entry, lambda s: s <= d)
     return SolveResult(True, None, witness, "mav_tw_dp", stats)
 
 

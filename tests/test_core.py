@@ -66,6 +66,15 @@ def test_harmonic():
     assert harmonic(3) == Fraction(11, 6)
 
 
+def test_harmonic_at_scale():
+    # one step per unit of i used to recurse past Python's recursion limit
+    h = harmonic(5000)
+    assert isinstance(h, Fraction)
+    assert h - harmonic(4999) == Fraction(1, 5000)
+    n = 1100
+    assert score(Election(n, (range(n),)), PAV, range(n)) == harmonic(n)
+
+
 def test_meets_threshold():
     assert meets_threshold(MAV, Fraction(2), Fraction(2))
     assert not meets_threshold(MAV, Fraction(2), Fraction(1))
@@ -161,6 +170,9 @@ def test_lcm_upto():
     assert lcm_upto(1) == 1
     assert lcm_upto(4) == 12
     assert lcm_upto(6) == 60
+    for k in range(31):
+        for x in range(k + 1):
+            assert (lcm_upto(k) * harmonic(x)).denominator == 1
 
 
 def test_all_committees_order():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from approvalwd import CCAV, Election, Instance, MAV, PAV, score
+from approvalwd import CCAV, class_partition, Election, fpt, Instance, MAV, PAV, score
 from approvalwd.fpt import (
     AnnotatedPavInstance,
     ccav_bb_dual,
@@ -19,6 +19,7 @@ from approvalwd.fpt import (
     pav_by_matching,
 )
 from approvalwd.oracle import brute_force, brute_force_grsp, BudgetExceededError
+from approvalwd.portfolio import generate, GeneratorConfig
 
 from helpers import (
     check_against_oracle,
@@ -230,6 +231,21 @@ def test_mav_by_matching_sweep():
 def test_pav_by_matching_examples():
     res = pav_by_matching(Instance(election=e1(), rule=PAV, k=2, d=Fraction(7, 2)))
     assert res.decision and res.opt_score == Fraction(7, 2)
+
+
+def test_pav_by_matching_builds_classes_once(monkeypatch):
+    e = generate(GeneratorConfig(m=9, n=8, max_dv=3, max_dc=3), 5)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return class_partition(*args, **kwargs)
+
+    monkeypatch.setattr(fpt, "class_partition", spy)
+    res = pav_by_matching(Instance(election=e, rule=PAV, k=3, d=1))
+    assert res.stats["subinstances"] == 42
+    assert len(calls) == 1
+    assert res.opt_score == brute_force(Instance(election=e, rule=PAV, k=3, d=1)).opt_score
 
 
 def test_pav_by_matching_sweep():
