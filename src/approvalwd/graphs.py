@@ -690,26 +690,24 @@ def _chain(node, from_bag, to_bag):
 
 def to_nice(td):
     """Convert to a nice tree decomposition of the same width."""
-
-    def build(x):
+    # children before parents, with an explicit worklist: tree depth can far
+    # exceed the interpreter's recursion limit on long path-like inputs
+    order = [td.root]
+    for x in order:
+        order.extend(td.children(x))
+    built = {}
+    for x in reversed(order):
         bag = td.bags[x]
         kids = td.children(x)
         if not kids:
-            return _chain(NiceNode("leaf", frozenset()), frozenset(), bag)
-        subtrees = [_chain(build(c), td.bags[c], bag) for c in kids]
+            built[x] = _chain(NiceNode("leaf", frozenset()), frozenset(), bag)
+            continue
+        subtrees = [_chain(built.pop(c), td.bags[c], bag) for c in kids]
         acc = subtrees[0]
         for sub in subtrees[1:]:
             acc = NiceNode("join", bag, [acc, sub])
-        return acc
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(td.bags) + 100))
-    try:
-        root = _chain(build(td.root), td.bags[td.root], frozenset())
-    finally:
-        sys.setrecursionlimit(old_limit)
+        built[x] = acc
+    root = _chain(built[td.root], td.bags[td.root], frozenset())
     return NiceTreeDecomposition(root=root)
 
 

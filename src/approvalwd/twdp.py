@@ -1,14 +1,22 @@
 """Dynamic programming over nice tree decompositions of the incidence graph.
 
-Tables are built bottom-up by forward propagation: every stored entry carries
-the best value together with a concrete committee achieving it, so missing
-entries play the role of minus infinity and witnesses come for free.
+One table engine serves all three rules.  A table entry is keyed by
+(C', k', mu): the committee's part C' in the bag's candidates, the committee
+size k' inside the subtree, and mu, the overlap of each bag vote (in sorted
+order) with that committee.  CCAV caps every overlap at 1, so its mu marks
+which bag votes are covered.  Tables are built bottom-up by forward
+propagation: every stored entry carries the best value together with a
+concrete committee achieving it, so missing entries play the role of minus
+infinity and witnesses come for free.
 
-Values are plain integers.  PAV values are scaled by L = lcm(1..k), so that
-L * harmonic(x) is an integer for every overlap 0 <= x <= k a table can hold;
-the optimum becomes an exact ``Fraction`` only in the result, after its
-witness is re-scored exactly.  A join meets each entry of one child only with
-the entries of the other child that share its candidate bag set.
+Values are plain integers, a sum of per-vote values by overlap.  PAV values
+are scaled by L = lcm(1..k), so that L * harmonic(x) is an integer for every
+overlap 0 <= x <= k a table can hold; a CCAV vote is worth 1 once covered.
+The optimum becomes an exact ``Fraction`` only in the result, after its
+witness is re-scored exactly.  MAV needs only which entries exist: a vote too
+far from the committee is dropped when it is forgotten.  A join meets each
+entry of one child only with the entries of the other child that share its
+candidate bag set.
 
 Incidence-graph numbering: candidate c is vertex c, vote j is vertex m + j.
 """
@@ -30,13 +38,11 @@ def _prepare(instance, ntd):
         td = graphs.tree_decomposition(g, mode="heuristic")
         ntd = graphs.to_nice(td)
     ntd.validate(g)
-    return e, g, ntd
+    return e, ntd
 
 
-def _split_bag(bag, m):
-    cands = tuple(sorted(v for v in bag if v < m))
-    votes = tuple(sorted(v - m for v in bag if v >= m))
-    return cands, votes
+def _bag_votes(bag, m):
+    return tuple(sorted(v - m for v in bag if v >= m))
 
 
 def _merge(table, key, value, witness):
@@ -64,143 +70,32 @@ def _checked_witness(e, rule, entry, accept):
     return entry[1]
 
 
-class _Stats(dict):
-    def bump_entries(self, table):
-        self["max_entries"] = max(self.get("max_entries", 0), len(table))
-        self["nodes"] = self.get("nodes", 0) + 1
-
-
-def ccav_tw_dp(instance, ntd=None):
-    """CCAV optimum via the 3-dimensional table (C', V', k') per bag.
-
-    Keys track the committee's bag intersection, the covered bag votes, and
-    the committee size inside the subtree; covering counts merge at joins with
-    an overlap correction.
-    """
-    if instance.rule != CCAV:
-        raise ValueError("rule must be ccav")
-    e, _, ntd = _prepare(instance, ntd)
-    m, k = e.m, instance.k
-    stats = _Stats()
-
-    def consistent(cset, vset, bag_votes):
-        # every bag vote approving a committed candidate must be covered
-        for j in bag_votes:
-            if j not in vset and e.votes[j] & cset:
-                return False
-        return True
-
-    def store(table, bag_votes, cset, vset, kp, value, witness):
-        if kp > k:
-            return
-        if not consistent(cset, vset, bag_votes):
-            return
-        _merge(table, (cset, vset, kp), value, witness)
-
-    tables = {}
-    for node in ntd.postorder():
-        _, bag_v = _split_bag(node.bag, m)
-        table = {}
-        if node.kind == "leaf":
-            table[(frozenset(), frozenset(), 0)] = (0, ())
-        elif node.kind == "join":
-            left = _by_cset(tables.pop(id(node.children[0])))
-            right = _by_cset(tables.pop(id(node.children[1])))
-            for c1, entries in left.items():
-                bucket = right.get(c1)
-                if bucket is None:
-                    continue
-                nc = len(c1)
-                for (v1, k1), val1, w1 in entries:
-                    s1 = set(w1)
-                    for (v2, k2), val2, w2 in bucket:
-                        kp = k1 + k2 - nc
-                        if kp > k:
-                            continue
-                        # both children hold only entries consistent with this
-                        # same bag, so the union of their covered votes is too
-                        _merge(
-                            table,
-                            (c1, v1 | v2, kp),
-                            val1 + val2 - len(v1 & v2),
-                            tuple(sorted(s1.union(w2))),
-                        )
-        else:
-            ty = tables.pop(id(node.children[0]))
-            h = node.vertex
-            if node.kind == "introduce" and h >= m:
-                j = h - m
-                for (cset, vset, kp), (val, w) in ty.items():
-                    if e.votes[j] & cset:
-                        store(table, bag_v, cset, vset | {j}, kp, val + 1, w)
-                    else:
-                        store(table, bag_v, cset, vset, kp, val, w)
-            elif node.kind == "introduce":
-                approving = {j for j in bag_v if h in e.votes[j]}
-                for (cset, vset, kp), (val, w) in ty.items():
-                    store(table, bag_v, cset, vset, kp, val, w)
-                    store(
-                        table,
-                        bag_v,
-                        cset | {h},
-                        vset | approving,
-                        kp + 1,
-                        val + len(approving - vset),
-                        tuple(sorted(w + (h,))),
-                    )
-            elif node.kind == "forget" and h >= m:
-                j = h - m
-                for (cset, vset, kp), (val, w) in ty.items():
-                    store(table, bag_v, cset, vset - {j}, kp, val, w)
-            else:
-                for (cset, vset, kp), (val, w) in ty.items():
-                    store(table, bag_v, cset - {h}, vset, kp, val, w)
-        stats.bump_entries(table)
-        tables[id(node)] = table
-
-    entry = tables[id(ntd.root)].get((frozenset(), frozenset(), k))
-    opt = None if entry is None else Fraction(entry[0])
-    witness = _checked_witness(e, CCAV, entry, lambda s: s == opt)
-    stats["width"] = ntd.width()
-    return SolveResult(
-        decision=opt >= instance.d,
-        opt_score=opt,
-        witness=witness,
-        algorithm="ccav_tw_dp",
-        stats=stats,
-    )
-
-
-# ---------------------------------------------------------------------------
-# PAV and MAV: tables keyed by (C', k', mu) with mu over the bag votes
-# ---------------------------------------------------------------------------
-
-def _run_mu_dp(instance, ntd, rule):
-    """Shared engine for the PAV (score-valued) and MAV (binary) tables.
-
-    A PAV value is L times the subtree committee's score, L = lcm(1..k).
-    For MAV only which entries exist matters; a value is 0 until a vote or
-    a committee member is placed in the subtree and 1 after.
-    """
-    e, _, ntd = _prepare(instance, ntd)
+def _run_mu_dp(instance, ntd):
+    """The (C', k', mu) table engine behind all three rules."""
+    e, ntd = _prepare(instance, ntd)
+    rule = instance.rule
     m, k, d = e.m, instance.k, instance.d
     votes = e.votes
-    pav = rule == PAV
-    scale = lcm_upto(k)
-    # hsum[x] = L * harmonic(x), exact for 0 <= x <= k
-    hsum = list(itertools.accumulate((scale // x for x in range(1, k + 1)), initial=0))
-    stats = _Stats()
+    valued = rule != MAV
+    # hsum[x] is a vote's value at overlap x, gain[x] what one more approved
+    # member adds to it; an overlap never exceeds k' <= k, so no entry needs a
+    # bound test
+    if rule == CCAV:
+        # a vote is worth 1 once covered, so mu keeps only cap[x] = min(x, 1)
+        scale, hsum, gain, cap = 1, [0, 1], [1, 0], [0] + [1] * (k + 1)
+    else:
+        scale = lcm_upto(k)
+        # L * harmonic(x), exact for 0 <= x <= k
+        gain = [scale // x for x in range(1, k + 1)]
+        hsum = list(itertools.accumulate(gain, initial=0))
+        cap = list(range(k + 2))
 
+    order = ntd.postorder()
+    max_entries = 0
     tables = {}
-    for node in ntd.postorder():
-        _, bag_v = _split_bag(node.bag, m)
+    for node in order:
+        bag_v = _bag_votes(node.bag, m)
         table = {}
-
-        def store(cset, kp, mu, value, witness):
-            if kp > k or any(x > k for x in mu):
-                return
-            _merge(table, (cset, kp, mu), value, witness)
-
         if node.kind == "leaf":
             table[(frozenset(), 0, ())] = (0, ())
         elif node.kind == "join":
@@ -213,100 +108,93 @@ def _run_mu_dp(instance, ntd, rule):
                 # a join value is val1 + val2 - sum hsum[mu1] - sum hsum[mu2]
                 # + sum hsum[mu]: the bag votes' terms are replaced, not added
                 bucket = [
-                    (k2, mu2, val2 - sum(hsum[x] for x in mu2) if pav else 0, w2)
+                    (k2, mu2, val2 - sum(hsum[x] for x in mu2) if valued else 0, w2)
                     for (k2, mu2), val2, w2 in bucket
                 ]
-                overlap = [len(votes[j] & c1) for j in bag_v]
+                overlap = [cap[len(votes[j] & c1)] for j in bag_v]
                 nc = len(c1)
                 for (k1, mu1), val1, w1 in entries:
-                    rest1 = val1 - sum(hsum[x] for x in mu1) if pav else 0
+                    rest1 = val1 - sum(hsum[x] for x in mu1) if valued else 0
                     s1 = set(w1)
                     for k2, mu2, rest2, w2 in bucket:
                         kp = k1 + k2 - nc
                         if kp > k:
                             continue
-                        mu = tuple(a + b - o for a, b, o in zip(mu1, mu2, overlap))
-                        if not all(0 <= x <= k for x in mu):
-                            continue
-                        if pav:
-                            value = rest1 + rest2 + sum(hsum[x] for x in mu)
-                        else:
-                            value = 1
+                        mu = tuple(cap[a + b - o] for a, b, o in zip(mu1, mu2, overlap))
+                        value = rest1 + rest2 + sum(hsum[x] for x in mu) if valued else 1
                         _merge(table, (c1, kp, mu), value, tuple(sorted(s1.union(w2))))
         else:
             ty = tables.pop(id(node.children[0]))
             h = node.vertex
-            child_bag_v = _split_bag(node.children[0].bag, m)[1]
             if node.kind == "introduce" and h >= m:
                 j = h - m
                 pos = bag_v.index(j)
                 for (cset, kp, mu), (val, w) in ty.items():
-                    x = len(votes[j] & cset)
-                    if x > k:
-                        continue
-                    value = val + hsum[x] if pav else 1
-                    store(cset, kp, mu[:pos] + (x,) + mu[pos:], value, w)
+                    x = cap[len(votes[j] & cset)]
+                    value = val + hsum[x] if valued else 1
+                    _merge(table, (cset, kp, mu[:pos] + (x,) + mu[pos:]), value, w)
             elif node.kind == "introduce":
-                approving = [
-                    i for i, j in enumerate(bag_v) if h in votes[j]
-                ]
+                approving = [i for i, j in enumerate(bag_v) if h in votes[j]]
                 for (cset, kp, mu), (val, w) in ty.items():
-                    store(cset, kp, mu, val, w)
+                    _merge(table, (cset, kp, mu), val, w)
+                    if kp >= k:
+                        continue
                     new_mu = list(mu)
                     for i in approving:
-                        new_mu[i] += 1
-                    # test mu <= k before dividing: scale // (k + 1) is inexact
-                    if kp >= k or any(new_mu[i] > k for i in approving):
-                        continue
-                    if pav:
-                        value = val + sum(scale // new_mu[i] for i in approving)
-                    else:
-                        value = 1
-                    store(
-                        cset | {h},
-                        kp + 1,
-                        tuple(new_mu),
+                        new_mu[i] = cap[mu[i] + 1]
+                    value = val + sum(gain[mu[i]] for i in approving) if valued else 1
+                    _merge(
+                        table,
+                        (cset | {h}, kp + 1, tuple(new_mu)),
                         value,
                         tuple(sorted(w + (h,))),
                     )
             elif node.kind == "forget" and h >= m:
                 j = h - m
-                pos = child_bag_v.index(j)
+                pos = _bag_votes(node.children[0].bag, m).index(j)
                 # MAV keeps vote j only if 2 * mu >= k + |v_j| - d, i.e. >= need
                 need = math.ceil(k + len(votes[j]) - d)
                 for (cset, kp, mu), (val, w) in ty.items():
-                    if not pav and 2 * mu[pos] < need:
+                    if not valued and 2 * mu[pos] < need:
                         continue
-                    store(cset, kp, mu[:pos] + mu[pos + 1:], val, w)
+                    _merge(table, (cset, kp, mu[:pos] + mu[pos + 1:]), val, w)
             else:
                 for (cset, kp, mu), (val, w) in ty.items():
-                    store(cset - {h}, kp, mu, val, w)
-        stats.bump_entries(table)
+                    _merge(table, (cset - {h}, kp, mu), val, w)
+        max_entries = max(max_entries, len(table))
         tables[id(node)] = table
 
     entry = tables[id(ntd.root)].get((frozenset(), k, ()))
-    stats["width"] = ntd.width()
-    if pav:
-        opt = None if entry is None else Fraction(entry[0], scale)
-        witness = _checked_witness(e, PAV, entry, lambda s: s == opt)
-        return SolveResult(
-            decision=opt >= d,
-            opt_score=opt,
-            witness=witness,
-            algorithm="pav_tw_dp",
-            stats=stats,
-        )
-    if entry is None:
-        return SolveResult(False, None, None, "mav_tw_dp", stats)
-    witness = _checked_witness(e, MAV, entry, lambda s: s <= d)
-    return SolveResult(True, None, witness, "mav_tw_dp", stats)
+    stats = {"max_entries": max_entries, "nodes": len(order), "width": ntd.width()}
+    algorithm = f"{rule}_tw_dp"
+    if not valued:
+        if entry is None:
+            return SolveResult(False, None, None, algorithm, stats)
+        witness = _checked_witness(e, MAV, entry, lambda s: s <= d)
+        return SolveResult(True, None, witness, algorithm, stats)
+    opt = None if entry is None else Fraction(entry[0], scale)
+    witness = _checked_witness(e, rule, entry, lambda s: s == opt)
+    return SolveResult(
+        decision=opt >= d,
+        opt_score=opt,
+        witness=witness,
+        algorithm=algorithm,
+        stats=stats,
+    )
+
+
+def ccav_tw_dp(instance, ntd=None):
+    """Exact CCAV optimum; mu marks which bag votes the committee covers."""
+    if instance.rule != CCAV:
+        raise ValueError("rule must be ccav")
+    return _run_mu_dp(instance, ntd)
 
 
 def pav_tw_dp(instance, ntd=None):
     """Exact PAV optimum; mu tracks each bag vote's committee overlap."""
     if instance.rule != PAV:
         raise ValueError("rule must be pav")
-    return _run_mu_dp(instance, ntd, PAV)
+    return _run_mu_dp(instance, ntd)
 
 
 def mav_tw_dp(instance, ntd=None):
@@ -316,4 +204,4 @@ def mav_tw_dp(instance, ntd=None):
         raise ValueError("rule must be mav")
     if instance.d < 0:
         return SolveResult(False, None, None, "mav_tw_dp", {})
-    return _run_mu_dp(instance, ntd, MAV)
+    return _run_mu_dp(instance, ntd)

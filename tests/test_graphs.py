@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -240,6 +241,25 @@ def test_to_nice_properties():
         forgotten = [x.vertex for x in ntd.nodes() if x.kind == "forget"]
         assert sorted(forgotten) == g.vertices()
         assert len(forgotten) == len(set(forgotten))
+
+
+def test_to_nice_deep_path_keeps_the_recursion_limit(monkeypatch):
+    # a path decomposition rooted at one end is deeper than the recursion limit
+    n = sys.getrecursionlimit() + 100
+
+    def refuse(limit):
+        raise AssertionError("to_nice changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    g = Graph(range(n + 1), [(i, i + 1) for i in range(n)])
+    td = TreeDecomposition(
+        bags=[{i, i + 1} for i in range(n)], edges=[(i, i + 1) for i in range(n - 1)], root=0
+    )
+    ntd = to_nice(td)
+    ntd.validate(g)
+    assert ntd.width() == 1
+    # leaf, two introduces, a forget and an introduce per tree edge, two forgets
+    assert len(ntd.postorder()) == 2 * n + 3
 
 
 def test_pace_roundtrip():

@@ -6,11 +6,13 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import approvalwd
-from approvalwd import CCAV, Instance, MAV, PAV, score
+from approvalwd import CCAV, Election, Instance, MAV, PAV, score
 from approvalwd.graphs import incidence_graph, to_nice, tree_decomposition
 from approvalwd.oracle import brute_force
+from approvalwd.poly import ccav_deg2, mav_deg2, pav_deg22
 from approvalwd.portfolio import generate, GeneratorConfig
 from approvalwd.twdp import ccav_tw_dp, mav_tw_dp, pav_tw_dp
 
@@ -172,3 +174,67 @@ def test_witness_check_survives_optimisation():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     ).stdout.split("\n")
     assert out[:3] == ["ccav_tw_dp raised", "pav_tw_dp raised", "mav_tw_dp raised"]
+
+
+# Metamorphic properties of the three DPs, on elections beyond a fixed seed.
+_DPS = {MAV: mav_tw_dp, CCAV: ccav_tw_dp, PAV: pav_tw_dp}
+_FAST = settings(max_examples=25, derandomize=True, deadline=None)
+
+
+@st.composite
+def _elections(draw):
+    m = draw(st.integers(1, 8))
+    cands = st.integers(0, m - 1)
+    votes = draw(st.lists(st.frozensets(cands, max_size=3), max_size=6))
+    k = draw(st.integers(0, m))
+    return Election(m, tuple(votes)), k
+
+
+def _solve(e, rule, k, d=0):
+    return _DPS[rule](Instance(election=e, rule=rule, k=k, d=d))
+
+
+@_FAST
+@given(_elections(), st.randoms(use_true_random=False), st.integers(0, 6))
+def test_relabelling_and_reordering_keep_the_answer(case, rng, d):
+    e, k = case
+    perm = list(range(e.m))
+    rng.shuffle(perm)
+    votes = [frozenset(perm[c] for c in v) for v in e.votes]
+    rng.shuffle(votes)
+    moved = Election(e.m, tuple(votes))
+    for rule in (CCAV, PAV):
+        assert _solve(moved, rule, k).opt_score == _solve(e, rule, k).opt_score
+    assert _solve(moved, MAV, k, d).decision == _solve(e, MAV, k, d).decision
+
+
+@_FAST
+@given(_elections())
+def test_duplicating_every_vote_doubles_the_score(case):
+    e, k = case
+    doubled = Election(e.m, e.votes + e.votes)
+    for rule in (CCAV, PAV):
+        assert _solve(doubled, rule, k).opt_score == 2 * _solve(e, rule, k).opt_score
+
+
+@_FAST
+@given(_elections())
+def test_an_unapproved_candidate_or_empty_vote_changes_nothing(case):
+    e, k = case
+    for rule in (CCAV, PAV):
+        opt = _solve(e, rule, k).opt_score
+        assert _solve(Election(e.m + 1, e.votes), rule, k).opt_score == opt
+        assert _solve(Election(e.m, e.votes + (frozenset(),)), rule, k).opt_score == opt
+
+
+@pytest.mark.parametrize("m, n, seed", [(100, 140, 0), (160, 200, 1), (200, 200, 2)])
+def test_polynomial_routes_agree_beyond_the_oracle(m, n, seed):
+    # both degrees <= 2 and m far past brute force: the DPs meet the
+    # polynomial-time routes instead
+    e = generate(GeneratorConfig(m=m, n=n, max_dv=2, max_dc=2), seed)
+    k = m // 2
+    assert _solve(e, CCAV, k).opt_score == ccav_deg2(Instance(e, CCAV, k, 0)).opt_score
+    assert _solve(e, PAV, k).opt_score == pav_deg22(Instance(e, PAV, k, 0)).opt_score
+    decisions = [_solve(e, MAV, k, d).decision for d in range(k - 2, k + 3)]
+    assert decisions == [mav_deg2(Instance(e, MAV, k, d)).decision for d in range(k - 2, k + 3)]
+    assert True in decisions and False in decisions
