@@ -26,6 +26,18 @@ class InternalError(RuntimeError):
     """A solver's own exact check of its answer failed: the program is at fault."""
 
 
+def checked_witness(witness, accept, what):
+    """``witness``, once ``accept(witness)``, the caller's exact re-check, passes.
+
+    These re-checks guard each solver's own arithmetic, so they are explicit
+    checks that survive ``python -O``: a missing or rejected witness raises
+    InternalError.
+    """
+    if witness is None or not accept(witness):
+        raise InternalError(f"{what}: witness fails its exact re-check")
+    return witness
+
+
 @functools.lru_cache(maxsize=None)
 def harmonic(i):
     """Sum of 1/j for j in 1..i (0 for i <= 0), as an exact Fraction."""

@@ -17,6 +17,7 @@ from .core import (
     CCAV,
     MAV,
     PAV,
+    checked_witness,
     class_partition,
     harmonic,
     score,
@@ -277,8 +278,11 @@ def mav_dual_grsp(instance):
     ok, removed = grsp_solve(g)
     if not ok:
         return SolveResult(False, None, None, "mav_dual_grsp", {})
-    w = tuple(sorted(set(range(e.m)) - set(removed)))
-    assert score(e, MAV, w) <= d
+    w = checked_witness(
+        tuple(sorted(set(range(e.m)) - set(removed))),
+        lambda w: score(e, MAV, w) <= d,
+        "mav_dual_grsp",
+    )
     return SolveResult(True, None, w, "mav_dual_grsp", {})
 
 
@@ -523,8 +527,9 @@ def mav_by_matching(instance):
     for c in range(e.m):
         if c in c_m_set:
             continue
-        support = e.approvers(c)
-        assert support <= v_m_set
+        support = checked_witness(
+            e.approvers(c), lambda s: s <= v_m_set, "mav_by_matching split"
+        )
         by_support.setdefault(support, []).append(c)
     vote_pos = {j: i for i, j in enumerate(v_m)}
     classes = [
@@ -552,8 +557,9 @@ def mav_by_matching(instance):
             w = list(cprime)
             for (support, members), x in zip(classes, picks):
                 w.extend(members[:x])
-            w = tuple(sorted(w))
-            assert score(e, MAV, w) <= d
+            w = checked_witness(
+                tuple(sorted(w)), lambda w: score(e, MAV, w) <= d, "mav_by_matching"
+            )
             return SolveResult(True, None, w, "mav_by_matching", stats)
     return SolveResult(False, None, None, "mav_by_matching", stats)
 
@@ -572,7 +578,8 @@ def pav_by_matching(instance, max_n=16):
     e = instance.election
     k, d = instance.k, instance.d
     c_m, v_m = _matching_split(e)
-    outside = [v for j, v in enumerate(e.votes) if j not in set(v_m)]
+    v_m_set = set(v_m)
+    outside = [v for j, v in enumerate(e.votes) if j not in v_m_set]
     solve = _pav_class_search(Election(m=e.m, votes=tuple(e.votes[j] for j in v_m)), max_n)
     best = None
     best_w = None
@@ -589,7 +596,7 @@ def pav_by_matching(instance, max_n=16):
             best = total
             best_w = res.witness
     opt = score(e, PAV, best_w)
-    assert opt >= best
+    checked_witness(best_w, lambda w: opt >= best, "pav_by_matching")
     return SolveResult(
         decision=opt >= d,
         opt_score=opt,

@@ -9,6 +9,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .core import checked_witness
+
 
 class DecompositionError(ValueError):
     """Raised when a (nice) tree decomposition fails validation."""
@@ -222,16 +224,21 @@ class MultigraphRep:
         return len(self.edges)
 
 
-def multigraph_rep(election, require_multigraph=False):
-    edges = []
-    for c in range(election.m):
-        endpoints = tuple(sorted(j for j, v in enumerate(election.votes) if c in v))
-        if require_multigraph and len(endpoints) > 2:
+def multigraph_rep(election):
+    """The vote multigraph, built in one pass over the votes.
+
+    Raises ValueError when a candidate is approved by more than two votes.
+    """
+    edges = [[] for _ in range(election.m)]
+    for j, v in enumerate(election.votes):
+        for c in v:
+            edges[c].append(j)
+    for c, endpoints in enumerate(edges):
+        if len(endpoints) > 2:
             raise ValueError(
                 f"candidate {c} approved by {len(endpoints)} votes; not a multigraph"
             )
-        edges.append(endpoints)
-    return MultigraphRep(n=election.n, edges=tuple(edges))
+    return MultigraphRep(n=election.n, edges=tuple(map(tuple, edges)))
 
 
 def multigraph_components(mg):
@@ -259,14 +266,14 @@ def multigraph_components(mg):
     groups = {}
     for v in range(mg.n):
         groups.setdefault(find(v), []).append(v)
-    comps = []
-    for root in sorted(groups):
-        verts = frozenset(groups[root])
-        cands = tuple(
-            c for c, endpoints in enumerate(mg.edges)
-            if endpoints and find(endpoints[0]) == root
-        )
-        comps.append((verts, cands))
+    cands = {}
+    for c, endpoints in enumerate(mg.edges):
+        if endpoints:
+            cands.setdefault(find(endpoints[0]), []).append(c)
+    comps = [
+        (frozenset(groups[root]), tuple(cands.get(root, ())))
+        for root in sorted(groups)
+    ]
     return comps, tuple(free)
 
 
@@ -391,9 +398,11 @@ def simple_b_edge_cover_exact(num_vertices, edges, f, kappa):
     for e in cover:
         for v in set(edges[e]):
             hit[v] += 1
-    assert len(cover) == kappa
-    assert all(hit[v] >= f[v] for v in range(num_vertices))
-    return cover
+    return checked_witness(
+        cover,
+        lambda w: len(w) == kappa and all(hit[v] >= f[v] for v in range(num_vertices)),
+        "simple_b_edge_cover_exact",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@ Covered: every vote approves at most one candidate (all rules); every candidate
 approved at most twice (MAV via exact b-edge cover, CCAV via matching); every
 candidate approved at most once (PAV); both degrees at most two (PAV via
 per-component optima plus a knapsack combination).
+
+CCAV and every PAV component read their committees off one matching-first
+candidate order of the vote multigraph: each j-prefix of the order is an
+optimal j-committee, so one maximum matching serves every committee size, and
+the PAV rows of a component are scored along the order.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import math
 from fractions import Fraction
 
 from . import graphs
-from .core import CCAV, MAV, PAV, harmonic, meets_threshold, score, SolveResult
+from .core import CCAV, MAV, PAV, checked_witness, meets_threshold, score, SolveResult
 
 
 def _require(cond, msg):
@@ -50,70 +55,65 @@ def mav_deg2(instance):
         w = tuple(range(k))
         return SolveResult(True, None, w, "mav_deg2", {"kept_votes": 0})
     pos = {j: i for i, j in enumerate(kept)}
-    edges = []
-    for c in range(e.m):
-        endpoints = tuple(sorted(pos[j] for j in e.approvers(c) if j in pos))
-        edges.append(endpoints)
+    edges = [
+        tuple(pos[j] for j in endpoints if j in pos)
+        for endpoints in graphs.multigraph_rep(e).edges
+    ]
     f = [math.ceil((len(e.votes[j]) + k - d) / 2) for j in kept]
     cover = graphs.simple_b_edge_cover_exact(len(kept), edges, f, k)
     stats = {"kept_votes": len(kept)}
     if cover is None:
         return SolveResult(False, None, None, "mav_deg2", stats)
-    w = tuple(sorted(cover))
-    assert score(e, MAV, w) <= d
+    w = checked_witness(
+        tuple(sorted(cover)), lambda w: score(e, MAV, w) <= d, "mav_deg2"
+    )
     return SolveResult(True, None, w, "mav_deg2", stats)
+
+
+def _matching_order(mg, votes, cands):
+    """Matching-first order of ``cands`` (increasing) and its matching size.
+
+    Loops are dropped and each set of parallel candidate-edges is kept as its
+    smallest index; one maximum matching on ``votes`` then gives the order:
+    the matched candidates (sorted), each unmatched vote's smallest incident
+    candidate, and the rest by index.  No two unmatched votes share a
+    candidate, or the matching would not be maximum.
+    """
+    pairs = {}
+    smallest = {}
+    for c in cands:
+        endpoints = mg.edges[c]
+        for v in endpoints:
+            smallest.setdefault(v, c)
+        if len(endpoints) == 2:
+            pairs.setdefault(endpoints, c)
+    matching = graphs.max_matching(graphs.Graph(votes, pairs), mode="general")
+    order = sorted(pairs[tuple(sorted(edge))] for edge in matching)
+    touched = set().union(*matching)
+    order += [smallest[v] for v in sorted(votes) if v not in touched and v in smallest]
+    taken = set(order)
+    order += [c for c in cands if c not in taken]
+    return order, len(matching)
 
 
 def ccav_deg2(instance):
     """CCAV with every candidate approved at most twice, via maximum matching.
 
-    Loops are dropped and parallel candidate-edges collapsed (keeping the
-    smallest index); a maximum matching plus a one-candidate-per-leftover-vote
-    greedy yields an optimal committee.
+    The first k candidates of the matching-first order form an optimal
+    committee.
     """
     e = instance.election
     _require(instance.rule == CCAV, "rule must be ccav")
     _require(e.delta_c <= 2, "ccav_deg2 needs every |V(c)| <= 2")
-    k = instance.k
-    by_pair = {}
-    for c in range(e.m):
-        endpoints = tuple(sorted(e.approvers(c)))
-        if len(endpoints) == 2 and endpoints not in by_pair:
-            by_pair[endpoints] = c
-    g = graphs.Graph(vertices=range(e.n))
-    for (u, v), c in by_pair.items():
-        g.add_edge(u, v)
-    matching = graphs.max_matching(g, mode="general")
-    matched_cands = sorted(
-        by_pair[tuple(sorted(edge))] for edge in matching
-    )
-    if len(matched_cands) >= k:
-        w = set(matched_cands[:k])
-    else:
-        w = set(matched_cands)
-        touched = set()
-        for edge in matching:
-            touched.update(edge)
-        for j in range(e.n):
-            if len(w) == k:
-                break
-            if j in touched or not e.votes[j]:
-                continue
-            cand = min(e.votes[j] - w, default=None)
-            if cand is not None:
-                w.add(cand)
-        for c in range(e.m):
-            if len(w) == k:
-                break
-            w.add(c)
-    w = tuple(sorted(w))
+    order, matched = _matching_order(graphs.multigraph_rep(e), range(e.n), range(e.m))
+    w = tuple(sorted(order[: instance.k]))
     opt = score(e, CCAV, w)
     return SolveResult(
         decision=opt >= instance.d,
         opt_score=opt,
         witness=w,
         algorithm="ccav_deg2",
-        stats={"matching": len(matching)},
+        stats={"matching": matched},
     )
 
 
@@ -158,70 +158,17 @@ def pav_deg1(instance):
 # PAV with both degrees at most two
 # ---------------------------------------------------------------------------
 
-def _component_pav_score(election, votes, committee):
-    w = frozenset(committee)
-    return sum(
-        (harmonic(len(election.votes[j] & w)) for j in votes), Fraction(0)
-    )
+def pav_component_order(mg, votes, cands, kind):
+    """Order of one component's candidates whose j-prefix is an optimal j-committee.
 
-
-def _path_or_cycle_optimal(election, votes, cands, j):
-    """Optimal j-committee when the component is a path or a cycle."""
-    by_pair = {}
-    for c in cands:
-        endpoints = tuple(sorted(election.approvers(c)))
-        by_pair.setdefault(endpoints, []).append(c)
-    g = graphs.Graph(vertices=sorted(votes))
-    for u, v in by_pair:
-        g.add_edge(u, v)
-    matching = graphs.max_matching(g, mode="general")
-    matched = sorted(min(by_pair[tuple(sorted(edge))]) for edge in matching)
-    if j <= len(matched):
-        return tuple(matched[:j])
-    w = list(matched)
-    touched = set()
-    for edge in matching:
-        touched.update(edge)
-    unsat = sorted(set(votes) - touched)
-    if unsat and len(w) < j:
-        v = unsat[0]
-        incident = [c for c in cands if v in election.approvers(c)]
-        if incident:
-            w.append(min(incident))
-    for c in sorted(cands):
-        if len(w) == j:
-            break
-        if c not in w:
-            w.append(c)
-    return tuple(sorted(w))
-
-
-def pav_component_optimal(election, votes, cands, kind, j):
-    """Optimal j-committee inside one multigraph component.
-
-    Paths and cycles go matching-first; a hairstick drops its loop candidate
-    unless everything is taken; a double-loop component drops one loop first.
+    Paths and cycles go matching-first; a hairstick puts its loop last, and a
+    double-loop hairstick its two loops, the smaller one first.
     """
-    _require(0 <= j <= len(cands), "j out of range")
-    if kind in ("path", "cycle"):
-        return _path_or_cycle_optimal(election, votes, cands, j)
-    loops = sorted(
-        c for c in cands if len(election.approvers(c)) == 1
-    )
-    if kind == "hairstick":
-        if j == len(cands):
-            return tuple(sorted(cands))
-        rest = tuple(c for c in cands if c != loops[0])
-        return _path_or_cycle_optimal(election, votes, rest, j)
-    if kind == "dh-hairstick":
-        if j == len(cands):
-            return tuple(sorted(cands))
-        rest = tuple(c for c in cands if c != loops[-1])
-        if j == len(rest):
-            return tuple(sorted(rest))
-        rest2 = tuple(c for c in rest if c != loops[0])
-        return _path_or_cycle_optimal(election, votes, rest2, j)
-    raise ValueError(f"cannot optimize component kind {kind!r}")
+    if kind not in ("path", "cycle", "hairstick", "dh-hairstick"):
+        raise ValueError(f"cannot optimize component kind {kind!r}")
+    loops = [c for c in cands if len(mg.edges[c]) == 1]
+    rest = [c for c in cands if len(mg.edges[c]) == 2]
+    return _matching_order(mg, votes, rest)[0] + loops
 
 
 def pav_deg22(instance):
@@ -234,7 +181,7 @@ def pav_deg22(instance):
     _require(instance.rule == PAV, "rule must be pav")
     _require(e.delta_v <= 2 and e.delta_c <= 2, "pav_deg22 needs both degrees <= 2")
     k = instance.k
-    mg = graphs.multigraph_rep(e, require_multigraph=True)
+    mg = graphs.multigraph_rep(e)
     comps, free = graphs.multigraph_components(mg)
 
     tables = []  # per component: list of (score, committee) indexed by j'
@@ -242,10 +189,15 @@ def pav_deg22(instance):
         kind = graphs.classify_component(
             votes, {c: mg.edges[c] for c in cands}
         )
-        rows = []
-        for jj in range(len(cands) + 1):
-            w = pav_component_optimal(e, votes, cands, kind, jj)
-            rows.append((_component_pav_score(e, votes, w), w))
+        order = pav_component_order(mg, votes, cands, kind)
+        cov = dict.fromkeys(votes, 0)
+        s = Fraction(0)
+        rows = [(s, ())]
+        for jj, c in enumerate(order, 1):
+            for v in mg.edges[c]:
+                cov[v] += 1
+                s += Fraction(1, cov[v])
+            rows.append((s, tuple(sorted(order[:jj]))))
         tables.append(rows)
     tables.append(
         [(Fraction(0), tuple(free[:jj])) for jj in range(len(free) + 1)]
@@ -267,7 +219,7 @@ def pav_deg22(instance):
                     nxt[tot] = cand
         best = nxt
     opt, w = best[k]
-    assert score(e, PAV, w) == opt
+    w = checked_witness(w, lambda w: score(e, PAV, w) == opt, "pav_deg22")
     return SolveResult(
         decision=meets_threshold(PAV, opt, instance.d),
         opt_score=opt,

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 from . import graphs
-from .core import CCAV, InternalError, lcm_upto, MAV, PAV, score, SolveResult
+from .core import CCAV, checked_witness, lcm_upto, MAV, PAV, score, SolveResult
 
 
 def _prepare(instance, ntd):
@@ -57,17 +57,6 @@ def _by_cset(table):
     for (cset, *rest), (value, witness) in table.items():
         groups.setdefault(cset, []).append((rest, value, witness))
     return groups
-
-
-def _checked_witness(e, rule, entry, accept):
-    """The root entry's witness, once ``accept`` passes on its exact score.
-
-    This re-score is what guards the integer table arithmetic, so it is an
-    explicit check that survives ``python -O``.
-    """
-    if entry is None or not accept(score(e, rule, entry[1])):
-        raise InternalError(f"{rule} treewidth DP: root witness fails its exact re-score")
-    return entry[1]
 
 
 def _run_mu_dp(instance, ntd):
@@ -167,13 +156,16 @@ def _run_mu_dp(instance, ntd):
     entry = tables[id(ntd.root)].get((frozenset(), k, ()))
     stats = {"max_entries": max_entries, "nodes": len(order), "width": ntd.width()}
     algorithm = f"{rule}_tw_dp"
+    # the root re-score is what guards the integer table arithmetic
     if not valued:
         if entry is None:
             return SolveResult(False, None, None, algorithm, stats)
-        witness = _checked_witness(e, MAV, entry, lambda s: s <= d)
+        witness = checked_witness(entry[1], lambda w: score(e, MAV, w) <= d, algorithm)
         return SolveResult(True, None, witness, algorithm, stats)
     opt = None if entry is None else Fraction(entry[0], scale)
-    witness = _checked_witness(e, rule, entry, lambda s: s == opt)
+    witness = checked_witness(
+        None if entry is None else entry[1], lambda w: score(e, rule, w) == opt, algorithm
+    )
     return SolveResult(
         decision=opt >= d,
         opt_score=opt,

@@ -1,8 +1,11 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import approvalwd
 from approvalwd import (
     CCAV,
     class_partition,
@@ -22,7 +25,7 @@ from approvalwd import (
     RULES,
     score,
 )
-from approvalwd.core import all_committees, lcm_upto
+from approvalwd.core import all_committees, checked_witness, InternalError, lcm_upto
 
 from helpers import e1, random_election
 
@@ -228,3 +231,21 @@ def test_format_errors():
     for bad in ("", "foo 1 2 1\n1 0\n", "mav 1 1 0\n1 0\n", "mav 1\n1 0\n", "mav 9 0 1\n1 0\n"):
         with pytest.raises(FormatError):
             parse_instance(bad)
+
+
+def test_checked_witness():
+    assert checked_witness((0, 1), lambda w: len(w) == 2, "pair") == (0, 1)
+    with pytest.raises(InternalError, match="pair: witness fails its exact re-check"):
+        checked_witness((0,), lambda w: len(w) == 2, "pair")
+    with pytest.raises(InternalError):
+        checked_witness(None, lambda w: True, "pair")
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips asserts, so a post-condition must be an explicit check
+    found = []
+    for path in sorted(pathlib.Path(approvalwd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -111,15 +111,13 @@ def test_bipartite_koenig():
 
 
 def test_multigraph_rep_and_components():
-    mg = multigraph_rep(e1(), require_multigraph=True)
+    mg = multigraph_rep(e1())
     assert mg.edges == ((0, 2), (0, 1), (1,))
     comps, free = multigraph_components(mg)
     assert free == ()
     assert comps == [(frozenset({0, 1, 2}), (0, 1, 2))]
-    with pytest.raises(ValueError):
-        multigraph_rep(
-            Election(m=1, votes=(frozenset({0}),) * 3), require_multigraph=True
-        )
+    with pytest.raises(ValueError, match="candidate 0 approved by 3 votes; not a multigraph"):
+        multigraph_rep(Election(m=1, votes=(frozenset({0}),) * 3))
 
 
 def test_classify_component_examples():
@@ -136,7 +134,7 @@ def test_classify_never_other_when_degrees_le_2():
     rng = random.Random(13)
     for _ in range(100):
         e = random_election(rng, max_dv=2, max_dc=2)
-        mg = multigraph_rep(e, require_multigraph=True)
+        mg = multigraph_rep(e)
         comps, _ = multigraph_components(mg)
         for votes, cands in comps:
             kind = classify_component(votes, {c: mg.edges[c] for c in cands})

@@ -1,18 +1,28 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from approvalwd import CCAV, Election, Instance, MAV, PAV, RULES, score
+import approvalwd
+from approvalwd import CCAV, Election, Instance, MAV, PAV, RULES, graphs, score
+from approvalwd.graphs import classify_component, multigraph_components, multigraph_rep
 from approvalwd.oracle import brute_force
 from approvalwd.poly import (
     av_optimal,
     ccav_deg2,
     mav_deg2,
-    pav_component_optimal,
+    pav_component_order,
     pav_deg1,
     pav_deg22,
 )
+from approvalwd.twdp import pav_tw_dp
 
 from helpers import e1, instances_around_opt, random_election
 
@@ -80,15 +90,30 @@ def test_pav_deg1_examples():
     assert pav_deg1(Instance(election=e2, rule=PAV, k=0, d=0)).decision
 
 
+def _prefix(e, votes, cands, kind, j):
+    return tuple(sorted(pav_component_order(multigraph_rep(e), votes, cands, kind)[:j]))
+
+
+def _component_score(e, votes, w):
+    return sum((score(Election(m=e.m, votes=(e.votes[v],)), PAV, w) for v in votes), Fraction(0))
+
+
+def _components(e):
+    mg = multigraph_rep(e)
+    comps, _ = multigraph_components(mg)
+    for votes, cands in comps:
+        yield votes, cands, classify_component(votes, {c: mg.edges[c] for c in cands})
+
+
 def test_pav_component_optimal_examples():
     # one candidate-edge between two votes
     e = Election(m=1, votes=(frozenset({0}), frozenset({0})))
-    w = pav_component_optimal(e, {0, 1}, (0,), "path", 1)
+    w = _prefix(e, {0, 1}, (0,), "path", 1)
     assert w == (0,) and score(e, PAV, w) == 2
 
     # hairstick: loop candidate 0 on vote 0, edge candidate 1 to vote 1
     e = Election(m=2, votes=(frozenset({0, 1}), frozenset({1})))
-    w = pav_component_optimal(e, {0, 1}, (0, 1), "hairstick", 1)
+    w = _prefix(e, {0, 1}, (0, 1), "hairstick", 1)
     assert w == (1,) and score(e, PAV, w) == 2
 
     # four-cycle: j=2 picks a matching pair scoring 4
@@ -101,29 +126,108 @@ def test_pav_component_optimal_examples():
             frozenset({2, 3}),
         ),
     )
-    w = pav_component_optimal(e, {0, 1, 2, 3}, (0, 1, 2, 3), "cycle", 2)
+    w = _prefix(e, {0, 1, 2, 3}, (0, 1, 2, 3), "cycle", 2)
     assert score(e, PAV, w) == 4
 
 
 def test_pav_component_monotone_in_j():
     rng = random.Random(31)
-    from approvalwd.graphs import classify_component, multigraph_components, multigraph_rep
-
     for _ in range(80):
         e = random_election(rng, max_dv=2, max_dc=2)
-        mg = multigraph_rep(e, require_multigraph=True)
-        comps, _ = multigraph_components(mg)
-        for votes, cands in comps:
-            kind = classify_component(votes, {c: mg.edges[c] for c in cands})
+        for votes, cands, kind in _components(e):
             prev = Fraction(-1)
             for j in range(len(cands) + 1):
-                w = pav_component_optimal(e, votes, cands, kind, j)
-                s = sum(
-                    (score(Election(m=e.m, votes=(e.votes[v],)), PAV, w) for v in votes),
-                    Fraction(0),
-                )
+                s = _component_score(e, votes, _prefix(e, votes, cands, kind, j))
                 assert s >= prev
                 prev = s
+
+
+def test_pav_component_prefixes_are_optimal():
+    rng = random.Random(33)
+    seen = 0
+    for _ in range(150):
+        e = random_election(rng, max_m=9, max_n=8, max_dv=2, max_dc=2)
+        for votes, cands, kind in _components(e):
+            if len(cands) > 8:
+                continue
+            order = pav_component_order(multigraph_rep(e), votes, cands, kind)
+            assert sorted(order) == sorted(cands)
+            for j in range(len(cands) + 1):
+                best = max(
+                    _component_score(e, votes, w) for w in itertools.combinations(cands, j)
+                )
+                assert _component_score(e, votes, order[:j]) == best
+            seen += 1
+    assert seen > 100
+
+
+def test_pav_component_order_rejects_other_kinds():
+    e = Election(m=3, votes=(frozenset({0, 1, 2}), frozenset({0}), frozenset({1})))
+    with pytest.raises(ValueError):
+        pav_component_order(multigraph_rep(e), {0, 1, 2}, (0, 1, 2), "other")
+
+
+def test_degree_two_routes_never_scan_approvers(monkeypatch):
+    # one matching serves every committee size, and the vote multigraph
+    # replaces the per-candidate approver scans
+    calls = Counter()
+    matching, approvers = graphs.max_matching, Election.approvers
+
+    def counted_matching(*args, **kwargs):
+        calls["max_matching"] += 1
+        return matching(*args, **kwargs)
+
+    def counted_approvers(self, c):
+        calls["approvers"] += 1
+        return approvers(self, c)
+
+    monkeypatch.setattr(graphs, "max_matching", counted_matching)
+    monkeypatch.setattr(Election, "approvers", counted_approvers)
+    n = 300
+    path = Election(n + 1, tuple(frozenset({j, j + 1}) for j in range(n)))
+    assert pav_deg22(Instance(path, PAV, 200, 0)).opt_score == 350
+    assert calls == Counter(max_matching=1)
+    assert ccav_deg2(Instance(path, CCAV, 100, 0)).opt_score == 200
+    assert mav_deg2(Instance(path, MAV, 150, 150)).decision
+    assert calls["approvers"] == 0
+
+
+def test_pav_deg22_matches_the_treewidth_dp_on_a_500_vote_path():
+    n = 500
+    path = Election(n + 1, tuple(frozenset({j, j + 1}) for j in range(n)))
+    inst = Instance(path, PAV, 300, 0)
+    res = pav_deg22(inst)
+    assert res.opt_score == pav_tw_dp(inst).opt_score == 550
+    assert score(path, PAV, res.witness) == 550
+
+
+def test_witness_check_survives_optimisation():
+    # the exact re-score is an explicit check, not an assert that -O strips
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from approvalwd import Election, Instance, MAV, PAV, poly
+        from approvalwd.core import InternalError
+
+        assert False, "asserts are stripped under -O"
+        poly.score = lambda *args: Fraction(10**9)
+        e = Election(3, ({0, 1}, {1, 2}, {2}))
+        cases = [
+            (poly.pav_deg22, Instance(e, PAV, 2, 0)),
+            (poly.mav_deg2, Instance(e, MAV, 1, 2)),
+        ]
+        for solver, inst in cases:
+            try:
+                solver(inst)
+            except InternalError:
+                print(solver.__name__, "raised")
+    """)
+    src = os.path.dirname(os.path.dirname(approvalwd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    ).stdout.split("\n")
+    assert out[:2] == ["pav_deg22 raised", "mav_deg2 raised"]
 
 
 def test_pav_deg22_examples():
@@ -158,3 +262,52 @@ def test_poly_solvers_match_oracle():
             opt = brute_force(Instance(election=e, rule=PAV, k=k, d=0)).opt_score
             for inst in instances_around_opt(e, PAV, k, opt):
                 _check_against_oracle(inst, pav_deg22(inst))
+
+
+# Metamorphic properties of the degree-two routes, past the oracle's reach.
+_FAST = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+@st.composite
+def _deg2_elections(draw):
+    m = draw(st.integers(1, 60))
+    n = draw(st.integers(0, 60))
+    room = [2] * m
+    votes = []
+    for _ in range(n):
+        picks = draw(st.frozensets(st.integers(0, m - 1), max_size=2))
+        v = frozenset(c for c in picks if room[c])
+        for c in v:
+            room[c] -= 1
+        votes.append(v)
+    return Election(m, tuple(votes)), draw(st.integers(0, m))
+
+
+def _answers(e, k, d):
+    return (
+        ccav_deg2(Instance(e, CCAV, k, 0)).opt_score,
+        pav_deg22(Instance(e, PAV, k, 0)).opt_score,
+        mav_deg2(Instance(e, MAV, k, d)).decision,
+    )
+
+
+@_FAST
+@given(_deg2_elections(), st.randoms(use_true_random=False), st.integers(0, 8))
+def test_relabelling_and_reordering_keep_the_poly_answers(case, rng, d):
+    e, k = case
+    perm = list(range(e.m))
+    rng.shuffle(perm)
+    votes = [frozenset(perm[c] for c in v) for v in e.votes]
+    rng.shuffle(votes)
+    assert _answers(Election(e.m, tuple(votes)), k, d) == _answers(e, k, d)
+
+
+@_FAST
+@given(_deg2_elections(), st.integers(0, 8))
+def test_an_unapproved_candidate_or_empty_vote_keeps_the_poly_answers(case, d):
+    e, k = case
+    ccav, pav, mav = _answers(e, k, d)
+    assert _answers(Election(e.m + 1, e.votes), k, d) == (ccav, pav, mav)
+    # an empty vote sits at distance exactly k from every k-committee
+    with_empty = Election(e.m, e.votes + (frozenset(),))
+    assert _answers(with_empty, k, d) == (ccav, pav, mav and d >= k)
