@@ -6,6 +6,7 @@ election uses 0..m-1 for candidates and m..m+n-1 for votes.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -441,64 +442,82 @@ class TreeDecomposition:
 
     def validate(self, graph):
         """Check the three decomposition conditions against `graph`."""
-        union = set().union(*self.bags) if self.bags else set()
-        for v in graph.vertices():
-            if v not in union:
-                raise DecompositionError(f"vertex {v} in no bag")
-        for u, v in graph.edges():
-            if not any(u in b and v in b for b in self.bags):
+        if len(self.edges) != len(self.bags) - 1:
+            raise DecompositionError("decomposition graph is not a tree")
+        bags = self.bags
+        _check_bags(graph, [(bags[self.root], frozenset())] + [
+            (bags[c], bags[x]) for x, kids in self._children.items() for c in kids
+        ])
+
+
+def _check_bags(graph, bags_and_parents):
+    """The decomposition conditions, from every bag paired with its parent's.
+
+    The root's parent bag is empty.  A vertex's bags are connected iff
+    exactly one of them, its top bag, has a parent bag that lacks it.  Of two
+    connected subtrees that meet, one holds the other's top node, so an edge
+    is covered iff one end lies in the other end's top bag.
+    """
+    top = {}
+    split = set()
+    for bag, parent in bags_and_parents:
+        for v in bag - parent:
+            if v in top:
+                split.add(v)
+            top[v] = bag
+    for v in graph.adj:
+        if v not in top:
+            raise DecompositionError(f"vertex {v} in no bag")
+    if split:
+        raise DecompositionError(f"occurrences of {min(split)} not connected")
+    for u, nb in graph.adj.items():
+        top_u = top[u]
+        for v in nb:
+            if u < v and v not in top_u and u not in top[v]:
                 raise DecompositionError(f"edge {(u, v)} covered by no bag")
-        for v in union:
-            nodes = [i for i, b in enumerate(self.bags) if v in b]
-            if not _tree_connected(nodes, self.edges):
-                raise DecompositionError(f"occurrences of {v} not connected")
-
-
-def _tree_connected(nodes, edges):
-    if len(nodes) <= 1:
-        return True
-    nodeset = set(nodes)
-    adj = {x: [] for x in nodes}
-    for a, b in edges:
-        if a in nodeset and b in nodeset:
-            adj[a].append(b)
-            adj[b].append(a)
-    seen = {nodes[0]}
-    queue = deque([nodes[0]])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(nodes)
-
-
-def _fill_count(adj, v):
-    nb = sorted(adj[v])
-    return sum(
-        1
-        for i in range(len(nb))
-        for j in range(i + 1, len(nb))
-        if nb[j] not in adj[nb[i]]
-    )
 
 
 def min_fill_order(graph):
-    """Elimination ordering by minimum fill-in, ties by degree then index."""
+    """Elimination ordering by minimum fill-in, ties by degree then index.
+
+    Each vertex's (fill, degree, vertex) key sits in a lazy heap.  Eliminating
+    v changes the fill or degree only of v's neighbours and their neighbours,
+    so only their keys are recomputed; a popped entry that no longer equals
+    its vertex's key is stale and skipped.
+    """
     adj = {v: set(nb) for v, nb in graph.adj.items()}
+
+    def key(u):
+        nb = adj[u]
+        d = len(nb)
+        # every edge among the neighbours is counted from both of its ends
+        inner = sum(len(nb & adj[w]) for w in nb)
+        return (d * (d - 1) - inner) // 2, d, u
+
+    keys = {u: key(u) for u in adj}
+    heap = list(keys.values())
+    heapq.heapify(heap)
     order = []
-    while adj:
-        v = min(adj, key=lambda u: (_fill_count(adj, u), len(adj[u]), u))
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if keys.get(v) != entry:
+            continue
+        del keys[v]
         order.append(v)
-        nb = sorted(adj[v])
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                adj[nb[i]].add(nb[j])
-                adj[nb[j]].add(nb[i])
+        nb = adj.pop(v)
+        touched = set(nb)
         for u in nb:
-            adj[u].discard(v)
-        del adj[v]
+            s = adj[u]
+            s |= nb
+            s.discard(u)
+            s.discard(v)
+            touched |= s
+        for u in touched:
+            new = key(u)
+            if new != keys[u]:
+                keys[u] = new
+                heapq.heappush(heap, new)
     return order
 
 
@@ -674,15 +693,9 @@ class NiceTreeDecomposition:
             else:
                 raise DecompositionError(f"unknown node kind {x.kind!r}")
         if graph is not None:
-            bags = [x.bag for x in nodes]
-            index = {id(x): i for i, x in enumerate(nodes)}
-            edges = [
-                (index[id(x)], index[id(c)])
-                for x in nodes
-                for c in x.children
-            ]
-            td = TreeDecomposition(bags=bags, edges=edges, root=index[id(self.root)])
-            td.validate(graph)
+            _check_bags(graph, [(self.root.bag, frozenset())] + [
+                (c.bag, x.bag) for x in nodes for c in x.children
+            ])
 
 
 def _chain(node, from_bag, to_bag):

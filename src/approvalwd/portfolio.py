@@ -144,13 +144,14 @@ SOLVERS = (
 )
 
 
-def dispatch(instance, policy=DEFAULT_POLICY):
+def dispatch(instance, policy=DEFAULT_POLICY, params=None):
     """Route the instance to the cheapest applicable exact solver.
 
     The polynomial routes come first, then two score bounds: a MAV distance
     never exceeds k + deltaV, and a CCAV or PAV score never exceeds
-    k * deltaC.  Only then are the parameters computed and the FPT routes
-    tried in order of estimated cost, with brute force as the fallback.
+    k * deltaC.  Only then are the parameters computed, unless the caller
+    passes them, and the FPT routes tried in order of estimated cost, with
+    brute force as the fallback.
     """
     e = instance.election
     k, d = instance.k, instance.d
@@ -162,7 +163,8 @@ def dispatch(instance, policy=DEFAULT_POLICY):
         return SolveResult(True, None, tuple(range(k)), "score_bound", {})
     if instance.rule != MAV and d > k * delta_c:
         return SolveResult(False, None, None, "score_bound", {})
-    params = compute_params(instance)
+    if params is None:
+        params = compute_params(instance)
     ranked = []
     for solver in SOLVERS:
         if solver.cost and solver.rule == instance.rule:
@@ -297,9 +299,9 @@ def bench(corpus_dir, policy=DEFAULT_POLICY):
             continue
         with open(os.path.join(corpus_dir, name), encoding="utf-8") as fh:
             instance = parse_instance(fh.read())
-        params = compute_params(instance)
         start = time.perf_counter()
-        res = dispatch(instance, policy)
+        params = compute_params(instance)
+        res = dispatch(instance, policy, params)
         elapsed = time.perf_counter() - start
         nodes = res.stats.get("nodes", res.stats.get("max_entries", ""))
         writer.writerow([

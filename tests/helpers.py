@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from approvalwd import Election, Instance, MAV, score
+from approvalwd.graphs import DecompositionError
 from approvalwd.oracle import brute_force
 
 
@@ -118,3 +120,78 @@ def sweep_against_oracle(rng, rule, solver, trials, **election_kw):
         opt = brute_force(Instance(election=e, rule=rule, k=k, d=0)).opt_score
         for inst in instances_around_opt(e, rule, k, opt):
             check_against_oracle(inst, solver(inst))
+
+
+def reference_min_fill_order(graph):
+    """Minimum fill-in elimination order by rescanning every vertex each step.
+
+    Ties go to the smaller degree, then the smaller vertex.
+    """
+    adj = {v: set(nb) for v, nb in graph.adj.items()}
+
+    def fill(v):
+        nb = sorted(adj[v])
+        return sum(
+            1
+            for i in range(len(nb))
+            for j in range(i + 1, len(nb))
+            if nb[j] not in adj[nb[i]]
+        )
+
+    order = []
+    while adj:
+        v = min(adj, key=lambda u: (fill(u), len(adj[u]), u))
+        order.append(v)
+        nb = sorted(adj[v])
+        for i in range(len(nb)):
+            for j in range(i + 1, len(nb)):
+                adj[nb[i]].add(nb[j])
+                adj[nb[j]].add(nb[i])
+        for u in nb:
+            adj[u].discard(v)
+        del adj[v]
+    return order
+
+
+def _tree_connected(nodes, edges):
+    if len(nodes) <= 1:
+        return True
+    nodeset = set(nodes)
+    adj = {x: [] for x in nodes}
+    for a, b in edges:
+        if a in nodeset and b in nodeset:
+            adj[a].append(b)
+            adj[b].append(a)
+    seen = {nodes[0]}
+    queue = deque([nodes[0]])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen) == len(nodes)
+
+
+def reference_validate(bags, edges, graph):
+    """The decomposition conditions, each checked by scanning every bag."""
+    union = set().union(*bags) if bags else set()
+    for v in graph.vertices():
+        if v not in union:
+            raise DecompositionError(f"vertex {v} in no bag")
+    for u, v in graph.edges():
+        if not any(u in b and v in b for b in bags):
+            raise DecompositionError(f"edge {(u, v)} covered by no bag")
+    for v in union:
+        nodes = [i for i, b in enumerate(bags) if v in b]
+        if not _tree_connected(nodes, edges):
+            raise DecompositionError(f"occurrences of {v} not connected")
+
+
+def reference_nice_validate(ntd, graph):
+    """Nice-ness, then the scanning check on the nice tree's bags and edges."""
+    ntd.validate()
+    nodes = ntd.nodes()
+    index = {id(x): i for i, x in enumerate(nodes)}
+    edges = [(index[id(x)], index[id(c)]) for x in nodes for c in x.children]
+    reference_validate([x.bag for x in nodes], edges, graph)

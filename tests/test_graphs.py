@@ -1,5 +1,7 @@
 import random
+import re
 import sys
+import time
 
 import pytest
 
@@ -12,6 +14,7 @@ from approvalwd.graphs import (
     incidence_graph,
     max_b_matching,
     max_matching,
+    min_fill_order,
     multigraph_components,
     multigraph_rep,
     parse_td,
@@ -20,6 +23,7 @@ from approvalwd.graphs import (
     tree_decomposition,
     TreeDecomposition,
 )
+from approvalwd.portfolio import generate, GeneratorConfig
 
 from helpers import (
     e1,
@@ -27,6 +31,9 @@ from helpers import (
     exhaustive_max_matching_size,
     random_election,
     random_graph,
+    reference_min_fill_order,
+    reference_nice_validate,
+    reference_validate,
 )
 
 
@@ -278,3 +285,140 @@ def test_pace_roundtrip():
 def test_graph_rejects_loops():
     with pytest.raises(ValueError):
         Graph(edges=[(0, 0)])
+
+
+def _generated_elections(count):
+    for seed in range(count):
+        rng = random.Random(seed)
+        config = GeneratorConfig(m=rng.randint(1, 40), n=rng.randint(0, 40),
+                                 max_dv=rng.randint(1, 6), max_dc=rng.randint(1, 6))
+        yield generate(config, seed)
+
+
+def _tie_heavy_graphs():
+    """Graphs whose vertices mostly share one (fill, degree) key."""
+    for n in range(3, 12):
+        yield Graph(edges=[(i, (i + 1) % n) for i in range(n)])
+        yield Graph(edges=[(u, n + w) for u in range(n // 2) for w in range(n - n // 2)])
+        yield Graph(edges=[(3 * c + i, 3 * c + (i + 1) % 3) for c in range(n) for i in range(3)])
+    for r in range(2, 6):
+        for c in range(2, 7):
+            yield Graph(edges=[(r * y + x, r * y + x + 1) for y in range(c) for x in range(r - 1)]
+                        + [(r * y + x, r * (y + 1) + x) for y in range(c - 1) for x in range(r)])
+    for dim in range(1, 6):
+        yield Graph(edges=[(v, v ^ (1 << b)) for v in range(1 << dim) for b in range(dim)
+                           if v < v ^ (1 << b)])
+
+
+def test_min_fill_order_matches_the_reference():
+    rng = random.Random(19)
+    graphs = [incidence_graph(e) for e in _generated_elections(320)]
+    graphs += [_random_simple_graph(rng, max_n=14, p=rng.choice((0.2, 0.4, 0.7)))
+               for _ in range(200)]
+    graphs += list(_tie_heavy_graphs())
+    for g in graphs:
+        assert min_fill_order(g) == reference_min_fill_order(g)
+
+
+def test_min_fill_order_on_a_long_near_path_is_fast():
+    # votes j approve {j, j + 1}; every 50th also approves a fresh candidate
+    n = 1200
+    m = n + 1
+    votes = []
+    for j in range(n):
+        vote = {j, j + 1}
+        if j % 50 == 0:
+            vote.add(m)
+            m += 1
+        votes.append(frozenset(vote))
+    g = incidence_graph(Election(m=m, votes=tuple(votes)))
+    start = time.perf_counter()
+    order = min_fill_order(g)
+    assert time.perf_counter() - start < 1.0
+    assert sorted(order) == g.vertices()
+
+
+def _perturbed(td, g, rng):
+    """`td` with one of three defects planted, if the graph allows it."""
+    bags = [set(b) for b in td.bags]
+    kind = rng.choice(("drop", "uncover", "split"))
+    if kind == "drop":
+        x = rng.choice([i for i, b in enumerate(bags) if b] or [0])
+        if bags[x]:
+            bags[x].discard(rng.choice(sorted(bags[x])))
+    elif kind == "uncover":
+        lone = [(u, v, [i for i, b in enumerate(bags) if u in b and v in b])
+                for u, v in g.edges()]
+        lone = [(u, v, xs[0]) for u, v, xs in lone if len(xs) == 1]
+        if lone:
+            u, v, x = rng.choice(lone)
+            bags[x].discard(rng.choice((u, v)))
+    else:
+        v = rng.choice(sorted(set().union(*bags)) or [0])
+        holding = {i for i, b in enumerate(bags) if v in b}
+        near = holding | {b for a, b in td.edges if a in holding} | {
+            a for a, b in td.edges if b in holding}
+        far = [i for i in range(len(bags)) if i not in near]
+        if far:
+            bags[rng.choice(far)].add(v)
+    return TreeDecomposition(bags=bags, edges=td.edges, root=td.root)
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except DecompositionError as exc:
+        return str(exc)
+    return None
+
+
+def test_validators_agree_with_the_reference():
+    rng = random.Random(20)
+    graphs = [_random_simple_graph(rng, max_n=10) for _ in range(150)]
+    graphs += [incidence_graph(e) for e in _generated_elections(150)]
+    rejected = 0
+    for g in graphs:
+        td = tree_decomposition(g, mode="heuristic")
+        for cand in [td] + [_perturbed(td, g, rng) for _ in range(3)]:
+            want = _verdict(reference_validate, cand.bags, cand.edges, g)
+            assert (_verdict(cand.validate, g) is None) == (want is None)
+            # the nice tree of a defective decomposition keeps its defect
+            ntd = to_nice(cand)
+            want_nice = _verdict(reference_nice_validate, ntd, g)
+            assert (_verdict(ntd.validate, g) is None) == (want_nice is None) == (want is None)
+            rejected += want is not None
+    assert rejected > 300
+
+
+@pytest.mark.parametrize("bags, message", [
+    ([{1}, {1, 2}, {2, 3}], "vertex 0 in no bag"),
+    ([{0, 1}, {1}, {2, 3}], "edge (1, 2) covered by no bag"),
+    ([{0, 1}, {1, 2}, {0, 2, 3}], "occurrences of 0 not connected"),
+])
+def test_each_defect_is_rejected_by_both_validators(bags, message):
+    path = Graph(edges=[(0, 1), (1, 2), (2, 3)])
+    td = TreeDecomposition(bags=bags, edges=[(0, 1), (1, 2)], root=0)
+    with pytest.raises(DecompositionError, match=re.escape(message)):
+        reference_validate(td.bags, td.edges, path)
+    with pytest.raises(DecompositionError, match=re.escape(message)):
+        td.validate(path)
+    with pytest.raises(DecompositionError, match=re.escape(message)):
+        to_nice(td).validate(path)
+
+
+def test_validate_rejects_a_cycle_of_bags():
+    td = TreeDecomposition(bags=[{0, 1}, {1}, {1}], edges=[(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(DecompositionError, match="not a tree"):
+        td.validate(Graph(edges=[(0, 1)]))
+
+
+def test_bipartite_matching_size_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for e in _generated_elections(150):
+        g = incidence_graph(e)
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices())
+        h.add_edges_from(g.edges())
+        # the matching maps each matched vertex to its mate, so holds each edge twice
+        want = len(nx.bipartite.maximum_matching(h, top_nodes=range(e.m))) // 2
+        assert len(max_matching(g, mode="bipartite")) == want

@@ -13,6 +13,7 @@ from approvalwd import (
     PAV,
     RULES,
 )
+from approvalwd import portfolio
 from approvalwd.oracle import brute_force
 from approvalwd.portfolio import (
     AllSolversExceededError,
@@ -202,3 +203,20 @@ def test_bench(tmp_path):
     lines = text.strip().splitlines()
     assert lines[0].startswith("instance,rule,m,n,k")
     assert len(lines) == 6
+
+
+def test_bench_computes_params_once_per_instance(tmp_path, monkeypatch):
+    _write_corpus(tmp_path, 5, seed=83)
+    # every degree is 3, so dispatch passes the polynomial routes and reads params
+    e = Election(m=4, votes=(frozenset({0, 1, 2}),) * 3 + (frozenset({1, 2, 3}),))
+    (tmp_path / "inst999.appr").write_text(format_instance(Instance(election=e, rule=PAV, k=2, d=2)))
+    calls = []
+
+    def spy(instance):
+        calls.append(instance)
+        return compute_params(instance)
+
+    monkeypatch.setattr(portfolio, "compute_params", spy)
+    rows = bench(str(tmp_path)).strip().splitlines()[1:]
+    assert len(calls) == len(rows) == 6
+    assert rows[-1].split(",")[9] not in ("pav_deg22", "av_optimal", "score_bound")
