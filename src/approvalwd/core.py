@@ -223,6 +223,17 @@ def lcm_upto(k):
     return math.lcm(*range(1, k + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def scaled_harmonics(k):
+    """(scale, hsum): scale = lcm(1..k) and hsum[x] = scale * harmonic(x), 0 <= x <= k.
+
+    The one integer form of PAV values: a vote with overlap x <= k is worth
+    hsum[x], so any PAV score of a k-committee is an integer over ``scale``.
+    """
+    scale = lcm_upto(k)
+    return scale, tuple(itertools.accumulate((scale // x for x in range(1, k + 1)), initial=0))
+
+
 # ---------------------------------------------------------------------------
 # .appr text format
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .core import (
     PAV,
     checked_witness,
     class_partition,
-    harmonic,
+    scaled_harmonics,
     score,
     SolveResult,
 )
@@ -168,6 +168,8 @@ def mav_by_classes(instance, forced_votes=None, max_n=16):
         witness.extend(members[:x])
     witness = tuple(sorted(witness))
     opt = Fraction(-value)
+    if forced_votes is None:
+        witness = checked_witness(witness, lambda w: score(e, MAV, w) == opt, "mav_by_classes")
     return SolveResult(
         decision=opt <= instance.d,
         opt_score=opt,
@@ -188,14 +190,12 @@ def mav_k_deltac(instance, max_n=16):
         raise ValueError("rule must be mav")
     e = instance.election
     keep = instance.k * e.delta_c + 1
-    if e.n <= keep:
-        res = mav_by_classes(instance, max_n=max_n)
-    else:
-        order = sorted(range(e.n), key=lambda j: (-len(e.votes[j]), j))
-        res = mav_by_classes(instance, forced_votes=order[:keep], max_n=max_n)
-    return SolveResult(
-        res.decision, res.opt_score, res.witness, "mav_k_deltac", res.stats
-    )
+    order = sorted(range(e.n), key=lambda j: (-len(e.votes[j]), j))
+    res = mav_by_classes(instance, forced_votes=order[:keep], max_n=max_n)
+    # the pruning keeps the optimum, so the witness scores it on every vote
+    opt = res.opt_score
+    w = checked_witness(res.witness, lambda w: score(e, MAV, w) == opt, "mav_k_deltac")
+    return SolveResult(res.decision, opt, w, "mav_k_deltac", res.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +345,10 @@ def ccav_bb_dual(instance):
         return None
 
     w = solve(frozenset(range(e.m)), list(e.votes), instance.d)
+    if w is not None:
+        checked_witness(
+            w, lambda w: len(w) == k and score(e, CCAV, w) >= instance.d, "ccav_bb_dual"
+        )
     return SolveResult(
         decision=w is not None,
         opt_score=None,
@@ -360,49 +364,50 @@ def ccav_bb_dual(instance):
 
 def pav_annotated(ann, max_n=16):
     """Exact annotated PAV optimum by search over per-class selection counts."""
-    return _pav_class_search(ann.election, max_n)(ann.forced, ann.k, ann.d)
+    e, k = ann.election, ann.k
+    value, witness, nodes = _pav_class_search(e, max_n)(ann.forced, k)
+    stats = {"nodes": nodes}
+    if witness is None:
+        return SolveResult(False, None, None, "pav_annotated", stats)
+    opt = score(e, PAV, witness)
+    # the exact re-score guards the search's scaled integer values
+    checked_witness(witness, lambda w: opt * scaled_harmonics(k)[0] == value, "pav_annotated")
+    return SolveResult(opt >= ann.d, opt, witness, "pav_annotated", stats)
 
 
 def _pav_class_search(e, max_n):
-    """``solve(forced, k, d)``: the annotated PAV search over the classes of e.
+    """``solve(forced, k)``: the annotated PAV search over the classes of e.
 
     The class partition and the count search are built once; a forced set
-    only sets the per-class minimums.
+    only sets the per-class minimums.  ``solve`` returns the optimum as a PAV
+    value scaled by ``scaled_harmonics(k)``, a witness (None if no count
+    vector exists) and the nodes visited.
     """
     if e.n > max_n:
         raise BudgetExceededError(f"n={e.n} exceeds budget {max_n}")
     classes = class_partition(e).classes
     search = _count_search(classes, e.n)
 
-    def bound(cov, reach, rem, total):
-        return total + sum(
-            (harmonic(c + min(rem, r)) - harmonic(c) for c, r in zip(cov, reach)),
-            Fraction(0),
-        )
+    def solve(forced, k):
+        hsum = scaled_harmonics(k)[1]
 
-    def gain(cov, support, x):
-        return sum((harmonic(cov[j] + x) - harmonic(cov[j]) for j in support), Fraction(0))
+        def bound(cov, reach, rem, total):
+            return total + sum(hsum[c + min(rem, r)] - hsum[c] for c, r in zip(cov, reach))
 
-    def solve(forced, k, d):
+        def gain(cov, support, x):
+            return sum(hsum[cov[j] + x] - hsum[cov[j]] for j in support)
+
         mins = [len(forced & set(members)) for _, members in classes]
         value, counts, nodes = search(k, bound, gain, mins)
-        stats = {"nodes": nodes}
         if counts is None:
-            return SolveResult(False, None, None, "pav_annotated", stats)
+            return value, None, nodes
         witness = []
         for (support, members), x in zip(classes, counts):
             inside = [c for c in members if c in forced]
             outside = [c for c in members if c not in forced]
             witness.extend(inside)
             witness.extend(outside[: x - len(inside)])
-        witness = tuple(sorted(witness))
-        return SolveResult(
-            decision=value >= d,
-            opt_score=value,
-            witness=witness,
-            algorithm="pav_annotated",
-            stats=stats,
-        )
+        return value, tuple(sorted(witness)), nodes
 
     return solve
 
@@ -581,6 +586,7 @@ def pav_by_matching(instance, max_n=16):
     v_m_set = set(v_m)
     outside = [v for j, v in enumerate(e.votes) if j not in v_m_set]
     solve = _pav_class_search(Election(m=e.m, votes=tuple(e.votes[j] for j in v_m)), max_n)
+    scale, hsum = scaled_harmonics(k)
     best = None
     best_w = None
     stats = {"subinstances": 0}
@@ -589,14 +595,13 @@ def pav_by_matching(instance, max_n=16):
             continue
         stats["subinstances"] += 1
         cp = frozenset(cprime)
-        dprime = sum((harmonic(len(v & cp)) for v in outside), Fraction(0))
-        res = solve(cp, k, d - dprime)
-        total = res.opt_score + dprime
+        value, witness, _ = solve(cp, k)
+        total = value + sum(hsum[len(v & cp)] for v in outside)
         if best is None or total > best:
             best = total
-            best_w = res.witness
+            best_w = witness
     opt = score(e, PAV, best_w)
-    checked_witness(best_w, lambda w: opt >= best, "pav_by_matching")
+    checked_witness(best_w, lambda w: opt * scale == best, "pav_by_matching")
     return SolveResult(
         decision=opt >= d,
         opt_score=opt,

@@ -2,22 +2,22 @@
 
 Covered: every vote approves at most one candidate (all rules); every candidate
 approved at most twice (MAV via exact b-edge cover, CCAV via matching); every
-candidate approved at most once (PAV); both degrees at most two (PAV via
-per-component optima plus a knapsack combination).
+candidate approved at most once (PAV); both degrees at most two (PAV via a
+k-way merge of the components' marginal gains).
 
 CCAV and every PAV component read their committees off one matching-first
 candidate order of the vote multigraph: each j-prefix of the order is an
-optimal j-committee, so one maximum matching serves every committee size, and
-the PAV rows of a component are scored along the order.
+optimal j-committee, so one maximum matching serves every committee size.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-from fractions import Fraction
 
 from . import graphs
-from .core import CCAV, MAV, PAV, checked_witness, meets_threshold, score, SolveResult
+from .core import CCAV, checked_witness, MAV, PAV, scaled_harmonics, score, SolveResult
 
 
 def _require(cond, msg):
@@ -172,56 +172,40 @@ def pav_component_order(mg, votes, cands, kind):
 
 
 def pav_deg22(instance):
-    """PAV with both degrees at most two: per-component optima plus a knapsack.
+    """PAV with both degrees at most two: the k largest gains over all components.
 
     Every component of the vote multigraph is a path, cycle, hairstick, or
-    double-loop hairstick; candidates approved by nobody act as free filler.
+    double-loop hairstick; candidates approved by nobody add gain 0.  The
+    gains along a ``pav_component_order`` never increase, so the k largest,
+    each component's a prefix, are optimal (Ibaraki and Katoh, Resource
+    Allocation Problems, 1988, ch. 4).  Gains are doubled PAV values.
     """
     e = instance.election
     _require(instance.rule == PAV, "rule must be pav")
     _require(e.delta_v <= 2 and e.delta_c <= 2, "pav_deg22 needs both degrees <= 2")
-    k = instance.k
     mg = graphs.multigraph_rep(e)
     comps, free = graphs.multigraph_components(mg)
-
-    tables = []  # per component: list of (score, committee) indexed by j'
+    scale, hsum = scaled_harmonics(2)
+    cov = [0] * e.n
+    profiles = [[(0, c) for c in free]]  # per component: (-gain, candidate) in order
     for votes, cands in comps:
-        kind = graphs.classify_component(
-            votes, {c: mg.edges[c] for c in cands}
-        )
-        order = pav_component_order(mg, votes, cands, kind)
-        cov = dict.fromkeys(votes, 0)
-        s = Fraction(0)
-        rows = [(s, ())]
-        for jj, c in enumerate(order, 1):
+        kind = graphs.classify_component(votes, {c: mg.edges[c] for c in cands})
+        profile = []
+        for c in pav_component_order(mg, votes, cands, kind):
+            gain = 0
             for v in mg.edges[c]:
+                gain += hsum[cov[v] + 1] - hsum[cov[v]]
                 cov[v] += 1
-                s += Fraction(1, cov[v])
-            rows.append((s, tuple(sorted(order[:jj]))))
-        tables.append(rows)
-    tables.append(
-        [(Fraction(0), tuple(free[:jj])) for jj in range(len(free) + 1)]
-    )
-
-    best = {0: (Fraction(0), ())}
-    for rows in tables:
-        nxt = {}
-        for used, (s, w) in best.items():
-            for jj, (ds, dw) in enumerate(rows):
-                tot = used + jj
-                if tot > k:
-                    break
-                cand = (s + ds, tuple(sorted(w + dw)))
-                old = nxt.get(tot)
-                if old is None or cand[0] > old[0] or (
-                    cand[0] == old[0] and cand[1] < old[1]
-                ):
-                    nxt[tot] = cand
-        best = nxt
-    opt, w = best[k]
-    w = checked_witness(w, lambda w: score(e, PAV, w) == opt, "pav_deg22")
+            profile.append((-gain, c))
+        profiles.append(profile)
+    # merge consumes each profile in order, so a component's picks are a prefix
+    # of its order; equal gains go to the smaller candidate
+    picked = list(itertools.islice(heapq.merge(*profiles), instance.k))
+    w = tuple(sorted(c for _, c in picked))
+    opt = score(e, PAV, w)
+    checked_witness(w, lambda w: opt * scale == -sum(g for g, _ in picked), "pav_deg22")
     return SolveResult(
-        decision=meets_threshold(PAV, opt, instance.d),
+        decision=opt >= instance.d,
         opt_score=opt,
         witness=w,
         algorithm="pav_deg22",

@@ -11,7 +11,8 @@ infinity and witnesses come for free.
 
 Values are plain integers, a sum of per-vote values by overlap.  PAV values
 are scaled by L = lcm(1..k), so that L * harmonic(x) is an integer for every
-overlap 0 <= x <= k a table can hold; a CCAV vote is worth 1 once covered.
+overlap 0 <= x <= k a table can hold; that table is ``core.scaled_harmonics``,
+shared with ``poly`` and ``fpt``.  A CCAV vote is worth 1 once covered.
 The optimum becomes an exact ``Fraction`` only in the result, after its
 witness is re-scored exactly.  MAV needs only which entries exist: a vote too
 far from the committee is dropped when it is forgotten.  A join meets each
@@ -23,12 +24,11 @@ Incidence-graph numbering: candidate c is vertex c, vote j is vertex m + j.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 from . import graphs
-from .core import CCAV, checked_witness, lcm_upto, MAV, PAV, score, SolveResult
+from .core import CCAV, checked_witness, MAV, PAV, scaled_harmonics, score, SolveResult
 
 
 def _prepare(instance, ntd):
@@ -73,10 +73,8 @@ def _run_mu_dp(instance, ntd):
         # a vote is worth 1 once covered, so mu keeps only cap[x] = min(x, 1)
         scale, hsum, gain, cap = 1, [0, 1], [1, 0], [0] + [1] * (k + 1)
     else:
-        scale = lcm_upto(k)
-        # L * harmonic(x), exact for 0 <= x <= k
-        gain = [scale // x for x in range(1, k + 1)]
-        hsum = list(itertools.accumulate(gain, initial=0))
+        scale, hsum = scaled_harmonics(k)
+        gain = [b - a for a, b in zip(hsum, hsum[1:])]
         cap = list(range(k + 2))
 
     order = ntd.postorder()

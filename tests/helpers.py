@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 
-from approvalwd import Election, Instance, MAV, score
+from approvalwd import Election, graphs, Instance, MAV, score
 from approvalwd.graphs import DecompositionError
 from approvalwd.oracle import brute_force
+from approvalwd.poly import pav_component_order
 
 
 def random_election(rng, max_m=7, max_n=6, max_dv=None, max_dc=None):
@@ -151,6 +153,50 @@ def reference_min_fill_order(graph):
             adj[u].discard(v)
         del adj[v]
     return order
+
+
+def reference_pav_deg22(instance):
+    """(opt, witness) of PAV with both degrees <= 2 by a knapsack over components.
+
+    Each component's rows score the prefixes of its ``pav_component_order``;
+    ties between equal totals go to the lexicographically smaller committee.
+    """
+    e = instance.election
+    k = instance.k
+    mg = graphs.multigraph_rep(e)
+    comps, free = graphs.multigraph_components(mg)
+
+    tables = []  # per component: list of (score, committee) indexed by j'
+    for votes, cands in comps:
+        kind = graphs.classify_component(votes, {c: mg.edges[c] for c in cands})
+        order = pav_component_order(mg, votes, cands, kind)
+        cov = dict.fromkeys(votes, 0)
+        s = Fraction(0)
+        rows = [(s, ())]
+        for jj, c in enumerate(order, 1):
+            for v in mg.edges[c]:
+                cov[v] += 1
+                s += Fraction(1, cov[v])
+            rows.append((s, tuple(sorted(order[:jj]))))
+        tables.append(rows)
+    tables.append([(Fraction(0), tuple(free[:jj])) for jj in range(len(free) + 1)])
+
+    best = {0: (Fraction(0), ())}
+    for rows in tables:
+        nxt = {}
+        for used, (s, w) in best.items():
+            for jj, (ds, dw) in enumerate(rows):
+                tot = used + jj
+                if tot > k:
+                    break
+                cand = (s + ds, tuple(sorted(w + dw)))
+                old = nxt.get(tot)
+                if old is None or cand[0] > old[0] or (
+                    cand[0] == old[0] and cand[1] < old[1]
+                ):
+                    nxt[tot] = cand
+        best = nxt
+    return best[k]
 
 
 def _tree_connected(nodes, edges):

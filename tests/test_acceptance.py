@@ -161,7 +161,7 @@ def test_criterion_2_poly_case_conformance(capsys):
         inst = Instance(election=e, rule=PAV, k=k, d=opt + Fraction(rng.randint(-2, 2), 2))
         check(inst, poly.pav_deg1(inst))
 
-        # deltaV = deltaC = 2: component knapsack
+        # deltaV = deltaC = 2: k-way merge of component gains
         e = random_election(rng, max_m=6, max_n=6, max_dv=2, max_dc=2)
         k = rng.randint(0, e.m)
         opt = brute_force(Instance(election=e, rule=PAV, k=k, d=0)).opt_score

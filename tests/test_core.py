@@ -25,7 +25,13 @@ from approvalwd import (
     RULES,
     score,
 )
-from approvalwd.core import all_committees, checked_witness, InternalError, lcm_upto
+from approvalwd.core import (
+    all_committees,
+    checked_witness,
+    InternalError,
+    lcm_upto,
+    scaled_harmonics,
+)
 
 from helpers import e1, random_election
 
@@ -176,6 +182,15 @@ def test_lcm_upto():
     for k in range(31):
         for x in range(k + 1):
             assert (lcm_upto(k) * harmonic(x)).denominator == 1
+
+
+def test_scaled_harmonics_match_the_exact_harmonics():
+    assert scaled_harmonics(0) == (1, (0,))
+    assert scaled_harmonics(2) == (2, (0, 2, 3))
+    for k in range(31):
+        scale, hsum = scaled_harmonics(k)
+        assert scale == lcm_upto(k) and len(hsum) == k + 1
+        assert all(Fraction(hsum[x], scale) == harmonic(x) for x in range(k + 1))
 
 
 def test_all_committees_order():

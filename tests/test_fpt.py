@@ -250,3 +250,49 @@ def test_pav_by_matching_builds_classes_once(monkeypatch):
 
 def test_pav_by_matching_sweep():
     sweep_against_oracle(random.Random(50), PAV, pav_by_matching, 50, max_m=5, max_n=5)
+
+
+# (seed, k, forced, decision, opt, witness, nodes) and (seed, k, decision, opt,
+# witness, subinstances), recorded from the Fraction-valued search: the scaled
+# integer search must visit the same nodes and return the same committees
+_PINNED_ANNOTATED = [
+    (0, 2, (), True, "13/2", (4, 6), 57),
+    (1, 3, (0,), True, "9", (0, 1, 7), 22),
+    (2, 4, (0, 4), True, "103/12", (0, 2, 4, 8), 73),
+    (3, 5, (), True, "14", (0, 1, 2, 6, 7), 358),
+    (4, 6, (0,), True, "32/3", (0, 1, 3, 4, 5, 8), 89),
+    (5, 2, (0, 4), False, "6", (0, 4), 9),
+    (6, 3, (), True, "21/2", (0, 3, 7), 150),
+    (7, 4, (0,), False, "11/2", (0, 1, 2, 6), 27),
+    (8, 5, (0, 4), False, "119/12", (0, 3, 4, 6, 7), 75),
+    (9, 6, (), False, "31/3", (0, 2, 4, 5, 7, 8), 123),
+]
+_PINNED_BY_MATCHING = [
+    (0, 2, True, "7/2", (1, 3), 7),
+    (1, 3, True, "7", (0, 2, 5), 64),
+    (2, 4, True, "6", (1, 5, 6, 8), 31),
+    (3, 5, True, "28/3", (1, 2, 3, 7, 9), 120),
+    (4, 2, True, "5", (0, 3), 16),
+    (5, 3, True, "6", (1, 2, 5), 15),
+    (6, 4, True, "8", (2, 3, 6, 7), 99),
+    (7, 5, True, "9", (0, 2, 3, 4, 9), 120),
+    (8, 2, False, "6", (1, 5), 22),
+    (9, 3, False, "7", (0, 3, 6), 93),
+]
+
+
+@pytest.mark.parametrize("seed,k,forced,decision,opt,witness,nodes", _PINNED_ANNOTATED)
+def test_pav_annotated_pinned(seed, k, forced, decision, opt, witness, nodes):
+    e = generate(GeneratorConfig(m=8 + seed % 5, n=8 + seed % 7, max_dv=4, max_dc=4), seed)
+    res = pav_annotated(AnnotatedPavInstance(e, frozenset(forced), k, Fraction(3 * seed, 2)))
+    assert (res.decision, res.opt_score, res.witness) == (decision, Fraction(opt), witness)
+    assert res.stats == {"nodes": nodes}
+
+
+@pytest.mark.parametrize("seed,k,decision,opt,witness,subinstances", _PINNED_BY_MATCHING)
+def test_pav_by_matching_pinned(seed, k, decision, opt, witness, subinstances):
+    config = GeneratorConfig(m=7 + seed % 4, n=6 + seed % 5, max_dv=3, max_dc=3)
+    e = generate(config, 100 + seed)
+    res = pav_by_matching(Instance(e, PAV, k, Fraction(seed)))
+    assert (res.decision, res.opt_score, res.witness) == (decision, Fraction(opt), witness)
+    assert res.stats == {"subinstances": subinstances}

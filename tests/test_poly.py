@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -22,9 +23,10 @@ from approvalwd.poly import (
     pav_deg1,
     pav_deg22,
 )
+from approvalwd.portfolio import generate, GeneratorConfig
 from approvalwd.twdp import pav_tw_dp
 
-from helpers import e1, instances_around_opt, random_election
+from helpers import e1, instances_around_opt, random_election, reference_pav_deg22
 
 
 def _check_against_oracle(inst, res):
@@ -142,6 +144,23 @@ def test_pav_component_monotone_in_j():
                 prev = s
 
 
+def test_pav_component_gains_never_increase_along_the_order():
+    # pav_deg22's k-way merge of the gain profiles is optimal only because
+    # each component's marginal gains along its order are non-increasing
+    rng = random.Random(34)
+    profiles = 0
+    for _ in range(2000):
+        e = random_election(rng, max_m=10, max_n=10, max_dv=2, max_dc=2)
+        mg = multigraph_rep(e)
+        for votes, cands, kind in _components(e):
+            order = pav_component_order(mg, votes, cands, kind)
+            s = [_component_score(e, votes, order[:j]) for j in range(len(order) + 1)]
+            gains = [b - a for a, b in zip(s, s[1:])]
+            assert all(g >= h for g, h in zip(gains, gains[1:])), (e, votes, order)
+            profiles += 1
+    assert profiles > 4000
+
+
 def test_pav_component_prefixes_are_optimal():
     rng = random.Random(33)
     seen = 0
@@ -205,15 +224,16 @@ def test_witness_check_survives_optimisation():
     # the exact re-score is an explicit check, not an assert that -O strips
     script = textwrap.dedent("""
         from fractions import Fraction
-        from approvalwd import Election, Instance, MAV, PAV, poly
+        from approvalwd import Election, fpt, Instance, MAV, PAV, poly
         from approvalwd.core import InternalError
 
         assert False, "asserts are stripped under -O"
-        poly.score = lambda *args: Fraction(10**9)
+        poly.score = fpt.score = lambda *args: Fraction(10**9)
         e = Election(3, ({0, 1}, {1, 2}, {2}))
         cases = [
             (poly.pav_deg22, Instance(e, PAV, 2, 0)),
             (poly.mav_deg2, Instance(e, MAV, 1, 2)),
+            (fpt.pav_annotated, fpt.AnnotatedPavInstance(e, frozenset(), 2, 0)),
         ]
         for solver, inst in cases:
             try:
@@ -227,7 +247,7 @@ def test_witness_check_survives_optimisation():
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     ).stdout.split("\n")
-    assert out[:2] == ["pav_deg22 raised", "mav_deg2 raised"]
+    assert out[:3] == ["pav_deg22 raised", "mav_deg2 raised", "pav_annotated raised"]
 
 
 def test_pav_deg22_examples():
@@ -239,6 +259,29 @@ def test_pav_deg22_examples():
     e2 = Election(m=1, votes=(frozenset({0}), frozenset({0})))
     res2 = pav_deg22(Instance(election=e2, rule=PAV, k=1, d=2))
     assert res2.decision and res2.opt_score == 2
+
+
+def test_pav_deg22_matches_the_knapsack_reference():
+    # same optimum and same witness as the knapsack over component rows
+    rng = random.Random(35)
+    pairs = 0
+    for _ in range(150):
+        e = random_election(rng, max_m=30, max_n=30, max_dv=2, max_dc=2)
+        for k in range(e.m + 1):
+            inst = Instance(e, PAV, k, 0)
+            res = pav_deg22(inst)
+            assert (res.opt_score, res.witness) == reference_pav_deg22(inst), (e, k)
+            pairs += 1
+    assert pairs > 2000
+
+
+def test_pav_deg22_at_a_thousand_votes_is_fast():
+    # the knapsack over component rows takes about 0.6 s on this election
+    e = generate(GeneratorConfig(m=1000, n=1000, max_dv=2, max_dc=2), 1)
+    start = time.perf_counter()
+    res = pav_deg22(Instance(e, PAV, 250, 0))
+    assert time.perf_counter() - start < 0.2
+    assert res.opt_score == 493 and len(res.witness) == 250
 
 
 def test_poly_solvers_match_oracle():
