@@ -122,6 +122,8 @@ class Params:
     delta_c: int
     tw_upper: int
     alpha: int
+    # the min-fill decomposition of the incidence graph that tw_upper measures
+    decomposition: object = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -180,10 +182,7 @@ def compute_params(instance):
     e = instance.election
     g = graphs.incidence_graph(e)
     alpha = len(graphs.max_matching(g, mode="bipartite"))
-    if e.m + e.n == 0:
-        tw_upper = 0
-    else:
-        tw_upper = graphs.tree_decomposition(g, mode="heuristic").width()
+    td = graphs.tree_decomposition(g, mode="heuristic")
     return Params(
         m=e.m,
         n=e.n,
@@ -191,8 +190,9 @@ def compute_params(instance):
         kbar=e.m - instance.k,
         delta_v=e.delta_v,
         delta_c=e.delta_c,
-        tw_upper=max(tw_upper, 0),
+        tw_upper=max(td.width(), 0),
         alpha=alpha,
+        decomposition=td,
     )
 
 

@@ -19,11 +19,14 @@ from .core import (
     PAV,
     checked_witness,
     class_partition,
+    Election,
     scaled_harmonics,
     score,
     SolveResult,
 )
 from .oracle import BudgetExceededError
+
+CLASS_VOTE_BUDGET = 16  # the most votes a class-count route considers
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,7 @@ def _count_search(classes, nv):
     return search
 
 
-def mav_by_classes(instance, forced_votes=None, max_n=16):
+def mav_by_classes(instance, forced_votes=None):
     """Exact MAV optimum by search over per-class selection counts.
 
     With forced_votes given, only those votes enter the distance maximum (the
@@ -146,8 +149,8 @@ def mav_by_classes(instance, forced_votes=None, max_n=16):
     else:
         considered = sorted(forced_votes)
         part = class_partition(e, restrict_votes=considered)
-    if len(considered) > max_n:
-        raise BudgetExceededError(f"{len(considered)} votes exceeds budget {max_n}")
+    if len(considered) > CLASS_VOTE_BUDGET:
+        raise BudgetExceededError(f"{len(considered)} votes exceeds budget {CLASS_VOTE_BUDGET}")
     vote_pos = {j: i for i, j in enumerate(considered)}
     sizes = [len(e.votes[j]) for j in considered]
     classes = [
@@ -179,7 +182,7 @@ def mav_by_classes(instance, forced_votes=None, max_n=16):
     )
 
 
-def mav_k_deltac(instance, max_n=16):
+def mav_k_deltac(instance):
     """MAV after pruning to the k * deltaC + 1 largest votes.
 
     Any k-committee leaves one of the kept votes completely unserved, and that
@@ -191,7 +194,7 @@ def mav_k_deltac(instance, max_n=16):
     e = instance.election
     keep = instance.k * e.delta_c + 1
     order = sorted(range(e.n), key=lambda j: (-len(e.votes[j]), j))
-    res = mav_by_classes(instance, forced_votes=order[:keep], max_n=max_n)
+    res = mav_by_classes(instance, forced_votes=order[:keep])
     # the pruning keeps the optimum, so the witness scores it on every vote
     opt = res.opt_score
     w = checked_witness(res.witness, lambda w: score(e, MAV, w) == opt, "mav_k_deltac")
@@ -362,10 +365,10 @@ def ccav_bb_dual(instance):
 # Annotated PAV via class counts
 # ---------------------------------------------------------------------------
 
-def pav_annotated(ann, max_n=16):
+def pav_annotated(ann):
     """Exact annotated PAV optimum by search over per-class selection counts."""
     e, k = ann.election, ann.k
-    value, witness, nodes = _pav_class_search(e, max_n)(ann.forced, k)
+    value, witness, nodes = _pav_class_search(e)(ann.forced, k)
     stats = {"nodes": nodes}
     if witness is None:
         return SolveResult(False, None, None, "pav_annotated", stats)
@@ -375,7 +378,7 @@ def pav_annotated(ann, max_n=16):
     return SolveResult(opt >= ann.d, opt, witness, "pav_annotated", stats)
 
 
-def _pav_class_search(e, max_n):
+def _pav_class_search(e):
     """``solve(forced, k)``: the annotated PAV search over the classes of e.
 
     The class partition and the count search are built once; a forced set
@@ -383,8 +386,8 @@ def _pav_class_search(e, max_n):
     value scaled by ``scaled_harmonics(k)``, a witness (None if no count
     vector exists) and the nodes visited.
     """
-    if e.n > max_n:
-        raise BudgetExceededError(f"n={e.n} exceeds budget {max_n}")
+    if e.n > CLASS_VOTE_BUDGET:
+        raise BudgetExceededError(f"n={e.n} exceeds budget {CLASS_VOTE_BUDGET}")
     classes = class_partition(e).classes
     search = _count_search(classes, e.n)
 
@@ -452,22 +455,28 @@ def pav_bb_dv(instance):
         s = score(e, PAV, capp)
         ok = s >= d
         return SolveResult(ok, None, pad(capp) if ok else None, "pav_bb_dv", stats)
-    dv = e.delta_v
-    depth_cap = min(k2, math.ceil(d * dv))
+    depth_cap = min(k2, math.ceil(d * e.delta_v))
     approvers = {c: e.approvers(c) for c in capp}
+    # scores in integers: a committee of at most k2 <= k members scores
+    # sum hsum[cov[j]], and it meets d iff that sum reaches need
+    scale, hsum = scaled_harmonics(k)
+    need = math.ceil(d * scale)
+    cov = [0] * e.n
 
-    def dfs(s_set):
+    def gain(c):
+        return sum(hsum[cov[j] + 1] - hsum[cov[j]] for j in approvers[c])
+
+    def dfs(s_set, total):
         stats["nodes"] += 1
-        if score(e, PAV, s_set) >= d:
+        if total >= need:
             return s_set
         if len(s_set) >= depth_cap:
             return None
-        base = score(e, PAV, s_set)
         cbest, mbest = None, None
         for c in capp:
             if c in s_set:
                 continue
-            marg = score(e, PAV, s_set | {c}) - base
+            marg = gain(c)
             if mbest is None or marg > mbest:
                 cbest, mbest = c, marg
         branch = set()
@@ -476,15 +485,23 @@ def pav_bb_dv(instance):
         branch -= s_set
         stats["max_branch"] = max(stats["max_branch"], len(branch))
         for x in sorted(branch):
-            res = dfs(s_set | {x})
+            step = gain(x)
+            for j in approvers[x]:
+                cov[j] += 1
+            res = dfs(s_set | {x}, total + step)
+            for j in approvers[x]:
+                cov[j] -= 1
             if res is not None:
                 return res
         return None
 
-    found = dfs(frozenset())
+    found = dfs(frozenset(), 0)
     if found is None:
         return SolveResult(False, None, None, "pav_bb_dv", stats)
-    return SolveResult(True, None, pad(sorted(found)), "pav_bb_dv", stats)
+    w = checked_witness(
+        pad(sorted(found)), lambda w: len(w) == k and score(e, PAV, w) >= d, "pav_bb_dv"
+    )
+    return SolveResult(True, None, w, "pav_bb_dv", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +586,13 @@ def mav_by_matching(instance):
     return SolveResult(False, None, None, "mav_by_matching", stats)
 
 
-def pav_by_matching(instance, max_n=16):
+def pav_by_matching(instance):
     """Exact PAV optimum split over intersections with the matched candidates.
 
     For each candidate-side intersection the unmatched votes contribute a
     fixed amount and the rest is an annotated PAV question over the matched
     votes only; the best subinstance total is the true optimum.
     """
-    from .core import Election
-
     if instance.rule != PAV:
         raise ValueError("rule must be pav")
     e = instance.election
@@ -585,7 +600,7 @@ def pav_by_matching(instance, max_n=16):
     c_m, v_m = _matching_split(e)
     v_m_set = set(v_m)
     outside = [v for j, v in enumerate(e.votes) if j not in v_m_set]
-    solve = _pav_class_search(Election(m=e.m, votes=tuple(e.votes[j] for j in v_m)), max_n)
+    solve = _pav_class_search(Election(m=e.m, votes=tuple(e.votes[j] for j in v_m)))
     scale, hsum = scaled_harmonics(k)
     best = None
     best_w = None

@@ -56,11 +56,6 @@ class Graph:
     def num_vertices(self):
         return len(self.adj)
 
-    def copy(self):
-        g = Graph()
-        g.adj = {v: set(nb) for v, nb in self.adj.items()}
-        return g
-
 
 def incidence_graph(election):
     """Bipartite graph joining vote-vertex m+j to candidate-vertex c iff c in v_j."""
@@ -477,13 +472,26 @@ def _check_bags(graph, bags_and_parents):
                 raise DecompositionError(f"edge {(u, v)} covered by no bag")
 
 
+def _eliminate(adj, v):
+    """Remove v from ``adj`` and join its neighbours; return v's neighbourhood."""
+    nb = adj.pop(v)
+    for u in nb:
+        s = adj[u]
+        s |= nb
+        s.discard(u)
+        s.discard(v)
+    return nb
+
+
 def min_fill_order(graph):
     """Elimination ordering by minimum fill-in, ties by degree then index.
 
-    Each vertex's (fill, degree, vertex) key sits in a lazy heap.  Eliminating
-    v changes the fill or degree only of v's neighbours and their neighbours,
-    so only their keys are recomputed; a popped entry that no longer equals
-    its vertex's key is stale and skipped.
+    Returns (order, neighbourhoods): each vertex's neighbourhood when it is
+    eliminated, which with the vertex makes its bag.  Each vertex's (fill,
+    degree, vertex) key sits in a lazy heap.  Eliminating v changes the fill
+    or degree only of v's neighbours and their neighbours, so only their keys
+    are recomputed; a popped entry that no longer equals its vertex's key is
+    stale and skipped.
     """
     adj = {v: set(nb) for v, nb in graph.adj.items()}
 
@@ -498,27 +506,25 @@ def min_fill_order(graph):
     heap = list(keys.values())
     heapq.heapify(heap)
     order = []
+    neighbourhoods = []
     while heap:
         entry = heapq.heappop(heap)
         v = entry[2]
         if keys.get(v) != entry:
             continue
         del keys[v]
+        nb = _eliminate(adj, v)
         order.append(v)
-        nb = adj.pop(v)
+        neighbourhoods.append(nb)
         touched = set(nb)
         for u in nb:
-            s = adj[u]
-            s |= nb
-            s.discard(u)
-            s.discard(v)
-            touched |= s
+            touched |= adj[u]
         for u in touched:
             new = key(u)
             if new != keys[u]:
                 keys[u] = new
                 heapq.heappush(heap, new)
-    return order
+    return order, neighbourhoods
 
 
 def _reach_through(graph, v, inside):
@@ -547,29 +553,20 @@ def exact_elimination_order(graph):
     """
     verts = graph.vertices()
     n = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
     full = (1 << n) - 1
     width = {0: -1}
     choice = {}
-    masks_by_count = [[] for _ in range(n + 1)]
-    for mask in range(full + 1):
-        masks_by_count[bin(mask).count("1")].append(mask)
-    for count in range(1, n + 1):
-        for mask in masks_by_count[count]:
-            best = None
-            best_v = None
-            for i in range(n):
-                if not mask & (1 << i):
-                    continue
+    # dropping a vertex lowers the mask, so each subset is done before its supersets
+    for mask in range(1, full + 1):
+        options = []
+        for i in range(n):
+            if mask >> i & 1:
                 rest = mask ^ (1 << i)
-                inside = {verts[j] for j in range(n) if rest & (1 << j)}
+                inside = {verts[j] for j in range(n) if rest >> j & 1}
                 q = len(_reach_through(graph, verts[i], inside))
-                cand = max(width[rest], q)
-                if best is None or cand < best or (cand == best and i < best_v):
-                    best = cand
-                    best_v = i
-            width[mask] = best
-            choice[mask] = best_v
+                options.append((max(width[rest], q), i))
+        # the least width, ties to the first vertex
+        width[mask], choice[mask] = min(options)
     seq = []
     mask = full
     while mask:
@@ -580,45 +577,31 @@ def exact_elimination_order(graph):
     return seq
 
 
-def td_from_elimination_order(graph, order):
-    """Standard bag construction along an elimination ordering."""
-    if not order:
-        return TreeDecomposition(bags=[frozenset()], edges=[], root=0)
-    adj = {v: set(nb) for v, nb in graph.adj.items()}
-    pos = {v: i for i, v in enumerate(order)}
-    bags = []
-    parent_vertex = {}
-    for v in order[:-1]:
-        nb = sorted(adj[v])
-        bags.append(frozenset([v]) | frozenset(nb))
-        parent_vertex[v] = min(nb, key=lambda u: pos[u]) if nb else order[-1]
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                adj[nb[i]].add(nb[j])
-                adj[nb[j]].add(nb[i])
-        for u in nb:
-            adj[u].discard(v)
-        del adj[v]
-    bags.append(frozenset([order[-1]]))
-    node_of = {v: i for i, v in enumerate(order)}
-    edges = [
-        (node_of[v], node_of[parent_vertex[v]])
-        for v in order[:-1]
-    ]
-    return TreeDecomposition(bags=bags, edges=edges, root=node_of[order[-1]])
-
-
 def tree_decomposition(graph, mode="heuristic"):
-    """A valid tree decomposition: min-fill heuristic, or optimal for small graphs."""
+    """A valid tree decomposition: min-fill heuristic, or optimal for small graphs.
+
+    Bag i is the i-th eliminated vertex with its neighbourhood at that time.
+    Its parent is the bag of the earliest eliminated of those neighbours, or
+    the last bag, the root, when it has none.
+    """
     if mode == "heuristic":
-        order = min_fill_order(graph)
+        order, neighbourhoods = min_fill_order(graph)
     elif mode == "exactSmall":
         if graph.num_vertices > 12:
             raise ValueError("exactSmall mode supports at most 12 vertices")
         order = exact_elimination_order(graph)
+        adj = {v: set(nb) for v, nb in graph.adj.items()}
+        neighbourhoods = [_eliminate(adj, v) for v in order]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return td_from_elimination_order(graph, order)
+    if not order:
+        return TreeDecomposition(bags=[frozenset()], edges=[], root=0)
+    pos = {v: i for i, v in enumerate(order)}
+    last = len(order) - 1
+    edges = [(i, min((pos[u] for u in nb), default=last))
+             for i, nb in enumerate(neighbourhoods[:-1])]
+    bags = [frozenset(nb) | {v} for v, nb in zip(order, neighbourhoods)]
+    return TreeDecomposition(bags=bags, edges=edges, root=last)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import fpt, oracle, poly, twdp
+from . import fpt, graphs, oracle, poly, twdp
 from .core import (
     CCAV,
     compute_params,
@@ -31,17 +31,11 @@ class AllSolversExceededError(RuntimeError):
     """No solver fits within the policy budgets."""
 
 
-@dataclass(frozen=True)
-class DispatchPolicy:
-    """Budgets and cost caps steering solver selection."""
-
-    fpt_cost_cap: int = 10**7
-    class_vote_budget: int = 16
-    brute_m_budget: int = 22
-    tw_width_cap: int = 8
-
-
-DEFAULT_POLICY = DispatchPolicy()
+# dispatch skips an FPT route estimated above FPT_COST_CAP or a treewidth
+# route above TW_WIDTH_CAP, and brute-forces only up to BRUTE_M_BUDGET candidates
+FPT_COST_CAP = 10**7
+TW_WIDTH_CAP = 8
+BRUTE_M_BUDGET = 22
 
 
 def _av_result(instance):
@@ -63,8 +57,10 @@ class Solver:
     ``run`` looks its solver up on the module at call time, so that a tracer
     rebinding the module attribute sees every call.  ``degrees(delta_v,
     delta_c)`` marks a polynomial route and says when it applies; ``cost(
-    instance, params, policy)`` ranks an FPT route for dispatch and is None
-    when the policy gates the route out.
+    instance, params)`` ranks an FPT route for dispatch and is None when a
+    budget gates the route out.  A route that ``takes_decomposition`` runs
+    on a nice tree decomposition of the incidence graph: dispatch passes the
+    one its parameters measured as the second argument of ``run``.
     """
 
     algo: str | None  # the --algo name; None for a route only dispatch takes
@@ -73,6 +69,7 @@ class Solver:
     run: Callable
     degrees: Callable | None = None
     cost: Callable | None = None
+    takes_decomposition: bool = False
 
     def applies(self, instance, delta_v, delta_c):
         return self.rule in (None, instance.rule) and (
@@ -81,21 +78,21 @@ class Solver:
 
 
 def _class_cost(base, size):
-    def cost(instance, p, policy):
+    def cost(instance, p):
         s = size(instance, p)
-        return base ** s if s <= policy.class_vote_budget else None
+        return base ** s if s <= fpt.CLASS_VOTE_BUDGET else None
     return cost
 
 
 def _tw_cost(per_entry):
-    def cost(instance, p, policy):
-        if p.tw_upper > policy.tw_width_cap:
+    def cost(instance, p):
+        if p.tw_upper > TW_WIDTH_CAP:
             return None
         return per_entry(instance.k, p.tw_upper) * 2 ** (p.tw_upper + 1) * (p.m + p.n + 1)
     return cost
 
 
-def _pav_bb_cost(instance, p, policy):
+def _pav_bb_cost(instance, p):
     d = instance.d
     depth = max(0, min(instance.k, math.ceil(max(d, 0) * max(p.delta_v, 1))))
     branch = max(2, math.ceil(max(d, 1) * max(p.delta_v, 1)))
@@ -122,15 +119,15 @@ SOLVERS = (
     Solver("mav-kdc", "mav_k_deltac", MAV, lambda inst: fpt.mav_k_deltac(inst),
            cost=_class_cost(2, lambda inst, p: min(p.n, inst.k * p.delta_c + 1))),
     Solver("mav-grsp", "mav_dual_grsp", MAV, lambda inst: fpt.mav_dual_grsp(inst),
-           cost=lambda inst, p, policy: max(2, p.m) ** p.kbar),
+           cost=lambda inst, p: max(2, p.m) ** p.kbar),
     Solver("mav-matching", "mav_by_matching", MAV, lambda inst: fpt.mav_by_matching(inst),
            cost=_class_cost(4, lambda inst, p: p.alpha)),
-    Solver("mav-tw", "mav_tw_dp", MAV, lambda inst: twdp.mav_tw_dp(inst),
-           cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
+    Solver("mav-tw", "mav_tw_dp", MAV, lambda inst, ntd=None: twdp.mav_tw_dp(inst, ntd),
+           takes_decomposition=True, cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
     Solver("ccav-bb", "ccav_bb_dual", CCAV, lambda inst: fpt.ccav_bb_dual(inst),
-           cost=lambda inst, p, policy: max(2, p.delta_c * p.kbar) ** p.kbar),
-    Solver("ccav-tw", "ccav_tw_dp", CCAV, lambda inst: twdp.ccav_tw_dp(inst),
-           cost=_tw_cost(lambda k, width: 2 * (k + 1))),
+           cost=lambda inst, p: max(2, p.delta_c * p.kbar) ** p.kbar),
+    Solver("ccav-tw", "ccav_tw_dp", CCAV, lambda inst, ntd=None: twdp.ccav_tw_dp(inst, ntd),
+           takes_decomposition=True, cost=_tw_cost(lambda k, width: 2 * (k + 1))),
     Solver("pav-bb", "pav_bb_dv", PAV, lambda inst: fpt.pav_bb_dv(inst),
            cost=_pav_bb_cost),
     Solver(None, "pav_annotated", PAV,
@@ -139,19 +136,20 @@ SOLVERS = (
            cost=_class_cost(2, lambda inst, p: p.n)),
     Solver("pav-matching", "pav_by_matching", PAV, lambda inst: fpt.pav_by_matching(inst),
            cost=_class_cost(4, lambda inst, p: p.alpha)),
-    Solver("pav-tw", "pav_tw_dp", PAV, lambda inst: twdp.pav_tw_dp(inst),
-           cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
+    Solver("pav-tw", "pav_tw_dp", PAV, lambda inst, ntd=None: twdp.pav_tw_dp(inst, ntd),
+           takes_decomposition=True, cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
 )
 
 
-def dispatch(instance, policy=DEFAULT_POLICY, params=None):
+def dispatch(instance, params=None):
     """Route the instance to the cheapest applicable exact solver.
 
     The polynomial routes come first, then two score bounds: a MAV distance
     never exceeds k + deltaV, and a CCAV or PAV score never exceeds
     k * deltaC.  Only then are the parameters computed, unless the caller
     passes them, and the FPT routes tried in order of estimated cost, with
-    brute force as the fallback.
+    brute force as the fallback.  A treewidth route runs on the decomposition
+    that the parameters measured.
     """
     e = instance.election
     k, d = instance.k, instance.d
@@ -168,16 +166,18 @@ def dispatch(instance, policy=DEFAULT_POLICY, params=None):
     ranked = []
     for solver in SOLVERS:
         if solver.cost and solver.rule == instance.rule:
-            cost = solver.cost(instance, params, policy)
-            if cost is not None and cost <= policy.fpt_cost_cap:
+            cost = solver.cost(instance, params)
+            if cost is not None and cost <= FPT_COST_CAP:
                 ranked.append((cost, solver.name, solver))
     for cost, name, solver in sorted(ranked, key=lambda r: r[:2]):
         try:
+            if solver.takes_decomposition:
+                return solver.run(instance, graphs.to_nice(params.decomposition))
             return solver.run(instance)
         except BudgetExceededError:
             continue
-    if e.m <= policy.brute_m_budget:
-        return oracle.brute_force(instance, max_m=policy.brute_m_budget)
+    if e.m <= BRUTE_M_BUDGET:
+        return oracle.brute_force(instance, max_m=BRUTE_M_BUDGET)
     raise AllSolversExceededError("no solver within policy budgets")
 
 
@@ -286,7 +286,7 @@ def verify(corpus_dir, budget=22):
     return ok, report
 
 
-def bench(corpus_dir, policy=DEFAULT_POLICY):
+def bench(corpus_dir):
     """CSV rows (instance, params, solver, nodes, seconds) over a corpus."""
     out = io.StringIO()
     writer = csv.writer(out)
@@ -301,7 +301,7 @@ def bench(corpus_dir, policy=DEFAULT_POLICY):
             instance = parse_instance(fh.read())
         start = time.perf_counter()
         params = compute_params(instance)
-        res = dispatch(instance, policy, params)
+        res = dispatch(instance, params)
         elapsed = time.perf_counter() - start
         nodes = res.stats.get("nodes", res.stats.get("max_entries", ""))
         writer.writerow([

@@ -19,6 +19,11 @@ far from the committee is dropped when it is forgotten.  A join meets each
 entry of one child only with the entries of the other child that share its
 candidate bag set.
 
+Dispatch hands a route the nice form of the min-fill decomposition that
+``core.compute_params`` measured; called alone, a route builds the same one.
+Either way it is validated first: the witness re-score checks only the value
+the tables found.
+
 Incidence-graph numbering: candidate c is vertex c, vote j is vertex m + j.
 """
 
@@ -29,16 +34,6 @@ from fractions import Fraction
 
 from . import graphs
 from .core import CCAV, checked_witness, MAV, PAV, scaled_harmonics, score, SolveResult
-
-
-def _prepare(instance, ntd):
-    e = instance.election
-    g = graphs.incidence_graph(e)
-    if ntd is None:
-        td = graphs.tree_decomposition(g, mode="heuristic")
-        ntd = graphs.to_nice(td)
-    ntd.validate(g)
-    return e, ntd
 
 
 def _bag_votes(bag, m):
@@ -61,7 +56,11 @@ def _by_cset(table):
 
 def _run_mu_dp(instance, ntd):
     """The (C', k', mu) table engine behind all three rules."""
-    e, ntd = _prepare(instance, ntd)
+    e = instance.election
+    g = graphs.incidence_graph(e)
+    if ntd is None:
+        ntd = graphs.to_nice(graphs.tree_decomposition(g, mode="heuristic"))
+    ntd.validate(g)
     rule = instance.rule
     m, k, d = e.m, instance.k, instance.d
     votes = e.votes

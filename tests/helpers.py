@@ -155,6 +155,34 @@ def reference_min_fill_order(graph):
     return order
 
 
+def reference_td_from_elimination_order(graph, order):
+    """Bags along an elimination order, by replaying the elimination.
+
+    Each bag is a vertex with its neighbourhood when eliminated; a bag's
+    parent is the bag of its earliest eliminated neighbour, or the last bag.
+    """
+    if not order:
+        return graphs.TreeDecomposition(bags=[frozenset()], edges=[], root=0)
+    adj = {v: set(nb) for v, nb in graph.adj.items()}
+    pos = {v: i for i, v in enumerate(order)}
+    bags = []
+    parent_vertex = {}
+    for v in order[:-1]:
+        nb = sorted(adj[v])
+        bags.append(frozenset([v]) | frozenset(nb))
+        parent_vertex[v] = min(nb, key=lambda u: pos[u]) if nb else order[-1]
+        for i in range(len(nb)):
+            for j in range(i + 1, len(nb)):
+                adj[nb[i]].add(nb[j])
+                adj[nb[j]].add(nb[i])
+        for u in nb:
+            adj[u].discard(v)
+        del adj[v]
+    bags.append(frozenset([order[-1]]))
+    edges = [(pos[v], pos[parent_vertex[v]]) for v in order[:-1]]
+    return graphs.TreeDecomposition(bags=bags, edges=edges, root=pos[order[-1]])
+
+
 def reference_pav_deg22(instance):
     """(opt, witness) of PAV with both degrees <= 2 by a knapsack over components.
 

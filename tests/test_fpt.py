@@ -45,7 +45,7 @@ def test_mav_by_classes_examples():
 def test_mav_by_classes_budget():
     e = Election(m=1, votes=(frozenset({0}),) * 20)
     with pytest.raises(BudgetExceededError):
-        mav_by_classes(Instance(election=e, rule=MAV, k=1, d=5), max_n=16)
+        mav_by_classes(Instance(election=e, rule=MAV, k=1, d=5))
 
 
 def test_mav_by_classes_sweep():
@@ -296,3 +296,48 @@ def test_pav_by_matching_pinned(seed, k, decision, opt, witness, subinstances):
     res = pav_by_matching(Instance(e, PAV, k, Fraction(seed)))
     assert (res.decision, res.opt_score, res.witness) == (decision, Fraction(opt), witness)
     assert res.stats == {"subinstances": subinstances}
+
+
+# (seed, decision, witness, nodes, max_branch), recorded from the search that
+# re-scored every candidate in Fractions: the integer gains must visit the
+# same nodes and return the same committees
+_PINNED_BB_DV = [
+    (0, False, None, 139, 6),
+    (1, True, (0, 1, 2, 3), 4, 6),
+    (2, True, (0, 1, 3, 4, 6), 4, 6),
+    (3, False, None, 983, 5),
+    (4, True, (9, 12, 14), 65, 5),
+    (5, True, (2, 3, 4, 5), 5, 5),
+    (6, True, (0, 1, 3, 9, 13), 6, 6),
+    (7, True, (0, 1, 2, 3, 4, 10), 5, 4),
+    (8, True, (1, 5, 8), 4, 7),
+    (9, False, None, 119, 5),
+    (10, True, (0, 1, 2, 6, 8), 6, 5),
+    (11, True, (0, 1, 2, 3, 4, 5), 5, 6),
+    (12, False, None, 45, 5),
+    (13, True, (0, 1, 2, 3), 4, 6),
+    (14, True, (0, 1, 2, 7, 12), 5, 3),
+    (15, False, None, 439, 4),
+    (16, False, None, 61, 4),
+    (17, True, (0, 2, 8, 14), 6, 6),
+    (18, True, (2, 3, 6, 8, 11), 18, 5),
+    (19, True, (0, 1, 2, 3, 4, 5), 3, 6),
+]
+
+
+@pytest.mark.parametrize("seed,decision,witness,nodes,max_branch", _PINNED_BB_DV)
+def test_pav_bb_dv_pinned(seed, decision, witness, nodes, max_branch, monkeypatch):
+    e = generate(GeneratorConfig(m=12 + seed % 9, n=12 + seed % 7, max_dv=3, max_dc=3), 300 + seed)
+    d = Fraction(10 + seed % 6 * 2, 1 + seed % 3)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return score(*args)
+
+    monkeypatch.setattr(fpt, "score", spy)
+    res = pav_bb_dv(Instance(election=e, rule=PAV, k=3 + seed % 4, d=d))
+    assert (res.decision, res.witness) == (decision, witness)
+    assert res.stats == {"nodes": nodes, "max_branch": max_branch}
+    # the search scores in integers; only a yes is re-scored, once
+    assert len(calls) == decision

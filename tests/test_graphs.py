@@ -9,6 +9,7 @@ from approvalwd import Election
 from approvalwd.graphs import (
     classify_component,
     DecompositionError,
+    exact_elimination_order,
     format_td,
     Graph,
     incidence_graph,
@@ -33,6 +34,7 @@ from helpers import (
     random_graph,
     reference_min_fill_order,
     reference_nice_validate,
+    reference_td_from_elimination_order,
     reference_validate,
 )
 
@@ -317,7 +319,30 @@ def test_min_fill_order_matches_the_reference():
                for _ in range(200)]
     graphs += list(_tie_heavy_graphs())
     for g in graphs:
-        assert min_fill_order(g) == reference_min_fill_order(g)
+        assert min_fill_order(g)[0] == reference_min_fill_order(g)
+
+
+def _td_triple(td):
+    return td.bags, td.edges, td.root
+
+
+def test_tree_decomposition_matches_the_reference_replay():
+    rng = random.Random(23)
+    graphs = [incidence_graph(e) for e in _generated_elections(160)]
+    graphs += [_random_simple_graph(rng, max_n=14, p=rng.choice((0.2, 0.4, 0.7)))
+               for _ in range(150)]
+    graphs += list(_tie_heavy_graphs())
+    graphs.append(Graph())
+    for g in graphs:
+        expected = reference_td_from_elimination_order(g, reference_min_fill_order(g))
+        assert _td_triple(tree_decomposition(g, mode="heuristic")) == _td_triple(expected)
+    small = [g for g in graphs if g.num_vertices <= 9]
+    small += [_random_simple_graph(rng, max_n=9, p=rng.choice((0.2, 0.4, 0.7)))
+              for _ in range(60)]
+    assert len(small) >= 100
+    for g in small:
+        expected = reference_td_from_elimination_order(g, exact_elimination_order(g))
+        assert _td_triple(tree_decomposition(g, mode="exactSmall")) == _td_triple(expected)
 
 
 def test_min_fill_order_on_a_long_near_path_is_fast():
@@ -333,7 +358,7 @@ def test_min_fill_order_on_a_long_near_path_is_fast():
         votes.append(frozenset(vote))
     g = incidence_graph(Election(m=m, votes=tuple(votes)))
     start = time.perf_counter()
-    order = min_fill_order(g)
+    order, _ = min_fill_order(g)
     assert time.perf_counter() - start < 1.0
     assert sorted(order) == g.vertices()
 

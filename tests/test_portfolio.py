@@ -13,13 +13,12 @@ from approvalwd import (
     PAV,
     RULES,
 )
-from approvalwd import portfolio
+from approvalwd import graphs, portfolio, twdp
 from approvalwd.oracle import brute_force
 from approvalwd.portfolio import (
     AllSolversExceededError,
     bench,
     dispatch,
-    DispatchPolicy,
     generate,
     GeneratorConfig,
     verify,
@@ -142,9 +141,35 @@ def test_dispatch_matches_oracle():
 def test_dispatch_budget_exhaustion():
     e = Election(m=30, votes=tuple(frozenset({c, (c + 1) % 30, (c + 2) % 30}) for c in range(30)))
     inst = Instance(election=e, rule=PAV, k=15, d=40)
-    tiny = DispatchPolicy(fpt_cost_cap=0, class_vote_budget=0, brute_m_budget=5, tw_width_cap=-1)
     with pytest.raises(AllSolversExceededError):
-        dispatch(inst, tiny)
+        dispatch(inst)
+
+
+# vote j approves {j, j + 1, j + 2}: every degree is 3 and the width 2, and
+# every other FPT route is over its cap, so dispatch ends in a treewidth route
+_THICK_PATH = Election(m=22, votes=tuple(frozenset({j, j + 1, j + 2}) for j in range(20)))
+
+
+@pytest.mark.parametrize("rule,k,d,route", [
+    (MAV, 6, 8, "mav_tw_dp"), (CCAV, 6, 10, "ccav_tw_dp"), (PAV, 6, 8, "pav_tw_dp"),
+])
+def test_dispatch_to_a_treewidth_route_runs_min_fill_once(rule, k, d, route, monkeypatch):
+    calls = []
+    min_fill_order = graphs.min_fill_order
+
+    def spy(graph):
+        calls.append(graph)
+        return min_fill_order(graph)
+
+    monkeypatch.setattr(graphs, "min_fill_order", spy)
+    inst = Instance(election=_THICK_PATH, rule=rule, k=k, d=d)
+    res = dispatch(inst)
+    assert res.algorithm == route
+    assert len(calls) == 1
+    # called alone, the route builds the same decomposition itself
+    alone = getattr(twdp, route)(inst)
+    assert len(calls) == 2
+    assert (res, res.stats) == (alone, alone.stats)
 
 
 def test_generator_determinism_and_caps():
