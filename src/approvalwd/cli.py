@@ -48,6 +48,12 @@ def cmd_solve(args):
 def cmd_score(args):
     instance = _read_instance(args.file)
     committee = [int(x) for x in args.committee.split(",")] if args.committee else []
+    m = instance.election.m
+    for i, c in enumerate(committee):
+        if not 0 <= c < m:
+            raise ValueError(f"committee candidate {c} not in [0, {m})")
+        if c in committee[:i]:
+            raise ValueError(f"committee repeats candidate {c}")
     s = score(instance.election, instance.rule, committee)
     print(f"{s.numerator}/{s.denominator}" if s.denominator != 1 else str(s.numerator))
     return EXIT_YES

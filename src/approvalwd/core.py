@@ -181,7 +181,7 @@ def compute_params(instance):
 
     e = instance.election
     g = graphs.incidence_graph(e)
-    alpha = len(graphs.max_matching(g, mode="bipartite"))
+    alpha = len(graphs.max_matching(g))
     td = graphs.tree_decomposition(g, mode="heuristic")
     return Params(
         m=e.m,

@@ -510,7 +510,7 @@ def pav_bb_dv(instance):
 
 def _matching_split(election):
     g = graphs.incidence_graph(election)
-    matching = graphs.max_matching(g, mode="bipartite")
+    matching = graphs.max_matching(g)
     m = election.m
     cands, votes = set(), set()
     for edge in matching:

@@ -71,53 +71,25 @@ def incidence_graph(election):
 # Maximum matching
 # ---------------------------------------------------------------------------
 
-def _bipartition(graph):
-    """2-color each component; raises on odd cycles."""
-    color = {}
-    for s in graph.vertices():
-        if s in color:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in graph.neighbors(u):
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    raise ValueError("graph is not bipartite")
-    return color
+def max_matching(graph):
+    """A maximum-cardinality matching, as a set of frozenset edges.
 
-
-def _bipartite_matching(graph):
-    """Kuhn's augmenting-path algorithm on one color class."""
-    color = _bipartition(graph)
-    left = [v for v in graph.vertices() if color[v] == 0]
-    mate = {}
-
-    def try_augment(u, seen):
-        for w in sorted(graph.neighbors(u)):
-            if w in seen:
-                continue
-            seen.add(w)
-            if w not in mate or try_augment(mate[w], seen):
-                mate[w] = u
-                return True
-        return False
-
-    for u in left:
-        try_augment(u, set())
-    return {frozenset((u, w)) for w, u in mate.items()}
-
-
-def _general_matching(graph):
-    """Maximum cardinality matching via blossom contraction."""
+    One greedy pass in vertex order gives each free vertex its smallest free
+    neighbour; Edmonds' blossom search then grows an alternating tree from
+    each vertex still free.  The search is iterative, and on a bipartite
+    graph, such as an incidence graph, no blossom ever forms.
+    """
     verts = graph.vertices()
     index = {v: i for i, v in enumerate(verts)}
     n = len(verts)
     adj = [sorted(index[w] for w in graph.neighbors(v)) for v in verts]
     match = [-1] * n
+    for v in range(n):
+        if match[v] == -1:
+            for w in adj[v]:
+                if match[w] == -1:
+                    match[v], match[w] = w, v
+                    break
 
     def find_augmenting_path(root):
         used = [False] * n
@@ -171,33 +143,21 @@ def _general_matching(graph):
                     if match[to] == -1:
                         u = to
                         while u != -1:
-                            pv = parent[u]
-                            ppv = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = ppv
-                        return True
+                            pv, next_u = parent[u], match[parent[u]]
+                            match[u], match[pv] = pv, u
+                            u = next_u
+                        return
                     used[match[to]] = True
                     queue.append(match[to])
-        return False
 
     for v in range(n):
-        if match[v] == -1:
+        if match[v] == -1 and adj[v]:
             find_augmenting_path(v)
     return {
         frozenset((verts[v], verts[match[v]]))
         for v in range(n)
         if match[v] != -1
     }
-
-
-def max_matching(graph, mode="general"):
-    """A maximum-cardinality matching, as a set of frozenset edges."""
-    if mode == "bipartite":
-        return _bipartite_matching(graph)
-    if mode == "general":
-        return _general_matching(graph)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +296,7 @@ def max_b_matching(num_vertices, edges, caps):
             g.add_edge(a, i)
         for i in copies[v]:
             g.add_edge(b, i)
-    matching = _general_matching(g)
+    matching = max_matching(g)
     mate = {}
     for edge in matching:
         u, v = tuple(edge)
@@ -440,36 +400,38 @@ class TreeDecomposition:
         if len(self.edges) != len(self.bags) - 1:
             raise DecompositionError("decomposition graph is not a tree")
         bags = self.bags
-        _check_bags(graph, [(bags[self.root], frozenset())] + [
+        _check_bags(graph.adj, bags[self.root], (
             (bags[c], bags[x]) for x, kids in self._children.items() for c in kids
-        ])
+        ))
 
 
-def _check_bags(graph, bags_and_parents):
-    """The decomposition conditions, from every bag paired with its parent's.
+def _check_bags(adj, root_bag, bags_and_parents):
+    """The decomposition conditions, from the root bag and each other bag
+    paired with its parent's, against ``adj``, which may list an edge from
+    one end only.
 
-    The root's parent bag is empty.  A vertex's bags are connected iff
-    exactly one of them, its top bag, has a parent bag that lacks it.  Of two
-    connected subtrees that meet, one holds the other's top node, so an edge
-    is covered iff one end lies in the other end's top bag.
+    A vertex's bags are connected iff exactly one of them, its top bag, is
+    the root or has a parent bag that lacks it.  Of two connected
+    subtrees that meet, one holds the other's top node, so an edge is covered
+    iff one end lies in the other end's top bag.
     """
-    top = {}
+    top = dict.fromkeys(root_bag, root_bag)
     split = set()
     for bag, parent in bags_and_parents:
         for v in bag - parent:
             if v in top:
                 split.add(v)
             top[v] = bag
-    for v in graph.adj:
+    for v in adj:
         if v not in top:
             raise DecompositionError(f"vertex {v} in no bag")
     if split:
         raise DecompositionError(f"occurrences of {min(split)} not connected")
-    for u, nb in graph.adj.items():
+    for u, nb in adj.items():
         top_u = top[u]
         for v in nb:
-            if u < v and v not in top_u and u not in top[v]:
-                raise DecompositionError(f"edge {(u, v)} covered by no bag")
+            if v not in top_u and u not in top[v]:
+                raise DecompositionError(f"edge {(min(u, v), max(u, v))} covered by no bag")
 
 
 def _eliminate(adj, v):
@@ -486,12 +448,13 @@ def _eliminate(adj, v):
 def min_fill_order(graph):
     """Elimination ordering by minimum fill-in, ties by degree then index.
 
-    Returns (order, neighbourhoods): each vertex's neighbourhood when it is
-    eliminated, which with the vertex makes its bag.  Each vertex's (fill,
-    degree, vertex) key sits in a lazy heap.  Eliminating v changes the fill
-    or degree only of v's neighbours and their neighbours, so only their keys
-    are recomputed; a popped entry that no longer equals its vertex's key is
-    stale and skipped.
+    Returns (order, bags): bag i is the i-th eliminated vertex with its
+    neighbourhood then, frozen at once rather than kept as the popped
+    adjacency set, whose table earlier fill edges may have grown.  Each
+    vertex's (fill, degree, vertex) key sits in a lazy heap.  Eliminating v
+    changes the fill or degree only of v's neighbours and their neighbours,
+    so only their keys are recomputed; a popped entry that no longer equals
+    its vertex's key is stale and skipped.
     """
     adj = {v: set(nb) for v, nb in graph.adj.items()}
 
@@ -506,7 +469,7 @@ def min_fill_order(graph):
     heap = list(keys.values())
     heapq.heapify(heap)
     order = []
-    neighbourhoods = []
+    bags = []
     while heap:
         entry = heapq.heappop(heap)
         v = entry[2]
@@ -515,7 +478,7 @@ def min_fill_order(graph):
         del keys[v]
         nb = _eliminate(adj, v)
         order.append(v)
-        neighbourhoods.append(nb)
+        bags.append(frozenset(nb) | {v})
         touched = set(nb)
         for u in nb:
             touched |= adj[u]
@@ -524,7 +487,7 @@ def min_fill_order(graph):
             if new != keys[u]:
                 keys[u] = new
                 heapq.heappush(heap, new)
-    return order, neighbourhoods
+    return order, bags
 
 
 def _reach_through(graph, v, inside):
@@ -585,22 +548,21 @@ def tree_decomposition(graph, mode="heuristic"):
     the last bag, the root, when it has none.
     """
     if mode == "heuristic":
-        order, neighbourhoods = min_fill_order(graph)
+        order, bags = min_fill_order(graph)
     elif mode == "exactSmall":
         if graph.num_vertices > 12:
             raise ValueError("exactSmall mode supports at most 12 vertices")
         order = exact_elimination_order(graph)
         adj = {v: set(nb) for v, nb in graph.adj.items()}
-        neighbourhoods = [_eliminate(adj, v) for v in order]
+        bags = [frozenset(_eliminate(adj, v)) | {v} for v in order]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if not order:
         return TreeDecomposition(bags=[frozenset()], edges=[], root=0)
     pos = {v: i for i, v in enumerate(order)}
     last = len(order) - 1
-    edges = [(i, min((pos[u] for u in nb), default=last))
-             for i, nb in enumerate(neighbourhoods[:-1])]
-    bags = [frozenset(nb) | {v} for v, nb in zip(order, neighbourhoods)]
+    edges = [(i, min((pos[u] for u in bag if u != v), default=last))
+             for i, (v, bag) in enumerate(zip(order, bags[:-1]))]
     return TreeDecomposition(bags=bags, edges=edges, root=last)
 
 
@@ -614,7 +576,7 @@ class NiceNode:
     def __init__(self, kind, bag, children=(), vertex=None):
         self.kind = kind
         self.bag = frozenset(bag)
-        self.children = list(children)
+        self.children = tuple(children)
         self.vertex = vertex
 
 
@@ -644,7 +606,9 @@ class NiceTreeDecomposition:
         return max((len(x.bag) for x in self.nodes()), default=0) - 1
 
     def validate(self, graph=None):
-        """Check nice-ness; with a graph also check the decomposition conditions."""
+        """Check nice-ness; with a graph, or an adjacency mapping that holds every
+        vertex and lists each edge from at least one end, also check the
+        decomposition conditions."""
         nodes = self.nodes()
         if self.root.bag:
             raise DecompositionError("root bag not empty")
@@ -676,9 +640,10 @@ class NiceTreeDecomposition:
             else:
                 raise DecompositionError(f"unknown node kind {x.kind!r}")
         if graph is not None:
-            _check_bags(graph, [(self.root.bag, frozenset())] + [
+            adj = graph.adj if isinstance(graph, Graph) else graph
+            _check_bags(adj, self.root.bag, (
                 (c.bag, x.bag) for x in nodes for c in x.children
-            ])
+            ))
 
 
 def _chain(node, from_bag, to_bag):
@@ -686,10 +651,12 @@ def _chain(node, from_bag, to_bag):
     bag = set(from_bag)
     for v in sorted(from_bag - to_bag):
         bag.discard(v)
-        node = NiceNode("forget", bag, [node], v)
+        node = NiceNode("forget", bag, (node,), v)
     for v in sorted(to_bag - from_bag):
         bag.add(v)
-        node = NiceNode("introduce", bag, [node], v)
+        node = NiceNode("introduce", bag, (node,), v)
+    # the last node's bag equals to_bag: hold that object, not a copy
+    node.bag = to_bag
     return node
 
 
@@ -710,7 +677,7 @@ def to_nice(td):
         subtrees = [_chain(built.pop(c), td.bags[c], bag) for c in kids]
         acc = subtrees[0]
         for sub in subtrees[1:]:
-            acc = NiceNode("join", bag, [acc, sub])
+            acc = NiceNode("join", bag, (acc, sub))
         built[x] = acc
     root = _chain(built[td.root], td.bags[td.root], frozenset())
     return NiceTreeDecomposition(root=root)

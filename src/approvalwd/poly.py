@@ -87,7 +87,7 @@ def _matching_order(mg, votes, cands):
             smallest.setdefault(v, c)
         if len(endpoints) == 2:
             pairs.setdefault(endpoints, c)
-    matching = graphs.max_matching(graphs.Graph(votes, pairs), mode="general")
+    matching = graphs.max_matching(graphs.Graph(votes, pairs))
     order = sorted(pairs[tuple(sorted(edge))] for edge in matching)
     touched = set().union(*matching)
     order += [smallest[v] for v in sorted(votes) if v not in touched and v in smallest]

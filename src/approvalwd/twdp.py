@@ -57,13 +57,15 @@ def _by_cset(table):
 def _run_mu_dp(instance, ntd):
     """The (C', k', mu) table engine behind all three rules."""
     e = instance.election
-    g = graphs.incidence_graph(e)
-    if ntd is None:
-        ntd = graphs.to_nice(graphs.tree_decomposition(g, mode="heuristic"))
-    ntd.validate(g)
-    rule = instance.rule
     m, k, d = e.m, instance.k, instance.d
     votes = e.votes
+    if ntd is None:
+        ntd = graphs.to_nice(graphs.tree_decomposition(graphs.incidence_graph(e)))
+    # validated against the incidence graph, each edge listed from its vote's end
+    adj = dict.fromkeys(range(m), ())
+    adj.update((m + j, v) for j, v in enumerate(votes))
+    ntd.validate(adj)
+    rule = instance.rule
     valued = rule != MAV
     # hsum[x] is a vote's value at overlap x, gain[x] what one more approved
     # member adds to it; an overlap never exceeds k' <= k, so no entry needs a

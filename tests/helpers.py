@@ -29,6 +29,20 @@ def random_election(rng, max_m=7, max_n=6, max_dv=None, max_dc=None):
     return Election(m=m, votes=tuple(votes))
 
 
+def near_path(n):
+    """Vote j approves {j, j + 1}; every 50th vote also approves a candidate of
+    its own, so some votes approve three candidates."""
+    m = n + 1
+    votes = []
+    for j in range(n):
+        vote = {j, j + 1}
+        if j % 50 == 0:
+            vote.add(m)
+            m += 1
+        votes.append(frozenset(vote))
+    return Election(m=m, votes=tuple(votes))
+
+
 def random_graph(rng, max_n=8, p=0.4):
     n = rng.randint(1, max_n)
     edges = [

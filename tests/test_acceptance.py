@@ -290,7 +290,7 @@ def test_criterion_6_infrastructure(capsys):
         n, edges = random_graph(rng, max_n=7, p=0.4)
         edges = edges[:10]
         g = graphs.Graph(vertices=range(n), edges=edges)
-        matching = graphs.max_matching(g, mode="general")
+        matching = graphs.max_matching(g)
         used = set()
         valid = True
         for edge in matching:

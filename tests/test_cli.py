@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from approvalwd import format_instance, Instance, MAV, PAV
 from approvalwd import cli
 from approvalwd.cli import main
@@ -76,6 +78,20 @@ def test_score_and_params(tmp_path, capsys):
     assert main(["params", path]) == 0
     out = capsys.readouterr().out
     assert "m: 3" in out and "kbar: 1" in out and "alpha: 3" in out
+
+
+@pytest.mark.parametrize("committee, message", [
+    ("0,99", "committee candidate 99 not in [0, 6)"),
+    ("-1", "committee candidate -1 not in [0, 6)"),
+    ("0,0", "committee repeats candidate 0"),
+])
+def test_score_rejects_a_bad_committee(tmp_path, capsys, committee, message):
+    path = tmp_path / "i.appr"
+    path.write_text("pav 2 0 1\n6 2\n0 1 2\n3 4 5\n")
+    assert main(["score", str(path), "--committee", committee]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_gen_roundtrip(tmp_path, capsys):

@@ -30,6 +30,7 @@ from helpers import (
     e1,
     exhaustive_b_edge_cover_exists,
     exhaustive_max_matching_size,
+    near_path,
     random_election,
     random_graph,
     reference_min_fill_order,
@@ -57,41 +58,24 @@ def test_incidence_graph_degenerate():
 
 
 def test_matching_examples():
-    assert len(max_matching(incidence_graph(e1()), mode="bipartite")) == 3
-    assert max_matching(Graph(vertices=range(3)), mode="general") == set()
+    assert len(max_matching(incidence_graph(e1()))) == 3
+    assert max_matching(Graph(vertices=range(3))) == set()
     triangle = Graph(edges=[(0, 1), (1, 2), (0, 2)])
-    assert len(max_matching(triangle, mode="general")) == 1
+    assert len(max_matching(triangle)) == 1
 
 
 def test_matching_is_valid_and_maximum():
     rng = random.Random(10)
-    for trial in range(200):
+    for _ in range(200):
         g = _random_simple_graph(rng)
-        for mode in ("general",) if trial % 2 else ("general", "bipartite"):
-            if mode == "bipartite":
-                try:
-                    matching = max_matching(g, mode="bipartite")
-                except ValueError:
-                    continue  # not bipartite
-            else:
-                matching = max_matching(g, mode="general")
-            used = set()
-            for edge in matching:
-                u, v = tuple(edge)
-                assert g.has_edge(u, v)
-                assert u not in used and v not in used
-                used.update(edge)
-            assert len(matching) == exhaustive_max_matching_size(g.edges())
-
-
-def test_bipartite_matching_equals_general():
-    rng = random.Random(11)
-    for _ in range(100):
-        e = random_election(rng)
-        g = incidence_graph(e)
-        assert len(max_matching(g, mode="bipartite")) == len(
-            max_matching(g, mode="general")
-        )
+        matching = max_matching(g)
+        used = set()
+        for edge in matching:
+            u, v = tuple(edge)
+            assert g.has_edge(u, v)
+            assert u not in used and v not in used
+            used.update(edge)
+        assert len(matching) == exhaustive_max_matching_size(g.edges())
 
 
 def test_bipartite_koenig():
@@ -100,7 +84,7 @@ def test_bipartite_koenig():
     for _ in range(60):
         e = random_election(rng, max_m=4, max_n=4)
         g = incidence_graph(e)
-        alpha = len(max_matching(g, mode="bipartite"))
+        alpha = len(max_matching(g))
         verts = g.vertices()
         edges = g.edges()
         best = len(verts)
@@ -346,17 +330,7 @@ def test_tree_decomposition_matches_the_reference_replay():
 
 
 def test_min_fill_order_on_a_long_near_path_is_fast():
-    # votes j approve {j, j + 1}; every 50th also approves a fresh candidate
-    n = 1200
-    m = n + 1
-    votes = []
-    for j in range(n):
-        vote = {j, j + 1}
-        if j % 50 == 0:
-            vote.add(m)
-            m += 1
-        votes.append(frozenset(vote))
-    g = incidence_graph(Election(m=m, votes=tuple(votes)))
+    g = incidence_graph(near_path(1200))
     start = time.perf_counter()
     order, _ = min_fill_order(g)
     assert time.perf_counter() - start < 1.0
@@ -446,4 +420,4 @@ def test_bipartite_matching_size_matches_networkx():
         h.add_edges_from(g.edges())
         # the matching maps each matched vertex to its mate, so holds each edge twice
         want = len(nx.bipartite.maximum_matching(h, top_nodes=range(e.m))) // 2
-        assert len(max_matching(g, mode="bipartite")) == want
+        assert len(max_matching(g)) == want

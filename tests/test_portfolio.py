@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from approvalwd import (
     PAV,
     RULES,
 )
-from approvalwd import graphs, portfolio, twdp
+from approvalwd import cli, graphs, portfolio, twdp
 from approvalwd.oracle import brute_force
 from approvalwd.portfolio import (
     AllSolversExceededError,
@@ -24,7 +25,7 @@ from approvalwd.portfolio import (
     verify,
 )
 
-from helpers import e1, random_election, sweep_against_oracle
+from helpers import e1, near_path, random_election, sweep_against_oracle
 
 
 def test_dispatch_routing():
@@ -170,6 +171,33 @@ def test_dispatch_to_a_treewidth_route_runs_min_fill_once(rule, k, d, route, mon
     alone = getattr(twdp, route)(inst)
     assert len(calls) == 2
     assert (res, res.stats) == (alone, alone.stats)
+
+
+def test_dispatch_to_a_treewidth_route_builds_the_incidence_graph_once(monkeypatch):
+    calls = []
+    incidence_graph = graphs.incidence_graph
+
+    def spy(election):
+        calls.append(election)
+        return incidence_graph(election)
+
+    monkeypatch.setattr(graphs, "incidence_graph", spy)
+    res = dispatch(Instance(election=_THICK_PATH, rule=PAV, k=6, d=8))
+    assert res.algorithm == "pav_tw_dp"
+    assert len(calls) == 1
+
+
+def test_long_near_paths_are_decided_without_recursion(tmp_path):
+    # δv = 3, so no polynomial route applies; a maximum matching takes every vote
+    start = time.perf_counter()
+    inst = Instance(election=near_path(3000), rule=PAV, k=6, d=3)
+    p = compute_params(inst)
+    assert (p.alpha, p.tw_upper, p.delta_v) == (3000, 1, 3)
+    assert dispatch(inst).decision
+    path = tmp_path / "nearpath1500.appr"
+    path.write_text(format_instance(Instance(election=near_path(1500), rule=PAV, k=6, d=3)))
+    assert cli.main(["params", str(path)]) == 0
+    assert time.perf_counter() - start < 5.0
 
 
 def test_generator_determinism_and_caps():

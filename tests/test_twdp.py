@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 import approvalwd
 from approvalwd import CCAV, Election, Instance, MAV, PAV, score
-from approvalwd.graphs import incidence_graph, to_nice, tree_decomposition
+from approvalwd.graphs import (
+    DecompositionError,
+    incidence_graph,
+    NiceNode,
+    NiceTreeDecomposition,
+    to_nice,
+    tree_decomposition,
+    TreeDecomposition,
+)
 from approvalwd.oracle import brute_force
 from approvalwd.poly import ccav_deg2, mav_deg2, pav_deg22
 from approvalwd.portfolio import generate, GeneratorConfig
@@ -93,11 +102,21 @@ def test_ccav_entry_bound():
 
 
 def test_external_decomposition_rejected_if_invalid():
-    from approvalwd.graphs import DecompositionError, NiceNode, NiceTreeDecomposition
-
     bogus = NiceTreeDecomposition(root=NiceNode("leaf", frozenset()))
     with pytest.raises(DecompositionError):
         ccav_tw_dp(Instance(election=e1(), rule=CCAV, k=1, d=1), ntd=bogus)
+
+
+@pytest.mark.parametrize("solve, rule", [(ccav_tw_dp, CCAV), (mav_tw_dp, MAV), (pav_tw_dp, PAV)])
+def test_external_decomposition_rejected_if_an_edge_is_uncovered(solve, rule):
+    # every vertex of e1's incidence graph, in connected bags, but candidate 0
+    # and vote 2 (vertex 5) share none
+    path = TreeDecomposition(bags=[{0, 3}, {1, 3}, {1, 4}, {2, 4}, {5}],
+                             edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
+    ntd = to_nice(path)
+    ntd.validate()
+    with pytest.raises(DecompositionError, match=re.escape("edge (0, 5) covered by no bag")):
+        solve(Instance(election=e1(), rule=rule, k=1, d=1), ntd=ntd)
 
 
 # Elections from portfolio.generate with min-fill incidence width 4-6, and the
