@@ -112,7 +112,14 @@ class Instance:
 
 @dataclass(frozen=True)
 class Params:
-    """Derived parameters of an instance, including incidence-graph structure."""
+    """Derived parameters of an instance.
+
+    The sizes and degrees are filled in at once, in one pass over the votes.
+    The incidence-graph parameters are computed on first read and kept:
+    ``alpha``, the size of a maximum matching; ``decomposition``, the min-fill
+    tree decomposition; and ``tw_upper``, its width, an upper bound on the
+    treewidth.  Each builds the incidence graph it needs and lets it go.
+    """
 
     m: int
     n: int
@@ -120,10 +127,23 @@ class Params:
     kbar: int
     delta_v: int
     delta_c: int
-    tw_upper: int
-    alpha: int
-    # the min-fill decomposition of the incidence graph that tw_upper measures
-    decomposition: object = field(compare=False, repr=False)
+    election: Election = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def alpha(self):
+        from . import graphs
+
+        return len(graphs.max_matching(graphs.incidence_graph(self.election)))
+
+    @functools.cached_property
+    def decomposition(self):
+        from . import graphs
+
+        return graphs.tree_decomposition(graphs.incidence_graph(self.election), mode="heuristic")
+
+    @functools.cached_property
+    def tw_upper(self):
+        return max(self.decomposition.width(), 0)
 
 
 @dataclass(frozen=True)
@@ -176,13 +196,8 @@ def meets_threshold(rule, value, d):
 
 
 def compute_params(instance):
-    """All derived parameters; treewidth bound and matching size via graph-kit."""
-    from . import graphs
-
+    """The parameters of an instance; the incidence-graph ones wait for a read."""
     e = instance.election
-    g = graphs.incidence_graph(e)
-    alpha = len(graphs.max_matching(g))
-    td = graphs.tree_decomposition(g, mode="heuristic")
     return Params(
         m=e.m,
         n=e.n,
@@ -190,9 +205,7 @@ def compute_params(instance):
         kbar=e.m - instance.k,
         delta_v=e.delta_v,
         delta_c=e.delta_c,
-        tw_upper=max(td.width(), 0),
-        alpha=alpha,
-        decomposition=td,
+        election=e,
     )
 
 

@@ -93,41 +93,57 @@ def _count_search(classes, nv):
         suffix_min = [0] * (nc + 1)
         for i in range(nc - 1, -1, -1):
             suffix_min[i] = suffix_min[i + 1] + mins[i]
-        best = [floor, None]
+        best_value, best_counts = floor, None
         counts = [0] * nc
         cov = [0] * nv
         nodes = 0
 
-        def dfs(i, rem, total):
-            nonlocal nodes
+        def take(i, x, rem, total):
+            counts[i] = x
+            support = classes[i][0]
+            step = gain(cov, support, x) if gain else 0
+            for j in support:
+                cov[j] += x
+            return rem - x, total + step
+
+        # depth-first without recursion: one [count taken, lowest count, rem,
+        # total] frame per class on the path; a node at depth i has rem members
+        # still to pick and the running total
+        path = []
+        rem, total = k, 0
+        while True:
+            i = len(path)
             nodes += 1
             value = bound(cov, suffix_cov[i], rem, total)
-            if best[0] is not None and value <= best[0]:
-                return False
-            if i == nc:
-                if rem:
-                    return False
-                best[0], best[1] = value, list(counts)
-                return value == goal
-            if not suffix_min[i] <= rem <= suffix_cap[i]:
-                return False
-            support = classes[i][0]
-            lo = max(mins[i], rem - suffix_cap[i + 1])
-            hi = min(caps[i], rem - suffix_min[i + 1])
-            for x in range(hi, lo - 1, -1):
-                counts[i] = x
-                step = gain(cov, support, x) if gain else 0
-                for j in support:
-                    cov[j] += x
-                if dfs(i + 1, rem - x, total + step):
-                    return True
-                for j in support:
+            if best_value is None or value > best_value:
+                if i == nc:
+                    if not rem:
+                        best_value, best_counts = value, list(counts)
+                        if value == goal:
+                            break
+                elif suffix_min[i] <= rem <= suffix_cap[i]:
+                    lo = max(mins[i], rem - suffix_cap[i + 1])
+                    hi = min(caps[i], rem - suffix_min[i + 1])
+                    if hi >= lo:
+                        path.append([hi, lo, rem, total])
+                        rem, total = take(i, hi, rem, total)
+                        continue
+            # back up to the deepest class that can take one member fewer
+            while path:
+                i = len(path) - 1
+                frame = path[i]
+                x, lo = frame[0], frame[1]
+                for j in classes[i][0]:
                     cov[j] -= x
-            counts[i] = 0
-            return False
-
-        dfs(0, k, 0)
-        return best[0], best[1], nodes
+                if x > lo:
+                    frame[0] = x - 1
+                    rem, total = take(i, x - 1, frame[2], frame[3])
+                    break
+                counts[i] = 0
+                path.pop()
+            if not path:
+                break
+        return best_value, best_counts, nodes
 
     return search
 

@@ -91,13 +91,18 @@ def max_matching(graph):
                     match[v], match[w] = w, v
                     break
 
+    # the search arrays serve every root: after each search, only the entries
+    # of the vertices its alternating tree reached are reset
+    used = [False] * n
+    parent = [-1] * n
+    base = list(range(n))
+    blossom = [False] * n
+
     def find_augmenting_path(root):
-        used = [False] * n
-        parent = [-1] * n
-        base = list(range(n))
+        """Augment from root if possible; return the tree's vertices, outer and inner."""
         used[root] = True
-        queue = deque([root])
-        blossom = [False] * n
+        queue = [root]  # every outer vertex, in the order searched
+        inner = []
 
         def lca(a, b):
             seen = [False] * n
@@ -121,8 +126,10 @@ def max_matching(graph):
                 child = match[v]
                 v = parent[match[v]]
 
-        while queue:
-            v = queue.popleft()
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
             for to in adj[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
@@ -140,19 +147,22 @@ def max_matching(graph):
                                 queue.append(i)
                 elif parent[to] == -1:
                     parent[to] = v
+                    inner.append(to)
                     if match[to] == -1:
                         u = to
                         while u != -1:
                             pv, next_u = parent[u], match[parent[u]]
                             match[u], match[pv] = pv, u
                             u = next_u
-                        return
+                        return queue + inner
                     used[match[to]] = True
                     queue.append(match[to])
+        return queue + inner
 
     for v in range(n):
         if match[v] == -1 and adj[v]:
-            find_augmenting_path(v)
+            for u in find_augmenting_path(v):
+                used[u], parent[u], base[u] = False, -1, u
     return {
         frozenset((verts[v], verts[match[v]]))
         for v in range(n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import math
 import os
@@ -58,9 +59,12 @@ class Solver:
     rebinding the module attribute sees every call.  ``degrees(delta_v,
     delta_c)`` marks a polynomial route and says when it applies; ``cost(
     instance, params)`` ranks an FPT route for dispatch and is None when a
-    budget gates the route out.  A route that ``takes_decomposition`` runs
-    on a nice tree decomposition of the incidence graph: dispatch passes the
-    one its parameters measured as the second argument of ``run``.
+    budget gates the route out.  As ``params.alpha`` or ``params.tw_upper``
+    grows, a cost must not fall and a gated route must stay gated, since
+    dispatch ranks on lower bounds of both first.  A route that
+    ``takes_decomposition`` runs on a nice tree decomposition of the
+    incidence graph: dispatch passes the one its parameters measured as the
+    second argument of ``run``.
     """
 
     algo: str | None  # the --algo name; None for a route only dispatch takes
@@ -141,6 +145,53 @@ SOLVERS = (
 )
 
 
+class _Optimistic:
+    """``params`` as a cost reads it before dispatch pays for alpha or tw_upper.
+
+    A parameter in ``bounds`` reads as that lower bound, and reading one marks
+    the cost read through this view as a lower bound too.
+    """
+
+    def __init__(self, params, bounds):
+        self._params, self._bounds, self.guessed = params, bounds, False
+
+    def __getattr__(self, name):
+        if name in self._bounds:
+            self.guessed = True
+            return self._bounds[name]
+        return getattr(self._params, name)
+
+
+def _lower_bounds(election, delta_v, delta_c):
+    """Lower bounds on alpha and tw_upper, from one pass over the votes.
+
+    A bipartite graph of maximum degree D is the union of D matchings (Kőnig's
+    edge-colouring theorem), so alpha >= ceil(|E| / D).  Every decomposition
+    of a graph with an edge has width >= 1, and of a graph with a cycle width
+    >= 2; a union-find over the incidence edges finds a cycle.
+    """
+    m = election.m
+    root = list(range(m + election.n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    edges, cycle = 0, False
+    for j, vote in enumerate(election.votes):
+        for c in vote:
+            edges += 1
+            a, b = find(c), find(m + j)
+            cycle = cycle or a == b
+            root[a] = b
+    return {
+        "alpha": -(-edges // max(delta_v, delta_c, 1)),
+        "tw_upper": 2 if cycle else min(edges, 1),
+    }
+
+
 def dispatch(instance, params=None):
     """Route the instance to the cheapest applicable exact solver.
 
@@ -148,8 +199,14 @@ def dispatch(instance, params=None):
     never exceeds k + deltaV, and a CCAV or PAV score never exceeds
     k * deltaC.  Only then are the parameters computed, unless the caller
     passes them, and the FPT routes tried in order of estimated cost, with
-    brute force as the fallback.  A treewidth route runs on the decomposition
-    that the parameters measured.
+    brute force as the fallback.
+
+    A route is first ranked on lower bounds of alpha and tw_upper.  Every cost
+    and every gate grows with both, so the matching or the min-fill runs only
+    when such an optimistic rank comes first; the route is then ranked again
+    on the real values.  The routes are tried in the order that ranking on
+    the real values would give.  A treewidth route runs on the decomposition
+    that its rank computed.
     """
     e = instance.election
     k, d = instance.k, instance.d
@@ -163,13 +220,22 @@ def dispatch(instance, params=None):
         return SolveResult(False, None, None, "score_bound", {})
     if params is None:
         params = compute_params(instance)
-    ranked = []
+    bounds = _lower_bounds(e, delta_v, delta_c)
+    heap = []  # (cost, name, cost is a lower bound, solver)
+
+    def push(cost, solver, guessed):
+        if cost is not None and cost <= FPT_COST_CAP:
+            heapq.heappush(heap, (cost, solver.name, guessed, solver))
+
     for solver in SOLVERS:
         if solver.cost and solver.rule == instance.rule:
-            cost = solver.cost(instance, params)
-            if cost is not None and cost <= FPT_COST_CAP:
-                ranked.append((cost, solver.name, solver))
-    for cost, name, solver in sorted(ranked, key=lambda r: r[:2]):
+            view = _Optimistic(params, bounds)
+            push(solver.cost(instance, view), solver, view.guessed)
+    while heap:
+        _, _, guessed, solver = heapq.heappop(heap)
+        if guessed:
+            push(solver.cost(instance, params), solver, False)
+            continue
         try:
             if solver.takes_decomposition:
                 return solver.run(instance, graphs.to_nice(params.decomposition))

@@ -19,8 +19,9 @@ far from the committee is dropped when it is forgotten.  A join meets each
 entry of one child only with the entries of the other child that share its
 candidate bag set.
 
-Dispatch hands a route the nice form of the min-fill decomposition that
-``core.compute_params`` measured; called alone, a route builds the same one.
+Dispatch hands a route the nice form of the min-fill decomposition that it
+computed on demand to measure ``tw_upper``; called alone, a route builds the
+same one.
 Either way it is validated first: the witness re-score checks only the value
 the tables found.
 

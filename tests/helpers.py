@@ -6,9 +6,10 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
-from approvalwd import Election, graphs, Instance, MAV, score
+from approvalwd import compute_params, Election, graphs, Instance, MAV, portfolio, score
+from approvalwd.core import SolveResult
 from approvalwd.graphs import DecompositionError
-from approvalwd.oracle import brute_force
+from approvalwd.oracle import brute_force, BudgetExceededError
 from approvalwd.poly import pav_component_order
 
 
@@ -283,3 +284,119 @@ def reference_nice_validate(ntd, graph):
     index = {id(x): i for i, x in enumerate(nodes)}
     edges = [(index[id(x)], index[id(c)]) for x in nodes for c in x.children]
     reference_validate([x.bag for x in nodes], edges, graph)
+
+
+def reference_max_matching(graph):
+    """The greedy start and blossom search with fresh search arrays per root."""
+    verts = graph.vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    adj = [sorted(index[w] for w in graph.neighbors(v)) for v in verts]
+    match = [-1] * n
+    for v in range(n):
+        if match[v] == -1:
+            for w in adj[v]:
+                if match[w] == -1:
+                    match[v], match[w] = w, v
+                    break
+
+    def find_augmenting_path(root):
+        used = [False] * n
+        parent = [-1] * n
+        base = list(range(n))
+        used[root] = True
+        queue = deque([root])
+        blossom = [False] * n
+
+        def lca(a, b):
+            seen = [False] * n
+            while True:
+                a = base[a]
+                seen[a] = True
+                if match[a] == -1:
+                    break
+                a = parent[match[a]]
+            while True:
+                b = base[b]
+                if seen[b]:
+                    return b
+                b = parent[match[b]]
+
+        def mark_path(v, b, child):
+            while base[v] != b:
+                blossom[base[v]] = True
+                blossom[base[match[v]]] = True
+                parent[v] = child
+                child = match[v]
+                v = parent[match[v]]
+
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    curbase = lca(v, to)
+                    for i in range(n):
+                        blossom[i] = False
+                    mark_path(v, curbase, to)
+                    mark_path(to, curbase, v)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        u = to
+                        while u != -1:
+                            pv, next_u = parent[u], match[parent[u]]
+                            match[u], match[pv] = pv, u
+                            u = next_u
+                        return
+                    used[match[to]] = True
+                    queue.append(match[to])
+
+    for v in range(n):
+        if match[v] == -1 and adj[v]:
+            find_augmenting_path(v)
+    return {
+        frozenset((verts[v], verts[match[v]]))
+        for v in range(n)
+        if match[v] != -1
+    }
+
+
+def reference_dispatch(instance):
+    """Dispatch with every parameter computed first and every FPT route ranked
+    on the real alpha and tw_upper, then tried in (cost, name) order."""
+    e = instance.election
+    k, d = instance.k, instance.d
+    delta_v, delta_c = e.delta_v, e.delta_c
+    for solver in portfolio.SOLVERS:
+        if solver.degrees and solver.applies(instance, delta_v, delta_c):
+            return solver.run(instance)
+    if instance.rule == MAV and d >= k + delta_v:
+        return SolveResult(True, None, tuple(range(k)), "score_bound", {})
+    if instance.rule != MAV and d > k * delta_c:
+        return SolveResult(False, None, None, "score_bound", {})
+    params = compute_params(instance)
+    _ = params.alpha, params.tw_upper  # computed whatever the ranking needs
+    ranked = []
+    for solver in portfolio.SOLVERS:
+        if solver.cost and solver.rule == instance.rule:
+            cost = solver.cost(instance, params)
+            if cost is not None and cost <= portfolio.FPT_COST_CAP:
+                ranked.append((cost, solver.name, solver))
+    for cost, name, solver in sorted(ranked, key=lambda r: r[:2]):
+        try:
+            if solver.takes_decomposition:
+                return solver.run(instance, graphs.to_nice(params.decomposition))
+            return solver.run(instance)
+        except BudgetExceededError:
+            continue
+    if e.m <= portfolio.BRUTE_M_BUDGET:
+        return brute_force(instance, max_m=portfolio.BRUTE_M_BUDGET)
+    raise portfolio.AllSolversExceededError("no solver within policy budgets")

@@ -33,6 +33,7 @@ from helpers import (
     near_path,
     random_election,
     random_graph,
+    reference_max_matching,
     reference_min_fill_order,
     reference_nice_validate,
     reference_td_from_elimination_order,
@@ -76,6 +77,22 @@ def test_matching_is_valid_and_maximum():
             assert u not in used and v not in used
             used.update(edge)
         assert len(matching) == exhaustive_max_matching_size(g.edges())
+
+
+def test_max_matching_equals_the_reference():
+    rng = random.Random(61)
+    cases = [incidence_graph(e) for e in _generated_elections(200)]
+    # vote multigraphs, as poly matches them: votes joined by a shared candidate
+    for seed in range(200):
+        e = generate(GeneratorConfig(m=rng.randint(1, 40), n=rng.randint(1, 40),
+                                     max_dv=rng.randint(1, 6), max_dc=2), seed)
+        pairs = [ends for ends in multigraph_rep(e).edges if len(ends) == 2]
+        cases.append(Graph(vertices=range(e.n), edges=set(pairs)))
+    # general graphs, whose odd cycles make blossoms
+    cases += [_random_simple_graph(rng, max_n=30, p=rng.choice((0.05, 0.1, 0.2, 0.4)))
+              for _ in range(300)]
+    for g in cases:
+        assert max_matching(g) == reference_max_matching(g)
 
 
 def test_bipartite_koenig():

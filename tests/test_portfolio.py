@@ -1,6 +1,8 @@
+import itertools
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +27,13 @@ from approvalwd.portfolio import (
     verify,
 )
 
-from helpers import e1, near_path, random_election, sweep_against_oracle
+from helpers import (
+    e1,
+    near_path,
+    random_election,
+    reference_dispatch,
+    sweep_against_oracle,
+)
 
 
 def test_dispatch_routing():
@@ -197,6 +205,101 @@ def test_long_near_paths_are_decided_without_recursion(tmp_path):
     path = tmp_path / "nearpath1500.appr"
     path.write_text(format_instance(Instance(election=near_path(1500), rule=PAV, k=6, d=3)))
     assert cli.main(["params", str(path)]) == 0
+    assert time.perf_counter() - start < 5.0
+
+
+def _outcome(route, inst):
+    try:
+        res = route(inst)
+    except (AllSolversExceededError, portfolio.BudgetExceededError) as exc:
+        return type(exc).__name__, str(exc)
+    return res.algorithm, res.decision, res.opt_score, res.witness, res.stats
+
+
+def _dual_scale_shaped(size, seed):
+    """A dual-scale-shaped election: m = n = size, both degrees at most 4."""
+    return generate(GeneratorConfig(m=size, n=size, max_dv=4, max_dc=4), seed)
+
+
+def _seeded_instances(rng, count, m, n, k=None):
+    for i in range(count):
+        e = generate(
+            GeneratorConfig(m=rng.randint(*m), n=rng.randint(*n),
+                            max_dv=rng.choice((2, 3, 4, 5)), max_dc=rng.choice((3, 4, 5))),
+            rng.randrange(10**9),
+        )
+        rule = RULES[i % 3]
+        kk = rng.randint(0, e.m) if k is None else min(rng.randint(*k), e.m)
+        top = kk + e.delta_v if rule == MAV else kk * e.delta_c
+        yield Instance(election=e, rule=rule, k=kk, d=Fraction(rng.randint(0, 2 * top + 1), 2))
+
+
+def test_dispatch_matches_the_eager_reference():
+    rng = random.Random(1843)
+    instances = list(_seeded_instances(rng, 1500, m=(4, 16), n=(3, 14)))
+    instances += _seeded_instances(rng, 60, m=(17, 20), n=(10, 18), k=(3, 8))
+    for size, seed in ((150, 1), (160, 2)):
+        e = _dual_scale_shaped(size, seed)
+        for rule, k, d in ((MAV, size - 2, size - 4), (MAV, size - 2, 3), (CCAV, size - 2, size - 10),
+                           (CCAV, size - 2, size), (PAV, 5, 3), (PAV, 5, 6), (PAV, 8, 3)):
+            instances.append(Instance(election=e, rule=rule, k=k, d=d))
+    routes = set()
+    for inst in instances:
+        got = _outcome(dispatch, inst)
+        assert got == _outcome(reference_dispatch, inst)
+        routes.add(got[0])
+    # the sweep reaches every kind of FPT route, brute force and a refusal
+    assert {"mav_by_matching", "pav_by_matching", "mav_tw_dp", "ccav_tw_dp", "pav_tw_dp",
+            "mav_dual_grsp", "ccav_bb_dual", "pav_bb_dv", "brute_force",
+            "AllSolversExceededError"} <= routes
+
+
+@pytest.mark.parametrize("rule,kbar,k,d,route", [
+    (MAV, 2, None, 140, "mav_dual_grsp"),
+    (CCAV, 2, None, 140, "ccav_bb_dual"),
+    (PAV, None, 5, 3, "pav_bb_dv"),
+])
+def test_dual_scale_shapes_run_neither_matching_nor_min_fill(rule, kbar, k, d, route, monkeypatch):
+    e = _dual_scale_shaped(150, 0)
+    calls = []
+    for name in ("max_matching", "tree_decomposition"):
+        monkeypatch.setattr(graphs, name, lambda *a, name=name: calls.append(name))
+    inst = Instance(election=e, rule=rule, k=e.m - kbar if k is None else k, d=d)
+    assert dispatch(inst).algorithm == route
+    assert calls == []
+
+
+def test_costs_grow_with_alpha_and_tw_and_bounds_stay_below():
+    rng = random.Random(7)
+    grid = list(itertools.product(range(0, 20), range(0, 11)))
+    for inst in _seeded_instances(rng, 60, m=(3, 14), n=(2, 12)):
+        e = inst.election
+        p = compute_params(inst)
+        bounds = portfolio._lower_bounds(e, p.delta_v, p.delta_c)
+        assert bounds["alpha"] <= p.alpha and bounds["tw_upper"] <= p.tw_upper
+        for solver in portfolio.SOLVERS:
+            if not solver.cost:
+                continue
+            costs = {}
+            for alpha, tw in grid:
+                view = SimpleNamespace(**{name: getattr(p, name) for name in (
+                    "m", "n", "k", "kbar", "delta_v", "delta_c")}, alpha=alpha, tw_upper=tw)
+                cost = solver.cost(inst, view)
+                costs[alpha, tw] = float("inf") if cost is None else cost
+            for (alpha, tw), cost in costs.items():
+                assert cost <= costs.get((alpha + 1, tw), cost)
+                assert cost <= costs.get((alpha, tw + 1), cost)
+
+
+def test_a_3000_class_mav_instance_is_decided_without_recursion():
+    # vote j approves candidate c iff bit j of c + 1 is set: 3000 classes, one each
+    votes = tuple(frozenset(c for c in range(3000) if (c + 1) >> j & 1) for j in range(12))
+    e = Election(m=3000, votes=votes)
+    start = time.perf_counter()
+    for k, decision, opt, nodes in ((5, True, 1495, 24876), (2990, False, 2037, 24143)):
+        res = dispatch(Instance(election=e, rule=MAV, k=k, d=1500))
+        assert (res.algorithm, res.decision, res.opt_score, res.stats) == (
+            "mav_by_classes", decision, opt, {"nodes": nodes})
     assert time.perf_counter() - start < 5.0
 
 
