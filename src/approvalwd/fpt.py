@@ -3,11 +3,12 @@
 One class-count search (standing in for the ILP machinery) behind the MAV,
 annotated PAV and matching-parameter solvers, vote pruning for MAV, the
 set-packing route for MAV in the dual parameter, and branch and bound for CCAV
-and PAV.
+and PAV.  Every search runs on one explicit-stack driver, so none recurses.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,8 +57,30 @@ class GrspInstance:
 
 
 # ---------------------------------------------------------------------------
-# Class-count search
+# Search driver and class-count search
 # ---------------------------------------------------------------------------
+
+def _depth_first(root):
+    """Walk a search tree without recursion; returns (root's value, nodes visited).
+
+    A search node is a generator: it yields a child node to visit it, is sent
+    back the child's value, and returns its own value.  The driver keeps the
+    generators of the current path on an explicit stack.
+    """
+    stack, value, nodes = [root], None, 1
+    while True:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value, nodes
+            value = done.value
+        else:
+            stack.append(child)
+            nodes += 1
+            value = None
+
 
 def _count_search(classes, nv):
     """The search over how many members of each candidate class join the committee.
@@ -96,82 +119,75 @@ def _count_search(classes, nv):
         best_value, best_counts = floor, None
         counts = [0] * nc
         cov = [0] * nv
-        nodes = 0
 
-        def take(i, x, rem, total):
-            counts[i] = x
-            support = classes[i][0]
-            step = gain(cov, support, x) if gain else 0
-            for j in support:
-                cov[j] += x
-            return rem - x, total + step
-
-        # depth-first without recursion: one [count taken, lowest count, rem,
-        # total] frame per class on the path; a node at depth i has rem members
-        # still to pick and the running total
-        path = []
-        rem, total = k, 0
-        while True:
-            i = len(path)
-            nodes += 1
+        def node(i, rem, total):
+            # classes before i are counted; True once a value reaches goal
+            nonlocal best_value, best_counts
             value = bound(cov, suffix_cov[i], rem, total)
-            if best_value is None or value > best_value:
-                if i == nc:
-                    if not rem:
-                        best_value, best_counts = value, list(counts)
-                        if value == goal:
-                            break
-                elif suffix_min[i] <= rem <= suffix_cap[i]:
-                    lo = max(mins[i], rem - suffix_cap[i + 1])
-                    hi = min(caps[i], rem - suffix_min[i + 1])
-                    if hi >= lo:
-                        path.append([hi, lo, rem, total])
-                        rem, total = take(i, hi, rem, total)
-                        continue
-            # back up to the deepest class that can take one member fewer
-            while path:
-                i = len(path) - 1
-                frame = path[i]
-                x, lo = frame[0], frame[1]
-                for j in classes[i][0]:
+            if best_value is not None and value <= best_value:
+                return False
+            if i == nc:
+                if rem:
+                    return False
+                best_value, best_counts = value, list(counts)
+                return value == goal
+            if not suffix_min[i] <= rem <= suffix_cap[i]:
+                return False
+            support = classes[i][0]
+            lo = max(mins[i], rem - suffix_cap[i + 1])
+            for x in range(min(caps[i], rem - suffix_min[i + 1]), lo - 1, -1):
+                counts[i] = x
+                step = gain(cov, support, x) if gain else 0
+                for j in support:
+                    cov[j] += x
+                if (yield node(i + 1, rem - x, total + step)):
+                    return True
+                for j in support:
                     cov[j] -= x
-                if x > lo:
-                    frame[0] = x - 1
-                    rem, total = take(i, x - 1, frame[2], frame[3])
-                    break
-                counts[i] = 0
-                path.pop()
-            if not path:
-                break
+            counts[i] = 0
+            return False
+
+        _, nodes = _depth_first(node(0, k, 0))
         return best_value, best_counts, nodes
 
     return search
 
 
-def mav_by_classes(instance, forced_votes=None):
-    """Exact MAV optimum by search over per-class selection counts.
+def mav_by_classes(instance):
+    """Exact MAV optimum by search over per-class selection counts."""
+    return _mav_class_search(instance, range(instance.election.n), "mav_by_classes")
 
-    With forced_votes given, only those votes enter the distance maximum (the
-    class partition is taken with respect to them as well); used by the
-    vote-pruning solver.
+
+def mav_k_deltac(instance):
+    """MAV after pruning to the k * deltaC + 1 largest votes.
+
+    Any k-committee leaves one of the kept votes completely unserved, and that
+    vote's distance dominates every dropped (smaller) vote's distance, so the
+    optimum value is preserved exactly.
+    """
+    e = instance.election
+    order = sorted(range(e.n), key=lambda j: (-len(e.votes[j]), j))
+    return _mav_class_search(instance, order[: instance.k * e.delta_c + 1], "mav_k_deltac")
+
+
+def _mav_class_search(instance, considered, algorithm):
+    """The MAV optimum over the considered votes by the class-count search.
+
+    The classes are taken with respect to the considered votes only; the
+    witness is re-checked against the optimum on every vote.
     """
     if instance.rule != MAV:
         raise ValueError("rule must be mav")
     e = instance.election
     k = instance.k
-    if forced_votes is None:
-        considered = list(range(e.n))
-        part = class_partition(e)
-    else:
-        considered = sorted(forced_votes)
-        part = class_partition(e, restrict_votes=considered)
+    considered = sorted(considered)
     if len(considered) > CLASS_VOTE_BUDGET:
         raise BudgetExceededError(f"{len(considered)} votes exceeds budget {CLASS_VOTE_BUDGET}")
     vote_pos = {j: i for i, j in enumerate(considered)}
     sizes = [len(e.votes[j]) for j in considered]
     classes = [
         (tuple(vote_pos[j] for j in support), members)
-        for support, members in part.classes
+        for support, members in class_partition(e, restrict_votes=considered).classes
     ]
 
     def bound(cov, reach, rem, total):
@@ -185,36 +201,17 @@ def mav_by_classes(instance, forced_votes=None):
     witness = []
     for (support, members), x in zip(classes, counts):
         witness.extend(members[:x])
-    witness = tuple(sorted(witness))
     opt = Fraction(-value)
-    if forced_votes is None:
-        witness = checked_witness(witness, lambda w: score(e, MAV, w) == opt, "mav_by_classes")
+    witness = checked_witness(
+        tuple(sorted(witness)), lambda w: score(e, MAV, w) == opt, algorithm
+    )
     return SolveResult(
         decision=opt <= instance.d,
         opt_score=opt,
         witness=witness,
-        algorithm="mav_by_classes",
+        algorithm=algorithm,
         stats={"nodes": nodes},
     )
-
-
-def mav_k_deltac(instance):
-    """MAV after pruning to the k * deltaC + 1 largest votes.
-
-    Any k-committee leaves one of the kept votes completely unserved, and that
-    vote's distance dominates every dropped (smaller) vote's distance, so the
-    optimum value is preserved exactly.
-    """
-    if instance.rule != MAV:
-        raise ValueError("rule must be mav")
-    e = instance.election
-    keep = instance.k * e.delta_c + 1
-    order = sorted(range(e.n), key=lambda j: (-len(e.votes[j]), j))
-    res = mav_by_classes(instance, forced_votes=order[:keep])
-    # the pruning keeps the optimum, so the witness scores it on every vote
-    opt = res.opt_score
-    w = checked_witness(res.witness, lambda w: score(e, MAV, w) == opt, "mav_k_deltac")
-    return SolveResult(res.decision, opt, w, "mav_k_deltac", res.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +235,7 @@ def grsp_solve(g):
     chosen = []
 
     def dfs(pos, need):
+        # a search node: True once need more sets from usable[pos:] fit
         if need == 0:
             return True
         if len(usable) - pos < need:
@@ -250,14 +248,14 @@ def grsp_solve(g):
                 for u in s:
                     remaining[u] -= 1
                 chosen.append(usable[idx])
-                if dfs(idx + 1, need - 1):
+                if (yield dfs(idx + 1, need - 1)):
                     return True
                 chosen.pop()
                 for u in s:
                     remaining[u] += 1
         return False
 
-    ok = dfs(0, g.kappa)
+    ok, _ = _depth_first(dfs(0, g.kappa))
     return ok, tuple(chosen) if ok else None
 
 
@@ -320,10 +318,9 @@ def ccav_bb_dual(instance):
         raise ValueError("rule must be ccav")
     e = instance.election
     k = instance.k
-    stats = {"nodes": 0}
 
     def solve(candset, votes, d):
-        stats["nodes"] += 1
+        # a search node: a witness, or None when this state has none
         ve = [v & candset for v in votes]
         ve = [v for v in ve if v]
         approved = set().union(*ve) if ve else set()
@@ -358,12 +355,12 @@ def ccav_bb_dual(instance):
         branch_set = sorted(set().union(*[v for v in u_votes if cstar in v]))
         d_next = d - (len(ve) - len(u_votes))
         for x in branch_set:
-            res = solve(candset - {x}, u_votes, d_next)
+            res = yield solve(candset - {x}, u_votes, d_next)
             if res is not None:
                 return res
         return None
 
-    w = solve(frozenset(range(e.m)), list(e.votes), instance.d)
+    w, nodes = _depth_first(solve(frozenset(range(e.m)), list(e.votes), instance.d))
     if w is not None:
         checked_witness(
             w, lambda w: len(w) == k and score(e, CCAV, w) >= instance.d, "ccav_bb_dual"
@@ -373,7 +370,7 @@ def ccav_bb_dual(instance):
         opt_score=None,
         witness=w,
         algorithm="ccav_bb_dual",
-        stats=stats,
+        stats={"nodes": nodes},
     )
 
 
@@ -483,7 +480,7 @@ def pav_bb_dv(instance):
         return sum(hsum[cov[j] + 1] - hsum[cov[j]] for j in approvers[c])
 
     def dfs(s_set, total):
-        stats["nodes"] += 1
+        # a search node: a committee meeting need, or None below s_set
         if total >= need:
             return s_set
         if len(s_set) >= depth_cap:
@@ -504,14 +501,14 @@ def pav_bb_dv(instance):
             step = gain(x)
             for j in approvers[x]:
                 cov[j] += 1
-            res = dfs(s_set | {x}, total + step)
+            res = yield dfs(s_set | {x}, total + step)
             for j in approvers[x]:
                 cov[j] -= 1
             if res is not None:
                 return res
         return None
 
-    found = dfs(frozenset(), 0)
+    found, stats["nodes"] = _depth_first(dfs(frozenset(), 0))
     if found is None:
         return SolveResult(False, None, None, "pav_bb_dv", stats)
     w = checked_witness(
@@ -536,11 +533,10 @@ def _matching_split(election):
     return sorted(cands), sorted(votes)
 
 
-def _subsets(items):
-    out = [()]
-    for x in items:
-        out.extend([s + (x,) for s in out])
-    return sorted(out, key=lambda s: (len(s), s))
+def _subsets(items, k):
+    """The subsets of items with at most k members, smallest first."""
+    for size in range(min(k, len(items)) + 1):
+        yield from itertools.combinations(items, size)
 
 
 def mav_by_matching(instance):
@@ -577,9 +573,7 @@ def mav_by_matching(instance):
     search = _count_search(classes, len(v_m))
     stats = {"subinstances": 0}
 
-    for cprime in _subsets(c_m):
-        if len(cprime) > k:
-            continue
+    for cprime in _subsets(c_m, k):
         stats["subinstances"] += 1
         cp = set(cprime)
         if any(len(v) + k - 2 * len(v & cp) > d for v in outside):
@@ -621,9 +615,7 @@ def pav_by_matching(instance):
     best = None
     best_w = None
     stats = {"subinstances": 0}
-    for cprime in _subsets(c_m):
-        if len(cprime) > k:
-            continue
+    for cprime in _subsets(c_m, k):
         stats["subinstances"] += 1
         cp = frozenset(cprime)
         value, witness, _ = solve(cp, k)

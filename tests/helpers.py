@@ -6,7 +6,7 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
-from approvalwd import compute_params, Election, graphs, Instance, MAV, portfolio, score
+from approvalwd import CCAV, compute_params, Election, graphs, Instance, MAV, PAV, portfolio, score
 from approvalwd.core import SolveResult
 from approvalwd.graphs import DecompositionError
 from approvalwd.oracle import brute_force, BudgetExceededError
@@ -103,6 +103,22 @@ def e1():
     return Election(
         m=3, votes=(frozenset({0, 1}), frozenset({1, 2}), frozenset({0}))
     )
+
+
+def deep_search_instances():
+    """{algo: yes-instance} whose fpt search runs more levels deep than
+    Python's default recursion limit of 1000 frames."""
+    path = tuple(frozenset({j, j + 1}) for j in range(1601))
+    return {
+        # one level per excluded candidate: kbar = 1199
+        "mav-grsp": Instance(Election(m=1200, votes=(frozenset({0}),)), MAV, 1, 2),
+        # one candidate leaves the committee per level until one is left
+        "ccav-bb": Instance(
+            Election(m=1010, votes=tuple(frozenset({c}) for c in range(1010))), CCAV, 1, 1
+        ),
+        # the first committee meeting d on the path {j, j + 1} is 1001 levels deep
+        "pav-bb": Instance(Election(m=1602, votes=path), PAV, 1500, 1500),
+    }
 
 
 def instances_around_opt(election, rule, k, opt):

@@ -8,7 +8,7 @@ from approvalwd import cli
 from approvalwd.cli import main
 from approvalwd.reductions import format_graph
 
-from helpers import e1
+from helpers import deep_search_instances, e1
 
 
 def _write_e1_instance(path, rule, k, d):
@@ -61,6 +61,13 @@ def test_solve_crash_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["solve", path, "--algo", "brute"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "boom" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algo", ["mav-grsp", "ccav-bb", "pav-bb"])
+def test_solve_decides_searches_deeper_than_the_recursion_limit(tmp_path, algo):
+    path = tmp_path / "deep.appr"
+    path.write_text(format_instance(deep_search_instances()[algo]))
+    assert main(["solve", str(path), "--algo", algo]) == 0
 
 
 def test_solve_budget_exceeded(tmp_path):

@@ -264,3 +264,21 @@ def test_src_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_src_calls_itself_only_through_yield():
+    # a direct self-call recurses once per search level; a search node yields
+    # its children to the explicit-stack driver fpt._depth_first instead
+    found = []
+    for path in sorted(pathlib.Path(approvalwd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            yielded = {id(node.value) for node in ast.walk(func) if isinstance(node, ast.Yield)}
+            found += [
+                f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == func.name
+                and id(node) not in yielded
+            ]
+    assert found == []

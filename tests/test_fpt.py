@@ -23,6 +23,7 @@ from approvalwd.portfolio import generate, GeneratorConfig
 
 from helpers import (
     check_against_oracle,
+    deep_search_instances,
     e1,
     instances_around_opt,
     random_election,
@@ -341,3 +342,81 @@ def test_pav_bb_dv_pinned(seed, decision, witness, nodes, max_branch, monkeypatc
     assert res.stats == {"nodes": nodes, "max_branch": max_branch}
     # the search scores in integers; only a yes is re-scored, once
     assert len(calls) == decision
+
+
+# (seed, k, d, decision, witness, nodes) for ccav_bb_dual and (seed, decision,
+# opt, witness, nodes) for mav_k_deltac, recorded from the searches that kept
+# their own node counters: the search driver must count the same nodes
+_PINNED_CCAV_BB = [
+    (0, 3, 6, True, (1, 5, 6), 13),
+    (1, 4, 9, False, None, 304),
+    (2, 5, 7, True, (2, 3, 5, 6, 7), 2),
+    (3, 3, 7, False, None, 9851),
+    (4, 4, 8, True, (1, 2, 4, 6), 18),
+    (5, 5, 9, False, None, 35),
+    (6, 3, 6, True, (7, 8, 9), 7),
+    (7, 4, 9, False, None, 3857),
+    (8, 5, 7, True, (2, 3, 4, 5, 6), 2),
+    (9, 3, 7, False, None, 741),
+    (10, 4, 6, True, (5, 7, 8, 9), 6),
+    (11, 5, 8, False, None, 115),
+    (12, 3, 6, True, (1, 5, 7), 6),
+    (13, 4, 7, False, None, 15),
+    (14, 5, 9, True, (1, 2, 6, 8, 9), 50),
+    (15, 3, 6, False, None, 564),
+    (16, 4, 8, True, (4, 5, 6, 7), 5),
+    (17, 5, 9, False, None, 52),
+    (18, 3, 6, True, (7, 8, 9), 8),
+    (19, 4, 9, False, None, 1670),
+]
+_PINNED_K_DELTAC = [
+    (0, False, "4", (2, 3), 22),
+    (1, False, "5", (0, 1, 3), 54),
+    (2, True, "5", (1, 3, 5, 7), 52),
+    (3, True, "4", (2, 3), 28),
+    (4, False, "5", (0, 3, 5), 91),
+    (5, False, "5", (0, 1, 2, 3), 51),
+    (6, True, "4", (0, 3), 29),
+    (7, True, "5", (0, 1, 5), 27),
+    (8, False, "5", (0, 2, 3, 6), 88),
+    (9, False, "5", (0, 2), 25),
+    (10, True, "4", (2, 3, 7), 43),
+    (11, True, "5", (0, 3, 4, 6), 52),
+    (12, False, "4", (0, 1), 19),
+    (13, False, "5", (0, 1, 4), 100),
+    (14, True, "4", (0, 1, 3, 11), 33),
+    (15, True, "4", (1, 3), 27),
+    (16, False, "4", (0, 2, 5), 30),
+    (17, False, "5", (0, 1, 4, 7), 40),
+    (18, True, "4", (6, 8), 71),
+    (19, True, "5", (0, 1, 5), 45),
+]
+
+
+@pytest.mark.parametrize("seed,k,d,decision,witness,nodes", _PINNED_CCAV_BB)
+def test_ccav_bb_dual_pinned(seed, k, d, decision, witness, nodes):
+    e = generate(GeneratorConfig(m=8 + seed % 4, n=10 + seed % 5, max_dv=3, max_dc=2), 500 + seed)
+    res = ccav_bb_dual(Instance(election=e, rule=CCAV, k=k, d=d))
+    assert (res.decision, res.witness, res.stats) == (decision, witness, {"nodes": nodes})
+
+
+@pytest.mark.parametrize("seed,decision,opt,witness,nodes", _PINNED_K_DELTAC)
+def test_mav_k_deltac_pinned(seed, decision, opt, witness, nodes):
+    e = generate(GeneratorConfig(m=8 + seed % 5, n=8 + seed % 7, max_dv=4, max_dc=2), 700 + seed)
+    res = mav_k_deltac(Instance(election=e, rule=MAV, k=2 + seed % 3, d=3 + seed % 4))
+    assert (res.decision, res.opt_score, res.witness) == (decision, Fraction(opt), witness)
+    assert res.stats == {"nodes": nodes}
+
+
+def test_mav_dual_grsp_deeper_than_the_recursion_limit():
+    assert mav_dual_grsp(deep_search_instances()["mav-grsp"]).decision
+
+
+def test_ccav_bb_dual_deeper_than_the_recursion_limit():
+    res = ccav_bb_dual(deep_search_instances()["ccav-bb"])
+    assert res.decision and res.stats == {"nodes": 1010}
+
+
+def test_pav_bb_dv_deeper_than_the_recursion_limit():
+    res = pav_bb_dv(deep_search_instances()["pav-bb"])
+    assert res.decision and res.stats == {"nodes": 1002, "max_branch": 3}
