@@ -71,8 +71,20 @@ class Election:
         return len(self.votes)
 
     def approvers(self, c):
-        """V(c): indices of the votes approving candidate c."""
+        """V(c): indices of the votes approving candidate c, by a scan of every vote."""
         return frozenset(j for j, v in enumerate(self.votes) if c in v)
+
+    def approver_sets(self):
+        """V(c) for every candidate c, as an increasing list of vote indices.
+
+        One pass over the votes, made afresh on each call: nothing is cached
+        on the election.
+        """
+        sets = [[] for _ in range(self.m)]
+        for j, v in enumerate(self.votes):
+            for c in v:
+                sets[c].append(j)
+        return sets
 
     def approver_counts(self):
         counts = [0] * self.m
@@ -147,17 +159,6 @@ class Params:
 
 
 @dataclass(frozen=True)
-class ClassPartition:
-    """Partition of the candidates by their exact approver set.
-
-    Each class is a pair (support, members): the frozenset of vote indices U
-    and the sorted tuple of candidates c with V(c) = U.
-    """
-
-    classes: tuple  # of (frozenset vote indices, tuple of candidate indices)
-
-
-@dataclass(frozen=True)
 class SolveResult:
     decision: bool
     opt_score: Fraction | None
@@ -209,26 +210,35 @@ def compute_params(instance):
     )
 
 
-def class_partition(election, restrict_votes=None):
-    """Group candidates by the exact set of (considered) votes approving them.
+def class_partition(election, votes=None):
+    """The candidates grouped by which of the considered votes approve them.
 
-    With restrict_votes given, supports are computed with respect to that vote
-    subset only; candidates approved by no considered vote form the class with
-    empty support.
+    ``votes`` is a sequence of vote indices, every vote by default.  Returns
+    a tuple of classes (support, members), ordered by their first member:
+    support is the frozenset of positions i in ``votes`` such that vote
+    votes[i] approves the members, and members the increasing tuple of
+    candidates with exactly that support.  Candidates that no considered vote
+    approves form the class with the empty support.
     """
-    if restrict_votes is None:
-        considered = range(election.n)
-    else:
-        considered = sorted(restrict_votes)
+    supports = election.approver_sets()
+    if votes is not None:
+        pos = {j: i for i, j in enumerate(votes)}
+        supports = [[pos[j] for j in s if j in pos] for s in supports]
     by_support = {}
-    for c in range(election.m):
-        support = frozenset(j for j in considered if c in election.votes[j])
-        by_support.setdefault(support, []).append(c)
-    classes = tuple(
-        (support, tuple(sorted(members)))
-        for support, members in sorted(by_support.items(), key=lambda it: it[1])
-    )
-    return ClassPartition(classes=classes)
+    for c, support in enumerate(supports):
+        by_support.setdefault(frozenset(support), []).append(c)
+    return tuple((support, tuple(members)) for support, members in by_support.items())
+
+
+def fill_committee(base, k, pool):
+    """``base`` topped up to k members from ``pool`` in pool order, as a sorted tuple."""
+    w = list(base)
+    for c in pool:
+        if len(w) == k:
+            break
+        if c not in w:
+            w.append(c)
+    return tuple(sorted(w))
 
 
 def lcm_upto(k):

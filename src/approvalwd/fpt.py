@@ -20,7 +20,7 @@ from .core import (
     PAV,
     checked_witness,
     class_partition,
-    Election,
+    fill_committee,
     scaled_harmonics,
     score,
     SolveResult,
@@ -183,12 +183,8 @@ def _mav_class_search(instance, considered, algorithm):
     considered = sorted(considered)
     if len(considered) > CLASS_VOTE_BUDGET:
         raise BudgetExceededError(f"{len(considered)} votes exceeds budget {CLASS_VOTE_BUDGET}")
-    vote_pos = {j: i for i, j in enumerate(considered)}
     sizes = [len(e.votes[j]) for j in considered]
-    classes = [
-        (tuple(vote_pos[j] for j in support), members)
-        for support, members in class_partition(e, restrict_votes=considered).classes
-    ]
+    classes = class_partition(e, considered)
 
     def bound(cov, reach, rem, total):
         # the search maximises, so it gets the negated largest distance
@@ -221,8 +217,8 @@ def _mav_class_search(instance, considered, algorithm):
 def grsp_solve(g):
     """Depth-kappa backtracking with capacity pruning.
 
-    Returns (yes, selected set indices).  Sets containing a zero-capacity
-    element can never be picked and are filtered up front.
+    Returns (yes, selected set indices, nodes visited).  Sets containing a
+    zero-capacity element can never be picked and are filtered up front.
     """
     usable = [
         i
@@ -230,7 +226,7 @@ def grsp_solve(g):
         if all(g.f.get(u, 0) >= 1 for u in s)
     ]
     if g.kappa > len(usable):
-        return False, None
+        return False, None, 0
     remaining = dict(g.f)
     chosen = []
 
@@ -255,8 +251,8 @@ def grsp_solve(g):
                     remaining[u] += 1
         return False
 
-    ok, _ = _depth_first(dfs(0, g.kappa))
-    return ok, tuple(chosen) if ok else None
+    ok, nodes = _depth_first(dfs(0, g.kappa))
+    return ok, tuple(chosen) if ok else None, nodes
 
 
 def mav_dual_grsp(instance):
@@ -264,43 +260,38 @@ def mav_dual_grsp(instance):
 
     Excluding candidate c takes vote v's committee overlap down by [v in V(c)];
     vote v tolerates losing at most floor((d+|v|-k)/2) approved candidates, so
-    the k-bar exclusions form a generalized set packing over the votes.
+    the k-bar exclusions form a generalized set packing of the sets V(c) over
+    the votes.  Since |v| - k is an integer, that capacity is
+    (floor(d) + |v| - k) // 2.
     """
     if instance.rule != MAV:
         raise ValueError("rule must be mav")
     e = instance.election
     k, d = instance.k, instance.d
     if d < 0:
-        return SolveResult(False, None, None, "mav_dual_grsp", {})
+        return SolveResult(False, None, None, "mav_dual_grsp", {"nodes": 0})
     for v in e.votes:
         if len(v) < k and d < k - len(v):
-            return SolveResult(False, None, None, "mav_dual_grsp", {})
-    r = max(e.delta_c, 1)
-    f = {j: math.floor((d + len(v) - k) / 2) for j, v in enumerate(e.votes)}
-    sets = []
-    for c in range(e.m):
-        s = set(e.approvers(c))
-        for i in range(r - len(s)):
-            pad = ("pad", c, i)
-            f[pad] = 1
-            s.add(pad)
-        sets.append(frozenset(s))
+            return SolveResult(False, None, None, "mav_dual_grsp", {"nodes": 0})
+    floor_d = math.floor(d)
+    f = {j: (floor_d + len(v) - k) // 2 for j, v in enumerate(e.votes)}
     g = GrspInstance(
         universe=tuple(f),
-        sets=tuple(sets),
+        sets=tuple(map(frozenset, e.approver_sets())),
         f=f,
-        r=r,
+        r=max(e.delta_c, 1),
         kappa=e.m - k,
     )
-    ok, removed = grsp_solve(g)
+    ok, removed, nodes = grsp_solve(g)
+    stats = {"nodes": nodes}
     if not ok:
-        return SolveResult(False, None, None, "mav_dual_grsp", {})
+        return SolveResult(False, None, None, "mav_dual_grsp", stats)
     w = checked_witness(
         tuple(sorted(set(range(e.m)) - set(removed))),
         lambda w: score(e, MAV, w) <= d,
         "mav_dual_grsp",
     )
-    return SolveResult(True, None, w, "mav_dual_grsp", {})
+    return SolveResult(True, None, w, "mav_dual_grsp", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +330,7 @@ def ccav_bb_dual(instance):
         b = sorted(set().union(*u_votes)) if u_votes else []
         if not u_votes or len(b) <= k:
             if len(ve) >= d:
-                w = list(b)
-                for c in sorted(candset):
-                    if len(w) == k:
-                        break
-                    if c not in b:
-                        w.append(c)
-                return tuple(sorted(w))
+                return fill_committee(b, k, sorted(candset))
             return None
         singles = {c: 0 for c in b}
         for v in u_votes:
@@ -381,7 +366,7 @@ def ccav_bb_dual(instance):
 def pav_annotated(ann):
     """Exact annotated PAV optimum by search over per-class selection counts."""
     e, k = ann.election, ann.k
-    value, witness, nodes = _pav_class_search(e)(ann.forced, k)
+    value, witness, nodes = _pav_class_search(e, range(e.n))(ann.forced, k)
     stats = {"nodes": nodes}
     if witness is None:
         return SolveResult(False, None, None, "pav_annotated", stats)
@@ -391,18 +376,20 @@ def pav_annotated(ann):
     return SolveResult(opt >= ann.d, opt, witness, "pav_annotated", stats)
 
 
-def _pav_class_search(e):
-    """``solve(forced, k)``: the annotated PAV search over the classes of e.
+def _pav_class_search(e, votes):
+    """``solve(forced, k)``: the annotated PAV search over the given votes of e.
 
-    The class partition and the count search are built once; a forced set
-    only sets the per-class minimums.  ``solve`` returns the optimum as a PAV
-    value scaled by ``scaled_harmonics(k)``, a witness (None if no count
-    vector exists) and the nodes visited.
+    The candidates are classed by ``class_partition(e, votes)``, so only the
+    votes listed count towards a score.  The partition and the count search
+    are built once; a forced set only sets the per-class minimums.  ``solve``
+    returns the optimum over those votes as a PAV value scaled by
+    ``scaled_harmonics(k)``, a witness (None if no count vector exists) and
+    the nodes visited.
     """
-    if e.n > CLASS_VOTE_BUDGET:
-        raise BudgetExceededError(f"n={e.n} exceeds budget {CLASS_VOTE_BUDGET}")
-    classes = class_partition(e).classes
-    search = _count_search(classes, e.n)
+    if len(votes) > CLASS_VOTE_BUDGET:
+        raise BudgetExceededError(f"n={len(votes)} exceeds budget {CLASS_VOTE_BUDGET}")
+    classes = class_partition(e, votes)
+    search = _count_search(classes, len(votes))
 
     def solve(forced, k):
         hsum = scaled_harmonics(k)[1]
@@ -444,32 +431,22 @@ def pav_bb_dv(instance):
     e = instance.election
     k, d = instance.k, instance.d
     stats = {"nodes": 0, "max_branch": 0}
-
-    def pad(base):
-        w = list(base)
-        for c in range(e.m):
-            if len(w) == k:
-                break
-            if c not in w:
-                w.append(c)
-        return tuple(sorted(w))
-
     if d <= 0:
-        return SolveResult(True, None, pad(()), "pav_bb_dv", stats)
+        return SolveResult(True, None, fill_committee((), k, range(e.m)), "pav_bb_dv", stats)
     if k == 0:
         return SolveResult(False, None, None, "pav_bb_dv", stats)
     counts = e.approver_counts()
     for c in range(e.m):
         if counts[c] >= d:
-            return SolveResult(True, None, pad((c,)), "pav_bb_dv", stats)
+            return SolveResult(True, None, fill_committee((c,), k, range(e.m)), "pav_bb_dv", stats)
     capp = [c for c in range(e.m) if counts[c] > 0]
     k2 = min(k, len(capp))
     if k2 == len(capp):
-        s = score(e, PAV, capp)
-        ok = s >= d
-        return SolveResult(ok, None, pad(capp) if ok else None, "pav_bb_dv", stats)
+        ok = score(e, PAV, capp) >= d
+        w = fill_committee(capp, k, range(e.m)) if ok else None
+        return SolveResult(ok, None, w, "pav_bb_dv", stats)
     depth_cap = min(k2, math.ceil(d * e.delta_v))
-    approvers = {c: e.approvers(c) for c in capp}
+    approvers = e.approver_sets()
     # scores in integers: a committee of at most k2 <= k members scores
     # sum hsum[cov[j]], and it meets d iff that sum reaches need
     scale, hsum = scaled_harmonics(k)
@@ -512,7 +489,9 @@ def pav_bb_dv(instance):
     if found is None:
         return SolveResult(False, None, None, "pav_bb_dv", stats)
     w = checked_witness(
-        pad(sorted(found)), lambda w: len(w) == k and score(e, PAV, w) >= d, "pav_bb_dv"
+        fill_committee(found, k, range(e.m)),
+        lambda w: len(w) == k and score(e, PAV, w) >= d,
+        "pav_bb_dv",
     )
     return SolveResult(True, None, w, "pav_bb_dv", stats)
 
@@ -555,21 +534,18 @@ def mav_by_matching(instance):
     c_m, v_m = _matching_split(e)
     c_m_set = set(c_m)
     v_m_set = set(v_m)
-    outside = [v for j, v in enumerate(e.votes) if j not in v_m_set]
+    outside = checked_witness(
+        [v for j, v in enumerate(e.votes) if j not in v_m_set],
+        lambda vs: all(v <= c_m_set for v in vs),
+        "mav_by_matching split",
+    )
     matched = [e.votes[j] for j in v_m]
-    by_support = {}
-    for c in range(e.m):
-        if c in c_m_set:
-            continue
-        support = checked_witness(
-            e.approvers(c), lambda s: s <= v_m_set, "mav_by_matching split"
-        )
-        by_support.setdefault(support, []).append(c)
-    vote_pos = {j: i for i, j in enumerate(v_m)}
-    classes = [
-        (tuple(vote_pos[j] for j in support), members)
-        for support, members in sorted(by_support.items(), key=lambda it: it[1])
-    ]
+    classes = []
+    for support, members in class_partition(e, v_m):
+        unmatched = tuple(c for c in members if c not in c_m_set)
+        if unmatched:
+            classes.append((support, unmatched))
+    classes.sort(key=lambda cls: cls[1])
     search = _count_search(classes, len(v_m))
     stats = {"subinstances": 0}
 
@@ -610,7 +586,7 @@ def pav_by_matching(instance):
     c_m, v_m = _matching_split(e)
     v_m_set = set(v_m)
     outside = [v for j, v in enumerate(e.votes) if j not in v_m_set]
-    solve = _pav_class_search(Election(m=e.m, votes=tuple(e.votes[j] for j in v_m)))
+    solve = _pav_class_search(e, v_m)
     scale, hsum = scaled_harmonics(k)
     best = None
     best_w = None

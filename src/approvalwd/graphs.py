@@ -191,14 +191,11 @@ class MultigraphRep:
 
 
 def multigraph_rep(election):
-    """The vote multigraph, built in one pass over the votes.
+    """The vote multigraph: each candidate's edge joins the votes in V(c).
 
     Raises ValueError when a candidate is approved by more than two votes.
     """
-    edges = [[] for _ in range(election.m)]
-    for j, v in enumerate(election.votes):
-        for c in v:
-            edges[c].append(j)
+    edges = election.approver_sets()
     for c, endpoints in enumerate(edges):
         if len(endpoints) > 2:
             raise ValueError(
@@ -609,17 +606,14 @@ class NiceTreeDecomposition:
                     stack.append((child, False))
         return out
 
-    def nodes(self):
-        return self.postorder()
-
     def width(self):
-        return max((len(x.bag) for x in self.nodes()), default=0) - 1
+        return max((len(x.bag) for x in self.postorder()), default=0) - 1
 
     def validate(self, graph=None):
         """Check nice-ness; with a graph, or an adjacency mapping that holds every
         vertex and lists each edge from at least one end, also check the
         decomposition conditions."""
-        nodes = self.nodes()
+        nodes = self.postorder()
         if self.root.bag:
             raise DecompositionError("root bag not empty")
         for x in nodes:

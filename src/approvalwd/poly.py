@@ -17,7 +17,16 @@ import itertools
 import math
 
 from . import graphs
-from .core import CCAV, checked_witness, MAV, PAV, scaled_harmonics, score, SolveResult
+from .core import (
+    CCAV,
+    checked_witness,
+    fill_committee,
+    MAV,
+    PAV,
+    scaled_harmonics,
+    score,
+    SolveResult,
+)
 
 
 def _require(cond, msg):
@@ -138,12 +147,7 @@ def pav_deg1(instance):
             if pool:
                 w.append(pool.pop(0))
                 progress = True
-    for c in range(e.m):
-        if len(w) == k:
-            break
-        if c not in w:
-            w.append(c)
-    w = tuple(sorted(w))
+    w = fill_committee(w, k, range(e.m))
     opt = score(e, PAV, w)
     return SolveResult(
         decision=opt >= instance.d,

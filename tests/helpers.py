@@ -296,7 +296,7 @@ def reference_validate(bags, edges, graph):
 def reference_nice_validate(ntd, graph):
     """Nice-ness, then the scanning check on the nice tree's bags and edges."""
     ntd.validate()
-    nodes = ntd.nodes()
+    nodes = ntd.postorder()
     index = {id(x): i for i, x in enumerate(nodes)}
     edges = [(index[id(x)], index[id(c)]) for x in nodes for c in x.children]
     reference_validate([x.bag for x in nodes], edges, graph)

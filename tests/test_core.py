@@ -115,7 +115,7 @@ def test_compute_params_kbar():
 
 def test_class_partition_e1():
     part = class_partition(e1())
-    assert part.classes == (
+    assert part == (
         (frozenset({0, 2}), (0,)),
         (frozenset({0, 1}), (1,)),
         (frozenset({1}), (2,)),
@@ -123,9 +123,18 @@ def test_class_partition_e1():
 
 
 def test_class_partition_restricted():
-    part = class_partition(e1(), restrict_votes={0})
-    assert part.classes == (
+    part = class_partition(e1(), [0])
+    assert part == (
         (frozenset({0}), (0, 1)),
+        (frozenset(), (2,)),
+    )
+
+
+def test_class_partition_supports_are_positions_in_votes():
+    # vote 2 sits at position 0 and vote 0 at position 1; vote 1 is left out
+    assert class_partition(e1(), [2, 0]) == (
+        (frozenset({0, 1}), (0,)),
+        (frozenset({1}), (1,)),
         (frozenset(), (2,)),
     )
 
@@ -133,7 +142,7 @@ def test_class_partition_restricted():
 def test_class_partition_unapproved_candidate():
     e = Election(m=1, votes=(frozenset(),))
     part = class_partition(e)
-    assert part.classes == ((frozenset(), (0,)),)
+    assert part == ((frozenset(), (0,)),)
 
 
 def test_class_partition_is_partition():
@@ -142,7 +151,7 @@ def test_class_partition_is_partition():
         e = random_election(rng)
         part = class_partition(e)
         seen = []
-        for support, members in part.classes:
+        for support, members in part:
             for c in members:
                 assert e.approvers(c) == support
             seen.extend(members)

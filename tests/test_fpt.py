@@ -19,7 +19,7 @@ from approvalwd.fpt import (
     pav_by_matching,
 )
 from approvalwd.oracle import brute_force, brute_force_grsp, BudgetExceededError
-from approvalwd.portfolio import generate, GeneratorConfig
+from approvalwd.portfolio import dispatch, generate, GeneratorConfig, SOLVERS
 
 from helpers import (
     check_against_oracle,
@@ -95,12 +95,12 @@ def test_grsp_examples():
         r=2,
         kappa=2,
     )
-    ok, sel = grsp_solve(g)
+    ok, sel, _ = grsp_solve(g)
     assert not ok and sel is None
     g2 = GrspInstance(
         universe=g.universe, sets=g.sets, f={"a": 1, "b": 2, "c": 1}, r=2, kappa=2
     )
-    ok, sel = grsp_solve(g2)
+    ok, sel, _ = grsp_solve(g2)
     assert ok and sorted(sel) == [0, 1]
 
 
@@ -115,7 +115,7 @@ def test_grsp_against_oracle():
         f = {u: rng.randint(0, 3) for u in universe}
         kappa = rng.randint(0, len(sets))
         g = GrspInstance(universe=universe, sets=sets, f=f, r=len(universe), kappa=kappa)
-        ok, sel = grsp_solve(g)
+        ok, sel, _ = grsp_solve(g)
         assert ok == brute_force_grsp(universe, list(sets), f, kappa)
         if ok:
             counts = {}
@@ -406,6 +406,96 @@ def test_mav_k_deltac_pinned(seed, decision, opt, witness, nodes):
     res = mav_k_deltac(Instance(election=e, rule=MAV, k=2 + seed % 3, d=3 + seed % 4))
     assert (res.decision, res.opt_score, res.witness) == (decision, Fraction(opt), witness)
     assert res.stats == {"nodes": nodes}
+
+
+# (seed, k, d, decision, witness, subinstances) for mav_by_matching and (seed,
+# k, d, decision, witness, nodes) for mav_dual_grsp, recorded from the routes
+# that scanned each candidate's approvers and grouped the classes themselves,
+# with the nodes counted by fpt._depth_first; the order of the classes and of
+# the sets decides which witness each returns
+_PINNED_MAV_MATCHING = [
+    (0, 3, "3", True, (5, 7, 8), 15),
+    (1, 4, "16/3", True, (2, 4, 10, 11), 3),
+    (2, 5, "20/3", True, (0, 2, 6, 9, 10), 17),
+    (3, 3, "5/2", False, None, 4),
+    (4, 4, "5", True, (1, 4, 6, 8), 3),
+    (5, 5, "16/3", True, (2, 6, 8, 9, 11), 4),
+    (6, 3, "11/3", True, (0, 5, 6), 3),
+    (7, 4, "7/2", False, None, 31),
+    (8, 5, "5", True, (0, 3, 4, 8, 10), 50),
+    (9, 3, "10/3", True, (3, 6, 10), 14),
+    (10, 4, "17/3", True, (7, 10, 11, 12), 1),
+    (11, 5, "9/2", False, None, 63),
+    (12, 3, "3", True, (4, 8, 10), 4),
+    (13, 4, "13/3", True, (0, 9, 10, 11), 5),
+    (14, 5, "17/3", True, (1, 8, 9, 10, 12), 2),
+    (15, 3, "7/2", False, None, 26),
+    (16, 4, "4", True, (3, 5, 9, 10), 15),
+    (17, 5, "16/3", True, (1, 7, 9, 10, 11), 3),
+    (18, 3, "14/3", True, (0, 2, 7), 2),
+    (19, 4, "7/2", False, None, 16),
+]
+_PINNED_DUAL_GRSP = [
+    (0, 6, "6", True, (2, 4, 5, 6, 7, 8), 4),
+    (1, 6, "11/2", False, None, 0),
+    (2, 6, "5", False, None, 48),
+    (3, 9, "7", True, (2, 3, 4, 5, 6, 7, 8, 10, 11), 4),
+    (4, 5, "9/2", False, None, 0),
+    (5, 5, "4", False, None, 0),
+    (6, 8, "8", True, (2, 3, 5, 6, 7, 8, 9, 10), 4),
+    (7, 8, "15/2", False, None, 0),
+    (8, 4, "4", False, None, 47),
+    (9, 7, "6", True, (2, 4, 5, 6, 7, 8, 9), 4),
+    (10, 7, "13/2", False, None, 0),
+    (11, 7, "6", False, None, 0),
+    (12, 6, "6", True, (2, 4, 5, 6, 7, 8), 4),
+    (13, 6, "11/2", False, None, 0),
+    (14, 6, "5", False, None, 0),
+    (15, 9, "9", True, (2, 4, 5, 6, 7, 8, 9, 10, 11), 4),
+    (16, 5, "7/2", False, None, 22),
+    (17, 5, "5", False, None, 139),
+    (18, 8, "6", True, (0, 1, 3, 5, 6, 8, 9, 10), 4),
+    (19, 8, "15/2", False, None, 0),
+]
+
+
+@pytest.mark.parametrize("seed,k,d,decision,witness,subinstances", _PINNED_MAV_MATCHING)
+def test_mav_by_matching_pinned(seed, k, d, decision, witness, subinstances):
+    e = generate(GeneratorConfig(m=11 + seed % 4, n=5 + seed % 3, max_dv=4, max_dc=3), 900 + seed)
+    res = mav_by_matching(Instance(e, MAV, k, Fraction(d)))
+    assert (res.decision, res.witness) == (decision, witness)
+    assert res.stats == {"subinstances": subinstances}
+
+
+@pytest.mark.parametrize("seed,k,d,decision,witness,nodes", _PINNED_DUAL_GRSP)
+def test_mav_dual_grsp_pinned(seed, k, d, decision, witness, nodes):
+    m = 9 + seed % 4
+    e = generate(GeneratorConfig(m=m, n=5 + seed % 4, max_dv=m - 1, max_dc=4), 1100 + seed)
+    res = mav_dual_grsp(Instance(e, MAV, k, Fraction(d)))
+    assert (res.decision, res.witness, res.stats) == (decision, witness, {"nodes": nodes})
+
+
+def test_routes_never_scan_approvers(monkeypatch):
+    # every route reads V(c) from the one pass Election.approver_sets; the
+    # per-candidate scan is left to the tests as their reference
+    calls = []
+    scan = Election.approvers
+
+    def counted(self, c):
+        calls.append(c)
+        return scan(self, c)
+
+    monkeypatch.setattr(Election, "approvers", counted)
+    # kbar = 2 as in the dual-scale MAV cases; no single candidate meets the
+    # PAV threshold, so pav_bb_dv searches; both thresholds are the optimum
+    mav_e = generate(GeneratorConfig(m=10, n=10, max_dv=4, max_dc=4), 3)
+    pav_e = generate(GeneratorConfig(m=10, n=10, max_dv=3, max_dc=3), 4)
+    for inst in (Instance(mav_e, MAV, 8, 7), Instance(pav_e, PAV, 4, Fraction(22, 3))):
+        assert dispatch(inst).decision
+        for solver in SOLVERS:
+            if solver.cost and solver.rule == inst.rule:
+                assert solver.run(inst).decision, solver.name
+    assert calls == []
 
 
 def test_mav_dual_grsp_deeper_than_the_recursion_limit():

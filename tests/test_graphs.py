@@ -246,7 +246,7 @@ def test_to_nice_properties():
         ntd = to_nice(td)
         ntd.validate(g)
         assert ntd.width() == td.width()
-        forgotten = [x.vertex for x in ntd.nodes() if x.kind == "forget"]
+        forgotten = [x.vertex for x in ntd.postorder() if x.kind == "forget"]
         assert sorted(forgotten) == g.vertices()
         assert len(forgotten) == len(set(forgotten))
 
