@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,9 +30,10 @@ class InternalError(RuntimeError):
 def checked_witness(witness, accept, what):
     """``witness``, once ``accept(witness)``, the caller's exact re-check, passes.
 
-    These re-checks guard each solver's own arithmetic, so they are explicit
-    checks that survive ``python -O``: a missing or rejected witness raises
-    InternalError.
+    For the checks that are not committee checks, which ``answer`` makes:
+    a b-edge cover, a route's split invariant, a forced set.  They are
+    explicit checks that survive ``python -O``: a missing or rejected
+    witness raises InternalError.
     """
     if witness is None or not accept(witness):
         raise InternalError(f"{what}: witness fails its exact re-check")
@@ -175,25 +177,65 @@ def hamming(v, w):
 
 
 def score(election, rule, committee):
-    """Exact score of a committee under the given rule.
+    """Exact score of a committee under the given rule, one intersection per vote.
 
-    MAV: max Hamming distance to any vote (0 with no votes).
+    MAV: max Hamming distance |v| + |w| - 2|v n w| to any vote (0 with no votes).
     CCAV: number of votes intersecting the committee.
-    PAV: sum over votes of 1 + 1/2 + ... + 1/|v n w|.
+    PAV: sum over votes of 1 + 1/2 + ... + 1/|v n w|, as harmonic(x) times
+    the number of votes with overlap x.
     """
     w = frozenset(committee)
     if rule == MAV:
-        return Fraction(max((hamming(v, w) for v in election.votes), default=0))
+        size = len(w)
+        return Fraction(max((len(v) + size - 2 * len(v & w) for v in election.votes), default=0))
     if rule == CCAV:
         return Fraction(sum(1 for v in election.votes if v & w))
     if rule == PAV:
-        return sum((harmonic(len(v & w)) for v in election.votes), Fraction(0))
+        overlaps = Counter(len(v & w) for v in election.votes)
+        return sum((harmonic(x) * count for x, count in overlaps.items() if x), Fraction(0))
     raise ValueError(f"unknown rule {rule!r}")
 
 
 def meets_threshold(rule, value, d):
     """Whether a score satisfies the instance threshold (<= d for MAV, >= d else)."""
     return value <= d if rule == MAV else value >= d
+
+
+def answer(instance, algorithm, stats, witness=None, opt=None, *, optimal=False):
+    """A route's SolveResult, built once its witness passes the one exact check.
+
+    Every route returns through here.  No witness means "no", except for a
+    route that claims an optimum (``opt``, or ``optimal``): there it raises.
+    A witness must be k distinct candidates of [0, m); it is re-scored once
+    with ``score``, the re-score must lie in the rule's range, and a decision
+    route's witness must meet d, an optimum route's must score exactly
+    ``opt``, a Fraction.  The routes optimal by construction pass
+    ``optimal=True`` and report the re-score as the optimum.  Every failure
+    raises InternalError, under ``python -O`` too.
+    """
+    if witness is None:
+        if opt is not None or optimal:
+            raise InternalError(f"{algorithm}: an optimum without a witness")
+        return SolveResult(False, None, None, algorithm, stats)
+    e, rule, k, d = instance.election, instance.rule, instance.k, instance.d
+    w = tuple(sorted(witness))
+    if not len(w) == len(set(w)) == k or (w and not 0 <= w[0] <= w[-1] < e.m):
+        raise InternalError(f"{algorithm}: witness {w} is not {k} distinct candidates "
+                            f"of [0, {e.m})")
+    s = score(e, rule, w)
+    # a vote is at distance at most m and adds at most 1 to CCAV, harmonic(k)
+    # to PAV: a re-score outside that range is a fault of the scoring itself
+    top = e.m if rule == MAV else e.n * (1 if rule == CCAV else harmonic(k))
+    if not 0 <= s <= top:
+        raise InternalError(f"{algorithm}: witness {w} re-scores to {s}, outside [0, {top}]")
+    if optimal:
+        opt = s
+    elif opt is None:
+        if not meets_threshold(rule, s, d):
+            raise InternalError(f"{algorithm}: witness {w} scores {s}, which misses d = {d}")
+    elif s != opt:
+        raise InternalError(f"{algorithm}: witness {w} scores {s}, not the claimed optimum {opt}")
+    return SolveResult(meets_threshold(rule, s, d), opt, w, algorithm, stats)
 
 
 def compute_params(instance):

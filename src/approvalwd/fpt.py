@@ -15,15 +15,15 @@ from fractions import Fraction
 
 from . import graphs
 from .core import (
+    answer,
     CCAV,
-    MAV,
-    PAV,
     checked_witness,
     class_partition,
     fill_committee,
+    Instance,
+    MAV,
+    PAV,
     scaled_harmonics,
-    score,
-    SolveResult,
 )
 from .oracle import BudgetExceededError
 
@@ -42,6 +42,8 @@ class AnnotatedPavInstance:
     def __post_init__(self):
         if not len(self.forced) <= self.k <= self.election.m:
             raise ValueError("need |forced| <= k <= m")
+        if any(not 0 <= c < self.election.m for c in self.forced):
+            raise ValueError(f"forced candidates outside [0, {self.election.m})")
         object.__setattr__(self, "d", Fraction(self.d))
 
 
@@ -49,10 +51,8 @@ class AnnotatedPavInstance:
 class GrspInstance:
     """Generalized set packing: pick kappa sets, element u in at most f(u) of them."""
 
-    universe: tuple
-    sets: tuple  # of frozensets, each of size <= r
+    sets: tuple  # of frozensets
     f: dict
-    r: int
     kappa: int
 
 
@@ -174,7 +174,7 @@ def _mav_class_search(instance, considered, algorithm):
     """The MAV optimum over the considered votes by the class-count search.
 
     The classes are taken with respect to the considered votes only; the
-    witness is re-checked against the optimum on every vote.
+    optimum holds on every vote, which ``answer`` re-checks.
     """
     if instance.rule != MAV:
         raise ValueError("rule must be mav")
@@ -197,17 +197,7 @@ def _mav_class_search(instance, considered, algorithm):
     witness = []
     for (support, members), x in zip(classes, counts):
         witness.extend(members[:x])
-    opt = Fraction(-value)
-    witness = checked_witness(
-        tuple(sorted(witness)), lambda w: score(e, MAV, w) == opt, algorithm
-    )
-    return SolveResult(
-        decision=opt <= instance.d,
-        opt_score=opt,
-        witness=witness,
-        algorithm=algorithm,
-        stats={"nodes": nodes},
-    )
+    return answer(instance, algorithm, {"nodes": nodes}, witness, Fraction(-value))
 
 
 # ---------------------------------------------------------------------------
@@ -268,30 +258,14 @@ def mav_dual_grsp(instance):
         raise ValueError("rule must be mav")
     e = instance.election
     k, d = instance.k, instance.d
-    if d < 0:
-        return SolveResult(False, None, None, "mav_dual_grsp", {"nodes": 0})
-    for v in e.votes:
-        if len(v) < k and d < k - len(v):
-            return SolveResult(False, None, None, "mav_dual_grsp", {"nodes": 0})
+    if d < 0 or any(len(v) < k and d < k - len(v) for v in e.votes):
+        return answer(instance, "mav_dual_grsp", {"nodes": 0})
     floor_d = math.floor(d)
     f = {j: (floor_d + len(v) - k) // 2 for j, v in enumerate(e.votes)}
-    g = GrspInstance(
-        universe=tuple(f),
-        sets=tuple(map(frozenset, e.approver_sets())),
-        f=f,
-        r=max(e.delta_c, 1),
-        kappa=e.m - k,
-    )
+    g = GrspInstance(sets=tuple(map(frozenset, e.approver_sets())), f=f, kappa=e.m - k)
     ok, removed, nodes = grsp_solve(g)
-    stats = {"nodes": nodes}
-    if not ok:
-        return SolveResult(False, None, None, "mav_dual_grsp", stats)
-    w = checked_witness(
-        tuple(sorted(set(range(e.m)) - set(removed))),
-        lambda w: score(e, MAV, w) <= d,
-        "mav_dual_grsp",
-    )
-    return SolveResult(True, None, w, "mav_dual_grsp", stats)
+    w = set(range(e.m)).difference(removed) if ok else None
+    return answer(instance, "mav_dual_grsp", {"nodes": nodes}, w)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +320,7 @@ def ccav_bb_dual(instance):
         return None
 
     w, nodes = _depth_first(solve(frozenset(range(e.m)), list(e.votes), instance.d))
-    if w is not None:
-        checked_witness(
-            w, lambda w: len(w) == k and score(e, CCAV, w) >= instance.d, "ccav_bb_dual"
-        )
-    return SolveResult(
-        decision=w is not None,
-        opt_score=None,
-        witness=w,
-        algorithm="ccav_bb_dual",
-        stats={"nodes": nodes},
-    )
+    return answer(instance, "ccav_bb_dual", {"nodes": nodes}, w)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +331,10 @@ def pav_annotated(ann):
     """Exact annotated PAV optimum by search over per-class selection counts."""
     e, k = ann.election, ann.k
     value, witness, nodes = _pav_class_search(e, range(e.n))(ann.forced, k)
-    stats = {"nodes": nodes}
-    if witness is None:
-        return SolveResult(False, None, None, "pav_annotated", stats)
-    opt = score(e, PAV, witness)
+    witness = checked_witness(witness, ann.forced.issubset, "pav_annotated forced set")
     # the exact re-score guards the search's scaled integer values
-    checked_witness(witness, lambda w: opt * scaled_harmonics(k)[0] == value, "pav_annotated")
-    return SolveResult(opt >= ann.d, opt, witness, "pav_annotated", stats)
+    return answer(Instance(e, PAV, k, ann.d), "pav_annotated", {"nodes": nodes},
+                  witness, Fraction(value, scaled_harmonics(k)[0]))
 
 
 def _pav_class_search(e, votes):
@@ -432,25 +393,26 @@ def pav_bb_dv(instance):
     k, d = instance.k, instance.d
     stats = {"nodes": 0, "max_branch": 0}
     if d <= 0:
-        return SolveResult(True, None, fill_committee((), k, range(e.m)), "pav_bb_dv", stats)
+        return answer(instance, "pav_bb_dv", stats, fill_committee((), k, range(e.m)))
     if k == 0:
-        return SolveResult(False, None, None, "pav_bb_dv", stats)
+        return answer(instance, "pav_bb_dv", stats)
     counts = e.approver_counts()
     for c in range(e.m):
         if counts[c] >= d:
-            return SolveResult(True, None, fill_committee((c,), k, range(e.m)), "pav_bb_dv", stats)
-    capp = [c for c in range(e.m) if counts[c] > 0]
-    k2 = min(k, len(capp))
-    if k2 == len(capp):
-        ok = score(e, PAV, capp) >= d
-        w = fill_committee(capp, k, range(e.m)) if ok else None
-        return SolveResult(ok, None, w, "pav_bb_dv", stats)
-    depth_cap = min(k2, math.ceil(d * e.delta_v))
-    approvers = e.approver_sets()
-    # scores in integers: a committee of at most k2 <= k members scores
+            return answer(instance, "pav_bb_dv", stats, fill_committee((c,), k, range(e.m)))
+    # scores in integers: a committee of at most k members scores
     # sum hsum[cov[j]], and it meets d iff that sum reaches need
     scale, hsum = scaled_harmonics(k)
     need = math.ceil(d * scale)
+    capp = [c for c in range(e.m) if counts[c] > 0]
+    k2 = min(k, len(capp))
+    if k2 == len(capp):
+        # every approved candidate fits: vote v's overlap is |v| <= k
+        ok = sum(hsum[len(v)] for v in e.votes) >= need
+        w = fill_committee(capp, k, range(e.m)) if ok else None
+        return answer(instance, "pav_bb_dv", stats, w)
+    depth_cap = min(k2, math.ceil(d * e.delta_v))
+    approvers = e.approver_sets()
     cov = [0] * e.n
 
     def gain(c):
@@ -486,14 +448,8 @@ def pav_bb_dv(instance):
         return None
 
     found, stats["nodes"] = _depth_first(dfs(frozenset(), 0))
-    if found is None:
-        return SolveResult(False, None, None, "pav_bb_dv", stats)
-    w = checked_witness(
-        fill_committee(found, k, range(e.m)),
-        lambda w: len(w) == k and score(e, PAV, w) >= d,
-        "pav_bb_dv",
-    )
-    return SolveResult(True, None, w, "pav_bb_dv", stats)
+    return answer(instance, "pav_bb_dv", stats,
+                  None if found is None else fill_committee(found, k, range(e.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +486,7 @@ def mav_by_matching(instance):
     e = instance.election
     k, d = instance.k, instance.d
     if d < 0:
-        return SolveResult(False, None, None, "mav_by_matching", {})
+        return answer(instance, "mav_by_matching", {})
     c_m, v_m = _matching_split(e)
     c_m_set = set(c_m)
     v_m_set = set(v_m)
@@ -565,11 +521,8 @@ def mav_by_matching(instance):
             w = list(cprime)
             for (support, members), x in zip(classes, picks):
                 w.extend(members[:x])
-            w = checked_witness(
-                tuple(sorted(w)), lambda w: score(e, MAV, w) <= d, "mav_by_matching"
-            )
-            return SolveResult(True, None, w, "mav_by_matching", stats)
-    return SolveResult(False, None, None, "mav_by_matching", stats)
+            return answer(instance, "mav_by_matching", stats, w)
+    return answer(instance, "mav_by_matching", stats)
 
 
 def pav_by_matching(instance):
@@ -582,7 +535,7 @@ def pav_by_matching(instance):
     if instance.rule != PAV:
         raise ValueError("rule must be pav")
     e = instance.election
-    k, d = instance.k, instance.d
+    k = instance.k
     c_m, v_m = _matching_split(e)
     v_m_set = set(v_m)
     outside = [v for j, v in enumerate(e.votes) if j not in v_m_set]
@@ -599,12 +552,4 @@ def pav_by_matching(instance):
         if best is None or total > best:
             best = total
             best_w = witness
-    opt = score(e, PAV, best_w)
-    checked_witness(best_w, lambda w: opt * scale == best, "pav_by_matching")
-    return SolveResult(
-        decision=opt >= d,
-        opt_score=opt,
-        witness=best_w,
-        algorithm="pav_by_matching",
-        stats=stats,
-    )
+    return answer(instance, "pav_by_matching", stats, best_w, Fraction(best, scale))

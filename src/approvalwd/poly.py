@@ -15,18 +15,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from fractions import Fraction
 
 from . import graphs
-from .core import (
-    CCAV,
-    checked_witness,
-    fill_committee,
-    MAV,
-    PAV,
-    scaled_harmonics,
-    score,
-    SolveResult,
-)
+from .core import answer, CCAV, fill_committee, MAV, PAV, scaled_harmonics
 
 
 def _require(cond, msg):
@@ -58,11 +50,10 @@ def mav_deg2(instance):
     _require(e.delta_c <= 2, "mav_deg2 needs every |V(c)| <= 2")
     k, d = instance.k, instance.d
     if d < 0:
-        return SolveResult(False, None, None, "mav_deg2", {"kept_votes": e.n})
+        return answer(instance, "mav_deg2", {"kept_votes": e.n})
     kept = [j for j, v in enumerate(e.votes) if d < len(v) + k]
     if not kept:
-        w = tuple(range(k))
-        return SolveResult(True, None, w, "mav_deg2", {"kept_votes": 0})
+        return answer(instance, "mav_deg2", {"kept_votes": 0}, range(k))
     pos = {j: i for i, j in enumerate(kept)}
     edges = [
         tuple(pos[j] for j in endpoints if j in pos)
@@ -70,13 +61,7 @@ def mav_deg2(instance):
     ]
     f = [math.ceil((len(e.votes[j]) + k - d) / 2) for j in kept]
     cover = graphs.simple_b_edge_cover_exact(len(kept), edges, f, k)
-    stats = {"kept_votes": len(kept)}
-    if cover is None:
-        return SolveResult(False, None, None, "mav_deg2", stats)
-    w = checked_witness(
-        tuple(sorted(cover)), lambda w: score(e, MAV, w) <= d, "mav_deg2"
-    )
-    return SolveResult(True, None, w, "mav_deg2", stats)
+    return answer(instance, "mav_deg2", {"kept_votes": len(kept)}, cover)
 
 
 def _matching_order(mg, votes, cands):
@@ -115,15 +100,7 @@ def ccav_deg2(instance):
     _require(instance.rule == CCAV, "rule must be ccav")
     _require(e.delta_c <= 2, "ccav_deg2 needs every |V(c)| <= 2")
     order, matched = _matching_order(graphs.multigraph_rep(e), range(e.n), range(e.m))
-    w = tuple(sorted(order[: instance.k]))
-    opt = score(e, CCAV, w)
-    return SolveResult(
-        decision=opt >= instance.d,
-        opt_score=opt,
-        witness=w,
-        algorithm="ccav_deg2",
-        stats={"matching": matched},
-    )
+    return answer(instance, "ccav_deg2", {"matching": matched}, order[: instance.k], optimal=True)
 
 
 def pav_deg1(instance):
@@ -147,15 +124,7 @@ def pav_deg1(instance):
             if pool:
                 w.append(pool.pop(0))
                 progress = True
-    w = fill_committee(w, k, range(e.m))
-    opt = score(e, PAV, w)
-    return SolveResult(
-        decision=opt >= instance.d,
-        opt_score=opt,
-        witness=w,
-        algorithm="pav_deg1",
-        stats={},
-    )
+    return answer(instance, "pav_deg1", {}, fill_committee(w, k, range(e.m)), optimal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +174,5 @@ def pav_deg22(instance):
     # merge consumes each profile in order, so a component's picks are a prefix
     # of its order; equal gains go to the smaller candidate
     picked = list(itertools.islice(heapq.merge(*profiles), instance.k))
-    w = tuple(sorted(c for _, c in picked))
-    opt = score(e, PAV, w)
-    checked_witness(w, lambda w: opt * scale == -sum(g for g, _ in picked), "pav_deg22")
-    return SolveResult(
-        decision=opt >= instance.d,
-        opt_score=opt,
-        witness=w,
-        algorithm="pav_deg22",
-        stats={"components": len(comps), "free": len(free)},
-    )
+    return answer(instance, "pav_deg22", {"components": len(comps), "free": len(free)},
+                  [c for _, c in picked], Fraction(-sum(g for g, _ in picked), scale))

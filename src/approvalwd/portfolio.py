@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import fpt, graphs, oracle, poly, twdp
 from .core import (
+    answer,
     CCAV,
     compute_params,
     Election,
@@ -23,7 +24,6 @@ from .core import (
     parse_instance,
     PAV,
     score,
-    SolveResult,
 )
 from .oracle import BudgetExceededError
 
@@ -37,18 +37,6 @@ class AllSolversExceededError(RuntimeError):
 FPT_COST_CAP = 10**7
 TW_WIDTH_CAP = 8
 BRUTE_M_BUDGET = 22
-
-
-def _av_result(instance):
-    w = poly.av_optimal(instance.election, instance.k)
-    s = score(instance.election, instance.rule, w)
-    return SolveResult(
-        decision=meets_threshold(instance.rule, s, instance.d),
-        opt_score=s,
-        witness=w,
-        algorithm="av_optimal",
-        stats={},
-    )
 
 
 @dataclass(frozen=True)
@@ -107,7 +95,9 @@ SOLVERS = (
     Solver("auto", "dispatch", None, lambda inst: dispatch(inst)),
     Solver("brute", "brute_force", None, lambda inst: oracle.brute_force(inst)),
     # the polynomial routes, in the order dispatch tries them
-    Solver("av", "av_optimal", None, lambda inst: _av_result(inst),
+    Solver("av", "av_optimal", None,
+           lambda inst: answer(inst, "av_optimal", {}, poly.av_optimal(inst.election, inst.k),
+                               optimal=True),
            degrees=lambda dv, dc: dv <= 1),
     Solver("mav-deg2", "mav_deg2", MAV, lambda inst: poly.mav_deg2(inst),
            degrees=lambda dv, dc: dc <= 2),
@@ -215,9 +205,9 @@ def dispatch(instance, params=None):
         if solver.degrees and solver.applies(instance, delta_v, delta_c):
             return solver.run(instance)
     if instance.rule == MAV and d >= k + delta_v:
-        return SolveResult(True, None, tuple(range(k)), "score_bound", {})
+        return answer(instance, "score_bound", {}, range(k))
     if instance.rule != MAV and d > k * delta_c:
-        return SolveResult(False, None, None, "score_bound", {})
+        return answer(instance, "score_bound", {})
     if params is None:
         params = compute_params(instance)
     bounds = _lower_bounds(e, delta_v, delta_c)

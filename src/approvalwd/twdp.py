@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 
 from . import graphs
-from .core import CCAV, checked_witness, MAV, PAV, scaled_harmonics, score, SolveResult
+from .core import answer, CCAV, MAV, PAV, scaled_harmonics
 
 
 def _bag_votes(bag, m):
@@ -156,23 +156,12 @@ def _run_mu_dp(instance, ntd):
     entry = tables[id(ntd.root)].get((frozenset(), k, ()))
     stats = {"max_entries": max_entries, "nodes": len(order), "width": ntd.width()}
     algorithm = f"{rule}_tw_dp"
-    # the root re-score is what guards the integer table arithmetic
-    if not valued:
-        if entry is None:
-            return SolveResult(False, None, None, algorithm, stats)
-        witness = checked_witness(entry[1], lambda w: score(e, MAV, w) <= d, algorithm)
-        return SolveResult(True, None, witness, algorithm, stats)
-    opt = None if entry is None else Fraction(entry[0], scale)
-    witness = checked_witness(
-        None if entry is None else entry[1], lambda w: score(e, rule, w) == opt, algorithm
-    )
-    return SolveResult(
-        decision=opt >= d,
-        opt_score=opt,
-        witness=witness,
-        algorithm=algorithm,
-        stats=stats,
-    )
+    # the root re-score is what guards the integer table arithmetic; a CCAV or
+    # PAV table always holds the root entry, so its absence is a fault
+    if entry is None:
+        return answer(instance, algorithm, stats, optimal=valued)
+    opt = Fraction(entry[0], scale) if valued else None
+    return answer(instance, algorithm, stats, entry[1], opt)
 
 
 def ccav_tw_dp(instance, ntd=None):
@@ -195,5 +184,5 @@ def mav_tw_dp(instance, ntd=None):
     if instance.rule != MAV:
         raise ValueError("rule must be mav")
     if instance.d < 0:
-        return SolveResult(False, None, None, "mav_tw_dp", {})
+        return answer(instance, "mav_tw_dp", {})
     return _run_mu_dp(instance, ntd)

@@ -6,7 +6,19 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
-from approvalwd import CCAV, compute_params, Election, graphs, Instance, MAV, PAV, portfolio, score
+from approvalwd import (
+    CCAV,
+    compute_params,
+    Election,
+    graphs,
+    hamming,
+    harmonic,
+    Instance,
+    MAV,
+    PAV,
+    portfolio,
+    score,
+)
 from approvalwd.core import SolveResult
 from approvalwd.graphs import DecompositionError
 from approvalwd.oracle import brute_force, BudgetExceededError
@@ -42,6 +54,17 @@ def near_path(n):
             m += 1
         votes.append(frozenset(vote))
     return Election(m=m, votes=tuple(votes))
+
+
+def reference_score(election, rule, committee):
+    """Exact score straight from the rule definitions, one term per vote:
+    the Hamming distance for MAV, harmonic(|v n w|) for PAV."""
+    w = frozenset(committee)
+    if rule == MAV:
+        return Fraction(max((hamming(v, w) for v in election.votes), default=0))
+    if rule == CCAV:
+        return Fraction(sum(1 for v in election.votes if v & w))
+    return sum((harmonic(len(v & w)) for v in election.votes), Fraction(0))
 
 
 def random_graph(rng, max_n=8, p=0.4):

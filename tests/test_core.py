@@ -24,16 +24,18 @@ from approvalwd import (
     PAV,
     RULES,
     score,
+    SolveResult,
 )
 from approvalwd.core import (
     all_committees,
+    answer,
     checked_witness,
     InternalError,
     lcm_upto,
     scaled_harmonics,
 )
 
-from helpers import e1, random_election
+from helpers import e1, random_election, reference_score
 
 
 def test_hamming_examples():
@@ -263,6 +265,71 @@ def test_checked_witness():
         checked_witness((0,), lambda w: len(w) == 2, "pair")
     with pytest.raises(InternalError):
         checked_witness(None, lambda w: True, "pair")
+
+
+def test_score_matches_the_per_vote_reference():
+    # one intersection per vote gives the same exact values as the definitions
+    rng = random.Random(60)
+    for trial in range(40):
+        e = random_election(rng, max_m=60, max_n=30, max_dv=rng.randint(1, 8))
+        if trial % 2:
+            e = Election(e.m, e.votes + (frozenset(),))
+        if trial % 5 == 0:
+            e = Election(e.m, ())
+        for k in range(e.m + 1):
+            w = rng.sample(range(e.m), k)
+            for rule in RULES:
+                s = score(e, rule, w)
+                assert type(s) is Fraction and s == reference_score(e, rule, w), (e, rule, w)
+
+
+def _answer(witness, opt=None, rule=CCAV, d=0, optimal=False):
+    return answer(Instance(e1(), rule, 2, d), "probe", {"nodes": 1}, witness, opt, optimal=optimal)
+
+
+def test_answer_builds_the_result_from_the_rescore():
+    assert _answer(None) == SolveResult(False, None, None, "probe")
+    res = _answer([1, 0], d=3)
+    assert (res.decision, res.opt_score, res.witness) == (True, None, (0, 1))
+    assert res.stats == {"nodes": 1}
+    res = _answer((0, 1), Fraction(7, 2), rule=PAV, d=4)
+    assert (res.decision, res.opt_score, res.witness) == (False, Fraction(7, 2), (0, 1))
+    res = _answer((2, 1), rule=MAV, d=2, optimal=True)
+    assert (res.decision, res.opt_score, res.witness) == (False, 3, (1, 2))
+
+
+@pytest.mark.parametrize("witness", [(0,), (0, 1, 2), (1, 1), (0, 3), (-1, 0)])
+def test_answer_rejects_a_witness_that_is_not_k_distinct_candidates(witness):
+    for kwargs in ({}, {"opt": Fraction(3)}, {"optimal": True}):
+        with pytest.raises(InternalError, match="probe: witness"):
+            _answer(witness, **kwargs)
+
+
+def test_answer_rejects_a_witness_its_rescore_contradicts():
+    with pytest.raises(InternalError, match="misses d"):
+        _answer((1, 2), d=3)
+    with pytest.raises(InternalError, match="not the claimed optimum"):
+        _answer((0, 1), Fraction(4), rule=PAV)
+    for kwargs in ({"opt": Fraction(3)}, {"optimal": True}):
+        with pytest.raises(InternalError, match="an optimum without a witness"):
+            _answer(None, **kwargs)
+
+
+def test_results_are_built_only_by_answer_and_the_oracle():
+    # one checked exit: every route returns through core.answer; the oracle,
+    # the reference the routes are tested against, builds its own result
+    found = []
+    for path in sorted(pathlib.Path(approvalwd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if "SolveResult" not in (getattr(func, "id", None), getattr(func, "attr", None)):
+                continue
+            while node in parent and not isinstance(node, ast.FunctionDef):
+                node = parent[node]
+            found.append(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert sorted(found) == ["core.answer"] * 2 + ["oracle.brute_force"]
 
 
 def test_src_has_no_assert_statements():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from approvalwd import CCAV, class_partition, Election, fpt, Instance, MAV, PAV, score
+from approvalwd import CCAV, class_partition, core, Election, fpt, Instance, MAV, PAV, score
 from approvalwd.fpt import (
     AnnotatedPavInstance,
     ccav_bb_dual,
@@ -89,17 +89,13 @@ def test_mav_dual_grsp_sweep():
 
 def test_grsp_examples():
     g = GrspInstance(
-        universe=("a", "b", "c"),
         sets=(frozenset({"a", "b"}), frozenset({"b", "c"})),
         f={"a": 1, "b": 1, "c": 1},
-        r=2,
         kappa=2,
     )
     ok, sel, _ = grsp_solve(g)
     assert not ok and sel is None
-    g2 = GrspInstance(
-        universe=g.universe, sets=g.sets, f={"a": 1, "b": 2, "c": 1}, r=2, kappa=2
-    )
+    g2 = GrspInstance(sets=g.sets, f={"a": 1, "b": 2, "c": 1}, kappa=2)
     ok, sel, _ = grsp_solve(g2)
     assert ok and sorted(sel) == [0, 1]
 
@@ -114,7 +110,7 @@ def test_grsp_against_oracle():
         )
         f = {u: rng.randint(0, 3) for u in universe}
         kappa = rng.randint(0, len(sets))
-        g = GrspInstance(universe=universe, sets=sets, f=f, r=len(universe), kappa=kappa)
+        g = GrspInstance(sets=sets, f=f, kappa=kappa)
         ok, sel, _ = grsp_solve(g)
         assert ok == brute_force_grsp(universe, list(sets), f, kappa)
         if ok:
@@ -162,6 +158,28 @@ def test_pav_annotated_examples():
     assert not pav_annotated(AnnotatedPavInstance(e1(), w, 2, s + 1)).decision
     with pytest.raises(ValueError):
         AnnotatedPavInstance(e1(), frozenset({0, 1}), 1, Fraction(0))
+
+
+def test_annotated_pav_rejects_forced_candidates_out_of_range():
+    # a forced candidate outside [0, m) could only be dropped from the answer
+    e = Election(3, ({0, 1}, {1, 2}, {2}))
+    for forced in ({99}, {3}, {-1}, {0, 3}):
+        with pytest.raises(ValueError, match="outside"):
+            AnnotatedPavInstance(e, frozenset(forced), 2, 0)
+
+
+def test_pav_annotated_checks_its_forced_set(monkeypatch):
+    # a search that ignores the forced set answers with a committee that
+    # scores what it claims but leaves a forced candidate out
+    e = Election(3, ({0, 1}, {1, 2}, {2}))
+    search = fpt._pav_class_search
+    monkeypatch.setattr(
+        fpt, "_pav_class_search",
+        lambda e, votes: lambda forced, k: search(e, votes)(frozenset(), k),
+    )
+    assert pav_annotated(AnnotatedPavInstance(e, frozenset({1}), 2, 0)).witness == (1, 2)
+    with pytest.raises(core.InternalError, match="pav_annotated forced set"):
+        pav_annotated(AnnotatedPavInstance(e, frozenset({0}), 2, 0))
 
 
 def test_pav_annotated_matches_constrained_oracle():
@@ -336,7 +354,7 @@ def test_pav_bb_dv_pinned(seed, decision, witness, nodes, max_branch, monkeypatc
         calls.append(args)
         return score(*args)
 
-    monkeypatch.setattr(fpt, "score", spy)
+    monkeypatch.setattr(core, "score", spy)
     res = pav_bb_dv(Instance(election=e, rule=PAV, k=3 + seed % 4, d=d))
     assert (res.decision, res.witness) == (decision, witness)
     assert res.stats == {"nodes": nodes, "max_branch": max_branch}

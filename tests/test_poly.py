@@ -224,11 +224,11 @@ def test_witness_check_survives_optimisation():
     # the exact re-score is an explicit check, not an assert that -O strips
     script = textwrap.dedent("""
         from fractions import Fraction
-        from approvalwd import Election, fpt, Instance, MAV, PAV, poly
+        from approvalwd import core, Election, fpt, Instance, MAV, PAV, poly
         from approvalwd.core import InternalError
 
         assert False, "asserts are stripped under -O"
-        poly.score = fpt.score = lambda *args: Fraction(10**9)
+        core.score = lambda *args: Fraction(10**9)
         e = Election(3, ({0, 1}, {1, 2}, {2}))
         cases = [
             (poly.pav_deg22, Instance(e, PAV, 2, 0)),

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -34,6 +38,53 @@ from helpers import (
     reference_dispatch,
     sweep_against_oracle,
 )
+
+
+def test_every_route_rechecks_its_witness_under_optimisation():
+    # core.answer's re-score is an explicit check, not an assert that -O
+    # strips: with score broken, every route that returns a witness raises
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from approvalwd import core, Election, fpt, Instance, portfolio
+
+        assert False, "asserts are stripped under -O"
+        e = Election(3, ({0, 1}, {1, 2}, {2}))
+        on_rule = {"mav": Instance(e, "mav", 1, 2), "ccav": Instance(e, "ccav", 1, 2),
+                   "pav": Instance(e, "pav", 2, 3)}
+        on_name = {"av_optimal": Instance(Election(3, ({0}, {1}, {0})), "ccav", 1, 0),
+                   "pav_deg1": Instance(Election(3, ({0, 1}, {2})), "pav", 2, 0)}
+        cases = [
+            (s.name, lambda s=s: s.run(on_name.get(s.name) or on_rule[s.rule]))
+            for s in portfolio.SOLVERS if s.algo not in ("auto", "brute")
+        ]
+        cases.append(("forced", lambda: fpt.pav_annotated(
+            fpt.AnnotatedPavInstance(e, frozenset({0}), 2, 0))))
+        bound = Instance(Election(3, ({0, 1}, {0, 1}, {0, 2})), "mav", 1, 3)
+        cases.append(("score_bound", lambda: portfolio.dispatch(bound)))
+        found = {name: run() for name, run in cases}
+        core.score = lambda *args: Fraction(10**9)
+        for name, run in cases:
+            try:
+                run()
+                raised = False
+            except core.InternalError:
+                raised = True
+            res = found[name]
+            print(name, res.algorithm, res.witness is not None, raised)
+    """)
+    src = os.path.dirname(os.path.dirname(portfolio.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    ).stdout.split()
+    rows = [tuple(out[i:i + 4]) for i in range(0, len(out), 4)]
+    routes = [s.name for s in portfolio.SOLVERS if s.algo not in ("auto", "brute")]
+    assert rows == [
+        (name, algorithm, "True", "True")
+        for name, algorithm in zip(routes + ["forced", "score_bound"],
+                                   routes + ["pav_annotated", "score_bound"])
+    ]
 
 
 def test_dispatch_routing():

@@ -169,11 +169,11 @@ def test_witness_check_survives_optimisation():
     # the exact re-score is an explicit check, not an assert that -O strips
     script = textwrap.dedent("""
         from fractions import Fraction
-        from approvalwd import CCAV, Election, Instance, MAV, PAV, twdp
+        from approvalwd import CCAV, core, Election, Instance, MAV, PAV, twdp
         from approvalwd.core import InternalError
 
         assert False, "asserts are stripped under -O"
-        twdp.score = lambda *args: Fraction(10**9)
+        core.score = lambda *args: Fraction(10**9)
         e = Election(3, ({0, 1}, {1, 2}, {2}))
         cases = [
             (twdp.ccav_tw_dp, Instance(e, CCAV, 2, 0)),
