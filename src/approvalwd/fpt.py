@@ -277,12 +277,16 @@ def ccav_bb_dual(instance):
 
     State shrinks to the votes that a committee might still miss; a witness
     found in any shrunken state is a valid committee for the original
-    instance because every dropped vote is guaranteed covered.
+    instance because every dropped vote is guaranteed covered.  A committee
+    covers at most the sum of its members' approval counts, so when the k
+    largest counts sum below d the answer is no before the search starts.
     """
     if instance.rule != CCAV:
         raise ValueError("rule must be ccav")
     e = instance.election
     k = instance.k
+    if sum(sorted(e.approver_counts())[e.m - k:]) < instance.d:
+        return answer(instance, "ccav_bb_dual", {"nodes": 0})
 
     def solve(candset, votes, d):
         # a search node: a witness, or None when this state has none
@@ -385,13 +389,18 @@ def pav_bb_dv(instance):
 
     At each node the best-marginal candidate c defines the branch set: the
     candidates approved by votes approving c.  Search depth is capped at
-    ceil(d * deltaV) since each branch step gains at least 1/deltaV.
+    ceil(d * deltaV) since each branch step gains at least 1/deltaV.  PAV is
+    monotone submodular, so r more picks add at most the r largest marginal
+    gains at a node: a node whose score plus that sum, for the picks left
+    under the cap, misses d holds no committee meeting d and is cut
+    (``stats["pruned"]``).  A cut subtree holds no success, so the search
+    returns the committee the unpruned search would.
     """
     if instance.rule != PAV:
         raise ValueError("rule must be pav")
     e = instance.election
     k, d = instance.k, instance.d
-    stats = {"nodes": 0, "max_branch": 0}
+    stats = {"nodes": 0, "max_branch": 0, "pruned": 0}
     if d <= 0:
         return answer(instance, "pav_bb_dv", stats, fill_committee((), k, range(e.m)))
     if k == 0:
@@ -424,13 +433,17 @@ def pav_bb_dv(instance):
             return s_set
         if len(s_set) >= depth_cap:
             return None
-        cbest, mbest = None, None
+        cbest, mbest, gains = None, None, []
         for c in capp:
             if c in s_set:
                 continue
             marg = gain(c)
+            gains.append(marg)
             if mbest is None or marg > mbest:
                 cbest, mbest = c, marg
+        if total + sum(sorted(gains, reverse=True)[: depth_cap - len(s_set)]) < need:
+            stats["pruned"] += 1
+            return None
         branch = set()
         for j in approvers[cbest]:
             branch.update(e.votes[j])

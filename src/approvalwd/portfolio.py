@@ -84,11 +84,28 @@ def _tw_cost(per_entry):
     return cost
 
 
+def _grsp_cost(instance, p):
+    """The nodes ``fpt.grsp_solve`` can visit: at most C(m + 1, kbar).
+
+    Its search visits increasing sequences of set indices that can still be
+    completed to kbar sets, and sum_i C(m - kbar + i, i) = C(m + 1, kbar).
+    """
+    return math.comb(p.m + 1, p.kbar)
+
+
 def _pav_bb_cost(instance, p):
-    d = instance.d
-    depth = max(0, min(instance.k, math.ceil(max(d, 0) * max(p.delta_v, 1))))
-    branch = max(2, math.ceil(max(d, 1) * max(p.delta_v, 1)))
-    return branch ** depth
+    """The nodes ``fpt.pav_bb_dv`` can visit: sum_{i <= D} b^i, or 1 at the root.
+
+    With deltaC >= d one candidate meets d and the route answers at the root.
+    Otherwise every branch set is the union of at most deltaC votes of at most
+    deltaV candidates each, so b = max(2, min(m, deltaC * deltaV)) bounds the
+    branching, and D = min(k, ceil(d * deltaV)) the depth.
+    """
+    if p.delta_c >= instance.d:
+        return 1
+    branch = max(2, min(p.m, p.delta_c * p.delta_v))
+    depth = min(instance.k, math.ceil(instance.d * p.delta_v))
+    return (branch ** (depth + 1) - 1) // (branch - 1)
 
 
 SOLVERS = (
@@ -113,7 +130,7 @@ SOLVERS = (
     Solver("mav-kdc", "mav_k_deltac", MAV, lambda inst: fpt.mav_k_deltac(inst),
            cost=_class_cost(2, lambda inst, p: min(p.n, inst.k * p.delta_c + 1))),
     Solver("mav-grsp", "mav_dual_grsp", MAV, lambda inst: fpt.mav_dual_grsp(inst),
-           cost=lambda inst, p: max(2, p.m) ** p.kbar),
+           cost=_grsp_cost),
     Solver("mav-matching", "mav_by_matching", MAV, lambda inst: fpt.mav_by_matching(inst),
            cost=_class_cost(4, lambda inst, p: p.alpha)),
     Solver("mav-tw", "mav_tw_dp", MAV, lambda inst, ntd=None: twdp.mav_tw_dp(inst, ntd),
@@ -187,9 +204,9 @@ def dispatch(instance, params=None):
 
     The polynomial routes come first, then two score bounds: a MAV distance
     never exceeds k + deltaV, and a CCAV or PAV score never exceeds
-    k * deltaC.  Only then are the parameters computed, unless the caller
-    passes them, and the FPT routes tried in order of estimated cost, with
-    brute force as the fallback.
+    k * deltaC.  Only then are the parameters computed, on the degrees read
+    for those, unless the caller passes them, and the FPT routes tried in
+    order of estimated cost, with brute force as the fallback.
 
     A route is first ranked on lower bounds of alpha and tw_upper.  Every cost
     and every gate grows with both, so the matching or the min-fill runs only
@@ -209,7 +226,7 @@ def dispatch(instance, params=None):
     if instance.rule != MAV and d > k * delta_c:
         return answer(instance, "score_bound", {})
     if params is None:
-        params = compute_params(instance)
+        params = compute_params(instance, delta_v, delta_c)
     bounds = _lower_bounds(e, delta_v, delta_c)
     heap = []  # (cost, name, cost is a lower bound, solver)
 

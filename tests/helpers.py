@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from approvalwd import (
     portfolio,
     score,
 )
-from approvalwd.core import SolveResult
+from approvalwd.core import answer, fill_committee, scaled_harmonics, SolveResult
+from approvalwd.fpt import _depth_first
 from approvalwd.graphs import DecompositionError
 from approvalwd.oracle import brute_force, BudgetExceededError
 from approvalwd.poly import pav_component_order
@@ -439,3 +441,60 @@ def reference_dispatch(instance):
     if e.m <= portfolio.BRUTE_M_BUDGET:
         return brute_force(instance, max_m=portfolio.BRUTE_M_BUDGET)
     raise portfolio.AllSolversExceededError("no solver within policy budgets")
+
+
+def reference_pav_bb_dv(instance):
+    """``fpt.pav_bb_dv`` without its submodular cut: the search prunes by depth
+    only.  Same exits, branch order and node count as the route had before the
+    cut, so the route must return the same decision and witness in no more
+    nodes."""
+    e = instance.election
+    k, d = instance.k, instance.d
+    stats = {"nodes": 0, "max_branch": 0}
+    if d <= 0:
+        return answer(instance, "pav_bb_dv", stats, fill_committee((), k, range(e.m)))
+    if k == 0:
+        return answer(instance, "pav_bb_dv", stats)
+    counts = e.approver_counts()
+    for c in range(e.m):
+        if counts[c] >= d:
+            return answer(instance, "pav_bb_dv", stats, fill_committee((c,), k, range(e.m)))
+    scale, hsum = scaled_harmonics(k)
+    need = math.ceil(d * scale)
+    capp = [c for c in range(e.m) if counts[c] > 0]
+    if min(k, len(capp)) == len(capp):
+        ok = sum(hsum[len(v)] for v in e.votes) >= need
+        return answer(instance, "pav_bb_dv", stats,
+                      fill_committee(capp, k, range(e.m)) if ok else None)
+    depth_cap = min(k, math.ceil(d * e.delta_v))
+    approvers = e.approver_sets()
+    cov = [0] * e.n
+
+    def gain(c):
+        return sum(hsum[cov[j] + 1] - hsum[cov[j]] for j in approvers[c])
+
+    def dfs(s_set, total):
+        if total >= need:
+            return s_set
+        if len(s_set) >= depth_cap:
+            return None
+        cbest = max((c for c in capp if c not in s_set), key=lambda c: (gain(c), -c))
+        branch = set()
+        for j in approvers[cbest]:
+            branch.update(e.votes[j])
+        branch -= s_set
+        stats["max_branch"] = max(stats["max_branch"], len(branch))
+        for x in sorted(branch):
+            step = gain(x)
+            for j in approvers[x]:
+                cov[j] += 1
+            res = yield dfs(s_set | {x}, total + step)
+            for j in approvers[x]:
+                cov[j] -= 1
+            if res is not None:
+                return res
+        return None
+
+    found, stats["nodes"] = _depth_first(dfs(frozenset(), 0))
+    return answer(instance, "pav_bb_dv", stats,
+                  None if found is None else fill_committee(found, k, range(e.m)))

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from approvalwd import format_instance, Instance, MAV, PAV
-from approvalwd import cli
+from approvalwd import CCAV, format_instance, Instance, MAV, PAV
+from approvalwd import cli, fpt
 from approvalwd.cli import main
+from approvalwd.portfolio import generate, GeneratorConfig
 from approvalwd.reductions import format_graph
 
 from helpers import deep_search_instances, e1
@@ -68,6 +69,22 @@ def test_solve_decides_searches_deeper_than_the_recursion_limit(tmp_path, algo):
     path = tmp_path / "deep.appr"
     path.write_text(format_instance(deep_search_instances()[algo]))
     assert main(["solve", str(path), "--algo", algo]) == 0
+
+
+@pytest.mark.parametrize("config,seed,k,d", [
+    ((14, 13, 4, 5), 145, 0, 7),  # no committee covers a vote
+    ((11, 14, 4, 5), 1291, 2, 12),  # d > k * deltaC = 8
+])
+def test_solve_ccav_bb_answers_an_unreachable_threshold_at_its_root(
+        tmp_path, monkeypatch, config, seed, k, d):
+    # the search visited over 420,000 nodes (6-7 s) on each before its root check
+    path = tmp_path / "i.appr"
+    path.write_text(format_instance(Instance(generate(GeneratorConfig(*config), seed), CCAV, k, d)))
+    results = []
+    route = fpt.ccav_bb_dual
+    monkeypatch.setattr(fpt, "ccav_bb_dual", lambda inst: results.append(route(inst)) or results[-1])
+    assert main(["solve", str(path), "--algo", "ccav-bb"]) == 1
+    assert results[0].stats == {"nodes": 0}
 
 
 def test_solve_budget_exceeded(tmp_path):

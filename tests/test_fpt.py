@@ -4,7 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from approvalwd import CCAV, class_partition, core, Election, fpt, Instance, MAV, PAV, score
+from approvalwd import (
+    CCAV,
+    class_partition,
+    compute_params,
+    core,
+    Election,
+    fpt,
+    Instance,
+    MAV,
+    PAV,
+    score,
+)
 from approvalwd.fpt import (
     AnnotatedPavInstance,
     ccav_bb_dual,
@@ -27,6 +38,7 @@ from helpers import (
     e1,
     instances_around_opt,
     random_election,
+    reference_pav_bb_dv,
     sweep_against_oracle,
 )
 
@@ -236,6 +248,35 @@ def test_pav_bb_dv_sweep_and_branch_bound():
                 assert res.stats["max_branch"] <= math.ceil(inst.d * e.delta_v)
 
 
+def _greedy_pav_score(e, k):
+    w = []
+    for _ in range(k):
+        w.append(max((c for c in range(e.m) if c not in w), key=lambda c: score(e, PAV, w + [c])))
+    return score(e, PAV, w)
+
+
+def test_pav_bb_dv_cut_keeps_every_answer_and_the_costs_bound_the_searches():
+    # thresholds at and just above the greedy score, where the searches are
+    # deepest; the reference is the search cut by depth only
+    cost = {solver.name: solver.cost for solver in SOLVERS}
+    rng = random.Random(1414)
+    cut = 0
+    for _ in range(150):
+        e = generate(GeneratorConfig(m=rng.randint(4, 16), n=rng.randint(3, 16),
+                                     max_dv=rng.randint(2, 5), max_dc=rng.randint(2, 5)),
+                     rng.randrange(10**9))
+        k = rng.randint(1, min(e.m, 6))
+        inst = Instance(e, PAV, k, _greedy_pav_score(e, k) + Fraction(rng.randint(0, 3), 2))
+        res, ref = pav_bb_dv(inst), reference_pav_bb_dv(inst)
+        assert (res.decision, res.witness) == (ref.decision, ref.witness)
+        assert res.stats["nodes"] <= ref.stats["nodes"] <= cost["pav_bb_dv"](inst, compute_params(inst))
+        cut += res.stats["nodes"] < ref.stats["nodes"]
+        mav = Instance(e, MAV, rng.randint(0, e.m), rng.randint(0, e.delta_v + 2))
+        nodes = mav_dual_grsp(mav).stats["nodes"]
+        assert nodes <= cost["mav_dual_grsp"](mav, compute_params(mav))
+    assert cut >= 30
+
+
 def test_mav_by_matching_examples():
     assert mav_by_matching(Instance(election=e1(), rule=MAV, k=1, d=2)).decision
     # every committee misses one of the two disjoint big votes
@@ -318,8 +359,9 @@ def test_pav_by_matching_pinned(seed, k, decision, opt, witness, subinstances):
 
 
 # (seed, decision, witness, nodes, max_branch), recorded from the search that
-# re-scored every candidate in Fractions: the integer gains must visit the
-# same nodes and return the same committees
+# re-scored every candidate in Fractions and cut by depth only, which
+# helpers.reference_pav_bb_dv keeps: the integer gains must visit the same
+# nodes and return the same committees
 _PINNED_BB_DV = [
     (0, False, None, 139, 6),
     (1, True, (0, 1, 2, 3), 4, 6),
@@ -342,12 +384,22 @@ _PINNED_BB_DV = [
     (18, True, (2, 3, 6, 8, 11), 18, 5),
     (19, True, (0, 1, 2, 3, 4, 5), 3, 6),
 ]
+# seed: (nodes, max_branch, pruned) of pav_bb_dv with its submodular cut,
+# where they differ from the depth-only search's (nodes, max_branch, 0)
+_CUT_BB_DV = {
+    0: (1, 0, 1), 3: (1, 0, 1), 4: (13, 5, 5), 9: (1, 0, 1),
+    12: (1, 0, 1), 15: (1, 0, 1), 16: (1, 0, 1), 18: (10, 5, 4),
+}
 
 
 @pytest.mark.parametrize("seed,decision,witness,nodes,max_branch", _PINNED_BB_DV)
 def test_pav_bb_dv_pinned(seed, decision, witness, nodes, max_branch, monkeypatch):
     e = generate(GeneratorConfig(m=12 + seed % 9, n=12 + seed % 7, max_dv=3, max_dc=3), 300 + seed)
     d = Fraction(10 + seed % 6 * 2, 1 + seed % 3)
+    inst = Instance(election=e, rule=PAV, k=3 + seed % 4, d=d)
+    ref = reference_pav_bb_dv(inst)
+    assert (ref.decision, ref.witness) == (decision, witness)
+    assert ref.stats == {"nodes": nodes, "max_branch": max_branch}
     calls = []
 
     def spy(*args):
@@ -355,9 +407,10 @@ def test_pav_bb_dv_pinned(seed, decision, witness, nodes, max_branch, monkeypatc
         return score(*args)
 
     monkeypatch.setattr(core, "score", spy)
-    res = pav_bb_dv(Instance(election=e, rule=PAV, k=3 + seed % 4, d=d))
+    res = pav_bb_dv(inst)
     assert (res.decision, res.witness) == (decision, witness)
-    assert res.stats == {"nodes": nodes, "max_branch": max_branch}
+    nodes, max_branch, pruned = _CUT_BB_DV.get(seed, (nodes, max_branch, 0))
+    assert res.stats == {"nodes": nodes, "max_branch": max_branch, "pruned": pruned}
     # the search scores in integers; only a yes is re-scored, once
     assert len(calls) == decision
 
@@ -411,10 +464,21 @@ _PINNED_K_DELTAC = [
 ]
 
 
+# the seeds of _PINNED_CCAV_BB whose k largest approval counts sum below d:
+# ccav_bb_dual answers them at its root check, before the pinned search
+_CCAV_ROOT_NO = {1, 3, 7, 9, 19}
+
+
 @pytest.mark.parametrize("seed,k,d,decision,witness,nodes", _PINNED_CCAV_BB)
-def test_ccav_bb_dual_pinned(seed, k, d, decision, witness, nodes):
+def test_ccav_bb_dual_pinned(seed, k, d, decision, witness, nodes, monkeypatch):
     e = generate(GeneratorConfig(m=8 + seed % 4, n=10 + seed % 5, max_dv=3, max_dc=2), 500 + seed)
-    res = ccav_bb_dual(Instance(election=e, rule=CCAV, k=k, d=d))
+    inst = Instance(election=e, rule=CCAV, k=k, d=d)
+    res = ccav_bb_dual(inst)
+    expected = {"nodes": 0 if seed in _CCAV_ROOT_NO else nodes}
+    assert (res.decision, res.witness, res.stats) == (decision, witness, expected)
+    # counts of n per candidate pass the root check, so the search runs
+    monkeypatch.setattr(Election, "approver_counts", lambda self: [self.n] * self.m)
+    res = ccav_bb_dual(inst)
     assert (res.decision, res.witness, res.stats) == (decision, witness, {"nodes": nodes})
 
 
@@ -527,4 +591,4 @@ def test_ccav_bb_dual_deeper_than_the_recursion_limit():
 
 def test_pav_bb_dv_deeper_than_the_recursion_limit():
     res = pav_bb_dv(deep_search_instances()["pav-bb"])
-    assert res.decision and res.stats == {"nodes": 1002, "max_branch": 3}
+    assert res.decision and res.stats == {"nodes": 1002, "max_branch": 3, "pruned": 0}

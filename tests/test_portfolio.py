@@ -158,17 +158,20 @@ def _fpt_instances():
 
 
 # dispatch's route on each of _fpt_instances(), recorded before dispatch
-# checked the score bounds; only instances inside a bound may differ
+# checked the score bounds; only instances inside a bound may differ.  Rows 0,
+# 3, 15, 18, 21 and 24 (mav_by_classes or mav_k_deltac before) and 2 and 32
+# (pav_annotated before) moved when the set-packing and pav_bb_dv costs became
+# their searches' node bounds
 FPT_ROUTES = [
-    "mav_by_classes", "ccav_tw_dp", "pav_annotated", "mav_k_deltac",
+    "mav_dual_grsp", "ccav_tw_dp", "pav_bb_dv", "mav_dual_grsp",
     "ccav_tw_dp", "pav_annotated", "mav_dual_grsp", "ccav_tw_dp",
     "pav_annotated", "mav_by_classes", "ccav_tw_dp", "pav_annotated",
-    "mav_k_deltac", "ccav_tw_dp", "pav_annotated", "mav_by_classes",
-    "ccav_tw_dp", "pav_annotated", "mav_by_classes", "ccav_tw_dp",
-    "pav_annotated", "mav_k_deltac", "ccav_tw_dp", "pav_bb_dv",
-    "mav_by_classes", "ccav_bb_dual", "pav_annotated", "mav_by_classes",
+    "mav_k_deltac", "ccav_tw_dp", "pav_annotated", "mav_dual_grsp",
+    "ccav_tw_dp", "pav_annotated", "mav_dual_grsp", "ccav_tw_dp",
+    "pav_annotated", "mav_dual_grsp", "ccav_tw_dp", "pav_bb_dv",
+    "mav_dual_grsp", "ccav_bb_dual", "pav_annotated", "mav_by_classes",
     "ccav_tw_dp", "pav_annotated", "mav_k_deltac", "ccav_tw_dp",
-    "pav_annotated", "mav_by_classes", "ccav_tw_dp", "pav_bb_dv",
+    "pav_bb_dv", "mav_by_classes", "ccav_tw_dp", "pav_bb_dv",
 ]
 
 
@@ -183,6 +186,31 @@ def test_dispatch_route_choice_is_pinned():
             bounded += 1
         assert dispatch(inst).algorithm == route
     assert bounded == 3
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_dispatch_counts_the_approvals_once(rule, monkeypatch):
+    # deltaV = 4 and deltaC = 3: no polynomial route or score bound answers,
+    # so dispatch reads the degrees, computes the parameters and picks a route
+    e = generate(GeneratorConfig(14, 12, 4, 4), 3)
+    passes, at_route = [], []
+    approver_counts = Election.approver_counts
+
+    def spy(self):
+        passes.append(self)
+        return approver_counts(self)
+
+    def route(*args):
+        at_route.append(len(passes))
+        return "route"
+
+    monkeypatch.setattr(Election, "approver_counts", spy)
+    for solver in portfolio.SOLVERS:
+        if solver.cost:
+            monkeypatch.setattr(twdp if solver.takes_decomposition else portfolio.fpt,
+                                solver.name, route)
+    assert dispatch(Instance(election=e, rule=rule, k=4, d=3)) == "route"
+    assert at_route == [1]
 
 
 def test_dispatch_matches_oracle():
@@ -294,6 +322,17 @@ def test_dispatch_matches_the_eager_reference():
         for rule, k, d in ((MAV, size - 2, size - 4), (MAV, size - 2, 3), (CCAV, size - 2, size - 10),
                            (CCAV, size - 2, size), (PAV, 5, 3), (PAV, 5, 6), (PAV, 8, 3)):
             instances.append(Instance(election=e, rule=rule, k=k, d=d))
+    # vote cover 9 on m = 20 with n = 17: the matching route beats set packing
+    wide = [frozenset({j % 4} | {4 + i for i in range(16) if i % 5 == j}) for j in range(5)]
+    pairs = [frozenset(p) for p in itertools.combinations(range(4), 2)] * 2
+    e = Election(m=20, votes=tuple(wide + pairs))
+    instances += [Instance(election=e, rule=MAV, k=10, d=d) for d in (9, 10)]
+    # dense CCAV at m <= 22 with every route over its cap, and a refusal at m = 30
+    for config, seed, k, d in (((18, 21, 6, 6), 19, 6, 32), ((19, 19, 6, 6), 25, 5, 17)):
+        instances.append(Instance(election=generate(GeneratorConfig(*config), seed),
+                                  rule=CCAV, k=k, d=d))
+    e = Election(m=30, votes=tuple(frozenset({c, (c + 1) % 30, (c + 2) % 30}) for c in range(30)))
+    instances.append(Instance(election=e, rule=PAV, k=15, d=40))
     routes = set()
     for inst in instances:
         got = _outcome(dispatch, inst)
