@@ -238,20 +238,16 @@ def answer(instance, algorithm, stats, witness=None, opt=None, *, optimal=False)
     return SolveResult(meets_threshold(rule, s, d), opt, w, algorithm, stats)
 
 
-def compute_params(instance, delta_v=None, delta_c=None):
-    """The parameters of an instance; the incidence-graph ones wait for a read.
-
-    A caller that has read the election's degrees already passes them, so
-    that the votes are not counted again.
-    """
+def compute_params(instance):
+    """The parameters of an instance; the incidence-graph ones wait for a read."""
     e = instance.election
     return Params(
         m=e.m,
         n=e.n,
         k=instance.k,
         kbar=e.m - instance.k,
-        delta_v=e.delta_v if delta_v is None else delta_v,
-        delta_c=e.delta_c if delta_c is None else delta_c,
+        delta_v=e.delta_v,
+        delta_c=e.delta_c,
         election=e,
     )
 

@@ -441,7 +441,12 @@ def pav_bb_dv(instance):
             gains.append(marg)
             if mbest is None or marg > mbest:
                 cbest, mbest = c, marg
-        if total + sum(sorted(gains, reverse=True)[: depth_cap - len(s_set)]) < need:
+        # the left largest gains sum to between mbest and left * mbest:
+        # sort them only where those two bounds do not decide the cut
+        left = depth_cap - len(s_set)
+        if total + mbest < need and (
+                total + mbest * left < need
+                or total + sum(sorted(gains, reverse=True)[:left]) < need):
             stats["pruned"] += 1
             return None
         branch = set()

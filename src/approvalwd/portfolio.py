@@ -204,9 +204,10 @@ def dispatch(instance, params=None):
 
     The polynomial routes come first, then two score bounds: a MAV distance
     never exceeds k + deltaV, and a CCAV or PAV score never exceeds
-    k * deltaC.  Only then are the parameters computed, on the degrees read
-    for those, unless the caller passes them, and the FPT routes tried in
-    order of estimated cost, with brute force as the fallback.
+    k * deltaC.  All of these read the degrees from the parameters, which
+    are computed first unless the caller passes them; their incidence-graph
+    values wait for a read.  Then the FPT routes are tried in order of
+    estimated cost, with brute force as the fallback.
 
     A route is first ranked on lower bounds of alpha and tw_upper.  Every cost
     and every gate grows with both, so the matching or the min-fill runs only
@@ -217,7 +218,9 @@ def dispatch(instance, params=None):
     """
     e = instance.election
     k, d = instance.k, instance.d
-    delta_v, delta_c = e.delta_v, e.delta_c
+    if params is None:
+        params = compute_params(instance)
+    delta_v, delta_c = params.delta_v, params.delta_c
     for solver in SOLVERS:
         if solver.degrees and solver.applies(instance, delta_v, delta_c):
             return solver.run(instance)
@@ -225,8 +228,6 @@ def dispatch(instance, params=None):
         return answer(instance, "score_bound", {}, range(k))
     if instance.rule != MAV and d > k * delta_c:
         return answer(instance, "score_bound", {})
-    if params is None:
-        params = compute_params(instance, delta_v, delta_c)
     bounds = _lower_bounds(e, delta_v, delta_c)
     heap = []  # (cost, name, cost is a lower bound, solver)
 
