@@ -25,7 +25,8 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
 
-ALGOS = {solver.algo: solver.run for solver in portfolio.SOLVERS if solver.algo}
+# each entry checks the route's rule and degree gate before it runs
+ALGOS = {solver.algo: solver for solver in portfolio.SOLVERS if solver.algo}
 
 
 def _read_instance(path):

@@ -16,12 +16,10 @@ from fractions import Fraction
 from . import graphs
 from .core import (
     answer,
-    CCAV,
     checked_witness,
     class_partition,
     fill_committee,
     Instance,
-    MAV,
     PAV,
     scaled_harmonics,
 )
@@ -176,8 +174,6 @@ def _mav_class_search(instance, considered, algorithm):
     The classes are taken with respect to the considered votes only; the
     optimum holds on every vote, which ``answer`` re-checks.
     """
-    if instance.rule != MAV:
-        raise ValueError("rule must be mav")
     e = instance.election
     k = instance.k
     considered = sorted(considered)
@@ -254,8 +250,6 @@ def mav_dual_grsp(instance):
     the votes.  Since |v| - k is an integer, that capacity is
     (floor(d) + |v| - k) // 2.
     """
-    if instance.rule != MAV:
-        raise ValueError("rule must be mav")
     e = instance.election
     k, d = instance.k, instance.d
     if d < 0 or any(len(v) < k and d < k - len(v) for v in e.votes):
@@ -281,8 +275,6 @@ def ccav_bb_dual(instance):
     covers at most the sum of its members' approval counts, so when the k
     largest counts sum below d the answer is no before the search starts.
     """
-    if instance.rule != CCAV:
-        raise ValueError("rule must be ccav")
     e = instance.election
     k = instance.k
     if sum(sorted(e.approver_counts())[e.m - k:]) < instance.d:
@@ -396,8 +388,6 @@ def pav_bb_dv(instance):
     (``stats["pruned"]``).  A cut subtree holds no success, so the search
     returns the committee the unpruned search would.
     """
-    if instance.rule != PAV:
-        raise ValueError("rule must be pav")
     e = instance.election
     k, d = instance.k, instance.d
     stats = {"nodes": 0, "max_branch": 0, "pruned": 0}
@@ -499,8 +489,6 @@ def mav_by_matching(instance):
     committee's overlap with the matched candidates settles them outright;
     the matched votes reduce to a class-count covering question.
     """
-    if instance.rule != MAV:
-        raise ValueError("rule must be mav")
     e = instance.election
     k, d = instance.k, instance.d
     if d < 0:
@@ -550,8 +538,6 @@ def pav_by_matching(instance):
     fixed amount and the rest is an annotated PAV question over the matched
     votes only; the best subinstance total is the true optimum.
     """
-    if instance.rule != PAV:
-        raise ValueError("rule must be pav")
     e = instance.election
     k = instance.k
     c_m, v_m = _matching_split(e)

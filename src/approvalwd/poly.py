@@ -18,12 +18,7 @@ import math
 from fractions import Fraction
 
 from . import graphs
-from .core import answer, CCAV, fill_committee, MAV, PAV, scaled_harmonics
-
-
-def _require(cond, msg):
-    if not cond:
-        raise ValueError(msg)
+from .core import answer, fill_committee, scaled_harmonics
 
 
 def av_optimal(election, k):
@@ -32,7 +27,6 @@ def av_optimal(election, k):
     With every vote approving at most one candidate this committee is
     simultaneously optimal under MAV, CCAV, and PAV.
     """
-    _require(election.delta_v <= 1, "av_optimal needs every |v| <= 1")
     counts = election.approver_counts()
     order = sorted(range(election.m), key=lambda c: (-counts[c], c))
     return tuple(sorted(order[:k]))
@@ -46,8 +40,6 @@ def mav_deg2(instance):
     candidate-edges meeting each kept vote v at least ceil((|v|+k-d)/2) times.
     """
     e = instance.election
-    _require(instance.rule == MAV, "rule must be mav")
-    _require(e.delta_c <= 2, "mav_deg2 needs every |V(c)| <= 2")
     k, d = instance.k, instance.d
     if d < 0:
         return answer(instance, "mav_deg2", {"kept_votes": e.n})
@@ -97,8 +89,6 @@ def ccav_deg2(instance):
     committee.
     """
     e = instance.election
-    _require(instance.rule == CCAV, "rule must be ccav")
-    _require(e.delta_c <= 2, "ccav_deg2 needs every |V(c)| <= 2")
     order, matched = _matching_order(graphs.multigraph_rep(e), range(e.n), range(e.m))
     return answer(instance, "ccav_deg2", {"matching": matched}, order[: instance.k], optimal=True)
 
@@ -110,8 +100,6 @@ def pav_deg1(instance):
     concavity of the harmonic gains this reaches the optimal score.
     """
     e = instance.election
-    _require(instance.rule == PAV, "rule must be pav")
-    _require(e.delta_c <= 1, "pav_deg1 needs every |V(c)| <= 1")
     k = instance.k
     pools = [sorted(v) for v in e.votes]
     w = []
@@ -154,8 +142,6 @@ def pav_deg22(instance):
     Allocation Problems, 1988, ch. 4).  Gains are doubled PAV values.
     """
     e = instance.election
-    _require(instance.rule == PAV, "rule must be pav")
-    _require(e.delta_v <= 2 and e.delta_c <= 2, "pav_deg22 needs both degrees <= 2")
     mg = graphs.multigraph_rep(e)
     comps, free = graphs.multigraph_components(mg)
     scale, hsum = scaled_harmonics(2)

@@ -53,6 +53,11 @@ class Solver:
     ``takes_decomposition`` runs on a nice tree decomposition of the
     incidence graph: dispatch passes the one its parameters measured as the
     second argument of ``run``.
+
+    The registry is a route's one checked entry: calling a Solver runs its
+    route once ``applies`` holds, and raises ValueError naming the rule or
+    the degree gate otherwise.  ``run`` itself assumes both, as dispatch and
+    verify call it after their own ``applies`` check.
     """
 
     algo: str | None  # the --algo name; None for a route only dispatch takes
@@ -67,6 +72,17 @@ class Solver:
         return self.rule in (None, instance.rule) and (
             self.degrees is None or self.degrees(delta_v, delta_c)
         )
+
+    def __call__(self, instance):
+        if self.rule not in (None, instance.rule):
+            raise ValueError(f"{self.algo} needs rule {self.rule}, not {instance.rule}")
+        if self.degrees:
+            e = instance.election
+            delta_v, delta_c = e.delta_v, e.delta_c
+            if not self.degrees(delta_v, delta_c):
+                raise ValueError(f"{self.algo} is outside its degree gate at "
+                                 f"deltaV={delta_v}, deltaC={delta_c}")
+        return self.run(instance)
 
 
 def _class_cost(base, size):
@@ -206,14 +222,14 @@ def dispatch(instance, params=None):
     never exceeds k + deltaV, and a CCAV or PAV score never exceeds
     k * deltaC.  All of these read the degrees from the parameters, which
     are computed first unless the caller passes them; their incidence-graph
-    values wait for a read.  Then the FPT routes are tried in order of
-    estimated cost, with brute force as the fallback.
+    values wait for a read.  Then the FPT route of least estimated cost runs,
+    with brute force as the fallback when none is within the caps.
 
     A route is first ranked on lower bounds of alpha and tw_upper.  Every cost
     and every gate grows with both, so the matching or the min-fill runs only
     when such an optimistic rank comes first; the route is then ranked again
-    on the real values.  The routes are tried in the order that ranking on
-    the real values would give.  A treewidth route runs on the decomposition
+    on the real values.  The route that runs is the one that ranking on the
+    real values would put first.  A treewidth route runs on the decomposition
     that its rank computed.
     """
     e = instance.election
@@ -244,12 +260,10 @@ def dispatch(instance, params=None):
         if guessed:
             push(solver.cost(instance, params), solver, False)
             continue
-        try:
-            if solver.takes_decomposition:
-                return solver.run(instance, graphs.to_nice(params.decomposition))
-            return solver.run(instance)
-        except BudgetExceededError:
-            continue
+        # a class route raises BudgetExceededError only where its cost is None
+        if solver.takes_decomposition:
+            return solver.run(instance, graphs.to_nice(params.decomposition))
+        return solver.run(instance)
     if e.m <= BRUTE_M_BUDGET:
         return oracle.brute_force(instance, max_m=BRUTE_M_BUDGET)
     raise AllSolversExceededError("no solver within policy budgets")

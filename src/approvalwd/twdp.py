@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 
 from . import graphs
-from .core import answer, CCAV, MAV, PAV, scaled_harmonics
+from .core import answer, CCAV, MAV, scaled_harmonics
 
 
 def _bag_votes(bag, m):
@@ -166,23 +166,17 @@ def _run_mu_dp(instance, ntd):
 
 def ccav_tw_dp(instance, ntd=None):
     """Exact CCAV optimum; mu marks which bag votes the committee covers."""
-    if instance.rule != CCAV:
-        raise ValueError("rule must be ccav")
     return _run_mu_dp(instance, ntd)
 
 
 def pav_tw_dp(instance, ntd=None):
     """Exact PAV optimum; mu tracks each bag vote's committee overlap."""
-    if instance.rule != PAV:
-        raise ValueError("rule must be pav")
     return _run_mu_dp(instance, ntd)
 
 
 def mav_tw_dp(instance, ntd=None):
     """MAV decision; a vote is checked against the distance threshold when
     it is forgotten, using 2 * mu >= k + |v| - d to stay in integers."""
-    if instance.rule != MAV:
-        raise ValueError("rule must be mav")
     if instance.d < 0:
         return answer(instance, "mav_tw_dp", {})
     return _run_mu_dp(instance, ntd)

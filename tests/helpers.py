@@ -23,7 +23,7 @@ from approvalwd import (
 from approvalwd.core import answer, fill_committee, scaled_harmonics, SolveResult
 from approvalwd.fpt import _depth_first
 from approvalwd.graphs import DecompositionError
-from approvalwd.oracle import brute_force, BudgetExceededError
+from approvalwd.oracle import brute_force
 from approvalwd.poly import pav_component_order
 
 
@@ -412,7 +412,7 @@ def reference_max_matching(graph):
 
 def reference_dispatch(instance):
     """Dispatch with every parameter computed first and every FPT route ranked
-    on the real alpha and tw_upper, then tried in (cost, name) order."""
+    on the real alpha and tw_upper; the first in (cost, name) order runs."""
     e = instance.election
     k, d = instance.k, instance.d
     delta_v, delta_c = e.delta_v, e.delta_c
@@ -431,13 +431,11 @@ def reference_dispatch(instance):
             cost = solver.cost(instance, params)
             if cost is not None and cost <= portfolio.FPT_COST_CAP:
                 ranked.append((cost, solver.name, solver))
-    for cost, name, solver in sorted(ranked, key=lambda r: r[:2]):
-        try:
-            if solver.takes_decomposition:
-                return solver.run(instance, graphs.to_nice(params.decomposition))
-            return solver.run(instance)
-        except BudgetExceededError:
-            continue
+    if ranked:
+        _, _, solver = min(ranked, key=lambda r: r[:2])
+        if solver.takes_decomposition:
+            return solver.run(instance, graphs.to_nice(params.decomposition))
+        return solver.run(instance)
     if e.m <= portfolio.BRUTE_M_BUDGET:
         return brute_force(instance, max_m=portfolio.BRUTE_M_BUDGET)
     raise portfolio.AllSolversExceededError("no solver within policy budgets")

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from approvalwd import CCAV, format_instance, Instance, MAV, PAV
+from approvalwd import CCAV, Election, format_instance, Instance, MAV, PAV, RULES
 from approvalwd import cli, fpt
 from approvalwd.cli import main
-from approvalwd.portfolio import generate, GeneratorConfig
+from approvalwd.portfolio import generate, GeneratorConfig, SOLVERS
 from approvalwd.reductions import format_graph
 
 from helpers import deep_search_instances, e1
@@ -51,6 +51,44 @@ def test_algo_names_are_pinned():
         "mav-classes", "mav-deg2", "mav-grsp", "mav-kdc", "mav-matching",
         "mav-tw", "pav-bb", "pav-deg1", "pav-deg22", "pav-matching", "pav-tw",
     ]
+
+
+# each polynomial route's (rule, election just inside its degree gate, just outside)
+_GATES = {
+    "av": (MAV, Election(2, ({0}, {1})), Election(2, ({0, 1},))),  # deltaV 1, 2
+    "mav-deg2": (MAV, Election(2, ({0}, {0}, {1})), Election(2, ({0}, {0}, {0}))),  # deltaC 2, 3
+    "ccav-deg2": (CCAV, Election(2, ({0}, {0}, {1})), Election(2, ({0}, {0}, {0}))),
+    "pav-deg1": (PAV, Election(2, ({0}, {1})), Election(2, ({0}, {0}))),  # deltaC 1, 2
+    "pav-deg22": (PAV, Election(3, ({0, 1}, {1, 2})), Election(3, ({0, 1, 2},))),  # deltaV 2, 3
+}
+
+
+@pytest.mark.parametrize("solver", [s for s in SOLVERS if s.algo], ids=lambda s: s.algo)
+def test_the_checked_entry_rejects_what_a_route_does_not_apply_to(tmp_path, solver):
+    # cli.ALGOS is the registry entry: it checks the rule and the degree gate
+    # before the route runs, and solve --algo exits 2, never 1 ("no")
+    entry = cli.ALGOS[solver.algo]
+    election = _GATES[solver.algo][1] if solver.degrees else e1()
+    rejected = []
+    for rule in RULES:
+        inst = Instance(election, rule, 1, 1)
+        if solver.rule in (None, rule):
+            entry(inst)
+        else:
+            with pytest.raises(ValueError, match=f"needs rule {solver.rule}, not {rule}"):
+                entry(inst)
+            rejected.append(inst)
+    if solver.degrees:
+        rule, _, outside = _GATES[solver.algo]
+        inst = Instance(outside, rule, 1, 1)
+        with pytest.raises(ValueError, match="outside its degree gate"):
+            entry(inst)
+        rejected.append(inst)
+    assert bool(rejected) == (solver.rule is not None or solver.degrees is not None)
+    for i, inst in enumerate(rejected):
+        path = tmp_path / f"{i}.appr"
+        path.write_text(format_instance(inst))
+        assert main(["solve", "--algo", solver.algo, str(path)]) == 2
 
 
 def test_solve_crash_exits_2(tmp_path, monkeypatch, capsys):

@@ -51,8 +51,6 @@ def test_mav_by_classes_examples():
     assert mav_by_classes(
         Instance(election=e, rule=MAV, k=2, d=e.delta_v + 2)
     ).decision
-    with pytest.raises(ValueError):
-        mav_by_classes(Instance(election=e, rule=PAV, k=1, d=0))
 
 
 def test_mav_by_classes_budget():

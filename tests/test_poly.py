@@ -49,8 +49,6 @@ def test_av_optimal_examples():
     assert av_optimal(e, 0) == ()
     e2 = Election(m=2, votes=(frozenset({0}), frozenset({1})))
     assert av_optimal(e2, 2) == (0, 1)
-    with pytest.raises(ValueError):
-        av_optimal(e1(), 1)
 
 
 def test_av_optimal_simultaneous():
@@ -70,8 +68,6 @@ def test_mav_deg2_examples():
     res = mav_deg2(Instance(election=e1(), rule=MAV, k=1, d=2))
     assert res.decision and res.witness == (1,)
     assert not mav_deg2(Instance(election=e1(), rule=MAV, k=1, d=1)).decision
-    with pytest.raises(ValueError):
-        mav_deg2(Instance(election=e1(), rule=CCAV, k=1, d=1))
 
 
 def test_ccav_deg2_examples():

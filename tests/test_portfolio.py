@@ -17,6 +17,7 @@ from approvalwd import (
     format_instance,
     Instance,
     MAV,
+    meets_threshold,
     PAV,
     RULES,
 )
@@ -311,6 +312,72 @@ def _seeded_instances(rng, count, m, n, k=None):
         kk = rng.randint(0, e.m) if k is None else min(rng.randint(*k), e.m)
         top = kk + e.delta_v if rule == MAV else kk * e.delta_c
         yield Instance(election=e, rule=rule, k=kk, d=Fraction(rng.randint(0, 2 * top + 1), 2))
+
+
+def test_a_ranked_route_with_a_cost_stays_within_its_budget():
+    # dispatch runs the first route it ranks and catches no BudgetExceededError:
+    # a class route raises it only where its cost is None, so it is never
+    # ranked there.  n and alpha fall on both sides of CLASS_VOTE_BUDGET = 16.
+    # ccav_bb_dual has no budget and runs here only within FPT_COST_CAP, as in
+    # dispatch: at this size its no-instances take seconds
+    rng = random.Random(16)
+    budgeted = {"mav_by_classes": "n", "pav_annotated": "n",
+                "mav_by_matching": "alpha", "pav_by_matching": "alpha"}
+    ran, gated = set(), set()
+    for inst in _seeded_instances(rng, 120, m=(6, 22), n=(12, 22), k=(1, 2)):
+        p = compute_params(inst)
+        for solver in portfolio.SOLVERS:
+            if not solver.cost or solver.rule != inst.rule:
+                continue
+            cost = solver.cost(inst, p)
+            if solver.name in budgeted:
+                size = budgeted[solver.name]
+                (gated if cost is None else ran).add((size, getattr(p, size)))
+            if cost is None or solver.name == "ccav_bb_dual" and cost > portfolio.FPT_COST_CAP:
+                continue
+            args = (graphs.to_nice(p.decomposition),) if solver.takes_decomposition else ()
+            solver.run(inst, *args)
+    assert {("n", 16), ("alpha", 16)} <= ran and {("n", 17), ("alpha", 17)} <= gated
+
+
+# Metamorphic properties of every cost-ranked route, on elections small enough
+# for the class routes to stay within their budget once every vote is doubled.
+def _ranked_answer(solver, election, k, d):
+    res = solver.run(Instance(election, solver.rule, k, d))
+    return res.decision, res.opt_score
+
+
+@pytest.mark.parametrize("solver", [s for s in portfolio.SOLVERS if s.cost],
+                         ids=lambda s: s.name)
+def test_a_ranked_route_answers_alike_on_equivalent_elections(solver):
+    rng = random.Random(sum(map(ord, solver.name)))
+    rule = solver.rule
+    for _ in range(50):
+        e = random_election(rng, max_m=8, max_n=8)
+        k = rng.randint(0, e.m)
+        opt = brute_force(Instance(e, rule, k, 0)).opt_score
+        d = opt + rng.choice((0, -1 if rule == MAV else 1))
+        decision, value = base = _ranked_answer(solver, e, k, d)
+        assert decision == meets_threshold(rule, opt, d) and value in (None, opt)
+        perm = list(range(e.m))
+        rng.shuffle(perm)
+        relabelled = Election(e.m, tuple(frozenset(perm[c] for c in v) for v in e.votes))
+        assert _ranked_answer(solver, relabelled, k, d) == base
+        votes = list(e.votes)
+        rng.shuffle(votes)
+        assert _ranked_answer(solver, Election(e.m, tuple(votes)), k, d) == base
+        assert _ranked_answer(solver, Election(e.m + 1, e.votes), k, d) == base
+        with_empty = Election(e.m, e.votes + (frozenset(),))
+        doubled = Election(e.m, e.votes + e.votes)
+        if rule == MAV:
+            # an empty vote sits at distance exactly k from every k-committee
+            assert _ranked_answer(solver, with_empty, k, d) == (
+                decision and d >= k, None if value is None else max(value, k))
+            assert _ranked_answer(solver, doubled, k, d) == base
+        else:
+            assert _ranked_answer(solver, with_empty, k, d) == base
+            assert _ranked_answer(solver, doubled, k, 2 * d) == (
+                decision, None if value is None else 2 * value)
 
 
 def test_dispatch_matches_the_eager_reference():

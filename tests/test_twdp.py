@@ -51,15 +51,6 @@ def test_examples_e1():
     assert not mav_tw_dp(Instance(election=e1(), rule=MAV, k=1, d=1)).decision
 
 
-def test_rule_checks():
-    with pytest.raises(ValueError):
-        ccav_tw_dp(Instance(election=e1(), rule=MAV, k=1, d=1))
-    with pytest.raises(ValueError):
-        pav_tw_dp(Instance(election=e1(), rule=MAV, k=1, d=1))
-    with pytest.raises(ValueError):
-        mav_tw_dp(Instance(election=e1(), rule=PAV, k=1, d=1))
-
-
 def test_sweep_all_rules():
     rng = random.Random(60)
     solvers = {MAV: mav_tw_dp, CCAV: ccav_tw_dp, PAV: pav_tw_dp}
