@@ -45,15 +45,6 @@ class AnnotatedPavInstance:
         object.__setattr__(self, "d", Fraction(self.d))
 
 
-@dataclass(frozen=True)
-class GrspInstance:
-    """Generalized set packing: pick kappa sets, element u in at most f(u) of them."""
-
-    sets: tuple  # of frozensets
-    f: dict
-    kappa: int
-
-
 # ---------------------------------------------------------------------------
 # Search driver and class-count search
 # ---------------------------------------------------------------------------
@@ -88,11 +79,10 @@ def _count_search(classes, nv):
     with mins[i] <= x_i <= |members_i| and sum x_i = k, largest counts first,
     keeping cov[j], the number of committee members that vote j approves.
 
-    ``bound(cov, reach, rem, total)`` caps the value of every completion of a
-    node, where reach[j] is the coverage the remaining classes can still add
-    to vote j and rem the members still to pick; at a complete count vector it
-    is the exact value.  ``gain(cov, support, x)`` is what x members of a class
-    with that support add to the running ``total``.  Values are maximised: a
+    ``bound(cov, reach, rem)`` is a node's whole value: it caps the value of
+    every completion of the node, where reach[j] is the coverage the remaining
+    classes can still add to vote j and rem the members still to pick, and at
+    a complete count vector it is the exact value.  Values are maximised: a
     node is cut when its bound does not beat the best value so far (``floor``
     before the first), and the search stops once a value equals ``goal``.
     Returns (best value, counts, nodes visited); counts is None when no count
@@ -109,7 +99,7 @@ def _count_search(classes, nv):
             row[j] += caps[i]
         suffix_cov[i] = row
 
-    def search(k, bound, gain=None, mins=None, floor=None, goal=None):
+    def search(k, bound, mins=None, floor=None, goal=None):
         mins = mins or [0] * nc
         suffix_min = [0] * (nc + 1)
         for i in range(nc - 1, -1, -1):
@@ -118,10 +108,10 @@ def _count_search(classes, nv):
         counts = [0] * nc
         cov = [0] * nv
 
-        def node(i, rem, total):
+        def node(i, rem):
             # classes before i are counted; True once a value reaches goal
             nonlocal best_value, best_counts
-            value = bound(cov, suffix_cov[i], rem, total)
+            value = bound(cov, suffix_cov[i], rem)
             if best_value is not None and value <= best_value:
                 return False
             if i == nc:
@@ -135,17 +125,16 @@ def _count_search(classes, nv):
             lo = max(mins[i], rem - suffix_cap[i + 1])
             for x in range(min(caps[i], rem - suffix_min[i + 1]), lo - 1, -1):
                 counts[i] = x
-                step = gain(cov, support, x) if gain else 0
                 for j in support:
                     cov[j] += x
-                if (yield node(i + 1, rem - x, total + step)):
+                if (yield node(i + 1, rem - x)):
                     return True
                 for j in support:
                     cov[j] -= x
             counts[i] = 0
             return False
 
-        _, nodes = _depth_first(node(0, k, 0))
+        _, nodes = _depth_first(node(0, k))
         return best_value, best_counts, nodes
 
     return search
@@ -182,7 +171,7 @@ def _mav_class_search(instance, considered, algorithm):
     sizes = [len(e.votes[j]) for j in considered]
     classes = class_partition(e, considered)
 
-    def bound(cov, reach, rem, total):
+    def bound(cov, reach, rem):
         # the search maximises, so it gets the negated largest distance
         return -max(
             (size + k - 2 * (c + min(rem, r)) for size, c, r in zip(sizes, cov, reach)),
@@ -200,32 +189,27 @@ def _mav_class_search(instance, considered, algorithm):
 # Generalized set packing and the dual-parameter MAV route
 # ---------------------------------------------------------------------------
 
-def grsp_solve(g):
-    """Depth-kappa backtracking with capacity pruning.
+def grsp_solve(sets, f, kappa):
+    """Generalized set packing: pick kappa of the sets, element u in at most f[u].
 
-    Returns (yes, selected set indices, nodes visited).  Sets containing a
-    zero-capacity element can never be picked and are filtered up front.
+    Depth-kappa backtracking with capacity pruning.  Returns (yes, selected
+    set indices, nodes visited).  Sets containing a zero-capacity element can
+    never be picked and are filtered up front.
     """
-    usable = [
-        i
-        for i, s in enumerate(g.sets)
-        if all(g.f.get(u, 0) >= 1 for u in s)
-    ]
-    if g.kappa > len(usable):
+    usable = [i for i, s in enumerate(sets) if all(f.get(u, 0) >= 1 for u in s)]
+    if kappa > len(usable):
         return False, None, 0
-    remaining = dict(g.f)
+    remaining = dict(f)
     chosen = []
 
     def dfs(pos, need):
         # a search node: True once need more sets from usable[pos:] fit
         if need == 0:
             return True
-        if len(usable) - pos < need:
-            return False
         for idx in range(pos, len(usable)):
             if len(usable) - idx < need:
                 return False
-            s = g.sets[usable[idx]]
+            s = sets[usable[idx]]
             if all(remaining[u] >= 1 for u in s):
                 for u in s:
                     remaining[u] -= 1
@@ -237,7 +221,7 @@ def grsp_solve(g):
                     remaining[u] += 1
         return False
 
-    ok, nodes = _depth_first(dfs(0, g.kappa))
+    ok, nodes = _depth_first(dfs(0, kappa))
     return ok, tuple(chosen) if ok else None, nodes
 
 
@@ -256,8 +240,7 @@ def mav_dual_grsp(instance):
         return answer(instance, "mav_dual_grsp", {"nodes": 0})
     floor_d = math.floor(d)
     f = {j: (floor_d + len(v) - k) // 2 for j, v in enumerate(e.votes)}
-    g = GrspInstance(sets=tuple(map(frozenset, e.approver_sets())), f=f, kappa=e.m - k)
-    ok, removed, nodes = grsp_solve(g)
+    ok, removed, nodes = grsp_solve(tuple(map(frozenset, e.approver_sets())), f, e.m - k)
     w = set(range(e.m)).difference(removed) if ok else None
     return answer(instance, "mav_dual_grsp", {"nodes": nodes}, w)
 
@@ -326,20 +309,20 @@ def ccav_bb_dual(instance):
 def pav_annotated(ann):
     """Exact annotated PAV optimum by search over per-class selection counts."""
     e, k = ann.election, ann.k
-    value, witness, nodes = _pav_class_search(e, range(e.n))(ann.forced, k)
+    value, witness, nodes = _pav_class_search(e, range(e.n), k)(ann.forced)
     witness = checked_witness(witness, ann.forced.issubset, "pav_annotated forced set")
     # the exact re-score guards the search's scaled integer values
     return answer(Instance(e, PAV, k, ann.d), "pav_annotated", {"nodes": nodes},
                   witness, Fraction(value, scaled_harmonics(k)[0]))
 
 
-def _pav_class_search(e, votes):
-    """``solve(forced, k)``: the annotated PAV search over the given votes of e.
+def _pav_class_search(e, votes, k):
+    """``solve(forced)``: the annotated PAV search for k-committees over votes of e.
 
     The candidates are classed by ``class_partition(e, votes)``, so only the
-    votes listed count towards a score.  The partition and the count search
-    are built once; a forced set only sets the per-class minimums.  ``solve``
-    returns the optimum over those votes as a PAV value scaled by
+    votes listed count towards a score.  The partition, the count search and
+    its bound are built once; a forced set only sets the per-class minimums.
+    ``solve`` returns the optimum over those votes as a PAV value scaled by
     ``scaled_harmonics(k)``, a witness (None if no count vector exists) and
     the nodes visited.
     """
@@ -347,18 +330,15 @@ def _pav_class_search(e, votes):
         raise BudgetExceededError(f"n={len(votes)} exceeds budget {CLASS_VOTE_BUDGET}")
     classes = class_partition(e, votes)
     search = _count_search(classes, len(votes))
+    hsum = scaled_harmonics(k)[1]
 
-    def solve(forced, k):
-        hsum = scaled_harmonics(k)[1]
+    def bound(cov, reach, rem):
+        # a complete node scores sum_j hsum[cov[j]]; vote j can gain min(rem, reach[j])
+        return sum(hsum[c + min(rem, r)] for c, r in zip(cov, reach))
 
-        def bound(cov, reach, rem, total):
-            return total + sum(hsum[c + min(rem, r)] - hsum[c] for c, r in zip(cov, reach))
-
-        def gain(cov, support, x):
-            return sum(hsum[cov[j] + x] - hsum[cov[j]] for j in support)
-
+    def solve(forced):
         mins = [len(forced & set(members)) for _, members in classes]
-        value, counts, nodes = search(k, bound, gain, mins)
+        value, counts, nodes = search(k, bound, mins)
         if counts is None:
             return value, None, nodes
         witness = []
@@ -414,29 +394,24 @@ def pav_bb_dv(instance):
     approvers = e.approver_sets()
     cov = [0] * e.n
 
-    def gain(c):
-        return sum(hsum[cov[j] + 1] - hsum[cov[j]] for j in approvers[c])
-
     def dfs(s_set, total):
         # a search node: a committee meeting need, or None below s_set
         if total >= need:
             return s_set
         if len(s_set) >= depth_cap:
             return None
-        cbest, mbest, gains = None, None, []
-        for c in capp:
-            if c in s_set:
-                continue
-            marg = gain(c)
-            gains.append(marg)
-            if mbest is None or marg > mbest:
-                cbest, mbest = c, marg
+        # each candidate's marginal gain at this node, in capp order; cbest is
+        # the first of the largest
+        gains = {c: sum(hsum[cov[j] + 1] - hsum[cov[j]] for j in approvers[c])
+                 for c in capp if c not in s_set}
+        cbest = max(gains, key=gains.get)
+        mbest = gains[cbest]
         # the left largest gains sum to between mbest and left * mbest:
         # sort them only where those two bounds do not decide the cut
         left = depth_cap - len(s_set)
         if total + mbest < need and (
                 total + mbest * left < need
-                or total + sum(sorted(gains, reverse=True)[:left]) < need):
+                or total + sum(sorted(gains.values(), reverse=True)[:left]) < need):
             stats["pruned"] += 1
             return None
         branch = set()
@@ -445,10 +420,9 @@ def pav_bb_dv(instance):
         branch -= s_set
         stats["max_branch"] = max(stats["max_branch"], len(branch))
         for x in sorted(branch):
-            step = gain(x)
             for j in approvers[x]:
                 cov[j] += 1
-            res = yield dfs(s_set | {x}, total + step)
+            res = yield dfs(s_set | {x}, total + gains[x])
             for j in approvers[x]:
                 cov[j] -= 1
             if res is not None:
@@ -519,7 +493,7 @@ def mav_by_matching(instance):
         # a matched vote within distance d approves ceil((|v| + k - d) / 2) members
         need = [max(0, math.ceil((len(v) + k - d) / 2 - len(v & cp))) for v in matched]
 
-        def feasible(cov, reach, rem, total):
+        def feasible(cov, reach, rem):
             return all(c + min(rem, r) >= n for c, r, n in zip(cov, reach, need))
 
         _, picks, _ = search(k - len(cprime), feasible, floor=False, goal=True)
@@ -543,7 +517,7 @@ def pav_by_matching(instance):
     c_m, v_m = _matching_split(e)
     v_m_set = set(v_m)
     outside = [v for j, v in enumerate(e.votes) if j not in v_m_set]
-    solve = _pav_class_search(e, v_m)
+    solve = _pav_class_search(e, v_m, k)
     scale, hsum = scaled_harmonics(k)
     best = None
     best_w = None
@@ -551,7 +525,7 @@ def pav_by_matching(instance):
     for cprime in _subsets(c_m, k):
         stats["subinstances"] += 1
         cp = frozenset(cprime)
-        value, witness, _ = solve(cp, k)
+        value, witness, _ = solve(cp)
         total = value + sum(hsum[len(v & cp)] for v in outside)
         if best is None or total > best:
             best = total

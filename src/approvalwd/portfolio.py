@@ -47,12 +47,12 @@ class Solver:
     rebinding the module attribute sees every call.  ``degrees(delta_v,
     delta_c)`` marks a polynomial route and says when it applies; ``cost(
     instance, params)`` ranks an FPT route for dispatch and is None when a
-    budget gates the route out.  As ``params.alpha`` or ``params.tw_upper``
-    grows, a cost must not fall and a gated route must stay gated, since
-    dispatch ranks on lower bounds of both first.  A route that
-    ``takes_decomposition`` runs on a nice tree decomposition of the
-    incidence graph: dispatch passes the one its parameters measured as the
-    second argument of ``run``.
+    budget gates the route out, and a route without ``cost`` is never ranked.
+    As ``params.alpha`` or ``params.tw_upper`` grows, a cost must not fall and
+    a gated route must stay gated, since dispatch ranks on lower bounds of
+    both first.  A route that ``takes_decomposition`` runs on a nice tree
+    decomposition of the incidence graph: dispatch passes the one its
+    parameters measured as the second argument of ``run``.
 
     The registry is a route's one checked entry: calling a Solver runs its
     route once ``applies`` holds, and raises ValueError naming the rule or
@@ -140,9 +140,10 @@ SOLVERS = (
            degrees=lambda dv, dc: dc <= 1),
     Solver("pav-deg22", "pav_deg22", PAV, lambda inst: poly.pav_deg22(inst),
            degrees=lambda dv, dc: dv <= 2 and dc <= 2),
-    # the FPT routes, ranked by cost in dispatch
-    Solver("mav-classes", "mav_by_classes", MAV, lambda inst: fpt.mav_by_classes(inst),
-           cost=_class_cost(2, lambda inst, p: p.n)),
+    # the FPT routes, ranked by cost in dispatch; mav_by_classes is not: the
+    # cost of mav_k_deltac never exceeds its 2^n, and where they tie
+    # (n <= k * deltaC + 1) mav_k_deltac considers every vote, the same search
+    Solver("mav-classes", "mav_by_classes", MAV, lambda inst: fpt.mav_by_classes(inst)),
     Solver("mav-kdc", "mav_k_deltac", MAV, lambda inst: fpt.mav_k_deltac(inst),
            cost=_class_cost(2, lambda inst, p: min(p.n, inst.k * p.delta_c + 1))),
     Solver("mav-grsp", "mav_dual_grsp", MAV, lambda inst: fpt.mav_dual_grsp(inst),

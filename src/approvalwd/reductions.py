@@ -22,19 +22,20 @@ def parse_graph(text):
         if not line or line.startswith("c") or line.startswith("#"):
             continue
         fields = line.split()
-        if fields[0] == "p":
-            if len(fields) != 3:
-                raise FormatError(f"bad graph header {line!r}")
-            n, declared = int(fields[1]), int(fields[2])
-        elif fields[0] == "e":
-            if n is None:
-                raise FormatError("edge before header")
-            u, v = int(fields[1]) - 1, int(fields[2]) - 1
-            if not (0 <= u < n and 0 <= v < n):
-                raise FormatError(f"vertex out of range in {line!r}")
-            edges.append((u, v))
-        else:
+        if fields[0] not in ("p", "e"):
             raise FormatError(f"bad graph line {line!r}")
+        try:
+            a, b = map(int, fields[1:])
+        except ValueError:
+            raise FormatError(f"bad graph line {line!r}: need two integers") from None
+        if fields[0] == "p":
+            n, declared = a, b
+        elif n is None:
+            raise FormatError("edge before header")
+        elif not (1 <= a <= n and 1 <= b <= n):
+            raise FormatError(f"vertex out of range in {line!r}")
+        else:
+            edges.append((a - 1, b - 1))
     if n is None:
         raise FormatError("missing graph header")
     if declared != len(edges):

@@ -20,7 +20,6 @@ from approvalwd.fpt import (
     AnnotatedPavInstance,
     ccav_bb_dual,
     grsp_solve,
-    GrspInstance,
     mav_by_classes,
     mav_by_matching,
     mav_dual_grsp,
@@ -98,15 +97,10 @@ def test_mav_dual_grsp_sweep():
 
 
 def test_grsp_examples():
-    g = GrspInstance(
-        sets=(frozenset({"a", "b"}), frozenset({"b", "c"})),
-        f={"a": 1, "b": 1, "c": 1},
-        kappa=2,
-    )
-    ok, sel, _ = grsp_solve(g)
+    sets = (frozenset({"a", "b"}), frozenset({"b", "c"}))
+    ok, sel, _ = grsp_solve(sets, {"a": 1, "b": 1, "c": 1}, 2)
     assert not ok and sel is None
-    g2 = GrspInstance(sets=g.sets, f={"a": 1, "b": 2, "c": 1}, kappa=2)
-    ok, sel, _ = grsp_solve(g2)
+    ok, sel, _ = grsp_solve(sets, {"a": 1, "b": 2, "c": 1}, 2)
     assert ok and sorted(sel) == [0, 1]
 
 
@@ -120,8 +114,7 @@ def test_grsp_against_oracle():
         )
         f = {u: rng.randint(0, 3) for u in universe}
         kappa = rng.randint(0, len(sets))
-        g = GrspInstance(sets=sets, f=f, kappa=kappa)
-        ok, sel, _ = grsp_solve(g)
+        ok, sel, _ = grsp_solve(sets, f, kappa)
         assert ok == brute_force_grsp(universe, list(sets), f, kappa)
         if ok:
             counts = {}
@@ -185,7 +178,7 @@ def test_pav_annotated_checks_its_forced_set(monkeypatch):
     search = fpt._pav_class_search
     monkeypatch.setattr(
         fpt, "_pav_class_search",
-        lambda e, votes: lambda forced, k: search(e, votes)(frozenset(), k),
+        lambda e, votes, k: lambda forced: search(e, votes, k)(frozenset()),
     )
     assert pav_annotated(AnnotatedPavInstance(e, frozenset({1}), 2, 0)).witness == (1, 2)
     with pytest.raises(core.InternalError, match="pav_annotated forced set"):
@@ -573,7 +566,7 @@ def test_routes_never_scan_approvers(monkeypatch):
     for inst in (Instance(mav_e, MAV, 8, 7), Instance(pav_e, PAV, 4, Fraction(22, 3))):
         assert dispatch(inst).decision
         for solver in SOLVERS:
-            if solver.cost and solver.rule == inst.rule:
+            if solver.rule == inst.rule and not solver.degrees:
                 assert solver.run(inst).decision, solver.name
     assert calls == []
 

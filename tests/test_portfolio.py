@@ -162,7 +162,8 @@ def _fpt_instances():
 # checked the score bounds; only instances inside a bound may differ.  Rows 0,
 # 3, 15, 18, 21 and 24 (mav_by_classes or mav_k_deltac before) and 2 and 32
 # (pav_annotated before) moved when the set-packing and pav_bb_dv costs became
-# their searches' node bounds
+# their searches' node bounds; row 27 (mav_by_classes before) moved when
+# mav_by_classes stopped being ranked, to mav_k_deltac's identical search
 FPT_ROUTES = [
     "mav_dual_grsp", "ccav_tw_dp", "pav_bb_dv", "mav_dual_grsp",
     "ccav_tw_dp", "pav_annotated", "mav_dual_grsp", "ccav_tw_dp",
@@ -170,7 +171,7 @@ FPT_ROUTES = [
     "mav_k_deltac", "ccav_tw_dp", "pav_annotated", "mav_dual_grsp",
     "ccav_tw_dp", "pav_annotated", "mav_dual_grsp", "ccav_tw_dp",
     "pav_annotated", "mav_dual_grsp", "ccav_tw_dp", "pav_bb_dv",
-    "mav_dual_grsp", "ccav_bb_dual", "pav_annotated", "mav_by_classes",
+    "mav_dual_grsp", "ccav_bb_dual", "pav_annotated", "mav_k_deltac",
     "ccav_tw_dp", "pav_annotated", "mav_k_deltac", "ccav_tw_dp",
     "pav_bb_dv", "mav_by_classes", "ccav_tw_dp", "pav_bb_dv",
 ]
@@ -321,8 +322,7 @@ def test_a_ranked_route_with_a_cost_stays_within_its_budget():
     # ccav_bb_dual has no budget and runs here only within FPT_COST_CAP, as in
     # dispatch: at this size its no-instances take seconds
     rng = random.Random(16)
-    budgeted = {"mav_by_classes": "n", "pav_annotated": "n",
-                "mav_by_matching": "alpha", "pav_by_matching": "alpha"}
+    budgeted = {"pav_annotated": "n", "mav_by_matching": "alpha", "pav_by_matching": "alpha"}
     ran, gated = set(), set()
     for inst in _seeded_instances(rng, 120, m=(6, 22), n=(12, 22), k=(1, 2)):
         p = compute_params(inst)
@@ -340,14 +340,15 @@ def test_a_ranked_route_with_a_cost_stays_within_its_budget():
     assert {("n", 16), ("alpha", 16)} <= ran and {("n", 17), ("alpha", 17)} <= gated
 
 
-# Metamorphic properties of every cost-ranked route, on elections small enough
-# for the class routes to stay within their budget once every vote is doubled.
+# Metamorphic properties of every FPT route, ranked or not, on elections small
+# enough for the class routes to stay within their budget once every vote is
+# doubled.
 def _ranked_answer(solver, election, k, d):
     res = solver.run(Instance(election, solver.rule, k, d))
     return res.decision, res.opt_score
 
 
-@pytest.mark.parametrize("solver", [s for s in portfolio.SOLVERS if s.cost],
+@pytest.mark.parametrize("solver", [s for s in portfolio.SOLVERS if s.rule and not s.degrees],
                          ids=lambda s: s.name)
 def test_a_ranked_route_answers_alike_on_equivalent_elections(solver):
     rng = random.Random(sum(map(ord, solver.name)))
@@ -449,14 +450,15 @@ def test_costs_grow_with_alpha_and_tw_and_bounds_stay_below():
 
 
 def test_a_3000_class_mav_instance_is_decided_without_recursion():
-    # vote j approves candidate c iff bit j of c + 1 is set: 3000 classes, one each
+    # vote j approves candidate c iff bit j of c + 1 is set: 3000 classes, one
+    # each; k * deltaC + 1 >= n, so mav_k_deltac runs the search over every vote
     votes = tuple(frozenset(c for c in range(3000) if (c + 1) >> j & 1) for j in range(12))
     e = Election(m=3000, votes=votes)
     start = time.perf_counter()
     for k, decision, opt, nodes in ((5, True, 1495, 24876), (2990, False, 2037, 24143)):
         res = dispatch(Instance(election=e, rule=MAV, k=k, d=1500))
         assert (res.algorithm, res.decision, res.opt_score, res.stats) == (
-            "mav_by_classes", decision, opt, {"nodes": nodes})
+            "mav_k_deltac", decision, opt, {"nodes": nodes})
     assert time.perf_counter() - start < 5.0
 
 
