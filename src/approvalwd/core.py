@@ -129,10 +129,10 @@ class Params:
     """Derived parameters of an instance.
 
     The sizes and degrees are filled in at once, in one pass over the votes.
-    The incidence-graph parameters are computed on first read and kept:
-    ``alpha``, the size of a maximum matching; ``decomposition``, the min-fill
-    tree decomposition; and ``tw_upper``, its width, an upper bound on the
-    treewidth.  Each builds the incidence graph it needs and lets it go.
+    The incidence-graph structures, which the routes take from here, are
+    computed on first read and kept: ``matching``, a maximum matching, of size
+    ``alpha``; ``decomposition``, the min-fill tree decomposition, of width
+    ``tw_upper``.  Each builds the incidence graph it needs and lets it go.
     """
 
     m: int
@@ -144,10 +144,14 @@ class Params:
     election: Election = field(compare=False, repr=False)
 
     @functools.cached_property
-    def alpha(self):
+    def matching(self):
         from . import graphs
 
-        return len(graphs.max_matching(graphs.incidence_graph(self.election)))
+        return graphs.max_matching(graphs.incidence_graph(self.election))
+
+    @property
+    def alpha(self):
+        return len(self.matching)
 
     @functools.cached_property
     def decomposition(self):

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import graphs
 from .core import (
     answer,
     checked_witness,
@@ -438,16 +437,18 @@ def pav_bb_dv(instance):
 # Matching-parameter solvers
 # ---------------------------------------------------------------------------
 
-def _matching_split(election):
-    g = graphs.incidence_graph(election)
-    matching = graphs.max_matching(g)
+def _matching_split(election, matching):
+    """The matched candidates and votes, sorted, and the other votes, which
+    approve only matched candidates when the matching is maximum."""
     m = election.m
     cands, votes = set(), set()
     for edge in matching:
         a, b = sorted(edge)
         cands.add(a)
         votes.add(b - m)
-    return sorted(cands), sorted(votes)
+    outside = [v for j, v in enumerate(election.votes) if j not in votes]
+    checked_witness(outside, lambda vs: all(v <= cands for v in vs), "matching split")
+    return sorted(cands), sorted(votes), outside
 
 
 def _subsets(items, k):
@@ -456,7 +457,7 @@ def _subsets(items, k):
         yield from itertools.combinations(items, size)
 
 
-def mav_by_matching(instance):
+def mav_by_matching(instance, matching):
     """MAV decision split over intersections with a maximum-matching cover.
 
     Votes outside the matching only approve matched candidates, so fixing the
@@ -467,14 +468,8 @@ def mav_by_matching(instance):
     k, d = instance.k, instance.d
     if d < 0:
         return answer(instance, "mav_by_matching", {})
-    c_m, v_m = _matching_split(e)
+    c_m, v_m, outside = _matching_split(e, matching)
     c_m_set = set(c_m)
-    v_m_set = set(v_m)
-    outside = checked_witness(
-        [v for j, v in enumerate(e.votes) if j not in v_m_set],
-        lambda vs: all(v <= c_m_set for v in vs),
-        "mav_by_matching split",
-    )
     matched = [e.votes[j] for j in v_m]
     classes = []
     for support, members in class_partition(e, v_m):
@@ -505,7 +500,7 @@ def mav_by_matching(instance):
     return answer(instance, "mav_by_matching", stats)
 
 
-def pav_by_matching(instance):
+def pav_by_matching(instance, matching):
     """Exact PAV optimum split over intersections with the matched candidates.
 
     For each candidate-side intersection the unmatched votes contribute a
@@ -514,9 +509,7 @@ def pav_by_matching(instance):
     """
     e = instance.election
     k = instance.k
-    c_m, v_m = _matching_split(e)
-    v_m_set = set(v_m)
-    outside = [v for j, v in enumerate(e.votes) if j not in v_m_set]
+    c_m, v_m, outside = _matching_split(e, matching)
     solve = _pav_class_search(e, v_m, k)
     scale, hsum = scaled_harmonics(k)
     best = None

@@ -620,22 +620,14 @@ class NiceTreeDecomposition:
             if x.kind == "leaf":
                 if x.children or x.bag:
                     raise DecompositionError("bad leaf node")
-            elif x.kind == "introduce":
+            elif x.kind in ("introduce", "forget"):
                 if len(x.children) != 1:
-                    raise DecompositionError("introduce node needs one child")
-                child = x.children[0]
-                if not (child.bag < x.bag and len(x.bag - child.bag) == 1):
-                    raise DecompositionError("bad introduce bags")
-                if x.vertex is None or x.bag - child.bag != {x.vertex}:
-                    raise DecompositionError("introduce vertex mismatch")
-            elif x.kind == "forget":
-                if len(x.children) != 1:
-                    raise DecompositionError("forget node needs one child")
-                child = x.children[0]
-                if not (x.bag < child.bag and len(child.bag - x.bag) == 1):
-                    raise DecompositionError("bad forget bags")
-                if x.vertex is None or child.bag - x.bag != {x.vertex}:
-                    raise DecompositionError("forget vertex mismatch")
+                    raise DecompositionError(f"{x.kind} node needs one child")
+                big, small = x.bag, x.children[0].bag
+                if x.kind == "forget":
+                    big, small = small, big
+                if not small < big or big - small != {x.vertex}:
+                    raise DecompositionError(f"{x.kind} bags do not differ by its vertex")
             elif x.kind == "join":
                 if len(x.children) != 2:
                     raise DecompositionError("join node needs two children")
@@ -703,24 +695,37 @@ def format_td(td, num_vertices):
     return "\n".join(lines) + "\n"
 
 
+def _td_index(x, top):
+    if not 1 <= x <= top:
+        raise ValueError(f"{x} is outside 1..{top}")
+    return x - 1
+
+
 def parse_td(text):
-    bags = {}
-    edges = []
-    num_bags = None
+    """Read ``format_td``'s text; a malformed line raises DecompositionError naming it."""
+    bags, edges, num_bags = {}, [], None
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("c"):
             continue
         fields = line.split()
-        if fields[0] == "s":
-            if fields[1] != "td":
-                raise DecompositionError("not a td header")
-            num_bags = int(fields[2])
-        elif fields[0] == "b":
-            bags[int(fields[1]) - 1] = frozenset(int(v) - 1 for v in fields[2:])
-        else:
-            edges.append((int(fields[0]) - 1, int(fields[1]) - 1))
+        try:
+            if fields[0] == "s":
+                if fields[1:2] != ["td"] or len(fields) != 5 or num_bags is not None:
+                    raise ValueError("need one header s td <bags> <largest bag> <vertices>")
+                num_bags, _, num_vertices = map(int, fields[2:])
+            elif num_bags is None:
+                raise ValueError("comes before the header")
+            elif fields[0] == "b" and len(fields) > 1:
+                i, *vs = map(int, fields[1:])
+                bags[_td_index(i, num_bags)] = frozenset(_td_index(v, num_vertices) for v in vs)
+            elif len(fields) == 2:
+                edges.append(tuple(_td_index(int(x), num_bags) for x in fields))
+            else:
+                raise ValueError("need b <bag> <vertex>... or <bag> <bag>")
+        except ValueError as exc:
+            raise DecompositionError(f"td line {line!r}: {exc}") from None
     if num_bags is None:
         raise DecompositionError("missing td header")
-    bag_list = [bags.get(i, frozenset()) for i in range(num_bags)]
-    return TreeDecomposition(bags=bag_list, edges=edges, root=0)
+    return TreeDecomposition(bags=[bags.get(i, frozenset()) for i in range(num_bags)],
+                             edges=edges, root=0)

@@ -43,21 +43,21 @@ BRUTE_M_BUDGET = 22
 class Solver:
     """One exact route, as ``solve --algo``, dispatch and verify see it.
 
-    ``run`` looks its solver up on the module at call time, so that a tracer
-    rebinding the module attribute sees every call.  ``degrees(delta_v,
-    delta_c)`` marks a polynomial route and says when it applies; ``cost(
-    instance, params)`` ranks an FPT route for dispatch and is None when a
-    budget gates the route out, and a route without ``cost`` is never ranked.
-    As ``params.alpha`` or ``params.tw_upper`` grows, a cost must not fall and
-    a gated route must stay gated, since dispatch ranks on lower bounds of
-    both first.  A route that ``takes_decomposition`` runs on a nice tree
-    decomposition of the incidence graph: dispatch passes the one its
-    parameters measured as the second argument of ``run``.
+    Every route runs as ``run(instance, params)``; the matching and treewidth
+    routes take their structure from the ``core.Params``.  ``run`` looks its
+    solver up on the module at call time, so that a tracer rebinding the
+    module attribute sees every call.  ``degrees(delta_v, delta_c)`` marks a polynomial route and
+    says when it applies; ``cost(instance, params)`` ranks an FPT route for
+    dispatch and is None when a budget gates the route out, and a route
+    without ``cost`` is never ranked.  As ``params.alpha`` or
+    ``params.tw_upper`` grows, a cost must not fall and a gated route must
+    stay gated, since dispatch ranks on lower bounds of both first.
 
-    The registry is a route's one checked entry: calling a Solver runs its
-    route once ``applies`` holds, and raises ValueError naming the rule or
-    the degree gate otherwise.  ``run`` itself assumes both, as dispatch and
-    verify call it after their own ``applies`` check.
+    The registry is a route's one checked entry: calling a Solver computes the
+    parameters and runs its route once ``applies`` holds, and raises
+    ValueError naming the rule or the degree gate otherwise.  ``run`` itself
+    assumes both, as dispatch and verify call it after their own ``applies``
+    check.
     """
 
     algo: str | None  # the --algo name; None for a route only dispatch takes
@@ -66,23 +66,20 @@ class Solver:
     run: Callable
     degrees: Callable | None = None
     cost: Callable | None = None
-    takes_decomposition: bool = False
 
-    def applies(self, instance, delta_v, delta_c):
+    def applies(self, instance, params):
         return self.rule in (None, instance.rule) and (
-            self.degrees is None or self.degrees(delta_v, delta_c)
+            self.degrees is None or self.degrees(params.delta_v, params.delta_c)
         )
 
     def __call__(self, instance):
         if self.rule not in (None, instance.rule):
             raise ValueError(f"{self.algo} needs rule {self.rule}, not {instance.rule}")
-        if self.degrees:
-            e = instance.election
-            delta_v, delta_c = e.delta_v, e.delta_c
-            if not self.degrees(delta_v, delta_c):
-                raise ValueError(f"{self.algo} is outside its degree gate at "
-                                 f"deltaV={delta_v}, deltaC={delta_c}")
-        return self.run(instance)
+        params = compute_params(instance)
+        if not self.applies(instance, params):
+            raise ValueError(f"{self.algo} is outside its degree gate at "
+                             f"deltaV={params.delta_v}, deltaC={params.delta_c}")
+        return self.run(instance, params)
 
 
 def _class_cost(base, size):
@@ -125,47 +122,52 @@ def _pav_bb_cost(instance, p):
 
 
 SOLVERS = (
-    Solver("auto", "dispatch", None, lambda inst: dispatch(inst)),
-    Solver("brute", "brute_force", None, lambda inst: oracle.brute_force(inst)),
+    Solver("auto", "dispatch", None, lambda inst, p: dispatch(inst, p)),
+    Solver("brute", "brute_force", None, lambda inst, p: oracle.brute_force(inst)),
     # the polynomial routes, in the order dispatch tries them
     Solver("av", "av_optimal", None,
-           lambda inst: answer(inst, "av_optimal", {}, poly.av_optimal(inst.election, inst.k),
-                               optimal=True),
+           lambda inst, p: answer(inst, "av_optimal", {},
+                                  poly.av_optimal(inst.election, inst.k), optimal=True),
            degrees=lambda dv, dc: dv <= 1),
-    Solver("mav-deg2", "mav_deg2", MAV, lambda inst: poly.mav_deg2(inst),
+    Solver("mav-deg2", "mav_deg2", MAV, lambda inst, p: poly.mav_deg2(inst),
            degrees=lambda dv, dc: dc <= 2),
-    Solver("ccav-deg2", "ccav_deg2", CCAV, lambda inst: poly.ccav_deg2(inst),
+    Solver("ccav-deg2", "ccav_deg2", CCAV, lambda inst, p: poly.ccav_deg2(inst),
            degrees=lambda dv, dc: dc <= 2),
-    Solver("pav-deg1", "pav_deg1", PAV, lambda inst: poly.pav_deg1(inst),
+    Solver("pav-deg1", "pav_deg1", PAV, lambda inst, p: poly.pav_deg1(inst),
            degrees=lambda dv, dc: dc <= 1),
-    Solver("pav-deg22", "pav_deg22", PAV, lambda inst: poly.pav_deg22(inst),
+    Solver("pav-deg22", "pav_deg22", PAV, lambda inst, p: poly.pav_deg22(inst),
            degrees=lambda dv, dc: dv <= 2 and dc <= 2),
     # the FPT routes, ranked by cost in dispatch; mav_by_classes is not: the
     # cost of mav_k_deltac never exceeds its 2^n, and where they tie
     # (n <= k * deltaC + 1) mav_k_deltac considers every vote, the same search
-    Solver("mav-classes", "mav_by_classes", MAV, lambda inst: fpt.mav_by_classes(inst)),
-    Solver("mav-kdc", "mav_k_deltac", MAV, lambda inst: fpt.mav_k_deltac(inst),
+    Solver("mav-classes", "mav_by_classes", MAV, lambda inst, p: fpt.mav_by_classes(inst)),
+    Solver("mav-kdc", "mav_k_deltac", MAV, lambda inst, p: fpt.mav_k_deltac(inst),
            cost=_class_cost(2, lambda inst, p: min(p.n, inst.k * p.delta_c + 1))),
-    Solver("mav-grsp", "mav_dual_grsp", MAV, lambda inst: fpt.mav_dual_grsp(inst),
+    Solver("mav-grsp", "mav_dual_grsp", MAV, lambda inst, p: fpt.mav_dual_grsp(inst),
            cost=_grsp_cost),
-    Solver("mav-matching", "mav_by_matching", MAV, lambda inst: fpt.mav_by_matching(inst),
+    Solver("mav-matching", "mav_by_matching", MAV,
+           lambda inst, p: fpt.mav_by_matching(inst, p.matching),
            cost=_class_cost(4, lambda inst, p: p.alpha)),
-    Solver("mav-tw", "mav_tw_dp", MAV, lambda inst, ntd=None: twdp.mav_tw_dp(inst, ntd),
-           takes_decomposition=True, cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
-    Solver("ccav-bb", "ccav_bb_dual", CCAV, lambda inst: fpt.ccav_bb_dual(inst),
+    Solver("mav-tw", "mav_tw_dp", MAV,
+           lambda inst, p: twdp.mav_tw_dp(inst, graphs.to_nice(p.decomposition)),
+           cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
+    Solver("ccav-bb", "ccav_bb_dual", CCAV, lambda inst, p: fpt.ccav_bb_dual(inst),
            cost=lambda inst, p: max(2, p.delta_c * p.kbar) ** p.kbar),
-    Solver("ccav-tw", "ccav_tw_dp", CCAV, lambda inst, ntd=None: twdp.ccav_tw_dp(inst, ntd),
-           takes_decomposition=True, cost=_tw_cost(lambda k, width: 2 * (k + 1))),
-    Solver("pav-bb", "pav_bb_dv", PAV, lambda inst: fpt.pav_bb_dv(inst),
+    Solver("ccav-tw", "ccav_tw_dp", CCAV,
+           lambda inst, p: twdp.ccav_tw_dp(inst, graphs.to_nice(p.decomposition)),
+           cost=_tw_cost(lambda k, width: 2 * (k + 1))),
+    Solver("pav-bb", "pav_bb_dv", PAV, lambda inst, p: fpt.pav_bb_dv(inst),
            cost=_pav_bb_cost),
     Solver(None, "pav_annotated", PAV,
-           lambda inst: fpt.pav_annotated(
+           lambda inst, p: fpt.pav_annotated(
                fpt.AnnotatedPavInstance(inst.election, frozenset(), inst.k, inst.d)),
            cost=_class_cost(2, lambda inst, p: p.n)),
-    Solver("pav-matching", "pav_by_matching", PAV, lambda inst: fpt.pav_by_matching(inst),
+    Solver("pav-matching", "pav_by_matching", PAV,
+           lambda inst, p: fpt.pav_by_matching(inst, p.matching),
            cost=_class_cost(4, lambda inst, p: p.alpha)),
-    Solver("pav-tw", "pav_tw_dp", PAV, lambda inst, ntd=None: twdp.pav_tw_dp(inst, ntd),
-           takes_decomposition=True, cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
+    Solver("pav-tw", "pav_tw_dp", PAV,
+           lambda inst, p: twdp.pav_tw_dp(inst, graphs.to_nice(p.decomposition)),
+           cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
 )
 
 
@@ -230,7 +232,7 @@ def dispatch(instance, params=None):
     and every gate grows with both, so the matching or the min-fill runs only
     when such an optimistic rank comes first; the route is then ranked again
     on the real values.  The route that runs is the one that ranking on the
-    real values would put first.  A treewidth route runs on the decomposition
+    real values would put first, and it reuses the matching or decomposition
     that its rank computed.
     """
     e = instance.election
@@ -239,8 +241,8 @@ def dispatch(instance, params=None):
         params = compute_params(instance)
     delta_v, delta_c = params.delta_v, params.delta_c
     for solver in SOLVERS:
-        if solver.degrees and solver.applies(instance, delta_v, delta_c):
-            return solver.run(instance)
+        if solver.degrees and solver.applies(instance, params):
+            return solver.run(instance, params)
     if instance.rule == MAV and d >= k + delta_v:
         return answer(instance, "score_bound", {}, range(k))
     if instance.rule != MAV and d > k * delta_c:
@@ -262,24 +264,20 @@ def dispatch(instance, params=None):
             push(solver.cost(instance, params), solver, False)
             continue
         # a class route raises BudgetExceededError only where its cost is None
-        if solver.takes_decomposition:
-            return solver.run(instance, graphs.to_nice(params.decomposition))
-        return solver.run(instance)
+        return solver.run(instance, params)
     if e.m <= BRUTE_M_BUDGET:
         return oracle.brute_force(instance, max_m=BRUTE_M_BUDGET)
     raise AllSolversExceededError("no solver within policy budgets")
 
 
-def applicable(instance):
+def applicable(instance, params):
     """The ``solve --algo`` routes that apply to the instance, brute force aside.
 
     These are the routes verify checks against the brute-force oracle.
     """
-    e = instance.election
-    delta_v, delta_c = e.delta_v, e.delta_c
     return [
         solver for solver in SOLVERS
-        if solver.algo not in (None, "brute") and solver.applies(instance, delta_v, delta_c)
+        if solver.algo not in (None, "brute") and solver.applies(instance, params)
     ]
 
 
@@ -358,9 +356,10 @@ def verify(corpus_dir, budget=22):
         except BudgetExceededError:
             report.append({"instance": name, "status": "skipped", "detail": "oracle budget"})
             continue
-        for solver in applicable(instance):
+        params = compute_params(instance)
+        for solver in applicable(instance, params):
             try:
-                res = solver.run(instance)
+                res = solver.run(instance, params)
             except BudgetExceededError:
                 continue
             problems = check_result(instance, res, truth)

@@ -29,6 +29,8 @@ def parse_graph(text):
         except ValueError:
             raise FormatError(f"bad graph line {line!r}: need two integers") from None
         if fields[0] == "p":
+            if n is not None:
+                raise FormatError(f"repeated graph header {line!r}")
             n, declared = a, b
         elif n is None:
             raise FormatError("edge before header")

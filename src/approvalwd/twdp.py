@@ -19,11 +19,10 @@ far from the committee is dropped when it is forgotten.  A join meets each
 entry of one child only with the entries of the other child that share its
 candidate bag set.
 
-Dispatch hands a route the nice form of the min-fill decomposition that it
-computed on demand to measure ``tw_upper``; called alone, a route builds the
-same one.
-Either way it is validated first: the witness re-score checks only the value
-the tables found.
+A route takes the nice tree decomposition it runs on.  The registry passes
+the nice form of the min-fill decomposition in the instance's parameters, the
+one dispatch measured ``tw_upper`` on.  It is validated first: the witness
+re-score checks only the value the tables found.
 
 Incidence-graph numbering: candidate c is vertex c, vote j is vertex m + j.
 """
@@ -33,7 +32,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import graphs
 from .core import answer, CCAV, MAV, scaled_harmonics
 
 
@@ -60,8 +58,6 @@ def _run_mu_dp(instance, ntd):
     e = instance.election
     m, k, d = e.m, instance.k, instance.d
     votes = e.votes
-    if ntd is None:
-        ntd = graphs.to_nice(graphs.tree_decomposition(graphs.incidence_graph(e)))
     # validated against the incidence graph, each edge listed from its vote's end
     adj = dict.fromkeys(range(m), ())
     adj.update((m + j, v) for j, v in enumerate(votes))
@@ -164,17 +160,17 @@ def _run_mu_dp(instance, ntd):
     return answer(instance, algorithm, stats, entry[1], opt)
 
 
-def ccav_tw_dp(instance, ntd=None):
+def ccav_tw_dp(instance, ntd):
     """Exact CCAV optimum; mu marks which bag votes the committee covers."""
     return _run_mu_dp(instance, ntd)
 
 
-def pav_tw_dp(instance, ntd=None):
+def pav_tw_dp(instance, ntd):
     """Exact PAV optimum; mu tracks each bag vote's committee overlap."""
     return _run_mu_dp(instance, ntd)
 
 
-def mav_tw_dp(instance, ntd=None):
+def mav_tw_dp(instance, ntd):
     """MAV decision; a vote is checked against the distance threshold when
     it is forgotten, using 2 * mu >= k + |v| - d to stay in integers."""
     if instance.d < 0:

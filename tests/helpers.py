@@ -415,15 +415,14 @@ def reference_dispatch(instance):
     on the real alpha and tw_upper; the first in (cost, name) order runs."""
     e = instance.election
     k, d = instance.k, instance.d
-    delta_v, delta_c = e.delta_v, e.delta_c
-    for solver in portfolio.SOLVERS:
-        if solver.degrees and solver.applies(instance, delta_v, delta_c):
-            return solver.run(instance)
-    if instance.rule == MAV and d >= k + delta_v:
-        return SolveResult(True, None, tuple(range(k)), "score_bound", {})
-    if instance.rule != MAV and d > k * delta_c:
-        return SolveResult(False, None, None, "score_bound", {})
     params = compute_params(instance)
+    for solver in portfolio.SOLVERS:
+        if solver.degrees and solver.applies(instance, params):
+            return solver.run(instance, params)
+    if instance.rule == MAV and d >= k + params.delta_v:
+        return SolveResult(True, None, tuple(range(k)), "score_bound", {})
+    if instance.rule != MAV and d > k * params.delta_c:
+        return SolveResult(False, None, None, "score_bound", {})
     _ = params.alpha, params.tw_upper  # computed whatever the ranking needs
     ranked = []
     for solver in portfolio.SOLVERS:
@@ -433,9 +432,7 @@ def reference_dispatch(instance):
                 ranked.append((cost, solver.name, solver))
     if ranked:
         _, _, solver = min(ranked, key=lambda r: r[:2])
-        if solver.takes_decomposition:
-            return solver.run(instance, graphs.to_nice(params.decomposition))
-        return solver.run(instance)
+        return solver.run(instance, params)
     if e.m <= portfolio.BRUTE_M_BUDGET:
         return brute_force(instance, max_m=portfolio.BRUTE_M_BUDGET)
     raise portfolio.AllSolversExceededError("no solver within policy budgets")

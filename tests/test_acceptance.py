@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from approvalwd import (
     CCAV,
+    compute_params,
     format_election,
     format_instance,
     Instance,
@@ -23,7 +24,7 @@ from approvalwd import (
     RULES,
     score,
 )
-from approvalwd import fpt, graphs, poly, twdp
+from approvalwd import cli, fpt, graphs, poly, twdp
 from approvalwd.oracle import brute_force, BudgetExceededError
 from approvalwd.portfolio import applicable, generate, GeneratorConfig
 from approvalwd.reductions import (
@@ -59,7 +60,7 @@ def _witness_ok(inst, res):
     return meets_threshold(inst.rule, s, inst.d)
 
 
-def _solver_rows(inst, width, k):
+def _solver_rows(inst, params, width, k):
     """Every registered solver applicable to this instance.
 
     The two committee-overlap treewidth tables are budget-gated by their
@@ -68,7 +69,7 @@ def _solver_rows(inst, width, k):
     """
     mu_budget = (k + 1) ** (width + 1) * 2 ** min(width + 1, inst.election.m) <= 30000
     return [
-        solver for solver in applicable(inst)
+        solver for solver in applicable(inst, params)
         if mu_budget or solver.name not in ("mav_tw_dp", "pav_tw_dp")
     ]
 
@@ -90,10 +91,11 @@ def test_criterion_1_oracle_equivalence_sweep(capsys):
                 inst = Instance(election=e, rule=rule, k=k, d=d)
                 instances += 1
                 truth = brute_force(inst)
-                for solver in _solver_rows(inst, width, k):
+                params = compute_params(inst)
+                for solver in _solver_rows(inst, params, width, k):
                     name = solver.name
                     try:
-                        res = solver.run(inst)
+                        res = solver.run(inst, params)
                     except BudgetExceededError:
                         continue
                     coverage[name] = coverage.get(name, 0) + 1
@@ -270,7 +272,7 @@ def test_criterion_5_complexity_bounds(capsys):
         if res.stats["nodes"] > bound:
             failures.append(("ccav_bb_dual nodes", res.stats["nodes"], bound))
 
-        res = twdp.ccav_tw_dp(Instance(election=e, rule=CCAV, k=k, d=d))
+        res = cli.ALGOS["ccav-tw"](Instance(election=e, rule=CCAV, k=k, d=d))
         if res.stats["max_entries"] > 2 ** (res.stats["width"] + 1) * (k + 1):
             failures.append(("ccav_tw_dp entries", res.stats))
 
@@ -375,7 +377,7 @@ def test_criterion_8_smoke_scale(capsys):
     ).width()
     inst = Instance(election=e, rule=CCAV, k=10, d=20)
     start = time.perf_counter()
-    res = twdp.ccav_tw_dp(inst)
+    res = cli.ALGOS["ccav-tw"](inst)
     elapsed = time.perf_counter() - start
     ok = width <= 4 and elapsed < 10.0 and res.opt_score is not None
     _report(

@@ -21,13 +21,12 @@ from approvalwd.fpt import (
     ccav_bb_dual,
     grsp_solve,
     mav_by_classes,
-    mav_by_matching,
     mav_dual_grsp,
     mav_k_deltac,
     pav_annotated,
     pav_bb_dv,
-    pav_by_matching,
 )
+from approvalwd.cli import ALGOS
 from approvalwd.oracle import brute_force, brute_force_grsp, BudgetExceededError
 from approvalwd.portfolio import dispatch, generate, GeneratorConfig, SOLVERS
 
@@ -40,6 +39,9 @@ from helpers import (
     reference_pav_bb_dv,
     sweep_against_oracle,
 )
+
+# the matching routes as the registry runs them, on the parameters' matching
+mav_by_matching, pav_by_matching = ALGOS["mav-matching"], ALGOS["pav-matching"]
 
 
 def test_mav_by_classes_examples():
@@ -567,7 +569,7 @@ def test_routes_never_scan_approvers(monkeypatch):
         assert dispatch(inst).decision
         for solver in SOLVERS:
             if solver.rule == inst.rule and not solver.degrees:
-                assert solver.run(inst).decision, solver.name
+                assert solver(inst).decision, solver.name
     assert calls == []
 
 

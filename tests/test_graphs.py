@@ -283,6 +283,17 @@ def test_pace_roundtrip():
         parse_td("b 1 2\n")
     with pytest.raises(DecompositionError):
         parse_td("s notd 1 1 1\n")
+    # a short line, an extra field, a non-integer field, a bag number or a
+    # vertex out of range, a repeated header: the error names the line
+    for text, line in (
+        ("s\n", "s"), ("s td\n", "s td"), ("s td 1 1 1 1\n", "s td 1 1 1 1"),
+        ("s td 1 1 1\n1\n", "1"), ("s td 1 1 1\nb\n", "b"),
+        ("s td 1 1 1\nb x 1\n", "b x 1"), ("s td 2 1 1\n1 2 3\n", "1 2 3"),
+        ("s td 1 1 1\nb 5 1\n", "b 5 1"), ("s td 1 1 1\n1 2\n", "1 2"),
+        ("s td 1 1 1\nb 1 2\n", "b 1 2"), ("s td 1 1 1\ns td 1 1 1\n", "s td 1 1 1"),
+    ):
+        with pytest.raises(DecompositionError, match=re.escape(repr(line))):
+            parse_td(text)
 
 
 def test_graph_rejects_loops():

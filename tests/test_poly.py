@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import approvalwd
-from approvalwd import CCAV, Election, Instance, MAV, PAV, RULES, graphs, score
+from approvalwd import CCAV, cli, Election, Instance, MAV, PAV, RULES, graphs, score
 from approvalwd.graphs import classify_component, multigraph_components, multigraph_rep
 from approvalwd.oracle import brute_force
 from approvalwd.poly import (
@@ -24,7 +24,6 @@ from approvalwd.poly import (
     pav_deg22,
 )
 from approvalwd.portfolio import generate, GeneratorConfig
-from approvalwd.twdp import pav_tw_dp
 
 from helpers import e1, instances_around_opt, random_election, reference_pav_deg22
 
@@ -212,7 +211,7 @@ def test_pav_deg22_matches_the_treewidth_dp_on_a_500_vote_path():
     path = Election(n + 1, tuple(frozenset({j, j + 1}) for j in range(n)))
     inst = Instance(path, PAV, 300, 0)
     res = pav_deg22(inst)
-    assert res.opt_score == pav_tw_dp(inst).opt_score == 550
+    assert res.opt_score == cli.ALGOS["pav-tw"](inst).opt_score == 550
     assert score(path, PAV, res.witness) == 550
 
 

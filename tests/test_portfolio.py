@@ -55,7 +55,7 @@ def test_every_route_rechecks_its_witness_under_optimisation():
         on_name = {"av_optimal": Instance(Election(3, ({0}, {1}, {0})), "ccav", 1, 0),
                    "pav_deg1": Instance(Election(3, ({0, 1}, {2})), "pav", 2, 0)}
         cases = [
-            (s.name, lambda s=s: s.run(on_name.get(s.name) or on_rule[s.rule]))
+            (s.name, lambda s=s: s(on_name.get(s.name) or on_rule[s.rule]))
             for s in portfolio.SOLVERS if s.algo not in ("auto", "brute")
         ]
         cases.append(("forced", lambda: fpt.pav_annotated(
@@ -209,7 +209,7 @@ def test_dispatch_counts_the_approvals_once(rule, monkeypatch):
     monkeypatch.setattr(Election, "approver_counts", spy)
     for solver in portfolio.SOLVERS:
         if solver.cost:
-            monkeypatch.setattr(twdp if solver.takes_decomposition else portfolio.fpt,
+            monkeypatch.setattr(twdp if hasattr(twdp, solver.name) else portfolio.fpt,
                                 solver.name, route)
     assert dispatch(Instance(election=e, rule=rule, k=4, d=3)) == "route"
     assert at_route == [1]
@@ -256,8 +256,8 @@ def test_dispatch_to_a_treewidth_route_runs_min_fill_once(rule, k, d, route, mon
     res = dispatch(inst)
     assert res.algorithm == route
     assert len(calls) == 1
-    # called alone, the route builds the same decomposition itself
-    alone = getattr(twdp, route)(inst)
+    # called alone, the registry entry builds the same decomposition afresh
+    alone = cli.ALGOS[f"{rule}-tw"](inst)
     assert len(calls) == 2
     assert (res, res.stats) == (alone, alone.stats)
 
@@ -274,6 +274,26 @@ def test_dispatch_to_a_treewidth_route_builds_the_incidence_graph_once(monkeypat
     res = dispatch(Instance(election=_THICK_PATH, rule=PAV, k=6, d=8))
     assert res.algorithm == "pav_tw_dp"
     assert len(calls) == 1
+
+
+def test_dispatch_to_a_matching_route_computes_one_matching(monkeypatch):
+    # the wide + pairs election of the eager-reference sweep: the ranking
+    # reads alpha off the matching that the route then splits on
+    calls = []
+    max_matching = graphs.max_matching
+
+    def spy(graph):
+        calls.append(graph)
+        return max_matching(graph)
+
+    monkeypatch.setattr(graphs, "max_matching", spy)
+    wide = [frozenset({j % 4} | {4 + i for i in range(16) if i % 5 == j}) for j in range(5)]
+    pairs = [frozenset(p) for p in itertools.combinations(range(4), 2)] * 2
+    e = Election(m=20, votes=tuple(wide + pairs))
+    for d in (9, 10):
+        calls.clear()
+        assert dispatch(Instance(election=e, rule=MAV, k=10, d=d)).algorithm == "mav_by_matching"
+        assert len(calls) == 1
 
 
 def test_long_near_paths_are_decided_without_recursion(tmp_path):
@@ -335,8 +355,7 @@ def test_a_ranked_route_with_a_cost_stays_within_its_budget():
                 (gated if cost is None else ran).add((size, getattr(p, size)))
             if cost is None or solver.name == "ccav_bb_dual" and cost > portfolio.FPT_COST_CAP:
                 continue
-            args = (graphs.to_nice(p.decomposition),) if solver.takes_decomposition else ()
-            solver.run(inst, *args)
+            solver.run(inst, p)
     assert {("n", 16), ("alpha", 16)} <= ran and {("n", 17), ("alpha", 17)} <= gated
 
 
@@ -344,7 +363,7 @@ def test_a_ranked_route_with_a_cost_stays_within_its_budget():
 # enough for the class routes to stay within their budget once every vote is
 # doubled.
 def _ranked_answer(solver, election, k, d):
-    res = solver.run(Instance(election, solver.rule, k, d))
+    res = solver(Instance(election, solver.rule, k, d))
     return res.decision, res.opt_score
 
 

@@ -58,7 +58,7 @@ def test_graph_format_roundtrip():
         assert parse_graph(text) == (n, edges)
     assert parse_graph("c comment\n# also\np 2 1\ne 1 2\n") == (2, [(0, 1)])
     for bad in ("", "e 1 2\n", "p 2 1\n", "p 2 0\ne 1 2\n", "p 2 1\ne 1 5\n", "q 1\n",
-                "p 2 1\ne 1\n", "p 2 1\ne 1 2 3\n", "p x 1\n"):
+                "p 2 1\ne 1\n", "p 2 1\ne 1 2 3\n", "p x 1\n", "p 2 1\ne 1 2\np 3 1\n"):
         with pytest.raises(FormatError):
             parse_graph(bad)
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import approvalwd
-from approvalwd import CCAV, Election, Instance, MAV, PAV, score
+from approvalwd import CCAV, Election, Instance, MAV, PAV, score, twdp
+from approvalwd.cli import ALGOS
 from approvalwd.graphs import (
     DecompositionError,
     incidence_graph,
@@ -23,9 +24,12 @@ from approvalwd.graphs import (
 from approvalwd.oracle import brute_force
 from approvalwd.poly import ccav_deg2, mav_deg2, pav_deg22
 from approvalwd.portfolio import generate, GeneratorConfig
-from approvalwd.twdp import ccav_tw_dp, mav_tw_dp, pav_tw_dp
 
 from helpers import e1, instances_around_opt, random_election
+
+# the DPs as the registry runs them, on the nice form of the parameters'
+# min-fill decomposition; a test that picks the decomposition calls twdp
+ccav_tw_dp, mav_tw_dp, pav_tw_dp = ALGOS["ccav-tw"], ALGOS["mav-tw"], ALGOS["pav-tw"]
 
 
 def _check(inst, res):
@@ -65,7 +69,7 @@ def test_sweep_all_rules():
 
 def test_decomposition_independence():
     rng = random.Random(61)
-    solvers = {MAV: mav_tw_dp, CCAV: ccav_tw_dp, PAV: pav_tw_dp}
+    solvers = {MAV: twdp.mav_tw_dp, CCAV: twdp.ccav_tw_dp, PAV: twdp.pav_tw_dp}
     for _ in range(30):
         e = random_election(rng, max_m=5, max_n=4)
         if e.m + e.n == 0 or e.m + e.n > 9:
@@ -95,10 +99,12 @@ def test_ccav_entry_bound():
 def test_external_decomposition_rejected_if_invalid():
     bogus = NiceTreeDecomposition(root=NiceNode("leaf", frozenset()))
     with pytest.raises(DecompositionError):
-        ccav_tw_dp(Instance(election=e1(), rule=CCAV, k=1, d=1), ntd=bogus)
+        twdp.ccav_tw_dp(Instance(election=e1(), rule=CCAV, k=1, d=1), ntd=bogus)
 
 
-@pytest.mark.parametrize("solve, rule", [(ccav_tw_dp, CCAV), (mav_tw_dp, MAV), (pav_tw_dp, PAV)])
+@pytest.mark.parametrize("solve, rule", [
+    (twdp.ccav_tw_dp, CCAV), (twdp.mav_tw_dp, MAV), (twdp.pav_tw_dp, PAV),
+])
 def test_external_decomposition_rejected_if_an_edge_is_uncovered(solve, rule):
     # every vertex of e1's incidence graph, in connected bags, but candidate 0
     # and vote 2 (vertex 5) share none
@@ -160,7 +166,7 @@ def test_witness_check_survives_optimisation():
     # the exact re-score is an explicit check, not an assert that -O strips
     script = textwrap.dedent("""
         from fractions import Fraction
-        from approvalwd import CCAV, core, Election, Instance, MAV, PAV, twdp
+        from approvalwd import CCAV, core, Election, graphs, Instance, MAV, PAV, twdp
         from approvalwd.core import InternalError
 
         assert False, "asserts are stripped under -O"
@@ -173,7 +179,7 @@ def test_witness_check_survives_optimisation():
         ]
         for solver, inst in cases:
             try:
-                solver(inst)
+                solver(inst, graphs.to_nice(core.compute_params(inst).decomposition))
             except InternalError:
                 print(solver.__name__, "raised")
     """)
