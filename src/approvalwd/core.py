@@ -322,10 +322,12 @@ def _parse_vote_lines(lines, m, n):
     for line in lines[:n]:
         fields = line.split()
         try:
-            indices = [int(f) for f in fields]
+            vote = frozenset(map(int, fields))
         except ValueError as exc:
             raise FormatError(f"bad vote line {line!r}") from exc
-        votes.append(frozenset(indices))
+        if len(vote) < len(fields):
+            raise FormatError(f"vote line {line!r} names a candidate twice")
+        votes.append(vote)
     try:
         return Election(m=m, votes=tuple(votes))
     except ValueError as exc:

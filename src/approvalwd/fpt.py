@@ -4,6 +4,7 @@ One class-count search (standing in for the ILP machinery) behind the MAV,
 annotated PAV and matching-parameter solvers, vote pruning for MAV, the
 set-packing route for MAV in the dual parameter, and branch and bound for CCAV
 and PAV.  Every search runs on one explicit-stack driver, so none recurses.
+The exhaustive route, for every rule, is one more such search.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from fractions import Fraction
 
 from .core import (
     answer,
+    CCAV,
     checked_witness,
     class_partition,
     fill_committee,
     Instance,
+    MAV,
     PAV,
     scaled_harmonics,
 )
@@ -379,8 +382,10 @@ def pav_bb_dv(instance):
         if counts[c] >= d:
             return answer(instance, "pav_bb_dv", stats, fill_committee((c,), k, range(e.m)))
     # scores in integers: a committee of at most k members scores
-    # sum hsum[cov[j]], and it meets d iff that sum reaches need
-    scale, hsum = scaled_harmonics(k)
+    # sum hsum[cov[j]], and it meets d iff that sum reaches need; an overlap
+    # never exceeds min(k, |v|), so lcm(1..min(k, deltaV)) scales them all
+    delta_v = e.delta_v
+    scale, hsum = scaled_harmonics(min(k, delta_v))
     need = math.ceil(d * scale)
     capp = [c for c in range(e.m) if counts[c] > 0]
     k2 = min(k, len(capp))
@@ -389,7 +394,7 @@ def pav_bb_dv(instance):
         ok = sum(hsum[len(v)] for v in e.votes) >= need
         w = fill_committee(capp, k, range(e.m)) if ok else None
         return answer(instance, "pav_bb_dv", stats, w)
-    depth_cap = min(k2, math.ceil(d * e.delta_v))
+    depth_cap = min(k2, math.ceil(d * delta_v))
     approvers = e.approver_sets()
     cov = [0] * e.n
 
@@ -524,3 +529,124 @@ def pav_by_matching(instance, matching):
             best = total
             best_w = witness
     return answer(instance, "pav_by_matching", stats, best_w, Fraction(best, scale))
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive search: every rule, scored along the path
+# ---------------------------------------------------------------------------
+
+def exhaustive(instance):
+    """Exact optimum over every k-committee, for any rule, without re-scoring.
+
+    The committees are walked in lexicographic order on ``_depth_first``: a
+    search node holds the first members and yields one child per next member,
+    down to k - 2 members, and the last two members are plain loops over the
+    candidates left (``stats["nodes"]`` counts the nodes).  The path carries
+    each rule's state and a committee's value is read off it: CCAV ORs each
+    member's bitmask of approving votes and counts the bits; PAV keeps every
+    vote's overlap and every candidate's marginal gain as the overlaps move,
+    in integers scaled by lcm(1..min(k, deltaV)) since no overlap exceeds
+    that; MAV keeps every vote's distance |v| + k - 2 * overlap and reads the
+    largest.  The first strictly better committee is kept, so the witness is
+    the lexicographically first optimum, as ``oracle.brute_force``'s is.
+    """
+    e = instance.election
+    k, m, rule = instance.k, e.m, instance.rule
+    if k == 0:
+        return answer(instance, "exhaustive", {"nodes": 0}, (), optimal=True)
+    approvers = e.approver_sets()
+    scale = 1
+    if rule == CCAV:
+        masks = [sum(1 << j for j in voters) for voters in approvers]
+
+        def join(mask, c):
+            return mask | masks[c]
+
+        def leave(c):
+            pass
+
+        def leaves(mask, lo):
+            return [(mask | bits).bit_count() for bits in masks[lo:]]
+    elif rule == PAV:
+        scale, hsum = scaled_harmonics(min(k, e.delta_v))
+        # a vote's next member adds step[overlap], and nothing past a full vote;
+        # gain[c] is what c adds to the path, kept as the overlaps move
+        step = [b - a for a, b in zip(hsum, hsum[1:])] + [0]
+        cov = [0] * e.n
+        gain = [len(voters) * step[0] for voters in approvers]
+
+        def move(c, by):
+            for j in approvers[c]:
+                before = step[cov[j]]
+                cov[j] += by
+                delta = step[cov[j]] - before
+                for x in e.votes[j]:
+                    gain[x] += delta
+
+        def join(total, c):
+            total += gain[c]
+            move(c, 1)
+            return total
+
+        def leave(c):
+            move(c, -1)
+
+        def leaves(total, lo):
+            return [total + g for g in gain[lo:]]
+    else:
+        # the search maximises, so MAV gets the negated largest distance.  With
+        # the last member c, the largest is top while a vote at top does not
+        # approve c, else top - 1 while a vote at top - 1 does not, else top - 2,
+        # where c's approvers at top now lie
+        dist = [len(v) + k for v in e.votes]
+
+        def join(_, c):
+            for j in approvers[c]:
+                dist[j] -= 2
+
+        def leave(c):
+            for j in approvers[c]:
+                dist[j] += 2
+
+        def leaves(_, lo):
+            if not dist:
+                return [0] * (m - lo)
+            top = max(dist)
+            at_top, below = dist.count(top), dist.count(top - 1)
+            values = []
+            for c in range(lo, m):
+                near = [dist[j] for j in approvers[c]]
+                if near.count(top) < at_top:
+                    values.append(-top)
+                elif near.count(top - 1) < below:
+                    values.append(1 - top)
+                else:
+                    values.append(2 - top)
+            return values
+
+    best, witness, path = None, None, []
+
+    def last(lo, state):
+        # the committees that path, now k - 1 members, completes from lo onwards
+        nonlocal best, witness
+        values = leaves(state, lo)
+        top = max(values)
+        if best is None or top > best:
+            best, witness = top, (*path, lo + values.index(top))
+
+    def node(lo, state):
+        # path holds the members so far; the next one comes from lo onwards
+        if len(path) == k - 1:
+            return last(lo, state)
+        for c in range(lo, m - k + len(path) + 1):
+            path.append(c)
+            if len(path) == k - 1:
+                last(c + 1, join(state, c))
+            else:
+                yield node(c + 1, join(state, c))
+            path.pop()
+            leave(c)
+
+    _, nodes = _depth_first(node(0, 0))
+    opt = Fraction(-best) if rule == MAV else Fraction(best, scale)
+    return answer(instance, "exhaustive", {"nodes": nodes}, witness, opt)

@@ -33,10 +33,10 @@ class AllSolversExceededError(RuntimeError):
 
 
 # dispatch skips an FPT route estimated above FPT_COST_CAP or a treewidth
-# route above TW_WIDTH_CAP, and brute-forces only up to BRUTE_M_BUDGET candidates
+# route above TW_WIDTH_CAP, and runs the exhaustive route last only where its
+# C(m + 1, k) nodes are within FPT_COST_CAP
 FPT_COST_CAP = 10**7
 TW_WIDTH_CAP = 8
-BRUTE_M_BUDGET = 22
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,8 @@ def _pav_bb_cost(instance, p):
 SOLVERS = (
     Solver("auto", "dispatch", None, lambda inst, p: dispatch(inst, p)),
     Solver("brute", "brute_force", None, lambda inst, p: oracle.brute_force(inst)),
+    # dispatch's last resort, never ranked: see dispatch
+    Solver("exhaustive", "exhaustive", None, lambda inst, p: fpt.exhaustive(inst)),
     # the polynomial routes, in the order dispatch tries them
     Solver("av", "av_optimal", None,
            lambda inst, p: answer(inst, "av_optimal", {},
@@ -225,8 +227,12 @@ def dispatch(instance, params=None):
     never exceeds k + deltaV, and a CCAV or PAV score never exceeds
     k * deltaC.  All of these read the degrees from the parameters, which
     are computed first unless the caller passes them; their incidence-graph
-    values wait for a read.  Then the FPT route of least estimated cost runs,
-    with brute force as the fallback when none is within the caps.
+    values wait for a read.  Then the FPT route of least estimated cost runs.
+    When none is within the caps, the exhaustive route runs if its C(m + 1, k)
+    search-tree nodes, ``_grsp_cost``'s bound with k in place of kbar, are
+    within FPT_COST_CAP.  It is not ranked beside the others: one of their
+    nodes costs an order of magnitude more than one of its committees, so
+    raw counts would rank it first where they are faster.
 
     A route is first ranked on lower bounds of alpha and tw_upper.  Every cost
     and every gate grows with both, so the matching or the min-fill runs only
@@ -265,8 +271,8 @@ def dispatch(instance, params=None):
             continue
         # a class route raises BudgetExceededError only where its cost is None
         return solver.run(instance, params)
-    if e.m <= BRUTE_M_BUDGET:
-        return oracle.brute_force(instance, max_m=BRUTE_M_BUDGET)
+    if math.comb(e.m + 1, k) <= FPT_COST_CAP:
+        return fpt.exhaustive(instance)
     raise AllSolversExceededError("no solver within policy budgets")
 
 

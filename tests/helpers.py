@@ -11,6 +11,7 @@ from approvalwd import (
     CCAV,
     compute_params,
     Election,
+    fpt,
     graphs,
     hamming,
     harmonic,
@@ -412,7 +413,8 @@ def reference_max_matching(graph):
 
 def reference_dispatch(instance):
     """Dispatch with every parameter computed first and every FPT route ranked
-    on the real alpha and tw_upper; the first in (cost, name) order runs."""
+    on the real alpha and tw_upper; the first in (cost, name) order runs, and
+    the exhaustive route where none is within the cap."""
     e = instance.election
     k, d = instance.k, instance.d
     params = compute_params(instance)
@@ -433,8 +435,8 @@ def reference_dispatch(instance):
     if ranked:
         _, _, solver = min(ranked, key=lambda r: r[:2])
         return solver.run(instance, params)
-    if e.m <= portfolio.BRUTE_M_BUDGET:
-        return brute_force(instance, max_m=portfolio.BRUTE_M_BUDGET)
+    if math.comb(e.m + 1, k) <= portfolio.FPT_COST_CAP:
+        return fpt.exhaustive(instance)
     raise portfolio.AllSolversExceededError("no solver within policy budgets")
 
 

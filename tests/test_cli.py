@@ -47,7 +47,7 @@ def test_solve_errors(tmp_path):
 
 def test_algo_names_are_pinned():
     assert sorted(cli.ALGOS) == [
-        "auto", "av", "brute", "ccav-bb", "ccav-deg2", "ccav-tw",
+        "auto", "av", "brute", "ccav-bb", "ccav-deg2", "ccav-tw", "exhaustive",
         "mav-classes", "mav-deg2", "mav-grsp", "mav-kdc", "mav-matching",
         "mav-tw", "pav-bb", "pav-deg1", "pav-deg22", "pav-matching", "pav-tw",
     ]

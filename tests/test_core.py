@@ -254,6 +254,9 @@ def test_format_errors():
     for bad in ("", "2\n", "2 1\n", "2 1\n0 5\n", "1 0\nstray line\n", "2 x\n"):
         with pytest.raises(FormatError):
             parse_election(bad)
+    # a vote is a set: a repeated candidate is an error, not folded into one
+    with pytest.raises(FormatError, match="'0 0' names a candidate twice"):
+        parse_instance("pav 1 1 1\n2 1\n0 0\n")
     for bad in ("", "foo 1 2 1\n1 0\n", "mav 1 1 0\n1 0\n", "mav 1\n1 0\n", "mav 9 0 1\n1 0\n"):
         with pytest.raises(FormatError):
             parse_instance(bad)

@@ -14,11 +14,13 @@ from approvalwd import (
     Instance,
     MAV,
     PAV,
+    RULES,
     score,
 )
 from approvalwd.fpt import (
     AnnotatedPavInstance,
     ccav_bb_dual,
+    exhaustive,
     grsp_solve,
     mav_by_classes,
     mav_dual_grsp,
@@ -585,3 +587,27 @@ def test_ccav_bb_dual_deeper_than_the_recursion_limit():
 def test_pav_bb_dv_deeper_than_the_recursion_limit():
     res = pav_bb_dv(deep_search_instances()["pav-bb"])
     assert res.decision and res.stats == {"nodes": 1002, "max_branch": 3, "pruned": 0}
+
+
+def test_exhaustive_matches_brute_force_on_the_exact_triple():
+    # the same lexicographically first optimum as the oracle at every k from 0
+    # to m, on elections with no votes, with empty votes and at random
+    rng = random.Random(1818)
+    elections = [Election(0, ()), Election(3, ()), Election(4, (frozenset(),) * 2)]
+    elections += [random_election(rng, max_m=8, max_n=7) for _ in range(80)]
+    assert any(frozenset() in e.votes for e in elections[3:])
+    for e in elections:
+        for rule in RULES:
+            for k in range(e.m + 1):
+                inst = Instance(e, rule, k, Fraction(rng.randint(0, 8), 2))
+                res, truth = exhaustive(inst), brute_force(inst)
+                assert (res.decision, res.opt_score, res.witness) == (
+                    truth.decision, truth.opt_score, truth.witness)
+
+
+def test_exhaustive_deeper_than_the_recursion_limit():
+    # k = m = 1005: one committee, one search level per member but the last
+    e = Election(m=1005, votes=tuple(frozenset({c}) for c in range(0, 1005, 5)))
+    for rule, opt in ((CCAV, 201), (PAV, 201), (MAV, 1004)):
+        res = exhaustive(Instance(e, rule, 1005, 0))
+        assert (res.opt_score, res.stats) == (opt, {"nodes": 1004})

@@ -21,7 +21,7 @@ from approvalwd import (
     PAV,
     RULES,
 )
-from approvalwd import cli, graphs, portfolio, twdp
+from approvalwd import cli, fpt, graphs, oracle, portfolio, twdp
 from approvalwd.oracle import brute_force
 from approvalwd.portfolio import (
     AllSolversExceededError,
@@ -53,7 +53,8 @@ def test_every_route_rechecks_its_witness_under_optimisation():
         on_rule = {"mav": Instance(e, "mav", 1, 2), "ccav": Instance(e, "ccav", 1, 2),
                    "pav": Instance(e, "pav", 2, 3)}
         on_name = {"av_optimal": Instance(Election(3, ({0}, {1}, {0})), "ccav", 1, 0),
-                   "pav_deg1": Instance(Election(3, ({0, 1}, {2})), "pav", 2, 0)}
+                   "pav_deg1": Instance(Election(3, ({0, 1}, {2})), "pav", 2, 0),
+                   "exhaustive": on_rule["pav"]}
         cases = [
             (s.name, lambda s=s: s(on_name.get(s.name) or on_rule[s.rule]))
             for s in portfolio.SOLVERS if s.algo not in ("auto", "brute")
@@ -414,7 +415,8 @@ def test_dispatch_matches_the_eager_reference():
     pairs = [frozenset(p) for p in itertools.combinations(range(4), 2)] * 2
     e = Election(m=20, votes=tuple(wide + pairs))
     instances += [Instance(election=e, rule=MAV, k=10, d=d) for d in (9, 10)]
-    # dense CCAV at m <= 22 with every route over its cap, and a refusal at m = 30
+    # dense CCAV at m <= 22 with every route over its cap, and a refusal at m = 30,
+    # where C(31, 15) is over the exhaustive route's cap
     for config, seed, k, d in (((18, 21, 6, 6), 19, 6, 32), ((19, 19, 6, 6), 25, 5, 17)):
         instances.append(Instance(election=generate(GeneratorConfig(*config), seed),
                                   rule=CCAV, k=k, d=d))
@@ -425,10 +427,57 @@ def test_dispatch_matches_the_eager_reference():
         got = _outcome(dispatch, inst)
         assert got == _outcome(reference_dispatch, inst)
         routes.add(got[0])
-    # the sweep reaches every kind of FPT route, brute force and a refusal
+    # the sweep reaches every kind of FPT route, the exhaustive route and a refusal
     assert {"mav_by_matching", "pav_by_matching", "mav_tw_dp", "ccav_tw_dp", "pav_tw_dp",
-            "mav_dual_grsp", "ccav_bb_dual", "pav_bb_dv", "brute_force",
+            "mav_dual_grsp", "ccav_bb_dual", "pav_bb_dv", "exhaustive",
             "AllSolversExceededError"} <= routes
+
+
+def test_dispatch_decides_the_dense_shape_past_m_22():
+    # m 23-29, n 36, both degrees 6, k = 4, d at the optimum and half a point
+    # above: no ranked route is within the cap for CCAV, so the exhaustive
+    # route decides it, past the oracle's m <= 22.  Where the min-fill width
+    # is at most 12, a treewidth DP called directly checks the optimum
+    tw_routes = {CCAV: twdp.ccav_tw_dp, PAV: twdp.pav_tw_dp}
+    checked = set()
+    for m in range(23, 30):
+        for seed in (0, 1):
+            e = generate(GeneratorConfig(m, 36, 6, 6), seed)
+            for rule, tw_route in tw_routes.items():
+                opt = fpt.exhaustive(Instance(e, rule, 4, 0)).opt_score
+                for d in (opt, opt + Fraction(1, 2)):
+                    res = dispatch(Instance(e, rule, 4, d))
+                    assert res.decision == (d == opt)
+                    assert rule == PAV or res.algorithm == "exhaustive"
+                inst = Instance(e, rule, 4, opt)
+                p = compute_params(inst)
+                if p.tw_upper <= 12:
+                    assert tw_route(inst, graphs.to_nice(p.decomposition)).opt_score == opt
+                    checked.add(rule)
+    assert checked == {CCAV, PAV}
+
+
+def test_dispatch_never_calls_the_oracle(monkeypatch):
+    # brute force is the tests' reference, not a route: where no ranked route
+    # fits, dispatch runs the exhaustive route, whose answer is the oracle's
+    brute_force = oracle.brute_force
+    calls = []
+    monkeypatch.setattr(oracle, "brute_force", lambda *args, **kw: calls.append(args))
+    instances = list(_seeded_instances(random.Random(2022), 150, m=(4, 12), n=(3, 12)))
+    # and two yes- and two no-instances that no ranked route takes
+    for config, seed, rule, k, d in (
+            ((22, 36, 6, 6), 0, CCAV, 4, 21), ((18, 21, 6, 6), 19, CCAV, 6, 32),
+            ((15, 20, 5, 5), 0, PAV, 6, Fraction(49, 2)), ((15, 20, 5, 5), 0, PAV, 6, 25)):
+        instances.append(Instance(generate(GeneratorConfig(*config), seed), rule, k, d))
+    exhausted = []
+    for inst in instances:
+        res = dispatch(inst)
+        if res.algorithm == "exhaustive":
+            truth = brute_force(inst)
+            assert (res.decision, res.opt_score, res.witness) == (
+                truth.decision, truth.opt_score, truth.witness)
+            exhausted.append(res.decision)
+    assert calls == [] and sorted(exhausted) == [False, False, True, True]
 
 
 @pytest.mark.parametrize("rule,kbar,k,d,route", [
