@@ -77,9 +77,10 @@ def _count_search(classes, nv):
     """The search over how many members of each candidate class join the committee.
 
     ``classes`` holds (vote positions, members) pairs over ``nv`` considered
-    votes.  The returned ``search(k, bound, ...)`` walks the count vectors x
-    with mins[i] <= x_i <= |members_i| and sum x_i = k, largest counts first,
-    keeping cov[j], the number of committee members that vote j approves.
+    votes.  The returned ``search(k, bound, forced, ...)`` walks the count
+    vectors x with sum x_i = k and each x_i between the forced members of class
+    i and all of them, largest counts first, keeping cov[j], the number of
+    committee members that vote j approves.
 
     ``bound(cov, reach, rem)`` is a node's whole value: it caps the value of
     every completion of the node, where reach[j] is the coverage the remaining
@@ -87,8 +88,9 @@ def _count_search(classes, nv):
     a complete count vector it is the exact value.  Values are maximised: a
     node is cut when its bound does not beat the best value so far (``floor``
     before the first), and the search stops once a value equals ``goal``.
-    Returns (best value, counts, nodes visited); counts is None when no count
-    vector beats ``floor``.
+    Returns (best value, committee, nodes visited): the committee takes x_i
+    members of class i, its forced ones first (members of one class score
+    alike), and is None when no count vector beats ``floor``.
     """
     nc = len(classes)
     caps = [len(members) for _, members in classes]
@@ -101,25 +103,27 @@ def _count_search(classes, nv):
             row[j] += caps[i]
         suffix_cov[i] = row
 
-    def search(k, bound, mins=None, floor=None, goal=None):
-        mins = mins or [0] * nc
+    def search(k, bound, forced=frozenset(), floor=None, goal=None):
+        ordered = [sorted(members, key=lambda c: c not in forced) for _, members in classes]
+        mins = [sum(c in forced for c in members) for _, members in classes]
         suffix_min = [0] * (nc + 1)
         for i in range(nc - 1, -1, -1):
             suffix_min[i] = suffix_min[i + 1] + mins[i]
-        best_value, best_counts = floor, None
+        best_value, best = floor, None
         counts = [0] * nc
         cov = [0] * nv
 
         def node(i, rem):
             # classes before i are counted; True once a value reaches goal
-            nonlocal best_value, best_counts
+            nonlocal best_value, best
             value = bound(cov, suffix_cov[i], rem)
             if best_value is not None and value <= best_value:
                 return False
             if i == nc:
                 if rem:
                     return False
-                best_value, best_counts = value, list(counts)
+                best_value = value
+                best = [c for row, x in zip(ordered, counts) for c in row[:x]]
                 return value == goal
             if not suffix_min[i] <= rem <= suffix_cap[i]:
                 return False
@@ -137,7 +141,7 @@ def _count_search(classes, nv):
             return False
 
         _, nodes = _depth_first(node(0, k))
-        return best_value, best_counts, nodes
+        return best_value, best, nodes
 
     return search
 
@@ -180,10 +184,7 @@ def _mav_class_search(instance, considered, algorithm):
             default=0,
         )
 
-    value, counts, nodes = _count_search(classes, len(considered))(k, bound)
-    witness = []
-    for (support, members), x in zip(classes, counts):
-        witness.extend(members[:x])
+    value, witness, nodes = _count_search(classes, len(considered))(k, bound)
     return answer(instance, algorithm, {"nodes": nodes}, witness, Fraction(-value))
 
 
@@ -323,10 +324,9 @@ def _pav_class_search(e, votes, k):
 
     The candidates are classed by ``class_partition(e, votes)``, so only the
     votes listed count towards a score.  The partition, the count search and
-    its bound are built once; a forced set only sets the per-class minimums.
-    ``solve`` returns the optimum over those votes as a PAV value scaled by
-    ``scaled_harmonics(k)``, a witness (None if no count vector exists) and
-    the nodes visited.
+    its bound are built once.  ``solve`` returns the optimum over those votes
+    as a PAV value scaled by ``scaled_harmonics(k)``, a witness holding the
+    forced set (None if no count vector exists) and the nodes visited.
     """
     if len(votes) > CLASS_VOTE_BUDGET:
         raise BudgetExceededError(f"n={len(votes)} exceeds budget {CLASS_VOTE_BUDGET}")
@@ -338,25 +338,38 @@ def _pav_class_search(e, votes, k):
         # a complete node scores sum_j hsum[cov[j]]; vote j can gain min(rem, reach[j])
         return sum(hsum[c + min(rem, r)] for c, r in zip(cov, reach))
 
-    def solve(forced):
-        mins = [len(forced & set(members)) for _, members in classes]
-        value, counts, nodes = search(k, bound, mins)
-        if counts is None:
-            return value, None, nodes
-        witness = []
-        for (support, members), x in zip(classes, counts):
-            inside = [c for c in members if c in forced]
-            outside = [c for c in members if c not in forced]
-            witness.extend(inside)
-            witness.extend(outside[: x - len(inside)])
-        return value, tuple(sorted(witness)), nodes
-
-    return solve
+    return lambda forced: search(k, bound, forced)
 
 
 # ---------------------------------------------------------------------------
-# Branch and bound: PAV in d + deltaV
+# PAV path state and branch and bound: PAV in d + deltaV
 # ---------------------------------------------------------------------------
+
+class _PavPath:
+    """Each vote's overlap cov[j] with a committee path and each candidate's gain[c].
+
+    In integers scaled by ``scaled_harmonics(bound)``, ``bound`` capping every
+    overlap: a vote's next member adds step[overlap], nothing past a full vote.
+    ``move(c, ±1)`` puts c on the path or takes it off, and updates only the
+    gains on c's votes (Minoux's accelerated greedy, by PAV's submodularity).
+    """
+
+    def __init__(self, election, approvers, bound):
+        self.scale, self.hsum = scaled_harmonics(bound)
+        self.step = [b - a for a, b in zip(self.hsum, self.hsum[1:])] + [0]
+        self.cov = [0] * election.n
+        self.gain = [len(voters) * self.step[0] for voters in approvers]
+        self._votes, self._approvers = election.votes, approvers
+
+    def move(self, c, by):
+        step, cov, gain, votes = self.step, self.cov, self.gain, self._votes
+        for j in self._approvers[c]:
+            before = step[cov[j]]
+            cov[j] += by
+            delta = step[cov[j]] - before
+            for x in votes[j]:
+                gain[x] += delta
+
 
 def pav_bb_dv(instance):
     """PAV decision branching toward a high-scoring committee.
@@ -381,22 +394,21 @@ def pav_bb_dv(instance):
     for c in range(e.m):
         if counts[c] >= d:
             return answer(instance, "pav_bb_dv", stats, fill_committee((c,), k, range(e.m)))
-    # scores in integers: a committee of at most k members scores
-    # sum hsum[cov[j]], and it meets d iff that sum reaches need; an overlap
-    # never exceeds min(k, |v|), so lcm(1..min(k, deltaV)) scales them all
+    # a committee meets d iff its scaled score reaches need; an overlap never
+    # exceeds min(k, |v|), so the path state scales by lcm(1..min(k, deltaV))
     delta_v = e.delta_v
-    scale, hsum = scaled_harmonics(min(k, delta_v))
-    need = math.ceil(d * scale)
+    approvers = e.approver_sets()
+    state = _PavPath(e, approvers, min(k, delta_v))
+    gain, move = state.gain, state.move
+    need = math.ceil(d * state.scale)
     capp = [c for c in range(e.m) if counts[c] > 0]
     k2 = min(k, len(capp))
     if k2 == len(capp):
         # every approved candidate fits: vote v's overlap is |v| <= k
-        ok = sum(hsum[len(v)] for v in e.votes) >= need
+        ok = sum(state.hsum[len(v)] for v in e.votes) >= need
         w = fill_committee(capp, k, range(e.m)) if ok else None
         return answer(instance, "pav_bb_dv", stats, w)
     depth_cap = min(k2, math.ceil(d * delta_v))
-    approvers = e.approver_sets()
-    cov = [0] * e.n
 
     def dfs(s_set, total):
         # a search node: a committee meeting need, or None below s_set
@@ -404,18 +416,16 @@ def pav_bb_dv(instance):
             return s_set
         if len(s_set) >= depth_cap:
             return None
-        # each candidate's marginal gain at this node, in capp order; cbest is
-        # the first of the largest
-        gains = {c: sum(hsum[cov[j] + 1] - hsum[cov[j]] for j in approvers[c])
-                 for c in capp if c not in s_set}
-        cbest = max(gains, key=gains.get)
-        mbest = gains[cbest]
+        # cbest is the first of the largest gains in capp order
+        free = [c for c in capp if c not in s_set]
+        cbest = max(free, key=gain.__getitem__)
+        mbest = gain[cbest]
         # the left largest gains sum to between mbest and left * mbest:
         # sort them only where those two bounds do not decide the cut
         left = depth_cap - len(s_set)
         if total + mbest < need and (
                 total + mbest * left < need
-                or total + sum(sorted(gains.values(), reverse=True)[:left]) < need):
+                or total + sum(sorted([gain[c] for c in free], reverse=True)[:left]) < need):
             stats["pruned"] += 1
             return None
         branch = set()
@@ -424,11 +434,10 @@ def pav_bb_dv(instance):
         branch -= s_set
         stats["max_branch"] = max(stats["max_branch"], len(branch))
         for x in sorted(branch):
-            for j in approvers[x]:
-                cov[j] += 1
-            res = yield dfs(s_set | {x}, total + gains[x])
-            for j in approvers[x]:
-                cov[j] -= 1
+            step = gain[x]
+            move(x, 1)
+            res = yield dfs(s_set | {x}, total + step)
+            move(x, -1)
             if res is not None:
                 return res
         return None
@@ -498,10 +507,7 @@ def mav_by_matching(instance, matching):
 
         _, picks, _ = search(k - len(cprime), feasible, floor=False, goal=True)
         if picks is not None:
-            w = list(cprime)
-            for (support, members), x in zip(classes, picks):
-                w.extend(members[:x])
-            return answer(instance, "mav_by_matching", stats, w)
+            return answer(instance, "mav_by_matching", stats, [*cprime, *picks])
     return answer(instance, "mav_by_matching", stats)
 
 
@@ -543,12 +549,11 @@ def exhaustive(instance):
     down to k - 2 members, and the last two members are plain loops over the
     candidates left (``stats["nodes"]`` counts the nodes).  The path carries
     each rule's state and a committee's value is read off it: CCAV ORs each
-    member's bitmask of approving votes and counts the bits; PAV keeps every
-    vote's overlap and every candidate's marginal gain as the overlaps move,
-    in integers scaled by lcm(1..min(k, deltaV)) since no overlap exceeds
-    that; MAV keeps every vote's distance |v| + k - 2 * overlap and reads the
-    largest.  The first strictly better committee is kept, so the witness is
-    the lexicographically first optimum, as ``oracle.brute_force``'s is.
+    member's bitmask of approving votes and counts the bits; PAV reads the
+    marginal gains of ``_PavPath`` (no overlap exceeds min(k, deltaV)); MAV
+    keeps every vote's distance |v| + k - 2 * overlap and reads the largest.
+    The first strictly better committee is kept, so the witness is the
+    lexicographically first optimum, as ``oracle.brute_force``'s is.
     """
     e = instance.election
     k, m, rule = instance.k, e.m, instance.rule
@@ -568,20 +573,8 @@ def exhaustive(instance):
         def leaves(mask, lo):
             return [(mask | bits).bit_count() for bits in masks[lo:]]
     elif rule == PAV:
-        scale, hsum = scaled_harmonics(min(k, e.delta_v))
-        # a vote's next member adds step[overlap], and nothing past a full vote;
-        # gain[c] is what c adds to the path, kept as the overlaps move
-        step = [b - a for a, b in zip(hsum, hsum[1:])] + [0]
-        cov = [0] * e.n
-        gain = [len(voters) * step[0] for voters in approvers]
-
-        def move(c, by):
-            for j in approvers[c]:
-                before = step[cov[j]]
-                cov[j] += by
-                delta = step[cov[j]] - before
-                for x in e.votes[j]:
-                    gain[x] += delta
+        state = _PavPath(e, approvers, min(k, e.delta_v))
+        scale, gain, move = state.scale, state.gain, state.move
 
         def join(total, c):
             total += gain[c]

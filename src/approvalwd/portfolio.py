@@ -381,7 +381,7 @@ def verify(corpus_dir, budget=22):
 
 
 def bench(corpus_dir):
-    """CSV rows (instance, params, solver, nodes, seconds) over a corpus."""
+    """CSV rows (instance, params, solver, nodes, seconds) over a corpus, refusals included."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow([
@@ -395,12 +395,17 @@ def bench(corpus_dir):
             instance = parse_instance(fh.read())
         start = time.perf_counter()
         params = compute_params(instance)
-        res = dispatch(instance, params)
+        try:
+            res = dispatch(instance, params)
+        except AllSolversExceededError:
+            solver, decision, nodes = "refused", "", ""
+        else:
+            solver, decision = res.algorithm, int(res.decision)
+            nodes = res.stats.get("nodes", res.stats.get("max_entries", ""))
         elapsed = time.perf_counter() - start
-        nodes = res.stats.get("nodes", res.stats.get("max_entries", ""))
         writer.writerow([
             name, instance.rule, params.m, params.n, instance.k,
             params.delta_v, params.delta_c, params.tw_upper, params.alpha,
-            res.algorithm, int(res.decision), nodes, f"{elapsed:.6f}",
+            solver, decision, nodes, f"{elapsed:.6f}",
         ])
     return out.getvalue()

@@ -224,6 +224,35 @@ def test_pav_annotated_monotone_in_forced():
         assert res.opt_score <= free.opt_score
 
 
+def test_pav_path_state_matches_the_gains_and_score_from_scratch():
+    # pav_bb_dv and exhaustive read their PAV gains off one path state; after
+    # every push or pop, each gain is the per-node sum over the candidate's
+    # votes, and the gains read before each push add up to the path's score
+    rng = random.Random(1919)
+    for _ in range(80):
+        e = random_election(rng, max_m=9, max_n=8)
+        k = rng.randint(1, e.m)
+        approvers = e.approver_sets()
+        bound = min(k, e.delta_v)
+        state = fpt._PavPath(e, approvers, bound)
+        path, total = [], 0
+        for _ in range(3 * k):
+            if path and (len(path) == k or rng.random() < 0.4):
+                x = path.pop()
+                state.move(x, -1)
+                total -= state.gain[x]
+            else:
+                x = rng.choice([c for c in range(e.m) if c not in path])
+                total += state.gain[x]
+                state.move(x, 1)
+                path.append(x)
+            assert state.cov == [len(v.intersection(path)) for v in e.votes]
+            assert max(state.cov, default=0) <= bound
+            assert state.gain == [sum(state.step[state.cov[j]] for j in approvers[c])
+                                  for c in range(e.m)]
+            assert total == score(e, PAV, path) * state.scale
+
+
 def test_pav_bb_dv_examples():
     assert pav_bb_dv(Instance(election=e1(), rule=PAV, k=2, d=Fraction(7, 2))).decision
     # candidate 1 approved twice: d = 2 is an immediate yes

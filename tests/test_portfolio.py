@@ -603,3 +603,20 @@ def test_bench_computes_params_once_per_instance(tmp_path, monkeypatch):
     rows = bench(str(tmp_path)).strip().splitlines()[1:]
     assert len(calls) == len(rows) == 6
     assert rows[-1].split(",")[9] not in ("pav_deg22", "av_optimal", "score_bound")
+
+
+def test_bench_keeps_a_row_for_a_refused_instance(tmp_path):
+    # C(41, 12) committees is over FPT_COST_CAP and every ranked route is over
+    # its cap: dispatch refuses the m = 40 instance, and bench still writes
+    # every other row
+    _write_corpus(tmp_path, 3, seed=83)
+    refused = Instance(generate(GeneratorConfig(40, 36, 6, 6), 0), CCAV, 12, 30)
+    with pytest.raises(AllSolversExceededError):
+        dispatch(refused)
+    (tmp_path / "m40.appr").write_text(format_instance(refused))
+    rows = [line.split(",") for line in bench(str(tmp_path)).strip().splitlines()]
+    assert rows[0][9:12] == ["solver", "decision", "nodes"]
+    assert [row[0] for row in rows[1:]] == ["inst000.appr", "inst001.appr", "inst002.appr",
+                                            "m40.appr"]
+    assert rows[-1][9:12] == ["refused", "", ""]
+    assert "refused" not in [row[9] for row in rows[1:-1]]
