@@ -9,15 +9,28 @@ propagation: every stored entry carries the best value together with a
 concrete committee achieving it, so missing entries play the role of minus
 infinity and witnesses come for free.
 
-Values are plain integers, a sum of per-vote values by overlap.  PAV values
-are scaled by L = lcm(1..k), so that L * harmonic(x) is an integer for every
-overlap 0 <= x <= k a table can hold; that table is ``core.scaled_harmonics``,
-shared with ``poly`` and ``fpt``.  A CCAV vote is worth 1 once covered.
-The optimum becomes an exact ``Fraction`` only in the result, after its
-witness is re-scored exactly.  MAV needs only which entries exist: a vote too
-far from the committee is dropped when it is forgotten.  A join meets each
-entry of one child only with the entries of the other child that share its
-candidate bag set.
+Every part of an entry is one plain integer.  Candidate c is bit m - 1 - c of
+each candidate mask.  A table maps C', as a mask, to its entries.  An entry's
+key packs k' into the low bits and mu above them, one digit of b bits per bag
+vote, so a vote is introduced or forgotten by shifting its digit in or out.
+A join's mu is mu1 + mu2 - O, where O packs C''s overlaps with the bag votes,
+which both children count; a CCAV join takes mu1 | mu2.  The entry itself is
+(value << m) | witness mask, so one comparison keeps the higher value and, at
+equal value, the witness whose sorted tuple comes first: both witnesses have
+k' members, and the lowest candidate in which they differ is their masks'
+highest differing bit.  A join's witness is w1 + w2 - C', the union of both.
+
+The value held is that of the votes already forgotten: a vote's term is added
+when it is forgotten, and a key fixes the terms of the bag votes, so values
+under one key compare as the full sums would, and a join adds its children's
+values.  PAV values are scaled by L = lcm(1..min(k, deltaV)), so that
+L * harmonic(x) is an integer for every overlap x a table can hold, since
+x <= |v| <= deltaV and x <= k' <= k; that table is ``core.scaled_harmonics``,
+shared with ``poly`` and ``fpt``.  A CCAV vote is worth 1 once covered.  The
+optimum becomes an exact ``Fraction`` only in the result, after its witness
+is re-scored exactly.  MAV needs only which entries exist: a vote too far
+from the committee is dropped when it is forgotten.  A join meets each entry
+of one child only with the entries of the other child under the same C'.
 
 A route takes the nice tree decomposition it runs on.  The registry passes
 the nice form of the min-fill decomposition in the instance's parameters, the
@@ -39,20 +52,6 @@ def _bag_votes(bag, m):
     return tuple(sorted(v - m for v in bag if v >= m))
 
 
-def _merge(table, key, value, witness):
-    old = table.get(key)
-    if old is None or value > old[0] or (value == old[0] and witness < old[1]):
-        table[key] = (value, witness)
-
-
-def _by_cset(table):
-    """Entries as {candidate bag set: [(rest of key, value, witness)]}."""
-    groups = {}
-    for (cset, *rest), (value, witness) in table.items():
-        groups.setdefault(cset, []).append((rest, value, witness))
-    return groups
-
-
 def _run_mu_dp(instance, ntd):
     """The (C', k', mu) table engine behind all three rules."""
     e = instance.election
@@ -63,101 +62,136 @@ def _run_mu_dp(instance, ntd):
     adj.update((m + j, v) for j, v in enumerate(votes))
     ntd.validate(adj)
     rule = instance.rule
-    valued = rule != MAV
-    # hsum[x] is a vote's value at overlap x, gain[x] what one more approved
-    # member adds to it; an overlap never exceeds k' <= k, so no entry needs a
-    # bound test
-    if rule == CCAV:
-        # a vote is worth 1 once covered, so mu keeps only cap[x] = min(x, 1)
-        scale, hsum, gain, cap = 1, [0, 1], [1, 0], [0] + [1] * (k + 1)
+    ccav = rule == CCAV
+    # an overlap never exceeds |v| <= deltaV, nor k' <= k
+    cap = min(k, e.delta_v)
+    if ccav:
+        # a vote is worth 1 once covered, so its digit is one bit
+        scale, worth, cap = 1, (0, 1), 1
     else:
-        scale, hsum = scaled_harmonics(k)
-        gain = [b - a for a, b in zip(hsum, hsum[1:])]
-        cap = list(range(k + 2))
+        scale, worth = scaled_harmonics(cap)
+    b = cap.bit_length()
+    digit = (1 << b) - 1
+    # k' takes the low kb bits of a key, room for a join's k1 + k2 <= 2k
+    kb = (2 * k).bit_length()
+    kmask = (1 << kb) - 1
+    bit = [1 << (m - 1 - c) for c in range(m)]
+    vmask = [sum(bit[c] for c in v) for v in votes]
+
+    def overlap(j, cset):
+        return min((vmask[j] & cset).bit_count(), cap)
+
+    def digit_at(node, j):
+        return kb + _bag_votes(node.bag, m).index(j) * b
 
     order = ntd.postorder()
     max_entries = 0
     tables = {}
     for node in order:
-        bag_v = _bag_votes(node.bag, m)
-        table = {}
+        h = node.vertex
         if node.kind == "leaf":
-            table[(frozenset(), 0, ())] = (0, ())
+            table = {0: {0: 0}}
         elif node.kind == "join":
-            left = _by_cset(tables.pop(id(node.children[0])))
-            right = _by_cset(tables.pop(id(node.children[1])))
-            for c1, entries in left.items():
-                bucket = right.get(c1)
-                if bucket is None:
+            left = tables.pop(id(node.children[0]))
+            right = tables.pop(id(node.children[1]))
+            bag_v = _bag_votes(node.bag, m)
+            table = {}
+            for cset, g1 in left.items():
+                g2 = right.get(cset)
+                if g2 is None:
                     continue
-                # a join value is val1 + val2 - sum hsum[mu1] - sum hsum[mu2]
-                # + sum hsum[mu]: the bag votes' terms are replaced, not added
-                bucket = [
-                    (k2, mu2, val2 - sum(hsum[x] for x in mu2) if valued else 0, w2)
-                    for (k2, mu2), val2, w2 in bucket
-                ]
-                overlap = [cap[len(votes[j] & c1)] for j in bag_v]
-                nc = len(c1)
-                for (k1, mu1), val1, w1 in entries:
-                    rest1 = val1 - sum(hsum[x] for x in mu1) if valued else 0
-                    s1 = set(w1)
-                    for k2, mu2, rest2, w2 in bucket:
-                        kp = k1 + k2 - nc
-                        if kp > k:
+                nc = cset.bit_count()
+                # both children count C' in k', in mu and in the witness
+                o = sum(overlap(j, cset) << kb + i * b for i, j in enumerate(bag_v)) + nc
+                out = table[cset] = {}
+                for key1, val1 in g1.items():
+                    val1 -= cset
+                    for key2, val2 in g2.items():
+                        if ccav:
+                            key = (key1 | key2) + (key1 & key2 & kmask) - nc
+                        else:
+                            key = key1 + key2 - o
+                        if key & kmask > k:
                             continue
-                        mu = tuple(cap[a + b - o] for a, b, o in zip(mu1, mu2, overlap))
-                        value = rest1 + rest2 + sum(hsum[x] for x in mu) if valued else 1
-                        _merge(table, (c1, kp, mu), value, tuple(sorted(s1.union(w2))))
+                        val = val1 + val2
+                        if val > out.get(key, -1):
+                            out[key] = val
         else:
-            ty = tables.pop(id(node.children[0]))
-            h = node.vertex
+            child = tables.pop(id(node.children[0]))
             if node.kind == "introduce" and h >= m:
                 j = h - m
-                pos = bag_v.index(j)
-                for (cset, kp, mu), (val, w) in ty.items():
-                    x = cap[len(votes[j] & cset)]
-                    value = val + hsum[x] if valued else 1
-                    _merge(table, (cset, kp, mu[:pos] + (x,) + mu[pos:]), value, w)
+                at = digit_at(node, j)
+                low = (1 << at) - 1
+                table = {}
+                for cset, g in child.items():
+                    x = overlap(j, cset) << at
+                    table[cset] = {key & low | x | key >> at << at + b: val
+                                   for key, val in g.items()}
             elif node.kind == "introduce":
-                approving = [i for i, j in enumerate(bag_v) if h in votes[j]]
-                for (cset, kp, mu), (val, w) in ty.items():
-                    _merge(table, (cset, kp, mu), val, w)
-                    if kp >= k:
-                        continue
-                    new_mu = list(mu)
-                    for i in approving:
-                        new_mu[i] = cap[mu[i] + 1]
-                    value = val + sum(gain[mu[i]] for i in approving) if valued else 1
-                    _merge(
-                        table,
-                        (cset | {h}, kp + 1, tuple(new_mu)),
-                        value,
-                        tuple(sorted(w + (h,))),
-                    )
+                hb = bit[h]
+                inc = sum(1 << kb + i * b
+                          for i, j in enumerate(_bag_votes(node.bag, m)) if vmask[j] & hb)
+                table = dict(child)
+                for cset, g in child.items():
+                    out = {}
+                    for key, val in g.items():
+                        if key & kmask >= k:
+                            continue
+                        key = (key | inc) + 1 if ccav else key + inc + 1
+                        val += hb
+                        if val > out.get(key, -1):
+                            out[key] = val
+                    if out:
+                        table[cset | hb] = out
             elif node.kind == "forget" and h >= m:
                 j = h - m
-                pos = _bag_votes(node.children[0].bag, m).index(j)
-                # MAV keeps vote j only if 2 * mu >= k + |v_j| - d, i.e. >= need
-                need = math.ceil(k + len(votes[j]) - d)
-                for (cset, kp, mu), (val, w) in ty.items():
-                    if not valued and 2 * mu[pos] < need:
-                        continue
-                    _merge(table, (cset, kp, mu[:pos] + mu[pos + 1:]), val, w)
+                at = digit_at(node.children[0], j)
+                low = (1 << at) - 1
+                if rule == MAV:
+                    # vote j stays only if 2 * mu >= k + |v_j| - d, i.e. >= need
+                    need = math.ceil(k + len(votes[j]) - d)
+                    add = [0 if 2 * x >= need else None for x in range(cap + 1)]
+                else:
+                    add = [w << m for w in worth]
+                table = {}
+                for cset, g in child.items():
+                    out = {}
+                    for key, val in g.items():
+                        a = add[key >> at & digit]
+                        if a is None:
+                            continue
+                        key = key & low | key >> at + b << at
+                        val += a
+                        if val > out.get(key, -1):
+                            out[key] = val
+                    if out:
+                        table[cset] = out
             else:
-                for (cset, kp, mu), (val, w) in ty.items():
-                    _merge(table, (cset - {h}, kp, mu), val, w)
-        max_entries = max(max_entries, len(table))
+                hb = bit[h]
+                table = {}
+                for cset, g in child.items():
+                    out = table.get(cset & ~hb)
+                    if out is None:
+                        table[cset & ~hb] = g
+                        continue
+                    for key, val in g.items():
+                        if val > out.get(key, -1):
+                            out[key] = val
+        max_entries = max(max_entries, sum(map(len, table.values())))
         tables[id(node)] = table
 
-    entry = tables[id(ntd.root)].get((frozenset(), k, ()))
-    stats = {"max_entries": max_entries, "nodes": len(order), "width": ntd.width()}
+    # the root's bag is empty: its one key is k' = k
+    entry = tables[id(ntd.root)].get(0, {}).get(k)
+    width = max(len(node.bag) for node in order) - 1
+    stats = {"max_entries": max_entries, "nodes": len(order), "width": width}
     algorithm = f"{rule}_tw_dp"
     # the root re-score is what guards the integer table arithmetic; a CCAV or
     # PAV table always holds the root entry, so its absence is a fault
     if entry is None:
-        return answer(instance, algorithm, stats, optimal=valued)
-    opt = Fraction(entry[0], scale) if valued else None
-    return answer(instance, algorithm, stats, entry[1], opt)
+        return answer(instance, algorithm, stats, optimal=rule != MAV)
+    witness = tuple(c for c in range(m) if entry & bit[c])
+    opt = Fraction(entry >> m, scale) if rule != MAV else None
+    return answer(instance, algorithm, stats, witness, opt)
 
 
 def ccav_tw_dp(instance, ntd):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import re
@@ -7,10 +8,10 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import approvalwd
-from approvalwd import CCAV, Election, Instance, MAV, PAV, score, twdp
+from approvalwd import CCAV, compute_params, Election, fpt, Instance, MAV, PAV, score, twdp
 from approvalwd.cli import ALGOS
 from approvalwd.graphs import (
     DecompositionError,
@@ -241,6 +242,43 @@ def test_an_unapproved_candidate_or_empty_vote_changes_nothing(case):
         opt = _solve(e, rule, k).opt_score
         assert _solve(Election(e.m + 1, e.votes), rule, k).opt_score == opt
         assert _solve(Election(e.m, e.votes + (frozenset(),)), rule, k).opt_score == opt
+
+
+def test_the_witness_is_the_first_in_lexicographic_order():
+    # at equal value the tables keep the witness whose sorted tuple comes
+    # first, so CCAV and PAV return brute force's first optimum, and MAV the
+    # first committee of itertools.combinations within distance d
+    rng = random.Random(64)
+    for _ in range(60):
+        e = random_election(rng, max_m=6, max_n=5)
+        for k in range(e.m + 1):
+            for rule in (CCAV, PAV):
+                truth = brute_force(Instance(e, rule, k, 0))
+                assert _solve(e, rule, k, truth.opt_score).witness == truth.witness
+            opt = brute_force(Instance(e, MAV, k, 0)).opt_score
+            for d in (opt, opt + 1):
+                first = next(w for w in itertools.combinations(range(e.m), k)
+                             if score(e, MAV, w) <= d)
+                assert _solve(e, MAV, k, d).witness == first
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.integers(30, 60), st.integers(1, 4), st.integers(4, 5), st.integers(4, 5),
+       st.integers(0, 10**6), st.data())
+def test_the_dps_agree_with_the_exhaustive_route_past_the_oracle(m, k, dv, dc, seed, data):
+    # m past brute force's reach; the exhaustive route shares no code with the
+    # tables and returns the first optimum in lexicographic order
+    n = data.draw(st.integers(m // 2, m))
+    e = generate(GeneratorConfig(m=m, n=n, max_dv=dv, max_dc=dc), seed)
+    assume(compute_params(Instance(e, PAV, k, 0)).tw_upper <= 7)
+    for rule in (CCAV, PAV, MAV):
+        truth = fpt.exhaustive(Instance(e, rule, k, 0))
+        res = _solve(e, rule, k, truth.opt_score)
+        assert (res.decision, res.witness) == (True, truth.witness)
+        if rule == MAV:
+            assert truth.opt_score == 0 or not _solve(e, MAV, k, truth.opt_score - 1).decision
+        else:
+            assert res.opt_score == truth.opt_score
 
 
 @pytest.mark.parametrize("m, n, seed", [(100, 140, 0), (160, 200, 1), (200, 200, 2)])
