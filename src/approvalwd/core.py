@@ -133,6 +133,7 @@ class Params:
     computed on first read and kept: ``matching``, a maximum matching, of size
     ``alpha``; ``decomposition``, the min-fill tree decomposition, of width
     ``tw_upper``.  Each builds the incidence graph it needs and lets it go.
+    ``decomposition_within`` runs a min-fill that gives up past a width.
     """
 
     m: int
@@ -158,6 +159,24 @@ class Params:
         from . import graphs
 
         return graphs.tree_decomposition(graphs.incidence_graph(self.election), mode="heuristic")
+
+    def decomposition_within(self, width):
+        """``decomposition`` if its width is at most ``width``, else None.
+
+        The min-fill stops at its first bag of more than width + 1 vertices;
+        a decomposition it finishes is kept as ``decomposition``.
+        """
+        from . import graphs
+
+        td = vars(self).get("decomposition")
+        if td is None:
+            td = graphs.tree_decomposition(graphs.incidence_graph(self.election),
+                                           mode="heuristic", max_width=width)
+            if td is None:
+                return None
+            # the cached_property's own slot, which a frozen dataclass guards
+            object.__setattr__(self, "decomposition", td)
+        return td if td.width() <= width else None
 
     @functools.cached_property
     def tw_upper(self):

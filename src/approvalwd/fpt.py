@@ -151,23 +151,26 @@ def mav_by_classes(instance):
     return _mav_class_search(instance, range(instance.election.n), "mav_by_classes")
 
 
-def mav_k_deltac(instance):
+def mav_k_deltac(instance, decide=False):
     """MAV after pruning to the k * deltaC + 1 largest votes.
 
     Any k-committee leaves one of the kept votes completely unserved, and that
-    vote's distance dominates every dropped (smaller) vote's distance, so the
-    optimum value is preserved exactly.
+    vote's distance dominates every dropped (smaller) vote's distance, so
+    every committee's distance, and the optimum, is preserved exactly.
     """
     e = instance.election
     order = sorted(range(e.n), key=lambda j: (-len(e.votes[j]), j))
-    return _mav_class_search(instance, order[: instance.k * e.delta_c + 1], "mav_k_deltac")
+    return _mav_class_search(instance, order[: instance.k * e.delta_c + 1], "mav_k_deltac",
+                             decide)
 
 
-def _mav_class_search(instance, considered, algorithm):
+def _mav_class_search(instance, considered, algorithm, decide=False):
     """The MAV optimum over the considered votes by the class-count search.
 
     The classes are taken with respect to the considered votes only; the
-    optimum holds on every vote, which ``answer`` re-checks.
+    optimum holds on every vote, which ``answer`` re-checks.  With ``decide``
+    the search stops at the first committee within distance d and reports no
+    optimum.
     """
     e = instance.election
     k = instance.k
@@ -175,16 +178,21 @@ def _mav_class_search(instance, considered, algorithm):
     if len(considered) > CLASS_VOTE_BUDGET:
         raise BudgetExceededError(f"{len(considered)} votes exceeds budget {CLASS_VOTE_BUDGET}")
     sizes = [len(e.votes[j]) for j in considered]
-    classes = class_partition(e, considered)
+    search = _count_search(class_partition(e, considered), len(considered))
 
-    def bound(cov, reach, rem):
-        # the search maximises, so it gets the negated largest distance
-        return -max(
+    def distance(cov, reach, rem):
+        # the least largest distance any completion of the node can reach
+        return max(
             (size + k - 2 * (c + min(rem, r)) for size, c, r in zip(sizes, cov, reach)),
             default=0,
         )
 
-    value, witness, nodes = _count_search(classes, len(considered))(k, bound)
+    if decide:
+        d = instance.d
+        _, witness, nodes = search(k, lambda *node: distance(*node) <= d, floor=False, goal=True)
+        return answer(instance, algorithm, {"nodes": nodes}, witness)
+    # the search maximises, so it gets the negated largest distance
+    value, witness, nodes = search(k, lambda *node: -distance(*node))
     return answer(instance, algorithm, {"nodes": nodes}, witness, Fraction(-value))
 
 
@@ -309,24 +317,39 @@ def ccav_bb_dual(instance):
 # Annotated PAV via class counts
 # ---------------------------------------------------------------------------
 
-def pav_annotated(ann):
-    """Exact annotated PAV optimum by search over per-class selection counts."""
+def pav_annotated(ann, decide=False):
+    """Exact annotated PAV optimum by search over per-class selection counts.
+
+    With ``decide`` the search stops at the first committee that scores d and
+    reports no optimum; no such committee means "no".
+    """
     e, k = ann.election, ann.k
-    value, witness, nodes = _pav_class_search(e, range(e.n), k)(ann.forced)
+    instance = Instance(e, PAV, k, ann.d)
+    solve = _pav_class_search(e, range(e.n), k)
+    scale = scaled_harmonics(k)[0]
+    if decide:
+        _, witness, nodes = solve(ann.forced, math.ceil(ann.d * scale))
+        if witness is not None:
+            checked_witness(witness, ann.forced.issubset, "pav_annotated forced set")
+        return answer(instance, "pav_annotated", {"nodes": nodes}, witness)
+    value, witness, nodes = solve(ann.forced)
     witness = checked_witness(witness, ann.forced.issubset, "pav_annotated forced set")
     # the exact re-score guards the search's scaled integer values
-    return answer(Instance(e, PAV, k, ann.d), "pav_annotated", {"nodes": nodes},
-                  witness, Fraction(value, scaled_harmonics(k)[0]))
+    return answer(instance, "pav_annotated", {"nodes": nodes}, witness, Fraction(value, scale))
 
 
 def _pav_class_search(e, votes, k):
-    """``solve(forced)``: the annotated PAV search for k-committees over votes of e.
+    """``solve(forced, need=None)``: the annotated PAV search for k-committees
+    over votes of e.
 
     The candidates are classed by ``class_partition(e, votes)``, so only the
     votes listed count towards a score.  The partition, the count search and
     its bound are built once.  ``solve`` returns the optimum over those votes
     as a PAV value scaled by ``scaled_harmonics(k)``, a witness holding the
-    forced set (None if no count vector exists) and the nodes visited.
+    forced set (None if no count vector exists) and the nodes visited.  Given
+    ``need``, a scaled value, it stops at the first witness whose value
+    reaches need (None if none does), and the value it returns is only
+    whether one did.
     """
     if len(votes) > CLASS_VOTE_BUDGET:
         raise BudgetExceededError(f"n={len(votes)} exceeds budget {CLASS_VOTE_BUDGET}")
@@ -338,7 +361,12 @@ def _pav_class_search(e, votes, k):
         # a complete node scores sum_j hsum[cov[j]]; vote j can gain min(rem, reach[j])
         return sum(hsum[c + min(rem, r)] for c, r in zip(cov, reach))
 
-    return lambda forced: search(k, bound, forced)
+    def solve(forced, need=None):
+        if need is None:
+            return search(k, bound, forced)
+        return search(k, lambda *node: bound(*node) >= need, forced, floor=False, goal=True)
+
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +569,7 @@ def pav_by_matching(instance, matching):
 # Exhaustive search: every rule, scored along the path
 # ---------------------------------------------------------------------------
 
-def exhaustive(instance):
+def exhaustive(instance, decide=False):
     """Exact optimum over every k-committee, for any rule, without re-scoring.
 
     The committees are walked in lexicographic order on ``_depth_first``: a
@@ -553,7 +581,9 @@ def exhaustive(instance):
     marginal gains of ``_PavPath`` (no overlap exceeds min(k, deltaV)); MAV
     keeps every vote's distance |v| + k - 2 * overlap and reads the largest.
     The first strictly better committee is kept, so the witness is the
-    lexicographically first optimum, as ``oracle.brute_force``'s is.
+    lexicographically first optimum, as ``oracle.brute_force``'s is.  With
+    ``decide`` the walk stops at the first committee that meets d and reports
+    no optimum.
     """
     e = instance.election
     k, m, rule = instance.k, e.m, instance.rule
@@ -617,15 +647,26 @@ def exhaustive(instance):
                     values.append(2 - top)
             return values
 
+    # what a committee that meets d is worth on the walk, where it stops
+    goal = None
+    if decide:
+        goal = -math.floor(instance.d) if rule == MAV else math.ceil(instance.d * scale)
     best, witness, path = None, None, []
 
     def last(lo, state):
-        # the committees that path, now k - 1 members, completes from lo onwards
+        # the committees that path, now k - 1 members, completes from lo
+        # onwards; True once one of them reaches goal
         nonlocal best, witness
         values = leaves(state, lo)
+        if goal is not None:
+            hit = next((i for i, value in enumerate(values) if value >= goal), None)
+            if hit is not None:
+                witness = (*path, lo + hit)
+            return hit is not None
         top = max(values)
         if best is None or top > best:
             best, witness = top, (*path, lo + values.index(top))
+        return False
 
     def node(lo, state):
         # path holds the members so far; the next one comes from lo onwards
@@ -634,12 +675,17 @@ def exhaustive(instance):
         for c in range(lo, m - k + len(path) + 1):
             path.append(c)
             if len(path) == k - 1:
-                last(c + 1, join(state, c))
+                found = last(c + 1, join(state, c))
             else:
-                yield node(c + 1, join(state, c))
+                found = yield node(c + 1, join(state, c))
             path.pop()
             leave(c)
+            if found:
+                return True
+        return False
 
     _, nodes = _depth_first(node(0, 0))
+    if decide:
+        return answer(instance, "exhaustive", {"nodes": nodes}, witness)
     opt = Fraction(-best) if rule == MAV else Fraction(best, scale)
     return answer(instance, "exhaustive", {"nodes": nodes}, witness, opt)

@@ -452,12 +452,14 @@ def _eliminate(adj, v):
     return nb
 
 
-def min_fill_order(graph):
+def min_fill_order(graph, max_bag=None):
     """Elimination ordering by minimum fill-in, ties by degree then index.
 
     Returns (order, bags): bag i is the i-th eliminated vertex with its
     neighbourhood then, frozen at once rather than kept as the popped
-    adjacency set, whose table earlier fill edges may have grown.  Each
+    adjacency set, whose table earlier fill edges may have grown.  Given
+    ``max_bag``, it returns None instead as soon as a bag would hold more
+    than max_bag vertices, before that vertex is eliminated.  Each
     vertex's (fill, degree, vertex) key sits in a lazy heap.  Eliminating v
     changes the fill or degree only of v's neighbours and their neighbours,
     so only their keys are recomputed; a popped entry that no longer equals
@@ -482,6 +484,8 @@ def min_fill_order(graph):
         v = entry[2]
         if keys.get(v) != entry:
             continue
+        if max_bag is not None and len(adj[v]) >= max_bag:
+            return None
         del keys[v]
         nb = _eliminate(adj, v)
         order.append(v)
@@ -547,15 +551,19 @@ def exact_elimination_order(graph):
     return seq
 
 
-def tree_decomposition(graph, mode="heuristic"):
+def tree_decomposition(graph, mode="heuristic", max_width=None):
     """A valid tree decomposition: min-fill heuristic, or optimal for small graphs.
 
     Bag i is the i-th eliminated vertex with its neighbourhood at that time.
     Its parent is the bag of the earliest eliminated of those neighbours, or
-    the last bag, the root, when it has none.
+    the last bag, the root, when it has none.  Given ``max_width``, the
+    min-fill gives up, and this returns None, at its first bag wider than that.
     """
     if mode == "heuristic":
-        order, bags = min_fill_order(graph)
+        found = min_fill_order(graph, None if max_width is None else max_width + 1)
+        if found is None:
+            return None
+        order, bags = found
     elif mode == "exactSmall":
         if graph.num_vertices > 12:
             raise ValueError("exactSmall mode supports at most 12 vertices")
@@ -588,12 +596,21 @@ class NiceNode:
 
 
 class NiceTreeDecomposition:
-    """Tree decomposition with leaf/introduce/forget/join nodes and empty root bag."""
+    """Tree decomposition with leaf/introduce/forget/join nodes and empty root bag.
 
-    def __init__(self, root):
+    ``nodes``, where given, lists every node with children before parents,
+    as ``to_nice`` builds them.
+    """
+
+    def __init__(self, root, nodes=None):
         self.root = root
+        self._nodes = nodes
 
     def postorder(self):
+        """Every node, children before parents: the list the tree was built
+        with, or a walk of a tree built by hand."""
+        if self._nodes is not None:
+            return self._nodes
         out = []
         stack = [(self.root, False)]
         while stack:
@@ -642,41 +659,51 @@ class NiceTreeDecomposition:
             ))
 
 
-def _chain(node, from_bag, to_bag):
-    """Forget then introduce one vertex at a time to turn from_bag into to_bag."""
+def _chain(nodes, node, from_bag, to_bag):
+    """Forget then introduce one vertex at a time to turn from_bag into to_bag,
+    appending each new node to ``nodes``."""
     bag = set(from_bag)
     for v in sorted(from_bag - to_bag):
         bag.discard(v)
         node = NiceNode("forget", bag, (node,), v)
+        nodes.append(node)
     for v in sorted(to_bag - from_bag):
         bag.add(v)
         node = NiceNode("introduce", bag, (node,), v)
+        nodes.append(node)
     # the last node's bag equals to_bag: hold that object, not a copy
     node.bag = to_bag
     return node
 
 
 def to_nice(td):
-    """Convert to a nice tree decomposition of the same width."""
-    # children before parents, with an explicit worklist: tree depth can far
-    # exceed the interpreter's recursion limit on long path-like inputs
-    order = [td.root]
-    for x in order:
-        order.extend(td.children(x))
-    built = {}
+    """Convert to a nice tree decomposition of the same width, which keeps its
+    nodes in the order built: children before parents."""
+    # a preorder, with an explicit stack: tree depth can far exceed the
+    # interpreter's recursion limit on long path-like inputs; reversed, it
+    # puts children before parents
+    order, stack = [], [td.root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        stack.extend(td.children(x))
+    nodes, built = [], {}
     for x in reversed(order):
         bag = td.bags[x]
         kids = td.children(x)
         if not kids:
-            built[x] = _chain(NiceNode("leaf", frozenset()), frozenset(), bag)
+            leaf = NiceNode("leaf", frozenset())
+            nodes.append(leaf)
+            built[x] = _chain(nodes, leaf, frozenset(), bag)
             continue
-        subtrees = [_chain(built.pop(c), td.bags[c], bag) for c in kids]
+        subtrees = [_chain(nodes, built.pop(c), td.bags[c], bag) for c in kids]
         acc = subtrees[0]
         for sub in subtrees[1:]:
             acc = NiceNode("join", bag, (acc, sub))
+            nodes.append(acc)
         built[x] = acc
-    root = _chain(built[td.root], td.bags[td.root], frozenset())
-    return NiceTreeDecomposition(root=root)
+    root = _chain(nodes, built[td.root], td.bags[td.root], frozenset())
+    return NiceTreeDecomposition(root=root, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,9 @@ class Solver:
     without ``cost`` is never ranked.  As ``params.alpha`` or
     ``params.tw_upper`` grows, a cost must not fall and a gated route must
     stay gated, since dispatch ranks on lower bounds of both first.
+    ``decide(instance, params)``, where set, is the route's decision form,
+    which dispatch runs in place of ``run``: it stops at the first committee
+    that meets d and reports no optimum.
 
     The registry is a route's one checked entry: calling a Solver computes the
     parameters and runs its route once ``applies`` holds, and raises
@@ -66,6 +69,7 @@ class Solver:
     run: Callable
     degrees: Callable | None = None
     cost: Callable | None = None
+    decide: Callable | None = None
 
     def applies(self, instance, params):
         return self.rule in (None, instance.rule) and (
@@ -144,7 +148,8 @@ SOLVERS = (
     # (n <= k * deltaC + 1) mav_k_deltac considers every vote, the same search
     Solver("mav-classes", "mav_by_classes", MAV, lambda inst, p: fpt.mav_by_classes(inst)),
     Solver("mav-kdc", "mav_k_deltac", MAV, lambda inst, p: fpt.mav_k_deltac(inst),
-           cost=_class_cost(2, lambda inst, p: min(p.n, inst.k * p.delta_c + 1))),
+           cost=_class_cost(2, lambda inst, p: min(p.n, inst.k * p.delta_c + 1)),
+           decide=lambda inst, p: fpt.mav_k_deltac(inst, decide=True)),
     Solver("mav-grsp", "mav_dual_grsp", MAV, lambda inst, p: fpt.mav_dual_grsp(inst),
            cost=_grsp_cost),
     Solver("mav-matching", "mav_by_matching", MAV,
@@ -163,7 +168,10 @@ SOLVERS = (
     Solver(None, "pav_annotated", PAV,
            lambda inst, p: fpt.pav_annotated(
                fpt.AnnotatedPavInstance(inst.election, frozenset(), inst.k, inst.d)),
-           cost=_class_cost(2, lambda inst, p: p.n)),
+           cost=_class_cost(2, lambda inst, p: p.n),
+           decide=lambda inst, p: fpt.pav_annotated(
+               fpt.AnnotatedPavInstance(inst.election, frozenset(), inst.k, inst.d),
+               decide=True)),
     Solver("pav-matching", "pav_by_matching", PAV,
            lambda inst, p: fpt.pav_by_matching(inst, p.matching),
            cost=_class_cost(4, lambda inst, p: p.alpha)),
@@ -176,18 +184,31 @@ SOLVERS = (
 class _Optimistic:
     """``params`` as a cost reads it before dispatch pays for alpha or tw_upper.
 
-    A parameter in ``bounds`` reads as that lower bound, and reading one marks
-    the cost read through this view as a lower bound too.
+    A parameter in ``bounds`` reads as that lower bound, and ``guessed``
+    collects the names so read: a cost read through this view with any of
+    them is a lower bound too.
     """
 
     def __init__(self, params, bounds):
-        self._params, self._bounds, self.guessed = params, bounds, False
+        self._params, self._bounds, self.guessed = params, bounds, set()
 
     def __getattr__(self, name):
         if name in self._bounds:
-            self.guessed = True
+            self.guessed.add(name)
             return self._bounds[name]
         return getattr(self._params, name)
+
+
+def _widest(instance, params, solver, limit):
+    """The largest tw_upper at which the solver's cost is within ``limit``
+    (-1 where none is); costs grow with the width, so every width past it
+    costs more or gates the route out."""
+    width = -1
+    while True:
+        cost = solver.cost(instance, _Optimistic(params, {"tw_upper": width + 1}))
+        if cost is None or cost > limit:
+            return width
+        width += 1
 
 
 def _lower_bounds(election, delta_v, delta_c):
@@ -237,9 +258,16 @@ def dispatch(instance, params=None):
     A route is first ranked on lower bounds of alpha and tw_upper.  Every cost
     and every gate grows with both, so the matching or the min-fill runs only
     when such an optimistic rank comes first; the route is then ranked again
-    on the real values.  The route that runs is the one that ranking on the
-    real values would put first, and it reuses the matching or decomposition
-    that its rank computed.
+    on the real values.  A treewidth route can then win only up to the width
+    at which its cost reaches the least real cost queued (or FPT_COST_CAP):
+    the min-fill stops at its first bag past that width and the route drops
+    out.  The route that runs is the one that ranking on the real values would
+    put first, and it reuses the matching or decomposition that its rank
+    computed.
+
+    Dispatch asks a decision: a route with a decision form, and the
+    exhaustive route, stop at the first committee that meets d and report no
+    optimum.
     """
     e = instance.election
     k, d = instance.k, instance.d
@@ -254,7 +282,7 @@ def dispatch(instance, params=None):
     if instance.rule != MAV and d > k * delta_c:
         return answer(instance, "score_bound", {})
     bounds = _lower_bounds(e, delta_v, delta_c)
-    heap = []  # (cost, name, cost is a lower bound, solver)
+    heap = []  # (cost, name, the bounds the cost read, solver)
 
     def push(cost, solver, guessed):
         if cost is not None and cost <= FPT_COST_CAP:
@@ -266,13 +294,17 @@ def dispatch(instance, params=None):
             push(solver.cost(instance, view), solver, view.guessed)
     while heap:
         _, _, guessed, solver = heapq.heappop(heap)
+        if "tw_upper" in guessed:
+            limit = min([FPT_COST_CAP] + [cost for cost, _, g, _ in heap if not g])
+            if params.decomposition_within(_widest(instance, params, solver, limit)) is None:
+                continue
         if guessed:
-            push(solver.cost(instance, params), solver, False)
+            push(solver.cost(instance, params), solver, set())
             continue
         # a class route raises BudgetExceededError only where its cost is None
-        return solver.run(instance, params)
+        return (solver.decide or solver.run)(instance, params)
     if math.comb(e.m + 1, k) <= FPT_COST_CAP:
-        return fpt.exhaustive(instance)
+        return fpt.exhaustive(instance, decide=True)
     raise AllSolversExceededError("no solver within policy budgets")
 
 
@@ -381,7 +413,11 @@ def verify(corpus_dir, budget=22):
 
 
 def bench(corpus_dir):
-    """CSV rows (instance, params, solver, nodes, seconds) over a corpus, refusals included."""
+    """CSV rows (instance, params, solver, nodes, seconds) over a corpus, refusals included.
+
+    twUpper and alpha are written where dispatch computed them and left empty
+    otherwise, so a row costs no more than its dispatch.
+    """
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow([
@@ -403,9 +439,13 @@ def bench(corpus_dir):
             solver, decision = res.algorithm, int(res.decision)
             nodes = res.stats.get("nodes", res.stats.get("max_entries", ""))
         elapsed = time.perf_counter() - start
+        # the parameters keep a min-fill or matching once one ran
+        known = vars(params)
         writer.writerow([
             name, instance.rule, params.m, params.n, instance.k,
-            params.delta_v, params.delta_c, params.tw_upper, params.alpha,
+            params.delta_v, params.delta_c,
+            params.tw_upper if "decomposition" in known else "",
+            params.alpha if "matching" in known else "",
             solver, decision, nodes, f"{elapsed:.6f}",
         ])
     return out.getvalue()

@@ -414,7 +414,8 @@ def reference_max_matching(graph):
 def reference_dispatch(instance):
     """Dispatch with every parameter computed first and every FPT route ranked
     on the real alpha and tw_upper; the first in (cost, name) order runs, and
-    the exhaustive route where none is within the cap."""
+    the exhaustive route where none is within the cap, each in its decision
+    form where it has one."""
     e = instance.election
     k, d = instance.k, instance.d
     params = compute_params(instance)
@@ -434,9 +435,9 @@ def reference_dispatch(instance):
                 ranked.append((cost, solver.name, solver))
     if ranked:
         _, _, solver = min(ranked, key=lambda r: r[:2])
-        return solver.run(instance, params)
+        return (solver.decide or solver.run)(instance, params)
     if math.comb(e.m + 1, k) <= portfolio.FPT_COST_CAP:
-        return fpt.exhaustive(instance)
+        return fpt.exhaustive(instance, decide=True)
     raise portfolio.AllSolversExceededError("no solver within policy budgets")
 
 

@@ -13,6 +13,7 @@ from approvalwd import (
     fpt,
     Instance,
     MAV,
+    meets_threshold,
     PAV,
     RULES,
     score,
@@ -640,3 +641,41 @@ def test_exhaustive_deeper_than_the_recursion_limit():
     for rule, opt in ((CCAV, 201), (PAV, 201), (MAV, 1004)):
         res = exhaustive(Instance(e, rule, 1005, 0))
         assert (res.opt_score, res.stats) == (opt, {"nodes": 1004})
+
+
+def _decision_forms(inst):
+    """{route: its decision form on inst} for the routes that have one."""
+    forms = {"exhaustive": lambda: exhaustive(inst, decide=True)}
+    if inst.rule == MAV:
+        forms["mav_k_deltac"] = lambda: mav_k_deltac(inst, decide=True)
+    if inst.rule == PAV:
+        forms["pav_annotated"] = lambda: pav_annotated(
+            AnnotatedPavInstance(inst.election, frozenset(), inst.k, inst.d), decide=True)
+    return forms
+
+
+def test_the_decision_forms_agree_with_the_oracle_around_the_optimum():
+    # d at the optimum and one step to either side of it: half a unit for MAV
+    # and CCAV, 1 / (2 lcm(1..k)) for PAV, below any gap between PAV scores.
+    # A decision form reports no optimum beyond the one committee of k = 0,
+    # and the exhaustive one answers with the first committee that meets d
+    rng = random.Random(2121)
+    for trial in range(120):
+        e = random_election(rng, max_m=12, max_n=9, max_dv=4, max_dc=4)
+        rule = RULES[trial % 3]
+        k = rng.randint(0, e.m)
+        scored = [(w, score(e, rule, w)) for w in core.all_committees(e.m, k)]
+        opt = brute_force(Instance(e, rule, k, 0)).opt_score
+        step = Fraction(1, 2 * core.lcm_upto(k)) if rule == PAV else Fraction(1, 2)
+        for d in (opt - step, opt, opt + step):
+            inst = Instance(e, rule, k, d)
+            truth = brute_force(inst)
+            for name, form in _decision_forms(inst).items():
+                res = form()
+                assert (res.algorithm, res.decision) == (name, truth.decision)
+                assert res.opt_score is None or k == 0 and res.opt_score == opt
+                if res.decision:
+                    assert len(res.witness) == k
+                    assert meets_threshold(rule, score(e, rule, res.witness), d)
+            first = next((w for w, s in scored if meets_threshold(rule, s, d)), None)
+            assert exhaustive(inst, decide=True).witness == (first if k else ())

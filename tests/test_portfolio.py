@@ -248,9 +248,9 @@ def test_dispatch_to_a_treewidth_route_runs_min_fill_once(rule, k, d, route, mon
     calls = []
     min_fill_order = graphs.min_fill_order
 
-    def spy(graph):
+    def spy(graph, *args):
         calls.append(graph)
-        return min_fill_order(graph)
+        return min_fill_order(graph, *args)
 
     monkeypatch.setattr(graphs, "min_fill_order", spy)
     inst = Instance(election=_THICK_PATH, rule=rule, k=k, d=d)
@@ -261,6 +261,30 @@ def test_dispatch_to_a_treewidth_route_runs_min_fill_once(rule, k, d, route, mon
     alone = cli.ALGOS[f"{rule}-tw"](inst)
     assert len(calls) == 2
     assert (res, res.stats) == (alone, alone.stats)
+
+
+@pytest.mark.parametrize("config,seed,rule,k,d,width,route", [
+    # the s10 stratum of perfbench's fpt-mixed: width 12, over TW_WIDTH_CAP
+    ((22, 36, 6, 6), 10000, CCAV, 4, 20, 12, "exhaustive"),
+    # the s08 stratum: the treewidth route's lower bound ranks first, but past
+    # width 3 it costs more than pav_bb_dv, and the width is 7
+    ((24, 26, 5, 5), 0, PAV, 5, 6, 7, "pav_bb_dv"),
+])
+def test_dispatch_finishes_no_min_fill_where_the_treewidth_route_loses(
+        config, seed, rule, k, d, width, route, monkeypatch):
+    found = []
+    min_fill_order = graphs.min_fill_order
+
+    def spy(graph, *args):
+        found.append(min_fill_order(graph, *args))
+        return found[-1]
+
+    monkeypatch.setattr(graphs, "min_fill_order", spy)
+    inst = Instance(generate(GeneratorConfig(*config), seed), rule, k, d)
+    assert dispatch(inst).algorithm == route
+    # one min-fill started, and stopped before its last elimination
+    assert found == [None]
+    assert compute_params(inst).tw_upper == width
 
 
 def test_dispatch_to_a_treewidth_route_builds_the_incidence_graph_once(monkeypatch):
@@ -459,7 +483,8 @@ def test_dispatch_decides_the_dense_shape_past_m_22():
 
 def test_dispatch_never_calls_the_oracle(monkeypatch):
     # brute force is the tests' reference, not a route: where no ranked route
-    # fits, dispatch runs the exhaustive route, whose answer is the oracle's
+    # fits, dispatch runs the exhaustive route, whose decision is the oracle's;
+    # called for the optimum, the route gives the oracle's optimum and witness
     brute_force = oracle.brute_force
     calls = []
     monkeypatch.setattr(oracle, "brute_force", lambda *args, **kw: calls.append(args))
@@ -474,7 +499,9 @@ def test_dispatch_never_calls_the_oracle(monkeypatch):
         res = dispatch(inst)
         if res.algorithm == "exhaustive":
             truth = brute_force(inst)
-            assert (res.decision, res.opt_score, res.witness) == (
+            assert res.decision == truth.decision
+            opt = fpt.exhaustive(inst)
+            assert (opt.decision, opt.opt_score, opt.witness) == (
                 truth.decision, truth.opt_score, truth.witness)
             exhausted.append(res.decision)
     assert calls == [] and sorted(exhausted) == [False, False, True, True]
@@ -492,6 +519,27 @@ def test_dual_scale_shapes_run_neither_matching_nor_min_fill(rule, kbar, k, d, r
         monkeypatch.setattr(graphs, name, lambda *a, name=name: calls.append(name))
     inst = Instance(election=e, rule=rule, k=e.m - kbar if k is None else k, d=d)
     assert dispatch(inst).algorithm == route
+    assert calls == []
+
+
+def test_bench_runs_neither_matching_nor_min_fill_on_dual_scale_shapes(tmp_path, monkeypatch):
+    # the twUpper and alpha cells stay empty where dispatch computed neither,
+    # and hold the width where its treewidth route ran
+    e = _dual_scale_shaped(150, 0)
+    for rule, k, d in ((MAV, e.m - 2, 140), (CCAV, e.m - 2, 140), (PAV, 5, 3)):
+        inst = Instance(election=e, rule=rule, k=k, d=d)
+        (tmp_path / f"{rule}.appr").write_text(format_instance(inst))
+    thick = tmp_path / "thick.appr"
+    thick.write_text(format_instance(Instance(election=_THICK_PATH, rule=PAV, k=6, d=8)))
+    rows = [line.split(",")[7:10] for line in bench(str(tmp_path)).strip().splitlines()]
+    assert rows[-1] == ["2", "", "pav_tw_dp"]
+    thick.unlink()
+    calls = []
+    for name in ("max_matching", "tree_decomposition"):
+        monkeypatch.setattr(graphs, name, lambda *a, name=name, **kw: calls.append(name))
+    rows = [line.split(",")[7:10] for line in bench(str(tmp_path)).strip().splitlines()]
+    assert rows == [["twUpper", "alpha", "solver"], ["", "", "ccav_bb_dual"],
+                    ["", "", "mav_dual_grsp"], ["", "", "pav_bb_dv"]]
     assert calls == []
 
 
@@ -519,12 +567,16 @@ def test_costs_grow_with_alpha_and_tw_and_bounds_stay_below():
 
 def test_a_3000_class_mav_instance_is_decided_without_recursion():
     # vote j approves candidate c iff bit j of c + 1 is set: 3000 classes, one
-    # each; k * deltaC + 1 >= n, so mav_k_deltac runs the search over every vote
+    # each; k * deltaC + 1 >= n, so mav_k_deltac runs the search over every
+    # vote: dispatch for the decision, then the route itself for the optimum
     votes = tuple(frozenset(c for c in range(3000) if (c + 1) >> j & 1) for j in range(12))
     e = Election(m=3000, votes=votes)
     start = time.perf_counter()
     for k, decision, opt, nodes in ((5, True, 1495, 24876), (2990, False, 2037, 24143)):
-        res = dispatch(Instance(election=e, rule=MAV, k=k, d=1500))
+        inst = Instance(election=e, rule=MAV, k=k, d=1500)
+        res = dispatch(inst)
+        assert (res.algorithm, res.decision) == ("mav_k_deltac", decision)
+        res = fpt.mav_k_deltac(inst)
         assert (res.algorithm, res.decision, res.opt_score, res.stats) == (
             "mav_k_deltac", decision, opt, {"nodes": nodes})
     assert time.perf_counter() - start < 5.0
