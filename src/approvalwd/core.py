@@ -158,7 +158,7 @@ class Params:
     def decomposition(self):
         from . import graphs
 
-        return graphs.tree_decomposition(graphs.incidence_graph(self.election), mode="heuristic")
+        return graphs.tree_decomposition(graphs.incidence_graph(self.election))
 
     def decomposition_within(self, width):
         """``decomposition`` if its width is at most ``width``, else None.
@@ -171,7 +171,7 @@ class Params:
         td = vars(self).get("decomposition")
         if td is None:
             td = graphs.tree_decomposition(graphs.incidence_graph(self.election),
-                                           mode="heuristic", max_width=width)
+                                           max_width=width)
             if td is None:
                 return None
             # the cached_property's own slot, which a frozen dataclass guards

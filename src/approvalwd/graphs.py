@@ -49,9 +49,6 @@ class Graph:
     def neighbors(self, v):
         return self.adj[v]
 
-    def has_edge(self, u, v):
-        return v in self.adj.get(u, ())
-
     @property
     def num_vertices(self):
         return len(self.adj)
@@ -501,77 +498,18 @@ def min_fill_order(graph, max_bag=None):
     return order, bags
 
 
-def _reach_through(graph, v, inside):
-    """Vertices outside `inside` u {v} reachable from v through `inside`."""
-    seen = {v}
-    out = set()
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors(u):
-            if w in seen:
-                continue
-            seen.add(w)
-            if w in inside:
-                queue.append(w)
-            else:
-                out.add(w)
-    return out
-
-
-def exact_elimination_order(graph):
-    """Optimal-width elimination ordering by dynamic programming over subsets.
-
-    Exponential in the vertex count; intended for graphs with at most ~12
-    vertices.
-    """
-    verts = graph.vertices()
-    n = len(verts)
-    full = (1 << n) - 1
-    width = {0: -1}
-    choice = {}
-    # dropping a vertex lowers the mask, so each subset is done before its supersets
-    for mask in range(1, full + 1):
-        options = []
-        for i in range(n):
-            if mask >> i & 1:
-                rest = mask ^ (1 << i)
-                inside = {verts[j] for j in range(n) if rest >> j & 1}
-                q = len(_reach_through(graph, verts[i], inside))
-                options.append((max(width[rest], q), i))
-        # the least width, ties to the first vertex
-        width[mask], choice[mask] = min(options)
-    seq = []
-    mask = full
-    while mask:
-        i = choice[mask]
-        seq.append(verts[i])
-        mask ^= 1 << i
-    seq.reverse()
-    return seq
-
-
-def tree_decomposition(graph, mode="heuristic", max_width=None):
-    """A valid tree decomposition: min-fill heuristic, or optimal for small graphs.
+def tree_decomposition(graph, max_width=None):
+    """A valid tree decomposition by the min-fill heuristic.
 
     Bag i is the i-th eliminated vertex with its neighbourhood at that time.
     Its parent is the bag of the earliest eliminated of those neighbours, or
     the last bag, the root, when it has none.  Given ``max_width``, the
     min-fill gives up, and this returns None, at its first bag wider than that.
     """
-    if mode == "heuristic":
-        found = min_fill_order(graph, None if max_width is None else max_width + 1)
-        if found is None:
-            return None
-        order, bags = found
-    elif mode == "exactSmall":
-        if graph.num_vertices > 12:
-            raise ValueError("exactSmall mode supports at most 12 vertices")
-        order = exact_elimination_order(graph)
-        adj = {v: set(nb) for v, nb in graph.adj.items()}
-        bags = [frozenset(_eliminate(adj, v)) | {v} for v in order]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    found = min_fill_order(graph, None if max_width is None else max_width + 1)
+    if found is None:
+        return None
+    order, bags = found
     if not order:
         return TreeDecomposition(bags=[frozenset()], edges=[], root=0)
     pos = {v: i for i, v in enumerate(order)}
@@ -704,55 +642,3 @@ def to_nice(td):
         built[x] = acc
     root = _chain(nodes, built[td.root], td.bags[td.root], frozenset())
     return NiceTreeDecomposition(root=root, nodes=nodes)
-
-
-# ---------------------------------------------------------------------------
-# PACE-style text format for tree decompositions
-# ---------------------------------------------------------------------------
-
-def format_td(td, num_vertices):
-    """PACE-style serialization; vertices are written 1-indexed."""
-    lines = [
-        f"s td {len(td.bags)} {max((len(b) for b in td.bags), default=0)} {num_vertices}"
-    ]
-    for i, bag in enumerate(td.bags):
-        lines.append("b " + " ".join([str(i + 1)] + [str(v + 1) for v in sorted(bag)]))
-    for a, b in td.edges:
-        lines.append(f"{a + 1} {b + 1}")
-    return "\n".join(lines) + "\n"
-
-
-def _td_index(x, top):
-    if not 1 <= x <= top:
-        raise ValueError(f"{x} is outside 1..{top}")
-    return x - 1
-
-
-def parse_td(text):
-    """Read ``format_td``'s text; a malformed line raises DecompositionError naming it."""
-    bags, edges, num_bags = {}, [], None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        try:
-            if fields[0] == "s":
-                if fields[1:2] != ["td"] or len(fields) != 5 or num_bags is not None:
-                    raise ValueError("need one header s td <bags> <largest bag> <vertices>")
-                num_bags, _, num_vertices = map(int, fields[2:])
-            elif num_bags is None:
-                raise ValueError("comes before the header")
-            elif fields[0] == "b" and len(fields) > 1:
-                i, *vs = map(int, fields[1:])
-                bags[_td_index(i, num_bags)] = frozenset(_td_index(v, num_vertices) for v in vs)
-            elif len(fields) == 2:
-                edges.append(tuple(_td_index(int(x), num_bags) for x in fields))
-            else:
-                raise ValueError("need b <bag> <vertex>... or <bag> <bag>")
-        except ValueError as exc:
-            raise DecompositionError(f"td line {line!r}: {exc}") from None
-    if num_bags is None:
-        raise DecompositionError("missing td header")
-    return TreeDecomposition(bags=[bags.get(i, frozenset()) for i in range(num_bags)],
-                             edges=edges, root=0)

@@ -375,19 +375,29 @@ def check_result(instance, res, truth):
     return problems
 
 
-def verify(corpus_dir, budget=22):
-    """Run every applicable solver against the oracle on each corpus file."""
-    report = []
+def _read_corpus(corpus_dir):
+    """Each ``.appr`` file of ``corpus_dir`` in name order, as (name, instance,
+    detail): detail is the file's text, or, where the file cannot be read,
+    is not UTF-8 or is not an instance, instance is None and detail says why."""
     for name in sorted(os.listdir(corpus_dir)):
         if not name.endswith(".appr"):
             continue
-        path = os.path.join(corpus_dir, name)
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
         try:
+            with open(os.path.join(corpus_dir, name), encoding="utf-8") as fh:
+                text = fh.read()
             instance = parse_instance(text)
-        except FormatError as exc:
-            report.append({"instance": name, "status": "parse-error", "detail": str(exc)})
+        except (FormatError, OSError, UnicodeDecodeError) as exc:
+            yield name, None, str(exc)
+        else:
+            yield name, instance, text
+
+
+def verify(corpus_dir, budget=22):
+    """Run every applicable solver against the oracle on each corpus file."""
+    report = []
+    for name, instance, text in _read_corpus(corpus_dir):
+        if instance is None:
+            report.append({"instance": name, "status": "parse-error", "detail": text})
             continue
         try:
             truth = oracle.brute_force(instance, max_m=budget)
@@ -413,7 +423,8 @@ def verify(corpus_dir, budget=22):
 
 
 def bench(corpus_dir):
-    """CSV rows (instance, params, solver, nodes, seconds) over a corpus, refusals included.
+    """CSV rows (instance, params, solver, nodes, seconds) over a corpus, refusals
+    and unreadable files included.
 
     twUpper and alpha are written where dispatch computed them and left empty
     otherwise, so a row costs no more than its dispatch.
@@ -424,11 +435,10 @@ def bench(corpus_dir):
         "instance", "rule", "m", "n", "k", "deltaV", "deltaC",
         "twUpper", "alpha", "solver", "decision", "nodes", "seconds",
     ])
-    for name in sorted(os.listdir(corpus_dir)):
-        if not name.endswith(".appr"):
+    for name, instance, _ in _read_corpus(corpus_dir):
+        if instance is None:
+            writer.writerow([name] + [""] * 8 + ["parse-error"] + [""] * 3)
             continue
-        with open(os.path.join(corpus_dir, name), encoding="utf-8") as fh:
-            instance = parse_instance(fh.read())
         start = time.perf_counter()
         params = compute_params(instance)
         try:

@@ -240,6 +240,62 @@ def reference_td_from_elimination_order(graph, order):
     return graphs.TreeDecomposition(bags=bags, edges=edges, root=pos[order[-1]])
 
 
+def _reach_through(graph, v, inside):
+    """Vertices outside `inside` u {v} reachable from v through `inside`."""
+    seen = {v}
+    out = set()
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for w in graph.neighbors(u):
+            if w in seen:
+                continue
+            seen.add(w)
+            if w in inside:
+                queue.append(w)
+            else:
+                out.add(w)
+    return out
+
+
+def exact_elimination_order(graph):
+    """Optimal-width elimination ordering by dynamic programming over subsets.
+
+    Exponential in the vertex count; meant for graphs of about a dozen
+    vertices at most.
+    """
+    verts = graph.vertices()
+    n = len(verts)
+    full = (1 << n) - 1
+    width = {0: -1}
+    choice = {}
+    # dropping a vertex lowers the mask, so each subset is done before its supersets
+    for mask in range(1, full + 1):
+        options = []
+        for i in range(n):
+            if mask >> i & 1:
+                rest = mask ^ (1 << i)
+                inside = {verts[j] for j in range(n) if rest >> j & 1}
+                q = len(_reach_through(graph, verts[i], inside))
+                options.append((max(width[rest], q), i))
+        # the least width, ties to the first vertex
+        width[mask], choice[mask] = min(options)
+    seq = []
+    mask = full
+    while mask:
+        i = choice[mask]
+        seq.append(verts[i])
+        mask ^= 1 << i
+    seq.reverse()
+    return seq
+
+
+def exact_decomposition(graph):
+    """An optimal-width tree decomposition of a small graph: the replay of
+    ``exact_elimination_order``."""
+    return reference_td_from_elimination_order(graph, exact_elimination_order(graph))
+
+
 def reference_pav_deg22(instance):
     """(opt, witness) of PAV with both degrees <= 2 by a knapsack over components.
 

@@ -36,6 +36,7 @@ from approvalwd.reductions import (
 )
 
 from helpers import (
+    exact_decomposition,
     exhaustive_b_edge_cover_exists,
     exhaustive_max_matching_size,
     random_election,
@@ -81,9 +82,7 @@ def test_criterion_1_oracle_equivalence_sweep(capsys):
     instances = 0
     while instances < 1000:
         e = random_election(rng, max_m=9, max_n=7)
-        width = graphs.tree_decomposition(
-            graphs.incidence_graph(e), mode="heuristic"
-        ).width()
+        width = graphs.tree_decomposition(graphs.incidence_graph(e)).width()
         for rule in RULES:
             k = rng.randint(0, e.m)
             opt = brute_force(Instance(election=e, rule=rule, k=k, d=0)).opt_score
@@ -240,8 +239,8 @@ def test_criterion_4_decomposition_independence(capsys):
         if not 1 <= e.m + e.n <= 10:
             continue
         g = graphs.incidence_graph(e)
-        ntd_a = graphs.to_nice(graphs.tree_decomposition(g, mode="heuristic"))
-        ntd_b = graphs.to_nice(graphs.tree_decomposition(g, mode="exactSmall"))
+        ntd_a = graphs.to_nice(graphs.tree_decomposition(g))
+        ntd_b = graphs.to_nice(exact_decomposition(g))
         k = rng.randint(0, e.m)
         rule = rng.choice(RULES)
         opt = brute_force(Instance(election=e, rule=rule, k=k, d=0)).opt_score
@@ -297,7 +296,7 @@ def test_criterion_6_infrastructure(capsys):
         valid = True
         for edge in matching:
             u, v = tuple(edge)
-            if u in used or v in used or not g.has_edge(u, v):
+            if u in used or v in used or v not in g.neighbors(u):
                 valid = False
             used.update(edge)
         if not valid or len(matching) != exhaustive_max_matching_size(edges):
@@ -329,7 +328,7 @@ def test_criterion_6_infrastructure(capsys):
     for _ in range(200):
         n, edges = random_graph(rng, max_n=8, p=0.4)
         g = graphs.Graph(vertices=range(n), edges=edges)
-        td = graphs.tree_decomposition(g, mode="heuristic")
+        td = graphs.tree_decomposition(g)
         ntd = graphs.to_nice(td)
         try:
             ntd.validate(g)
@@ -372,9 +371,7 @@ def test_criterion_7_format_roundtrips(capsys):
 def test_criterion_8_smoke_scale(capsys):
     e = generate(GeneratorConfig(m=30, n=30, max_dv=2, max_dc=2), seed=108)
     assert e.m + e.n == 60
-    width = graphs.tree_decomposition(
-        graphs.incidence_graph(e), mode="heuristic"
-    ).width()
+    width = graphs.tree_decomposition(graphs.incidence_graph(e)).width()
     inst = Instance(election=e, rule=CCAV, k=10, d=20)
     start = time.perf_counter()
     res = cli.ALGOS["ccav-tw"](inst)

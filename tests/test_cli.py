@@ -190,8 +190,12 @@ def test_verify_and_bench(tmp_path, capsys):
         ]
         body = "\n".join([f"{m} {len(votes)}"] + votes)
         (tmp_path / f"i{i}.appr").write_text(f"ccav {rng.randint(0, m)} 1 1\n{body}\n")
+    # an unreadable file is one more row of each report, not an error exit
+    (tmp_path / "cand5.appr").write_text("ccav 1 1 1\n2 1\n5\n")
+    (tmp_path / "latin1.appr").write_bytes(b"ccav 1 1 1\n2 1\n0 1\n\xff\n")
     assert main(["verify", str(tmp_path)]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out.count("status=parse-error") == 2
     csv_out = tmp_path / "bench.csv"
     assert main(["bench", str(tmp_path), "--csv", str(csv_out)]) == 0
     assert csv_out.read_text().startswith("instance,rule")
+    assert len(csv_out.read_text().splitlines()) == 7

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -9,8 +10,6 @@ from approvalwd import Election
 from approvalwd.graphs import (
     classify_component,
     DecompositionError,
-    exact_elimination_order,
-    format_td,
     Graph,
     incidence_graph,
     max_b_matching,
@@ -18,7 +17,6 @@ from approvalwd.graphs import (
     min_fill_order,
     multigraph_components,
     multigraph_rep,
-    parse_td,
     simple_b_edge_cover_exact,
     to_nice,
     tree_decomposition,
@@ -28,6 +26,7 @@ from approvalwd.portfolio import generate, GeneratorConfig
 
 from helpers import (
     e1,
+    exact_decomposition,
     exhaustive_b_edge_cover_exists,
     exhaustive_max_matching_size,
     near_path,
@@ -73,7 +72,7 @@ def test_matching_is_valid_and_maximum():
         used = set()
         for edge in matching:
             u, v = tuple(edge)
-            assert g.has_edge(u, v)
+            assert v in g.neighbors(u)
             assert u not in used and v not in used
             used.update(edge)
         assert len(matching) == exhaustive_max_matching_size(g.edges())
@@ -105,8 +104,6 @@ def test_bipartite_koenig():
         verts = g.vertices()
         edges = g.edges()
         best = len(verts)
-        import itertools
-
         for r in range(len(verts) + 1):
             found = False
             for cover in itertools.combinations(verts, r):
@@ -209,23 +206,21 @@ def test_b_matching_respects_caps():
 
 def test_tree_decomposition_examples():
     path = Graph(edges=[(0, 1), (1, 2), (2, 3)])
-    assert tree_decomposition(path, mode="heuristic").width() == 1
+    assert tree_decomposition(path).width() == 1
     k4 = Graph(edges=[(u, v) for u in range(4) for v in range(u + 1, 4)])
-    assert tree_decomposition(k4, mode="exactSmall").width() == 3
+    assert exact_decomposition(k4).width() == 3
     c5 = Graph(edges=[(i, (i + 1) % 5) for i in range(5)])
-    assert tree_decomposition(c5, mode="exactSmall").width() == 2
-    with pytest.raises(ValueError):
-        tree_decomposition(Graph(vertices=range(13)), mode="exactSmall")
+    assert exact_decomposition(c5).width() == 2
 
 
 def test_tree_decomposition_valid():
     rng = random.Random(16)
     for trial in range(100):
         g = _random_simple_graph(rng)
-        td = tree_decomposition(g, mode="heuristic")
+        td = tree_decomposition(g)
         td.validate(g)
         if g.num_vertices <= 8:
-            td2 = tree_decomposition(g, mode="exactSmall")
+            td2 = exact_decomposition(g)
             td2.validate(g)
             assert td2.width() <= td.width()
 
@@ -242,7 +237,7 @@ def test_to_nice_properties():
     rng = random.Random(17)
     for _ in range(100):
         g = _random_simple_graph(rng)
-        td = tree_decomposition(g, mode="heuristic")
+        td = tree_decomposition(g)
         ntd = to_nice(td)
         ntd.validate(g)
         assert ntd.width() == td.width()
@@ -268,32 +263,6 @@ def test_to_nice_deep_path_keeps_the_recursion_limit(monkeypatch):
     assert ntd.width() == 1
     # leaf, two introduces, a forget and an introduce per tree edge, two forgets
     assert len(ntd.postorder()) == 2 * n + 3
-
-
-def test_pace_roundtrip():
-    rng = random.Random(18)
-    for _ in range(50):
-        g = _random_simple_graph(rng)
-        td = tree_decomposition(g, mode="heuristic")
-        text = format_td(td, g.num_vertices)
-        back = parse_td(text)
-        assert back.bags == td.bags
-        back.validate(g)
-    with pytest.raises(DecompositionError):
-        parse_td("b 1 2\n")
-    with pytest.raises(DecompositionError):
-        parse_td("s notd 1 1 1\n")
-    # a short line, an extra field, a non-integer field, a bag number or a
-    # vertex out of range, a repeated header: the error names the line
-    for text, line in (
-        ("s\n", "s"), ("s td\n", "s td"), ("s td 1 1 1 1\n", "s td 1 1 1 1"),
-        ("s td 1 1 1\n1\n", "1"), ("s td 1 1 1\nb\n", "b"),
-        ("s td 1 1 1\nb x 1\n", "b x 1"), ("s td 2 1 1\n1 2 3\n", "1 2 3"),
-        ("s td 1 1 1\nb 5 1\n", "b 5 1"), ("s td 1 1 1\n1 2\n", "1 2"),
-        ("s td 1 1 1\nb 1 2\n", "b 1 2"), ("s td 1 1 1\ns td 1 1 1\n", "s td 1 1 1"),
-    ):
-        with pytest.raises(DecompositionError, match=re.escape(repr(line))):
-            parse_td(text)
 
 
 def test_graph_rejects_loops():
@@ -347,14 +316,21 @@ def test_tree_decomposition_matches_the_reference_replay():
     graphs.append(Graph())
     for g in graphs:
         expected = reference_td_from_elimination_order(g, reference_min_fill_order(g))
-        assert _td_triple(tree_decomposition(g, mode="heuristic")) == _td_triple(expected)
+        assert _td_triple(tree_decomposition(g)) == _td_triple(expected)
     small = [g for g in graphs if g.num_vertices <= 9]
     small += [_random_simple_graph(rng, max_n=9, p=rng.choice((0.2, 0.4, 0.7)))
               for _ in range(60)]
     assert len(small) >= 100
     for g in small:
-        expected = reference_td_from_elimination_order(g, exact_elimination_order(g))
-        assert _td_triple(tree_decomposition(g, mode="exactSmall")) == _td_triple(expected)
+        exact = exact_decomposition(g)
+        exact.validate(g)
+        assert exact.width() <= tree_decomposition(g).width()
+        if g.num_vertices <= 6:
+            # no elimination order is narrower than the exact one
+            assert exact.width() == min(
+                reference_td_from_elimination_order(g, list(order)).width()
+                for order in itertools.permutations(g.vertices())
+            )
 
 
 def test_min_fill_order_on_a_long_near_path_is_fast():
@@ -405,7 +381,7 @@ def test_validators_agree_with_the_reference():
     graphs += [incidence_graph(e) for e in _generated_elections(150)]
     rejected = 0
     for g in graphs:
-        td = tree_decomposition(g, mode="heuristic")
+        td = tree_decomposition(g)
         for cand in [td] + [_perturbed(td, g, rng) for _ in range(3)]:
             want = _verdict(reference_validate, cand.bags, cand.edges, g)
             assert (_verdict(cand.validate, g) is None) == (want is None)

@@ -621,10 +621,14 @@ def test_verify_corpus(tmp_path):
 def test_verify_corrupt_file(tmp_path):
     _write_corpus(tmp_path, 3, seed=82)
     (tmp_path / "broken.appr").write_text("not an instance\n")
+    (tmp_path / "latin1.appr").write_bytes(b"ccav 1 1 1\n2 1\n0 1\n\xff\n")
+    (tmp_path / "folder.appr").mkdir()
     (tmp_path / "ignored.txt").write_text("not scanned\n")
     ok, report = verify(str(tmp_path))
     assert ok  # parse errors are reported, not disagreements
-    assert [r for r in report if r["status"] == "parse-error"]
+    errors = {r["instance"]: r["detail"] for r in report if r["status"] == "parse-error"}
+    assert sorted(errors) == ["broken.appr", "folder.appr", "latin1.appr"]
+    assert "utf-8" in errors["latin1.appr"]
 
 
 def test_verify_empty_corpus(tmp_path):
@@ -659,16 +663,21 @@ def test_bench_computes_params_once_per_instance(tmp_path, monkeypatch):
 
 def test_bench_keeps_a_row_for_a_refused_instance(tmp_path):
     # C(41, 12) committees is over FPT_COST_CAP and every ranked route is over
-    # its cap: dispatch refuses the m = 40 instance, and bench still writes
-    # every other row
+    # its cap: dispatch refuses the m = 40 instance.  A candidate outside
+    # [0, m) and a byte that is not UTF-8 each make a parse-error row.  bench
+    # still writes every other row
     _write_corpus(tmp_path, 3, seed=83)
     refused = Instance(generate(GeneratorConfig(40, 36, 6, 6), 0), CCAV, 12, 30)
     with pytest.raises(AllSolversExceededError):
         dispatch(refused)
     (tmp_path / "m40.appr").write_text(format_instance(refused))
+    (tmp_path / "cand5.appr").write_text("ccav 1 1 1\n2 1\n5\n")
+    (tmp_path / "latin1.appr").write_bytes(b"ccav 1 1 1\n2 1\n0 1\n\xff\n")
     rows = [line.split(",") for line in bench(str(tmp_path)).strip().splitlines()]
     assert rows[0][9:12] == ["solver", "decision", "nodes"]
-    assert [row[0] for row in rows[1:]] == ["inst000.appr", "inst001.appr", "inst002.appr",
-                                            "m40.appr"]
+    assert [row[0] for row in rows[1:]] == ["cand5.appr", "inst000.appr", "inst001.appr",
+                                            "inst002.appr", "latin1.appr", "m40.appr"]
+    for row in (rows[1], rows[5]):
+        assert row[1:] == [""] * 8 + ["parse-error"] + [""] * 3
     assert rows[-1][9:12] == ["refused", "", ""]
-    assert "refused" not in [row[9] for row in rows[1:-1]]
+    assert all(row[9] not in ("refused", "parse-error") for row in rows[2:5])

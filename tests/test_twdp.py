@@ -26,7 +26,7 @@ from approvalwd.oracle import brute_force
 from approvalwd.poly import ccav_deg2, mav_deg2, pav_deg22
 from approvalwd.portfolio import generate, GeneratorConfig
 
-from helpers import e1, instances_around_opt, random_election
+from helpers import e1, exact_decomposition, instances_around_opt, random_election
 
 # the DPs as the registry runs them, on the nice form of the parameters'
 # min-fill decomposition; a test that picks the decomposition calls twdp
@@ -76,8 +76,8 @@ def test_decomposition_independence():
         if e.m + e.n == 0 or e.m + e.n > 9:
             continue
         g = incidence_graph(e)
-        ntd_a = to_nice(tree_decomposition(g, mode="heuristic"))
-        ntd_b = to_nice(tree_decomposition(g, mode="exactSmall"))
+        ntd_a = to_nice(tree_decomposition(g))
+        ntd_b = to_nice(exact_decomposition(g))
         k = rng.randint(0, e.m)
         for rule, solver in solvers.items():
             opt = brute_force(Instance(election=e, rule=rule, k=k, d=0)).opt_score
