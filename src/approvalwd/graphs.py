@@ -412,7 +412,8 @@ class TreeDecomposition:
 def _check_bags(adj, root_bag, bags_and_parents):
     """The decomposition conditions, from the root bag and each other bag
     paired with its parent's, against ``adj``, which may list an edge from
-    one end only.
+    one end only.  A pair whose bag lies within its parent's adds nothing
+    and may be left out.
 
     A vertex's bags are connected iff exactly one of them, its top bag, is
     the root or has a parent bag that lacks it.  Of two connected
@@ -438,17 +439,6 @@ def _check_bags(adj, root_bag, bags_and_parents):
                 raise DecompositionError(f"edge {(min(u, v), max(u, v))} covered by no bag")
 
 
-def _eliminate(adj, v):
-    """Remove v from ``adj`` and join its neighbours; return v's neighbourhood."""
-    nb = adj.pop(v)
-    for u in nb:
-        s = adj[u]
-        s |= nb
-        s.discard(u)
-        s.discard(v)
-    return nb
-
-
 def min_fill_order(graph, max_bag=None):
     """Elimination ordering by minimum fill-in, ties by degree then index.
 
@@ -456,19 +446,34 @@ def min_fill_order(graph, max_bag=None):
     neighbourhood then, frozen at once rather than kept as the popped
     adjacency set, whose table earlier fill edges may have grown.  Given
     ``max_bag``, it returns None instead as soon as a bag would hold more
-    than max_bag vertices, before that vertex is eliminated.  Each
-    vertex's (fill, degree, vertex) key sits in a lazy heap.  Eliminating v
-    changes the fill or degree only of v's neighbours and their neighbours,
-    so only their keys are recomputed; a popped entry that no longer equals
-    its vertex's key is stale and skipped.
+    than max_bag vertices, before that vertex is eliminated.
+
+    Beside each adjacency set sits the same neighbourhood as an int mask, so
+    the fill of u, the pairs of its d neighbours that are not adjacent, is
+    (d(d - 1) - sum over neighbours w of |N(w) & N(u)|) / 2 by popcounts.
+    Each vertex's (fill, degree, vertex) key sits in a lazy heap.
+    Eliminating v changes the degree only of v's neighbours, and the fill of
+    any other vertex only through the pairs of v's neighbours that it is
+    adjacent to, so only the keys of v's neighbours and of the vertices with
+    at least two neighbours among them are recomputed; a popped entry that no
+    longer equals its vertex's key is stale and skipped.
     """
     adj = {v: set(nb) for v, nb in graph.adj.items()}
+    # an isolated vertex is no vertex's neighbour, now or after any elimination
+    one = {v: 1 << i for i, v in enumerate(v for v, nb in adj.items() if nb)}
+    bits = dict.fromkeys(adj, 0)
+    for v, b in one.items():
+        for w in adj[v]:
+            bits[w] += b
 
     def key(u):
         nb = adj[u]
         d = len(nb)
+        if d < 2:
+            return 0, d, u
+        bu = bits[u]
         # every edge among the neighbours is counted from both of its ends
-        inner = sum(len(nb & adj[w]) for w in nb)
+        inner = sum((bits[w] & bu).bit_count() for w in nb)
         return (d * (d - 1) - inner) // 2, d, u
 
     keys = {u: key(u) for u in adj}
@@ -484,12 +489,30 @@ def min_fill_order(graph, max_bag=None):
         if max_bag is not None and len(adj[v]) >= max_bag:
             return None
         del keys[v]
-        nb = _eliminate(adj, v)
+        nb = adj.pop(v)
+        nbits = bits.pop(v)
         order.append(v)
         bags.append(frozenset(nb) | {v})
-        touched = set(nb)
-        for u in nb:
-            touched |= adj[u]
+        if len(nb) < 2:
+            # no fill edges: only the neighbour's degree changes
+            for u in nb:
+                adj[u].discard(v)
+                bits[u] -= one[v]
+            touched = nb
+        else:
+            gone = one.pop(v)
+            second = set()
+            for u in nb:
+                s = adj[u]
+                s |= nb
+                s.discard(u)
+                s.discard(v)
+                # u's mask gained v's other neighbours, u itself among them
+                bits[u] = (bits[u] | nbits) - one[u] - gone
+                second |= s
+            second -= nb
+            touched = {u for u in second if (bits[u] & nbits).bit_count() >= 2}
+            touched |= nb
         for u in touched:
             new = key(u)
             if new != keys[u]:
@@ -572,18 +595,21 @@ class NiceTreeDecomposition:
         if self.root.bag:
             raise DecompositionError("root bag not empty")
         for x in nodes:
-            if x.kind == "leaf":
+            kind = x.kind
+            if kind == "leaf":
                 if x.children or x.bag:
                     raise DecompositionError("bad leaf node")
-            elif x.kind in ("introduce", "forget"):
+            elif kind == "introduce" or kind == "forget":
                 if len(x.children) != 1:
-                    raise DecompositionError(f"{x.kind} node needs one child")
+                    raise DecompositionError(f"{kind} node needs one child")
                 big, small = x.bag, x.children[0].bag
-                if x.kind == "forget":
+                if kind == "forget":
                     big, small = small, big
-                if not small < big or big - small != {x.vertex}:
-                    raise DecompositionError(f"{x.kind} bags do not differ by its vertex")
-            elif x.kind == "join":
+                # big is small with the node's vertex added
+                v = x.vertex
+                if len(big) != len(small) + 1 or v in small or v not in big or not small < big:
+                    raise DecompositionError(f"{kind} bags do not differ by its vertex")
+            elif kind == "join":
                 if len(x.children) != 2:
                     raise DecompositionError("join node needs two children")
                 if any(c.bag != x.bag for c in x.children):
@@ -591,21 +617,27 @@ class NiceTreeDecomposition:
             else:
                 raise DecompositionError(f"unknown node kind {x.kind!r}")
         if graph is not None:
+            # the tree is nice and its root bag empty, so a vertex leaves a
+            # bag on the way up only at a forget node
             adj = graph.adj if isinstance(graph, Graph) else graph
             _check_bags(adj, self.root.bag, (
-                (c.bag, x.bag) for x in nodes for c in x.children
+                (x.children[0].bag, x.bag) for x in nodes if x.kind == "forget"
             ))
 
 
 def _chain(nodes, node, from_bag, to_bag):
     """Forget then introduce one vertex at a time to turn from_bag into to_bag,
-    appending each new node to ``nodes``."""
+    appending each new node to ``nodes``.
+
+    Introduces go in descending vertex order: in an incidence graph the votes
+    come first, so a treewidth DP introduces them while its tables still hold
+    few candidate subsets."""
     bag = set(from_bag)
     for v in sorted(from_bag - to_bag):
         bag.discard(v)
         node = NiceNode("forget", bag, (node,), v)
         nodes.append(node)
-    for v in sorted(to_bag - from_bag):
+    for v in sorted(to_bag - from_bag, reverse=True):
         bag.add(v)
         node = NiceNode("introduce", bag, (node,), v)
         nodes.append(node)

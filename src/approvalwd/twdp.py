@@ -19,6 +19,11 @@ which both children count; a CCAV join takes mu1 | mu2.  The entry itself is
 equal value, the witness whose sorted tuple comes first: both witnesses have
 k' members, and the lowest candidate in which they differ is their masks'
 highest differing bit.  A join's witness is w1 + w2 - C', the union of both.
+Each table travels with its bag's votes as a sorted tuple, vote i holding
+digit i of every key: a vote introduce inserts into it by bisection and a vote
+forget removes from it, so no node sorts its bag.  The nice form introduces a
+bag's votes before its candidates, so on a chain above a leaf a vote introduce
+rewrites one C' group, not one per subset of the candidates already there.
 
 The value held is that of the votes already forgotten: a vote's term is added
 when it is forgotten, and a key fixes the terms of the bag votes, so values
@@ -43,13 +48,10 @@ Incidence-graph numbering: candidate c is vertex c, vote j is vertex m + j.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .core import answer, CCAV, MAV, scaled_harmonics
-
-
-def _bag_votes(bag, m):
-    return tuple(sorted(v - m for v in bag if v >= m))
 
 
 def _run_mu_dp(instance, ntd):
@@ -78,23 +80,19 @@ def _run_mu_dp(instance, ntd):
     bit = [1 << (m - 1 - c) for c in range(m)]
     vmask = [sum(bit[c] for c in v) for v in votes]
 
-    def overlap(j, cset):
-        return min((vmask[j] & cset).bit_count(), cap)
-
-    def digit_at(node, j):
-        return kb + _bag_votes(node.bag, m).index(j) * b
-
     order = ntd.postorder()
-    max_entries = 0
-    tables = {}
+    # a table grows only at a leaf (one entry), a candidate introduce and a
+    # join: a vote introduce maps keys one to one and a forget merges them
+    max_entries = 1
+    tables = {}  # id(node) -> (table, the bag's votes, sorted)
     for node in order:
         h = node.vertex
-        if node.kind == "leaf":
-            table = {0: {0: 0}}
-        elif node.kind == "join":
-            left = tables.pop(id(node.children[0]))
-            right = tables.pop(id(node.children[1]))
-            bag_v = _bag_votes(node.bag, m)
+        kind = node.kind
+        if kind == "leaf":
+            table, bag_v = {0: {0: 0}}, ()
+        elif kind == "join":
+            left, bag_v = tables.pop(id(node.children[0]))
+            right, _ = tables.pop(id(node.children[1]))
             table = {}
             for cset, g1 in left.items():
                 g2 = right.get(cset)
@@ -102,7 +100,8 @@ def _run_mu_dp(instance, ntd):
                     continue
                 nc = cset.bit_count()
                 # both children count C' in k', in mu and in the witness
-                o = sum(overlap(j, cset) << kb + i * b for i, j in enumerate(bag_v)) + nc
+                o = sum(min((vmask[j] & cset).bit_count(), cap) << kb + i * b
+                        for i, j in enumerate(bag_v)) + nc
                 out = table[cset] = {}
                 for key1, val1 in g1.items():
                     val1 -= cset
@@ -116,21 +115,24 @@ def _run_mu_dp(instance, ntd):
                         val = val1 + val2
                         if val > out.get(key, -1):
                             out[key] = val
+            max_entries = max(max_entries, sum(map(len, table.values())))
         else:
-            child = tables.pop(id(node.children[0]))
-            if node.kind == "introduce" and h >= m:
+            child, bag_v = tables.pop(id(node.children[0]))
+            if kind == "introduce" and h >= m:
                 j = h - m
-                at = digit_at(node, j)
+                i = bisect_left(bag_v, j)
+                bag_v = bag_v[:i] + (j,) + bag_v[i:]
+                at = kb + i * b
                 low = (1 << at) - 1
+                vm = vmask[j]
                 table = {}
                 for cset, g in child.items():
-                    x = overlap(j, cset) << at
+                    x = min((vm & cset).bit_count(), cap) << at
                     table[cset] = {key & low | x | key >> at << at + b: val
                                    for key, val in g.items()}
-            elif node.kind == "introduce":
+            elif kind == "introduce":
                 hb = bit[h]
-                inc = sum(1 << kb + i * b
-                          for i, j in enumerate(_bag_votes(node.bag, m)) if vmask[j] & hb)
+                inc = sum(1 << kb + i * b for i, j in enumerate(bag_v) if vmask[j] & hb)
                 table = dict(child)
                 for cset, g in child.items():
                     out = {}
@@ -143,9 +145,12 @@ def _run_mu_dp(instance, ntd):
                             out[key] = val
                     if out:
                         table[cset | hb] = out
-            elif node.kind == "forget" and h >= m:
+                max_entries = max(max_entries, sum(map(len, table.values())))
+            elif kind == "forget" and h >= m:
                 j = h - m
-                at = digit_at(node.children[0], j)
+                i = bag_v.index(j)
+                bag_v = bag_v[:i] + bag_v[i + 1:]
+                at = kb + i * b
                 low = (1 << at) - 1
                 if rule == MAV:
                     # vote j stays only if 2 * mu >= k + |v_j| - d, i.e. >= need
@@ -177,11 +182,10 @@ def _run_mu_dp(instance, ntd):
                     for key, val in g.items():
                         if val > out.get(key, -1):
                             out[key] = val
-        max_entries = max(max_entries, sum(map(len, table.values())))
-        tables[id(node)] = table
+        tables[id(node)] = table, bag_v
 
     # the root's bag is empty: its one key is k' = k
-    entry = tables[id(ntd.root)].get(0, {}).get(k)
+    entry = tables[id(ntd.root)][0].get(0, {}).get(k)
     width = max(len(node.bag) for node in order) - 1
     stats = {"max_entries": max_entries, "nodes": len(order), "width": width}
     algorithm = f"{rule}_tw_dp"

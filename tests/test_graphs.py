@@ -293,14 +293,40 @@ def _tie_heavy_graphs():
                            if v < v ^ (1 << b)])
 
 
+def _wide_fill_graphs():
+    """Incidence graphs whose eliminations add many fill edges: min-fill
+    widths of about 4 to 45."""
+    yield incidence_graph(generate(GeneratorConfig(200, 300, 4, 5), 0))
+    for seed in range(3):
+        yield incidence_graph(generate(GeneratorConfig(80, 120, 4, 4), seed))
+        yield incidence_graph(generate(GeneratorConfig(30, 40, 6, 6), seed))
+        yield incidence_graph(generate(GeneratorConfig(60, 80, 3, 4), seed))
+
+
 def test_min_fill_order_matches_the_reference():
     rng = random.Random(19)
     graphs = [incidence_graph(e) for e in _generated_elections(320)]
     graphs += [_random_simple_graph(rng, max_n=14, p=rng.choice((0.2, 0.4, 0.7)))
                for _ in range(200)]
     graphs += list(_tie_heavy_graphs())
+    graphs += list(_wide_fill_graphs())
+    widths = set()
     for g in graphs:
-        assert min_fill_order(g)[0] == reference_min_fill_order(g)
+        order = reference_min_fill_order(g)
+        bags = reference_td_from_elimination_order(g, order).bags
+        full = min_fill_order(g)
+        assert full == (order, bags)
+        widest = max(map(len, bags))
+        widths.add(widest - 1)
+        # a bounded run gives up exactly when some bag is wider than its bound,
+        # and otherwise returns the full run
+        for max_bag in {1, 2, widest // 2, widest - 1, widest, widest + 1, rng.randint(1, widest)}:
+            bounded = min_fill_order(g, max_bag)
+            if widest > max_bag:
+                assert bounded is None
+            else:
+                assert bounded == full
+    assert max(widths) >= 45
 
 
 def _td_triple(td):

@@ -26,7 +26,13 @@ from approvalwd.oracle import brute_force
 from approvalwd.poly import ccav_deg2, mav_deg2, pav_deg22
 from approvalwd.portfolio import generate, GeneratorConfig
 
-from helpers import e1, exact_decomposition, instances_around_opt, random_election
+from helpers import (
+    e1,
+    exact_decomposition,
+    instances_around_opt,
+    random_election,
+    reference_nice_validate,
+)
 
 # the DPs as the registry runs them, on the nice form of the parameters'
 # min-fill decomposition; a test that picks the decomposition calls twdp
@@ -115,6 +121,55 @@ def test_external_decomposition_rejected_if_an_edge_is_uncovered(solve, rule):
     ntd.validate()
     with pytest.raises(DecompositionError, match=re.escape("edge (0, 5) covered by no bag")):
         solve(Instance(election=e1(), rule=rule, k=1, d=1), ntd=ntd)
+
+
+def _nice_chain(steps):
+    """A chain of ("introduce" | "forget", vertex) nodes above a fresh leaf."""
+    node = NiceNode("leaf", frozenset())
+    bag = set()
+    for kind, v in steps:
+        if kind == "introduce":
+            bag.add(v)
+        else:
+            bag.discard(v)
+        node = NiceNode(kind, bag, (node,), v)
+    return node
+
+
+def _visit(v, *between):
+    """Steps that introduce v, visit each of ``between`` and forget v."""
+    steps = [("introduce", v)]
+    for u in between:
+        steps += [("introduce", u), ("forget", u)]
+    return steps + [("forget", v)]
+
+
+# hand-built nice trees over the incidence graph of one vote {0, 1}, vertex 2,
+# each nice with an empty root bag and one defect
+HAND_BUILT = {
+    # vote 2 meets candidate 0 in one branch of the join and candidate 1 in
+    # the other, and is forgotten in both
+    "occurrences of 2 not connected": lambda: NiceNode(
+        "join", frozenset(), (_nice_chain(_visit(2, 0)), _nice_chain(_visit(2, 1)))),
+    "edge (0, 2) covered by no bag": lambda: _nice_chain(_visit(0) + _visit(2, 1)),
+    "vertex 1 in no bag": lambda: _nice_chain(_visit(2, 0)),
+}
+
+
+@pytest.mark.parametrize("message", sorted(HAND_BUILT))
+def test_hand_built_nice_trees_are_rejected_alike(message):
+    e = Election(m=2, votes=({0, 1},))
+    g = incidence_graph(e)
+    checks = [lambda ntd: ntd.validate(g), lambda ntd: reference_nice_validate(ntd, g)]
+    checks += [lambda ntd, solve=solve, rule=rule: solve(Instance(e, rule, 1, Fraction(1)), ntd)
+               for solve, rule in ((twdp.ccav_tw_dp, CCAV), (twdp.mav_tw_dp, MAV),
+                                   (twdp.pav_tw_dp, PAV))]
+    for check in checks:
+        ntd = NiceTreeDecomposition(root=HAND_BUILT[message]())
+        ntd.validate()
+        with pytest.raises(DecompositionError) as raised:
+            check(ntd)
+        assert str(raised.value) == message
 
 
 # Elections from portfolio.generate with min-fill incidence width 4-6, and the
