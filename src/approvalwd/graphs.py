@@ -21,22 +21,12 @@ class Graph:
     """Simple undirected graph on integer vertices (no loops, no parallels)."""
 
     def __init__(self, vertices=(), edges=()):
-        self.adj = {}
-        for v in vertices:
-            self.add_vertex(v)
+        adj = self.adj = {v: set() for v in vertices}
         for u, v in edges:
-            self.add_edge(u, v)
-
-    def add_vertex(self, v):
-        self.adj.setdefault(v, set())
-
-    def add_edge(self, u, v):
-        if u == v:
-            raise ValueError("loops not allowed in a simple graph")
-        self.add_vertex(u)
-        self.add_vertex(v)
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+            if u == v:
+                raise ValueError("loops not allowed in a simple graph")
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
 
     def vertices(self):
         return sorted(self.adj)
@@ -57,11 +47,8 @@ class Graph:
 def incidence_graph(election):
     """Bipartite graph joining vote-vertex m+j to candidate-vertex c iff c in v_j."""
     m = election.m
-    g = Graph(vertices=range(m + election.n))
-    for j, v in enumerate(election.votes):
-        for c in v:
-            g.add_edge(c, m + j)
-    return g
+    return Graph(range(m + election.n),
+                 ((c, m + j) for j, v in enumerate(election.votes) for c in v))
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +56,27 @@ def incidence_graph(election):
 # ---------------------------------------------------------------------------
 
 def max_matching(graph):
-    """A maximum-cardinality matching, as a set of frozenset edges.
+    """A maximum-cardinality matching, as a set of frozenset edges: ``_mates``
+    on the graph's vertices in increasing order."""
+    verts = graph.vertices()
+    index = {v: i for i, v in enumerate(verts)}.__getitem__
+    mate = _mates([sorted(map(index, graph.neighbors(v))) for v in verts])
+    return {frozenset((verts[v], verts[w])) for v, w in enumerate(mate) if v < w}
+
+
+def _mates(adj):
+    """Each vertex's mate, or -1, in a maximum matching of the graph on
+    0..len(adj)-1 whose vertex v has the increasing neighbour list adj[v].
 
     One greedy pass in vertex order gives each free vertex its smallest free
     neighbour; Edmonds' blossom search then grows an alternating tree from
     each vertex still free.  The search is iterative, and on a bipartite
-    graph, such as an incidence graph, no blossom ever forms.
+    graph, such as an incidence graph, no blossom ever forms.  Every step of
+    a search, a blossom's contraction included, touches only the vertices of
+    its own tree, so a search never leaves its root's component and the
+    matching of a disjoint union is the union of its parts' matchings.
     """
-    verts = graph.vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    adj = [sorted(index[w] for w in graph.neighbors(v)) for v in verts]
+    n = len(adj)
     match = [-1] * n
     for v in range(n):
         if match[v] == -1:
@@ -93,36 +90,20 @@ def max_matching(graph):
     used = [False] * n
     parent = [-1] * n
     base = list(range(n))
-    blossom = [False] * n
+
+    def mark_path(v, b, child, blossom):
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
+            parent[v] = child
+            child = match[v]
+            v = parent[child]
 
     def find_augmenting_path(root):
         """Augment from root if possible; return the tree's vertices, outer and inner."""
         used[root] = True
         queue = [root]  # every outer vertex, in the order searched
         inner = []
-
-        def lca(a, b):
-            seen = [False] * n
-            while True:
-                a = base[a]
-                seen[a] = True
-                if match[a] == -1:
-                    break
-                a = parent[match[a]]
-            while True:
-                b = base[b]
-                if seen[b]:
-                    return b
-                b = parent[match[b]]
-
-        def mark_path(v, b, child):
-            while base[v] != b:
-                blossom[base[v]] = True
-                blossom[base[match[v]]] = True
-                parent[v] = child
-                child = match[v]
-                v = parent[match[v]]
-
         head = 0
         while head < len(queue):
             v = queue[head]
@@ -131,17 +112,37 @@ def max_matching(graph):
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                    curbase = lca(v, to)
-                    for i in range(n):
-                        blossom[i] = False
-                    mark_path(v, curbase, to)
-                    mark_path(to, curbase, v)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                    # the blossom's base: the first base on to's path to the
+                    # root that is also on v's
+                    seen = set()
+                    a = v
+                    while True:
+                        a = base[a]
+                        seen.add(a)
+                        if match[a] == -1:
+                            break
+                        a = parent[match[a]]
+                    b = to
+                    while True:
+                        b = base[b]
+                        if b in seen:
+                            break
+                        b = parent[match[b]]
+                    blossom = set()
+                    mark_path(v, b, to, blossom)
+                    mark_path(to, b, v, blossom)
+                    # only tree vertices have bases in the blossom; the inner
+                    # ones among them join the queue in increasing order
+                    grown = []
+                    for tree in (queue, inner):
+                        for i in tree:
+                            if base[i] in blossom:
+                                base[i] = b
+                                if not used[i]:
+                                    used[i] = True
+                                    grown.append(i)
+                    grown.sort()
+                    queue += grown
                 elif parent[to] == -1:
                     parent[to] = v
                     inner.append(to)
@@ -160,11 +161,7 @@ def max_matching(graph):
         if match[v] == -1 and adj[v]:
             for u in find_augmenting_path(v):
                 used[u], parent[u], base[u] = False, -1, u
-    return {
-        frozenset((verts[v], verts[match[v]]))
-        for v in range(n)
-        if match[v] != -1
-    }
+    return match
 
 
 # ---------------------------------------------------------------------------
@@ -237,38 +234,6 @@ def multigraph_components(mg):
     return comps, tuple(free)
 
 
-def classify_component(vertices, edges):
-    """Classify a connected multigraph component.
-
-    `edges` maps candidate -> endpoints tuple (length 1 = loop, length 2 = edge).
-    Returns one of "path", "cycle", "hairstick", "dh-hairstick", "other";
-    the first four exhaust the possibilities when every degree is at most two.
-    """
-    t = len(vertices)
-    degree = {v: 0 for v in vertices}
-    loops = 0
-    for endpoints in edges.values():
-        uniq = tuple(sorted(set(endpoints)))
-        if len(uniq) == 1:
-            loops += 1
-            degree[uniq[0]] += 1
-        else:
-            degree[uniq[0]] += 1
-            degree[uniq[1]] += 1
-    if any(d > 2 for d in degree.values()):
-        return "other"
-    e = len(edges)
-    if loops == 0 and e == t - 1:
-        return "path"
-    if loops == 0 and e == t:
-        return "cycle"
-    if loops == 1 and e == t:
-        return "hairstick"
-    if loops == 2 and e == t + 1:
-        return "dh-hairstick"
-    return "other"
-
-
 # ---------------------------------------------------------------------------
 # Simple b-matching and exact simple b-edge cover
 # ---------------------------------------------------------------------------
@@ -279,38 +244,28 @@ def max_b_matching(num_vertices, edges, caps):
     Each vertex v is split into caps[v] copies; each edge gets two inner nodes
     wired to its endpoints' copies.  A maximum matching of the gadget selects
     the b-matching edges as those whose inner nodes are both matched outward.
-    Returns a sorted list of selected edge indices.
+    The gadget numbers the copies first, then each edge's two inner nodes, so
+    its increasing adjacency lists are built as they are.  Returns a sorted
+    list of selected edge indices.
     """
-    g = Graph()
     copies = []
-    next_id = 0
+    start = 0
     for v in range(num_vertices):
-        ids = list(range(next_id, next_id + caps[v]))
-        next_id += caps[v]
-        copies.append(ids)
-        for i in ids:
-            g.add_vertex(i)
-    inner = []
+        copies.append(range(start, start + caps[v]))
+        start += caps[v]
+    adj = [[] for _ in range(start)]
     for e, (u, v) in enumerate(edges):
-        a, b = next_id, next_id + 1
-        next_id += 2
-        inner.append((a, b))
-        g.add_edge(a, b)
+        a = start + 2 * e
         for i in copies[u]:
-            g.add_edge(a, i)
+            adj[i].append(a)
         for i in copies[v]:
-            g.add_edge(b, i)
-    matching = max_matching(g)
-    mate = {}
-    for edge in matching:
-        u, v = tuple(edge)
-        mate[u] = v
-        mate[v] = u
-    chosen = []
-    for e, (a, b) in enumerate(inner):
-        if mate.get(a) not in (None, b) and mate.get(b) not in (None, a):
-            chosen.append(e)
-    return chosen
+            adj[i].append(a + 1)
+        adj.append([*copies[u], a + 1])
+        adj.append([*copies[v], a])
+    mate = _mates(adj)
+    # an inner node's only neighbours besides its twin are copies, below start
+    return [e for e in range(len(edges))
+            if 0 <= mate[start + 2 * e] < start and 0 <= mate[start + 2 * e + 1] < start]
 
 
 def simple_b_edge_cover_exact(num_vertices, edges, f, kappa):

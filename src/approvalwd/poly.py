@@ -5,9 +5,10 @@ approved at most twice (MAV via exact b-edge cover, CCAV via matching); every
 candidate approved at most once (PAV); both degrees at most two (PAV via a
 k-way merge of the components' marginal gains).
 
-CCAV and every PAV component read their committees off one matching-first
-candidate order of the vote multigraph: each j-prefix of the order is an
-optimal j-committee, so one maximum matching serves every committee size.
+CCAV and PAV read their committees off one matching-first candidate order of
+the vote multigraph: each j-prefix of the order, or of a component's part of
+it, is an optimal j-committee, so one maximum matching per election serves
+every committee size.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ def av_optimal(election, k):
 def mav_deg2(instance):
     """MAV decision with every candidate approved at most twice.
 
-    Votes whose distance can never exceed d are dropped; the rest becomes an
-    exact b-edge cover question on the vote multigraph: pick exactly k
+    Distances are integers, so the threshold is d rounded down.  Votes whose
+    distance can never exceed d are dropped; the rest becomes an exact
+    b-edge cover question on the vote multigraph: pick exactly k
     candidate-edges meeting each kept vote v at least ceil((|v|+k-d)/2) times.
     """
     e = instance.election
-    k, d = instance.k, instance.d
+    k, d = instance.k, math.floor(instance.d)
     if d < 0:
         return answer(instance, "mav_deg2", {"kept_votes": e.n})
     kept = [j for j, v in enumerate(e.votes) if d < len(v) + k]
@@ -51,7 +53,7 @@ def mav_deg2(instance):
         tuple(pos[j] for j in endpoints if j in pos)
         for endpoints in graphs.multigraph_rep(e).edges
     ]
-    f = [math.ceil((len(e.votes[j]) + k - d) / 2) for j in kept]
+    f = [(len(e.votes[j]) + k - d + 1) // 2 for j in kept]
     cover = graphs.simple_b_edge_cover_exact(len(kept), edges, f, k)
     return answer(instance, "mav_deg2", {"kept_votes": len(kept)}, cover)
 
@@ -119,44 +121,42 @@ def pav_deg1(instance):
 # PAV with both degrees at most two
 # ---------------------------------------------------------------------------
 
-def pav_component_order(mg, votes, cands, kind):
-    """Order of one component's candidates whose j-prefix is an optimal j-committee.
-
-    Paths and cycles go matching-first; a hairstick puts its loop last, and a
-    double-loop hairstick its two loops, the smaller one first.
-    """
-    if kind not in ("path", "cycle", "hairstick", "dh-hairstick"):
-        raise ValueError(f"cannot optimize component kind {kind!r}")
-    loops = [c for c in cands if len(mg.edges[c]) == 1]
-    rest = [c for c in cands if len(mg.edges[c]) == 2]
-    return _matching_order(mg, votes, rest)[0] + loops
-
-
 def pav_deg22(instance):
     """PAV with both degrees at most two: the k largest gains over all components.
 
     Every component of the vote multigraph is a path, cycle, hairstick, or
-    double-loop hairstick; candidates approved by nobody add gain 0.  The
-    gains along a ``pav_component_order`` never increase, so the k largest,
+    double-loop hairstick; candidates approved by nobody add gain 0.  Each
+    component's order is the matching-first order of its candidate-edges,
+    then its loops in increasing order: the gains along it never increase, so the k largest,
     each component's a prefix, are optimal (Ibaraki and Katoh, Resource
     Allocation Problems, 1988, ch. 4).  Gains are doubled PAV values.
+
+    One matching-first order over the whole multigraph serves every
+    component: the matching never joins two components, so read within a
+    component it is that component's own order.
     """
     e = instance.election
+    if any(len(v) > 2 for v in e.votes):
+        raise ValueError("a vote approves more than two candidates")
     mg = graphs.multigraph_rep(e)
     comps, free = graphs.multigraph_components(mg)
+    comp = [0] * e.n
+    for i, (votes, _) in enumerate(comps, 1):
+        for v in votes:
+            comp[v] = i
+    pairs = [c for c, ends in enumerate(mg.edges) if len(ends) == 2]
+    loops = [c for c, ends in enumerate(mg.edges) if len(ends) == 1]
     scale, hsum = scaled_harmonics(2)
     cov = [0] * e.n
-    profiles = [[(0, c) for c in free]]  # per component: (-gain, candidate) in order
-    for votes, cands in comps:
-        kind = graphs.classify_component(votes, {c: mg.edges[c] for c in cands})
-        profile = []
-        for c in pav_component_order(mg, votes, cands, kind):
-            gain = 0
-            for v in mg.edges[c]:
-                gain += hsum[cov[v] + 1] - hsum[cov[v]]
-                cov[v] += 1
-            profile.append((-gain, c))
-        profiles.append(profile)
+    # per component: (-gain, candidate) in order, after the free candidates
+    profiles = [[(0, c) for c in free]] + [[] for _ in comps]
+    for c in _matching_order(mg, range(e.n), pairs)[0] + loops:
+        ends = mg.edges[c]
+        gain = 0
+        for v in ends:
+            gain += hsum[cov[v] + 1] - hsum[cov[v]]
+            cov[v] += 1
+        profiles[comp[ends[0]]].append((-gain, c))
     # merge consumes each profile in order, so a component's picks are a prefix
     # of its order; equal gains go to the smaller candidate
     picked = list(itertools.islice(heapq.merge(*profiles), instance.k))

@@ -25,7 +25,7 @@ from approvalwd.core import answer, fill_committee, scaled_harmonics, SolveResul
 from approvalwd.fpt import _depth_first
 from approvalwd.graphs import DecompositionError
 from approvalwd.oracle import brute_force
-from approvalwd.poly import pav_component_order
+from approvalwd.poly import _matching_order
 
 
 def random_election(rng, max_m=7, max_n=6, max_dv=None, max_dc=None):
@@ -296,6 +296,52 @@ def exact_decomposition(graph):
     return reference_td_from_elimination_order(graph, exact_elimination_order(graph))
 
 
+def classify_component(vertices, edges):
+    """Classify a connected multigraph component.
+
+    `edges` maps candidate -> endpoints tuple (length 1 = loop, length 2 = edge).
+    Returns one of "path", "cycle", "hairstick", "dh-hairstick", "other";
+    the first four exhaust the possibilities when every degree is at most two.
+    """
+    t = len(vertices)
+    degree = {v: 0 for v in vertices}
+    loops = 0
+    for endpoints in edges.values():
+        uniq = tuple(sorted(set(endpoints)))
+        if len(uniq) == 1:
+            loops += 1
+            degree[uniq[0]] += 1
+        else:
+            degree[uniq[0]] += 1
+            degree[uniq[1]] += 1
+    if any(d > 2 for d in degree.values()):
+        return "other"
+    e = len(edges)
+    if loops == 0 and e == t - 1:
+        return "path"
+    if loops == 0 and e == t:
+        return "cycle"
+    if loops == 1 and e == t:
+        return "hairstick"
+    if loops == 2 and e == t + 1:
+        return "dh-hairstick"
+    return "other"
+
+
+def pav_component_order(mg, votes, cands, kind):
+    """Order of one component's candidates whose j-prefix is an optimal j-committee,
+    from a matching of that component alone.
+
+    Paths and cycles go matching-first; a hairstick puts its loop last, and a
+    double-loop hairstick its two loops, the smaller one first.
+    """
+    if kind not in ("path", "cycle", "hairstick", "dh-hairstick"):
+        raise ValueError(f"cannot optimize component kind {kind!r}")
+    loops = [c for c in cands if len(mg.edges[c]) == 1]
+    rest = [c for c in cands if len(mg.edges[c]) == 2]
+    return _matching_order(mg, votes, rest)[0] + loops
+
+
 def reference_pav_deg22(instance):
     """(opt, witness) of PAV with both degrees <= 2 by a knapsack over components.
 
@@ -309,7 +355,7 @@ def reference_pav_deg22(instance):
 
     tables = []  # per component: list of (score, committee) indexed by j'
     for votes, cands in comps:
-        kind = graphs.classify_component(votes, {c: mg.edges[c] for c in cands})
+        kind = classify_component(votes, {c: mg.edges[c] for c in cands})
         order = pav_component_order(mg, votes, cands, kind)
         cov = dict.fromkeys(votes, 0)
         s = Fraction(0)

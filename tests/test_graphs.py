@@ -8,7 +8,6 @@ import pytest
 
 from approvalwd import Election
 from approvalwd.graphs import (
-    classify_component,
     DecompositionError,
     Graph,
     incidence_graph,
@@ -25,6 +24,7 @@ from approvalwd.graphs import (
 from approvalwd.portfolio import generate, GeneratorConfig
 
 from helpers import (
+    classify_component,
     e1,
     exact_decomposition,
     exhaustive_b_edge_cover_exists,
@@ -92,6 +92,31 @@ def test_max_matching_equals_the_reference():
               for _ in range(300)]
     for g in cases:
         assert max_matching(g) == reference_max_matching(g)
+
+
+def test_max_matching_equals_the_reference_on_sparse_graphs_with_many_blossoms():
+    # a contraction puts the tree's inner vertices into the queue in
+    # increasing order, as a scan of every vertex would; in another order
+    # the search can augment along another path
+    rng = random.Random(5)
+    for _ in range(400):
+        g = _random_simple_graph(rng, max_n=120, p=rng.choice((0.02, 0.04, 0.06, 0.1)))
+        assert max_matching(g) == reference_max_matching(g)
+
+
+def test_max_matching_of_a_disjoint_union_is_the_union_of_its_parts():
+    # pav_deg22 matches the whole vote multigraph once and reads each
+    # component's matching off it: no search may leave its root's component
+    rng = random.Random(62)
+    for _ in range(200):
+        parts = [_random_simple_graph(rng, max_n=12, p=rng.choice((0.2, 0.3, 0.5)))
+                 for _ in range(rng.randint(2, 6))]
+        offset, edges, want = 0, [], set()
+        for g in parts:
+            edges += [(u + offset, v + offset) for u, v in g.edges()]
+            want |= {frozenset(x + offset for x in edge) for edge in max_matching(g)}
+            offset += g.num_vertices
+        assert max_matching(Graph(range(offset), edges)) == want
 
 
 def test_bipartite_koenig():

@@ -13,19 +13,25 @@ from hypothesis import given, settings, strategies as st
 
 import approvalwd
 from approvalwd import CCAV, cli, Election, Instance, MAV, PAV, RULES, graphs, score
-from approvalwd.graphs import classify_component, multigraph_components, multigraph_rep
+from approvalwd.graphs import multigraph_components, multigraph_rep
 from approvalwd.oracle import brute_force
 from approvalwd.poly import (
     av_optimal,
     ccav_deg2,
     mav_deg2,
-    pav_component_order,
     pav_deg1,
     pav_deg22,
 )
 from approvalwd.portfolio import generate, GeneratorConfig
 
-from helpers import e1, instances_around_opt, random_election, reference_pav_deg22
+from helpers import (
+    classify_component,
+    e1,
+    instances_around_opt,
+    pav_component_order,
+    random_election,
+    reference_pav_deg22,
+)
 
 
 def _check_against_oracle(inst, res):
@@ -277,6 +283,26 @@ def test_pav_deg22_at_a_thousand_votes_is_fast():
     res = pav_deg22(Instance(e, PAV, 250, 0))
     assert time.perf_counter() - start < 0.2
     assert res.opt_score == 493 and len(res.witness) == 250
+
+
+def test_degree_two_routes_on_5000_disjoint_five_cycles_are_fast():
+    # every blossom search stays within its own tree: with a contraction that
+    # scanned every vertex, the CCAV route took about 7 s here
+    cycles = 5000
+    n = 5 * cycles
+    e = Election(n, tuple(frozenset({j, j - j % 5 + (j - 1) % 5}) for j in range(n)))
+    for route, rule in ((ccav_deg2, CCAV), (pav_deg22, PAV)):
+        start = time.perf_counter()
+        res = route(Instance(e, rule, 2 * cycles, 0))
+        assert time.perf_counter() - start < 2.0, route.__name__
+        assert res.opt_score == 4 * cycles
+    ring = graphs.Graph(range(n), [(j, j - j % 5 + (j - 1) % 5) for j in range(n)])
+    assert len(graphs.max_matching(ring)) == 2 * cycles
+
+
+def test_pav_deg22_rejects_a_vote_of_three_candidates():
+    with pytest.raises(ValueError):
+        pav_deg22(Instance(Election(3, (frozenset({0, 1, 2}),)), PAV, 1, 0))
 
 
 def test_poly_solvers_match_oracle():
