@@ -97,7 +97,7 @@ class Election:
 
     @property
     def delta_v(self):
-        return max((len(v) for v in self.votes), default=0)
+        return max(map(len, self.votes), default=0)
 
     @property
     def delta_c(self):

@@ -198,6 +198,14 @@ def multigraph_rep(election):
     return MultigraphRep(n=election.n, edges=tuple(map(tuple, edges)))
 
 
+def _find(parent, x):
+    """x's root in the union-find forest ``parent``, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def multigraph_components(mg):
     """Connected components of the vote vertices, plus zero-endpoint candidates.
 
@@ -205,28 +213,21 @@ def multigraph_components(mg):
     (frozenset of vote indices, tuple of candidate indices).
     """
     parent = list(range(mg.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     free = []
     for c, endpoints in enumerate(mg.edges):
         if not endpoints:
             free.append(c)
         else:
-            r = find(endpoints[0])
+            r = _find(parent, endpoints[0])
             for v in endpoints[1:]:
-                parent[find(v)] = r
+                parent[_find(parent, v)] = r
     groups = {}
     for v in range(mg.n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_find(parent, v), []).append(v)
     cands = {}
     for c, endpoints in enumerate(mg.edges):
         if endpoints:
-            cands.setdefault(find(endpoints[0]), []).append(c)
+            cands.setdefault(_find(parent, endpoints[0]), []).append(c)
     comps = [
         (frozenset(groups[root]), tuple(cands.get(root, ())))
         for root in sorted(groups)

@@ -58,30 +58,37 @@ def mav_deg2(instance):
     return answer(instance, "mav_deg2", {"kept_votes": len(kept)}, cover)
 
 
-def _matching_order(mg, votes, cands):
+def _matching_order(mg, cands):
     """Matching-first order of ``cands`` (increasing) and its matching size.
 
     Loops are dropped and each set of parallel candidate-edges is kept as its
-    smallest index; one maximum matching on ``votes`` then gives the order:
+    smallest index; one maximum matching of the votes then gives the order:
     the matched candidates (sorted), each unmatched vote's smallest incident
     candidate, and the rest by index.  No two unmatched votes share a
     candidate, or the matching would not be maximum.
     """
+    adj = [[] for _ in range(mg.n)]
+    smallest = [-1] * mg.n
     pairs = {}
-    smallest = {}
     for c in cands:
-        endpoints = mg.edges[c]
-        for v in endpoints:
-            smallest.setdefault(v, c)
-        if len(endpoints) == 2:
-            pairs.setdefault(endpoints, c)
-    matching = graphs.max_matching(graphs.Graph(votes, pairs))
-    order = sorted(pairs[tuple(sorted(edge))] for edge in matching)
-    touched = set().union(*matching)
-    order += [smallest[v] for v in sorted(votes) if v not in touched and v in smallest]
+        ends = mg.edges[c]
+        for v in ends:
+            if smallest[v] < 0:
+                smallest[v] = c
+        if len(ends) == 2 and ends not in pairs:
+            pairs[ends] = c
+            v, w = ends
+            adj[v].append(w)
+            adj[w].append(v)
+    for nbrs in adj:
+        nbrs.sort()
+    mate = graphs._mates(adj)
+    order = sorted(pairs[v, w] for v, w in enumerate(mate) if v < w)
+    matched = len(order)
+    order += [c for v, c in enumerate(smallest) if c >= 0 and mate[v] < 0]
     taken = set(order)
     order += [c for c in cands if c not in taken]
-    return order, len(matching)
+    return order, matched
 
 
 def ccav_deg2(instance):
@@ -91,7 +98,7 @@ def ccav_deg2(instance):
     committee.
     """
     e = instance.election
-    order, matched = _matching_order(graphs.multigraph_rep(e), range(e.n), range(e.m))
+    order, matched = _matching_order(graphs.multigraph_rep(e), range(e.m))
     return answer(instance, "ccav_deg2", {"matching": matched}, order[: instance.k], optimal=True)
 
 
@@ -139,18 +146,22 @@ def pav_deg22(instance):
     if any(len(v) > 2 for v in e.votes):
         raise ValueError("a vote approves more than two candidates")
     mg = graphs.multigraph_rep(e)
-    comps, free = graphs.multigraph_components(mg)
-    comp = [0] * e.n
-    for i, (votes, _) in enumerate(comps, 1):
-        for v in votes:
-            comp[v] = i
-    pairs = [c for c, ends in enumerate(mg.edges) if len(ends) == 2]
-    loops = [c for c, ends in enumerate(mg.edges) if len(ends) == 1]
+    root = list(range(e.n))
+    pairs, loops, free = [], [], []
+    for c, ends in enumerate(mg.edges):
+        if len(ends) == 2:
+            pairs.append(c)
+            root[graphs._find(root, ends[1])] = graphs._find(root, ends[0])
+        else:
+            (loops if ends else free).append(c)
+    # component ids from 1 in vote order: profile 0 holds the free candidates
+    ids = {}
+    comp = [ids.setdefault(graphs._find(root, v), len(ids) + 1) for v in range(e.n)]
     scale, hsum = scaled_harmonics(2)
     cov = [0] * e.n
     # per component: (-gain, candidate) in order, after the free candidates
-    profiles = [[(0, c) for c in free]] + [[] for _ in comps]
-    for c in _matching_order(mg, range(e.n), pairs)[0] + loops:
+    profiles = [[(0, c) for c in free]] + [[] for _ in ids]
+    for c in _matching_order(mg, pairs)[0] + loops:
         ends = mg.edges[c]
         gain = 0
         for v in ends:
@@ -160,5 +171,5 @@ def pav_deg22(instance):
     # merge consumes each profile in order, so a component's picks are a prefix
     # of its order; equal gains go to the smaller candidate
     picked = list(itertools.islice(heapq.merge(*profiles), instance.k))
-    return answer(instance, "pav_deg22", {"components": len(comps), "free": len(free)},
+    return answer(instance, "pav_deg22", {"components": len(ids), "free": len(free)},
                   [c for _, c in picked], Fraction(-sum(g for g, _ in picked), scale))

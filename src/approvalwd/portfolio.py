@@ -212,29 +212,26 @@ def _widest(instance, params, solver, limit):
 
 
 def _lower_bounds(election, delta_v, delta_c):
-    """Lower bounds on alpha and tw_upper, from one pass over the votes.
+    """Lower bounds on alpha and tw_upper, from linear passes over the votes.
 
     A bipartite graph of maximum degree D is the union of D matchings (Kőnig's
     edge-colouring theorem), so alpha >= ceil(|E| / D).  Every decomposition
     of a graph with an edge has width >= 1, and of a graph with a cycle width
-    >= 2; a union-find over the incidence edges finds a cycle.
+    >= 2.  A forest with an edge has fewer edges than non-isolated vertices,
+    so a count proves a cycle where there are at least as many; otherwise a
+    union-find over the incidence edges looks for one.
     """
-    m = election.m
-    root = list(range(m + election.n))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    edges, cycle = 0, False
-    for j, vote in enumerate(election.votes):
-        for c in vote:
-            edges += 1
-            a, b = find(c), find(m + j)
-            cycle = cycle or a == b
-            root[a] = b
+    votes = election.votes
+    edges = sum(map(len, votes))
+    cycle = edges > 0 and edges >= len(set().union(*votes)) + sum(map(bool, votes))
+    if not cycle:
+        m = election.m
+        root = list(range(m + election.n))
+        for j, vote in enumerate(votes):
+            for c in vote:
+                a, b = graphs._find(root, c), graphs._find(root, m + j)
+                cycle = cycle or a == b
+                root[a] = b
     return {
         "alpha": -(-edges // max(delta_v, delta_c, 1)),
         "tw_upper": 2 if cycle else min(edges, 1),

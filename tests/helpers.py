@@ -25,7 +25,6 @@ from approvalwd.core import answer, fill_committee, scaled_harmonics, SolveResul
 from approvalwd.fpt import _depth_first
 from approvalwd.graphs import DecompositionError
 from approvalwd.oracle import brute_force
-from approvalwd.poly import _matching_order
 
 
 def random_election(rng, max_m=7, max_n=6, max_dv=None, max_dc=None):
@@ -328,6 +327,33 @@ def classify_component(vertices, edges):
     return "other"
 
 
+def reference_matching_order(mg, votes, cands):
+    """The matching-first order of ``poly._matching_order``, over the votes
+    ``votes`` only, from a ``Graph`` of the candidate pairs and
+    ``graphs.max_matching`` on it.
+
+    Loops are dropped and each set of parallel candidate-edges is kept as its
+    smallest index; the order is the matched candidates (sorted), each
+    unmatched vote's smallest incident candidate, and the rest by index.
+    Returns (order, matching size).
+    """
+    pairs = {}
+    smallest = {}
+    for c in cands:
+        endpoints = mg.edges[c]
+        for v in endpoints:
+            smallest.setdefault(v, c)
+        if len(endpoints) == 2:
+            pairs.setdefault(endpoints, c)
+    matching = graphs.max_matching(graphs.Graph(votes, pairs))
+    order = sorted(pairs[tuple(sorted(edge))] for edge in matching)
+    touched = set().union(*matching)
+    order += [smallest[v] for v in sorted(votes) if v not in touched and v in smallest]
+    taken = set(order)
+    order += [c for c in cands if c not in taken]
+    return order, len(matching)
+
+
 def pav_component_order(mg, votes, cands, kind):
     """Order of one component's candidates whose j-prefix is an optimal j-committee,
     from a matching of that component alone.
@@ -339,7 +365,7 @@ def pav_component_order(mg, votes, cands, kind):
         raise ValueError(f"cannot optimize component kind {kind!r}")
     loops = [c for c in cands if len(mg.edges[c]) == 1]
     rest = [c for c in cands if len(mg.edges[c]) == 2]
-    return _matching_order(mg, votes, rest)[0] + loops
+    return reference_matching_order(mg, votes, rest)[0] + loops
 
 
 def reference_pav_deg22(instance):

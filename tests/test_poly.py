@@ -16,6 +16,7 @@ from approvalwd import CCAV, cli, Election, Instance, MAV, PAV, RULES, graphs, s
 from approvalwd.graphs import multigraph_components, multigraph_rep
 from approvalwd.oracle import brute_force
 from approvalwd.poly import (
+    _matching_order,
     av_optimal,
     ccav_deg2,
     mav_deg2,
@@ -30,6 +31,7 @@ from helpers import (
     instances_around_opt,
     pav_component_order,
     random_election,
+    reference_matching_order,
     reference_pav_deg22,
 )
 
@@ -189,26 +191,29 @@ def test_pav_component_order_rejects_other_kinds():
 
 def test_degree_two_routes_never_scan_approvers(monkeypatch):
     # one matching serves every committee size, and the vote multigraph
-    # replaces the per-candidate approver scans
+    # replaces the per-candidate approver scans; the routes call the blossom
+    # core `graphs._mates` directly, so that is what is counted
     calls = Counter()
-    matching, approvers = graphs.max_matching, Election.approvers
+    mates, approvers = graphs._mates, Election.approvers
 
-    def counted_matching(*args, **kwargs):
-        calls["max_matching"] += 1
-        return matching(*args, **kwargs)
+    def counted_mates(*args, **kwargs):
+        calls["mates"] += 1
+        return mates(*args, **kwargs)
 
     def counted_approvers(self, c):
         calls["approvers"] += 1
         return approvers(self, c)
 
-    monkeypatch.setattr(graphs, "max_matching", counted_matching)
+    monkeypatch.setattr(graphs, "_mates", counted_mates)
     monkeypatch.setattr(Election, "approvers", counted_approvers)
     n = 300
     path = Election(n + 1, tuple(frozenset({j, j + 1}) for j in range(n)))
     assert pav_deg22(Instance(path, PAV, 200, 0)).opt_score == 350
-    assert calls == Counter(max_matching=1)
+    assert calls == Counter(mates=1)
     assert ccav_deg2(Instance(path, CCAV, 100, 0)).opt_score == 200
+    assert calls == Counter(mates=2)
     assert mav_deg2(Instance(path, MAV, 150, 150)).decision
+    assert calls == Counter(mates=3)
     assert calls["approvers"] == 0
 
 
@@ -285,12 +290,18 @@ def test_pav_deg22_at_a_thousand_votes_is_fast():
     assert res.opt_score == 493 and len(res.witness) == 250
 
 
+def _five_cycles(cycles):
+    """``cycles`` disjoint 5-cycles: vote j approves j and its cycle predecessor."""
+    n = 5 * cycles
+    return Election(n, tuple(frozenset({j, j - j % 5 + (j - 1) % 5}) for j in range(n)))
+
+
 def test_degree_two_routes_on_5000_disjoint_five_cycles_are_fast():
     # every blossom search stays within its own tree: with a contraction that
     # scanned every vertex, the CCAV route took about 7 s here
     cycles = 5000
     n = 5 * cycles
-    e = Election(n, tuple(frozenset({j, j - j % 5 + (j - 1) % 5}) for j in range(n)))
+    e = _five_cycles(cycles)
     for route, rule in ((ccav_deg2, CCAV), (pav_deg22, PAV)):
         start = time.perf_counter()
         res = route(Instance(e, rule, 2 * cycles, 0))
@@ -298,6 +309,58 @@ def test_degree_two_routes_on_5000_disjoint_five_cycles_are_fast():
         assert res.opt_score == 4 * cycles
     ring = graphs.Graph(range(n), [(j, j - j % 5 + (j - 1) % 5) for j in range(n)])
     assert len(graphs.max_matching(ring)) == 2 * cycles
+
+
+def _degree_two_election(rng, m, n):
+    """Both degrees at most two: each candidate is approved by 0, 1 or 2
+    random votes that still have room, so free candidates, loops, parallel
+    edges, odd and even cycles and empty votes all occur."""
+    room = [2] * n
+    votes = [set() for _ in range(n)]
+    for c in range(m):
+        open_votes = [v for v in range(n) if room[v]]
+        for v in rng.sample(open_votes, min(rng.choice((0, 1, 2, 2, 2)), len(open_votes))):
+            votes[v].add(c)
+            room[v] -= 1
+    return Election(m, tuple(votes))
+
+
+def _degree_two_elections(seed, count):
+    rng = random.Random(seed)
+    return [_degree_two_election(rng, rng.randint(0, 14), rng.randint(0, 10))
+            for _ in range(count)]
+
+
+def test_degree_two_elections_have_every_feature():
+    # the elections the order and component tests below run on
+    seen = Counter()
+    for e in _degree_two_elections(41, 400):
+        mg = multigraph_rep(e)
+        pairs = [ends for ends in mg.edges if len(ends) == 2]
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["loop"] += any(len(ends) == 1 for ends in mg.edges)
+        seen["free"] += any(not ends for ends in mg.edges)
+        seen["empty vote"] += any(not v for v in e.votes)
+        seen["odd cycle"] += any(
+            len(votes) % 2 and classify_component(votes, {c: mg.edges[c] for c in cands}) == "cycle"
+            for votes, cands, _ in _components(e))
+    assert min(seen[x] for x in ("parallel", "loop", "free", "empty vote", "odd cycle")) >= 20, seen
+
+
+def test_matching_order_equals_the_reference():
+    for e in _degree_two_elections(41, 400):
+        mg = multigraph_rep(e)
+        pairs = [c for c, ends in enumerate(mg.edges) if len(ends) == 2]
+        for cands in (range(e.m), pairs):
+            assert _matching_order(mg, cands) == reference_matching_order(mg, range(e.n), cands)
+
+
+def test_pav_deg22_counts_the_components_of_multigraph_components():
+    rng = random.Random(42)
+    for e in _degree_two_elections(41, 400) + [_five_cycles(5000)]:
+        comps, free = multigraph_components(multigraph_rep(e))
+        res = pav_deg22(Instance(e, PAV, rng.randint(0, e.m), 0))
+        assert (res.stats["components"], res.stats["free"]) == (len(comps), len(free))
 
 
 def test_pav_deg22_rejects_a_vote_of_three_candidates():

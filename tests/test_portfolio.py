@@ -1,10 +1,12 @@
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -563,6 +565,46 @@ def test_costs_grow_with_alpha_and_tw_and_bounds_stay_below():
             for (alpha, tw), cost in costs.items():
                 assert cost <= costs.get((alpha + 1, tw), cost)
                 assert cost <= costs.get((alpha, tw + 1), cost)
+
+
+def test_lower_bounds_match_a_forest_check():
+    # tw_upper's bound is 2 exactly when the incidence graph has a cycle;
+    # counting proves one where |E| reaches the non-isolated vertices, and
+    # the union-find decides the rest, so both sides are covered
+    nx = pytest.importorskip("networkx")
+    path = Election(5, tuple(frozenset({j, j + 1}) for j in range(4)))
+    star = Election(6, (frozenset(range(6)),))
+    even_cycle = Election(2, (frozenset({0, 1}), frozenset({0, 1})))
+    cycle_and_edges = Election(5, even_cycle.votes + tuple(frozenset({c}) for c in (2, 3, 4)))
+    hand_made = [
+        path, star, even_cycle, cycle_and_edges,
+        Election(4, (frozenset(), frozenset({1, 2}), frozenset())),  # empty votes, unapproved 0, 3
+        Election(0, ()), Election(0, (frozenset(), frozenset())), Election(3, ()),
+    ]
+    rng = random.Random(43)
+    seeded = [random_election(rng, max_m=9, max_n=8, max_dv=rng.randint(1, 4), max_dc=rng.randint(1, 3))
+              for _ in range(300)]
+    for _ in range(100):
+        # a forest of stars, plus two votes on one pair: a 4-cycle that the
+        # count proves only where the forest has at most two trees
+        e = random_election(rng, max_m=9, max_n=8, max_dv=1)
+        pair = frozenset(rng.sample(range(e.m + 2), 2))
+        seeded.append(Election(e.m + 2, e.votes + (pair, pair)))
+    sides = Counter()
+    for e in hand_made + seeded:
+        g = nx.Graph()
+        g.add_edges_from(graphs.incidence_graph(e).edges())
+        edges = g.number_of_edges()
+        cycle = bool(nx.cycle_basis(g))
+        bounds = portfolio._lower_bounds(e, e.delta_v, e.delta_c)
+        assert bounds == {
+            "alpha": math.ceil(edges / max(e.delta_v, e.delta_c, 1)),
+            "tw_upper": 2 if cycle else min(edges, 1),
+        }, e
+        sides[cycle, edges > 0 and edges >= g.number_of_nodes()] += 1
+    # counted cycles, cycles left to the union-find, and forests
+    assert min(sides[True, True], sides[True, False], sides[False, False]) >= 20, sides
+    assert not sides[False, True]
 
 
 def test_a_3000_class_mav_instance_is_decided_without_recursion():
