@@ -7,7 +7,6 @@ election uses 0..m-1 for candidates and m..m+n-1 for votes.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 from .core import checked_witness
@@ -326,27 +325,31 @@ def simple_b_edge_cover_exact(num_vertices, edges, f, kappa):
 # ---------------------------------------------------------------------------
 
 class TreeDecomposition:
-    """Rooted tree of bags over graph vertices."""
+    """Rooted tree of bags over graph vertices.
+
+    ``edges`` may list a tree edge either way round: a walk from the root
+    orients them, and a tree that does not reach every bag is rejected.
+    """
 
     def __init__(self, bags, edges, root=0):
         self.bags = [frozenset(b) for b in bags]
         self.edges = [tuple(e) for e in edges]
         self.root = root
-        self._children = {i: [] for i in range(len(self.bags))}
-        seen = {root}
-        adj = {i: [] for i in range(len(self.bags))}
+        n = len(self.bags)
+        near = [[] for _ in range(n)]
         for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
+            near[a].append(b)
+            near[b].append(a)
+        self._children = kids = [[] for _ in range(n)]
+        seen = {root}
+        order = [root]
+        for x in order:
+            for y in near[x]:
                 if y not in seen:
                     seen.add(y)
-                    self._children[x].append(y)
-                    queue.append(y)
-        if len(seen) != len(self.bags):
+                    kids[x].append(y)
+                    order.append(y)
+        if len(order) != n:
             raise DecompositionError("decomposition tree is not connected")
 
     def children(self, x):
@@ -356,12 +359,14 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
     def validate(self, graph):
-        """Check the three decomposition conditions against `graph`."""
+        """Check the three decomposition conditions against ``graph``, or an
+        adjacency mapping that holds every vertex and lists each edge from at
+        least one end."""
         if len(self.edges) != len(self.bags) - 1:
             raise DecompositionError("decomposition graph is not a tree")
         bags = self.bags
-        _check_bags(graph.adj, bags[self.root], (
-            (bags[c], bags[x]) for x, kids in self._children.items() for c in kids
+        _check_bags(graph.adj if isinstance(graph, Graph) else graph, bags[self.root], (
+            (bags[c], bags[x]) for x, kids in enumerate(self._children) for c in kids
         ))
 
 

@@ -156,12 +156,12 @@ SOLVERS = (
            lambda inst, p: fpt.mav_by_matching(inst, p.matching),
            cost=_class_cost(4, lambda inst, p: p.alpha)),
     Solver("mav-tw", "mav_tw_dp", MAV,
-           lambda inst, p: twdp.mav_tw_dp(inst, graphs.to_nice(p.decomposition)),
+           lambda inst, p: twdp.mav_tw_dp(inst, p.decomposition),
            cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
     Solver("ccav-bb", "ccav_bb_dual", CCAV, lambda inst, p: fpt.ccav_bb_dual(inst),
            cost=lambda inst, p: max(2, p.delta_c * p.kbar) ** p.kbar),
     Solver("ccav-tw", "ccav_tw_dp", CCAV,
-           lambda inst, p: twdp.ccav_tw_dp(inst, graphs.to_nice(p.decomposition)),
+           lambda inst, p: twdp.ccav_tw_dp(inst, p.decomposition),
            cost=_tw_cost(lambda k, width: 2 * (k + 1))),
     Solver("pav-bb", "pav_bb_dv", PAV, lambda inst, p: fpt.pav_bb_dv(inst),
            cost=_pav_bb_cost),
@@ -176,7 +176,7 @@ SOLVERS = (
            lambda inst, p: fpt.pav_by_matching(inst, p.matching),
            cost=_class_cost(4, lambda inst, p: p.alpha)),
     Solver("pav-tw", "pav_tw_dp", PAV,
-           lambda inst, p: twdp.pav_tw_dp(inst, graphs.to_nice(p.decomposition)),
+           lambda inst, p: twdp.pav_tw_dp(inst, p.decomposition),
            cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
 )
 

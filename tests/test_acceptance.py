@@ -239,14 +239,14 @@ def test_criterion_4_decomposition_independence(capsys):
         if not 1 <= e.m + e.n <= 10:
             continue
         g = graphs.incidence_graph(e)
-        ntd_a = graphs.to_nice(graphs.tree_decomposition(g))
-        ntd_b = graphs.to_nice(exact_decomposition(g))
+        td_a = graphs.tree_decomposition(g)
+        td_b = exact_decomposition(g)
         k = rng.randint(0, e.m)
         rule = rng.choice(RULES)
         opt = brute_force(Instance(election=e, rule=rule, k=k, d=0)).opt_score
         inst = Instance(election=e, rule=rule, k=k, d=opt + rng.randint(-1, 1))
-        ra = solvers[rule](inst, ntd=ntd_a)
-        rb = solvers[rule](inst, ntd=ntd_b)
+        ra = solvers[rule](inst, td=td_a)
+        rb = solvers[rule](inst, td=td_b)
         if ra.decision != rb.decision or ra.opt_score != rb.opt_score:
             failures.append((rule, format_instance(inst)))
         done += 1

@@ -436,6 +436,9 @@ def test_validators_agree_with_the_reference():
         for cand in [td] + [_perturbed(td, g, rng) for _ in range(3)]:
             want = _verdict(reference_validate, cand.bags, cand.edges, g)
             assert (_verdict(cand.validate, g) is None) == (want is None)
+            # an adjacency mapping may list each edge from one end only
+            one_end = {v: [u for u in nb if u > v] for v, nb in g.adj.items()}
+            assert (_verdict(cand.validate, one_end) is None) == (want is None)
             # the nice tree of a defective decomposition keeps its defect
             ntd = to_nice(cand)
             want_nice = _verdict(reference_nice_validate, ntd, g)
@@ -458,6 +461,24 @@ def test_each_defect_is_rejected_by_both_validators(bags, message):
         td.validate(path)
     with pytest.raises(DecompositionError, match=re.escape(message)):
         to_nice(td).validate(path)
+
+
+def test_children_are_read_either_way_round():
+    # tree_decomposition lists each edge child first; listed parent first or
+    # mixed, as by hand, the same tree has the same children
+    rng = random.Random(24)
+    for _ in range(60):
+        td = tree_decomposition(_random_simple_graph(rng, max_n=12))
+        for flip in (lambda a, b: (b, a), lambda a, b: rng.choice(((a, b), (b, a)))):
+            other = TreeDecomposition(bags=td.bags, edges=[flip(a, b) for a, b in td.edges],
+                                      root=td.root)
+            assert all(other.children(x) == td.children(x) for x in range(len(td.bags)))
+
+
+@pytest.mark.parametrize("edges", [[(0, 1)], [(1, 0), (2, 1), (1, 2)], [(1, 0), (1, 2), (2, 0)]])
+def test_a_tree_that_misses_a_bag_is_rejected(edges):
+    with pytest.raises(DecompositionError, match="not connected"):
+        TreeDecomposition(bags=[{0}, {0}, {0}, {0}], edges=edges, root=0)
 
 
 def test_validate_rejects_a_cycle_of_bags():

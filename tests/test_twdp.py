@@ -18,7 +18,6 @@ from approvalwd.graphs import (
     incidence_graph,
     NiceNode,
     NiceTreeDecomposition,
-    to_nice,
     tree_decomposition,
     TreeDecomposition,
 )
@@ -32,10 +31,11 @@ from helpers import (
     instances_around_opt,
     random_election,
     reference_nice_validate,
+    reference_validate,
 )
 
-# the DPs as the registry runs them, on the nice form of the parameters'
-# min-fill decomposition; a test that picks the decomposition calls twdp
+# the DPs as the registry runs them, on the parameters' min-fill
+# decomposition; a test that picks the decomposition calls twdp
 ccav_tw_dp, mav_tw_dp, pav_tw_dp = ALGOS["ccav-tw"], ALGOS["mav-tw"], ALGOS["pav-tw"]
 
 
@@ -82,16 +82,17 @@ def test_decomposition_independence():
         if e.m + e.n == 0 or e.m + e.n > 9:
             continue
         g = incidence_graph(e)
-        ntd_a = to_nice(tree_decomposition(g))
-        ntd_b = to_nice(exact_decomposition(g))
+        td_a = tree_decomposition(g)
+        td_b = exact_decomposition(g)
         k = rng.randint(0, e.m)
         for rule, solver in solvers.items():
             opt = brute_force(Instance(election=e, rule=rule, k=k, d=0)).opt_score
             for inst in instances_around_opt(e, rule, k, opt):
-                ra = solver(inst, ntd=ntd_a)
-                rb = solver(inst, ntd=ntd_b)
-                assert ra.decision == rb.decision
-                assert ra.opt_score == rb.opt_score
+                ra = solver(inst, td=td_a)
+                rb = solver(inst, td=td_b)
+                _check(inst, ra)
+                _check(inst, rb)
+                assert ra.witness == rb.witness
 
 
 def test_ccav_entry_bound():
@@ -103,24 +104,35 @@ def test_ccav_entry_bound():
         assert res.stats["max_entries"] <= 2 ** (res.stats["width"] + 1) * (k + 1)
 
 
+_TW_DPS = ((twdp.ccav_tw_dp, CCAV), (twdp.mav_tw_dp, MAV), (twdp.pav_tw_dp, PAV))
+
+
 def test_external_decomposition_rejected_if_invalid():
-    bogus = NiceTreeDecomposition(root=NiceNode("leaf", frozenset()))
-    with pytest.raises(DecompositionError):
-        twdp.ccav_tw_dp(Instance(election=e1(), rule=CCAV, k=1, d=1), ntd=bogus)
+    # one empty bag holds no vertex of e1's incidence graph; MAV too is
+    # validated before it answers that no committee is closer than d < 0
+    bogus = TreeDecomposition(bags=[frozenset()], edges=[])
+    for solve, rule in _TW_DPS:
+        for d in (-1, 0, 1):
+            with pytest.raises(DecompositionError, match="vertex 0 in no bag"):
+                solve(Instance(election=e1(), rule=rule, k=1, d=d), td=bogus)
 
 
-@pytest.mark.parametrize("solve, rule", [
-    (twdp.ccav_tw_dp, CCAV), (twdp.mav_tw_dp, MAV), (twdp.pav_tw_dp, PAV),
-])
+@pytest.mark.parametrize("solve, rule", _TW_DPS)
 def test_external_decomposition_rejected_if_an_edge_is_uncovered(solve, rule):
     # every vertex of e1's incidence graph, in connected bags, but candidate 0
     # and vote 2 (vertex 5) share none
     path = TreeDecomposition(bags=[{0, 3}, {1, 3}, {1, 4}, {2, 4}, {5}],
                              edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
-    ntd = to_nice(path)
-    ntd.validate()
     with pytest.raises(DecompositionError, match=re.escape("edge (0, 5) covered by no bag")):
-        solve(Instance(election=e1(), rule=rule, k=1, d=1), ntd=ntd)
+        solve(Instance(election=e1(), rule=rule, k=1, d=1), td=path)
+
+
+def test_an_election_without_vertices_has_width_0():
+    # its one empty bag reads as width 0 in the DPs' stats, as in tw_upper
+    for solve, rule in _TW_DPS:
+        inst = Instance(Election(0, ()), rule, 0, 0)
+        p = compute_params(inst)
+        assert solve(inst, p.decomposition).stats["width"] == p.tw_upper == 0
 
 
 def _nice_chain(steps):
@@ -144,15 +156,22 @@ def _visit(v, *between):
     return steps + [("forget", v)]
 
 
-# hand-built nice trees over the incidence graph of one vote {0, 1}, vertex 2,
-# each nice with an empty root bag and one defect
+# hand-built decompositions of the incidence graph of one vote {0, 1}, vertex
+# 2, each a tree of bags and a nice tree with an empty root bag, with one
+# defect; the DPs run on the first, the nice validators check the second
 HAND_BUILT = {
-    # vote 2 meets candidate 0 in one branch of the join and candidate 1 in
-    # the other, and is forgotten in both
-    "occurrences of 2 not connected": lambda: NiceNode(
-        "join", frozenset(), (_nice_chain(_visit(2, 0)), _nice_chain(_visit(2, 1)))),
-    "edge (0, 2) covered by no bag": lambda: _nice_chain(_visit(0) + _visit(2, 1)),
-    "vertex 1 in no bag": lambda: _nice_chain(_visit(2, 0)),
+    # vote 2 meets candidate 0 in one child of the root and candidate 1 in
+    # the other, and the root lacks it
+    "occurrences of 2 not connected": (
+        lambda: TreeDecomposition(bags=[set(), {0, 2}, {1, 2}], edges=[(1, 0), (2, 0)]),
+        lambda: NiceNode("join", frozenset(),
+                         (_nice_chain(_visit(2, 0)), _nice_chain(_visit(2, 1))))),
+    "edge (0, 2) covered by no bag": (
+        lambda: TreeDecomposition(bags=[{0}, {1, 2}], edges=[(0, 1)]),
+        lambda: _nice_chain(_visit(0) + _visit(2, 1))),
+    "vertex 1 in no bag": (
+        lambda: TreeDecomposition(bags=[{0, 2}], edges=[]),
+        lambda: _nice_chain(_visit(2, 0))),
 }
 
 
@@ -160,47 +179,131 @@ HAND_BUILT = {
 def test_hand_built_nice_trees_are_rejected_alike(message):
     e = Election(m=2, votes=({0, 1},))
     g = incidence_graph(e)
-    checks = [lambda ntd: ntd.validate(g), lambda ntd: reference_nice_validate(ntd, g)]
-    checks += [lambda ntd, solve=solve, rule=rule: solve(Instance(e, rule, 1, Fraction(1)), ntd)
-               for solve, rule in ((twdp.ccav_tw_dp, CCAV), (twdp.mav_tw_dp, MAV),
-                                   (twdp.pav_tw_dp, PAV))]
-    for check in checks:
-        ntd = NiceTreeDecomposition(root=HAND_BUILT[message]())
+    tree, nice = HAND_BUILT[message]
+
+    def nice_tree():
+        ntd = NiceTreeDecomposition(root=nice())
         ntd.validate()
+        return ntd
+
+    checks = [lambda: tree().validate(g),
+              lambda: reference_validate(tree().bags, tree().edges, g)]
+    checks += [lambda solve=solve, rule=rule, d=d: solve(Instance(e, rule, 1, d), tree())
+               for solve, rule in _TW_DPS for d in (Fraction(-1), Fraction(1))]
+    # the nice form's validators, while it stays in graphs
+    checks += [lambda: nice_tree().validate(g), lambda: reference_nice_validate(nice_tree(), g)]
+    for check in checks:
         with pytest.raises(DecompositionError) as raised:
-            check(ntd)
+            check()
         assert str(raised.value) == message
+
+
+def _leaves_below_a_root(e, rng):
+    """A root bag with leaf bags below it: a leaf holds one or two vertices
+    of its own, with their neighbours, or lies inside the root's bag.  Edges
+    are listed either way round at random."""
+    g = incidence_graph(e)
+    verts = g.vertices()
+    rng.shuffle(verts)
+    own, near, leaves = set(), set(), []
+    for v in verts:
+        if v in own or v in near or rng.random() < 0.3:
+            continue
+        group = {v}
+        free = sorted(u for u in g.neighbors(v) if u not in own and u not in near)
+        if free and rng.random() < 0.4:
+            group.add(rng.choice(free))
+        own |= group
+        near |= set().union(*(g.neighbors(u) for u in group)) - group
+        leaves.append(group | set().union(*(g.neighbors(u) for u in group)))
+    root = set(verts) - own
+    for _ in range(rng.randint(0, 2)):
+        leaves.append(set(rng.sample(sorted(root), rng.randint(0, len(root)))))
+    rng.shuffle(leaves)
+    edges = [(i, 0) if rng.random() < 0.5 else (0, i) for i in range(1, len(leaves) + 1)]
+    return TreeDecomposition(bags=[root] + leaves, edges=edges, root=0)
+
+
+def test_hand_built_trees_against_brute_force():
+    # one bag, and a root whose leaves fold into it (vote and candidate
+    # leaves), lie inside it, or hold two vertices of their own and so take
+    # the general path; each DP meets brute force on every tree
+    rng = random.Random(65)
+    shapes = set()
+    for _ in range(120):
+        e = random_election(rng, max_m=5, max_n=4)
+        k = rng.randint(0, e.m)
+        g = incidence_graph(e)
+        single = TreeDecomposition(bags=[g.vertices()], edges=[])
+        star = _leaves_below_a_root(e, rng)
+        for x in star.children(0):
+            own = star.bags[x] - star.bags[0]
+            shapes.add("vote" if len(own) == 1 and min(own) >= e.m else len(own))
+        for solve, rule in _TW_DPS:
+            opt = brute_force(Instance(election=e, rule=rule, k=k, d=0)).opt_score
+            for inst in instances_around_opt(e, rule, k, opt):
+                for td in (single, star):
+                    _check(inst, solve(inst, td))
+    assert shapes == {0, 1, 2, "vote"}
+
+
+def test_a_path_deeper_than_the_recursion_limit(monkeypatch):
+    # candidates 0..n and votes {i, i + 1}: the incidence graph is a path,
+    # and its path decomposition rooted at one end is deeper than the limit
+    n = sys.getrecursionlimit() + 100
+
+    def refuse(limit):
+        raise AssertionError("the DP changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    m = n + 1
+    e = Election(m, tuple(frozenset({i, i + 1}) for i in range(n)))
+    bags = []
+    for i in range(n):
+        bags += [{i, m + i}, {m + i, i + 1}]
+    td = TreeDecomposition(bags=bags, edges=[(x, x + 1) for x in range(2 * n - 1)], root=0)
+    k = 5
+    ccav = twdp.ccav_tw_dp(Instance(e, CCAV, k, 0), td)
+    assert ccav.opt_score == ccav_deg2(Instance(e, CCAV, k, 0)).opt_score == 2 * k
+    assert ccav.stats["width"] == 1
+    pav = twdp.pav_tw_dp(Instance(e, PAV, k, 0), td)
+    assert pav.opt_score == pav_deg22(Instance(e, PAV, k, 0)).opt_score
+    for d in (k, k + 1):
+        assert (twdp.mav_tw_dp(Instance(e, MAV, k, d), td).decision
+                == mav_deg2(Instance(e, MAV, k, d)).decision)
 
 
 # Elections from portfolio.generate with min-fill incidence width 4-6, and the
 # results the tree-decomposition DPs gave for them when they still computed
 # PAV values in Fractions: (rule, m, n, max_dv, max_dc, seed, k, d, decision,
-# opt_score, witness, stats).
+# opt_score, witness, stats).  Only "nodes" has moved since: it counted nice
+# nodes, and counts the bag walk's steps now that each leaf bag folds into
+# its parent.
 REALISTIC = [
     (PAV, 12, 12, 4, 3, 11, 3, Fraction(9), True, Fraction(9), (1, 7, 9),
-     {"max_entries": 108, "nodes": 118, "width": 5}),
+     {"max_entries": 108, "nodes": 55, "width": 5}),
     (PAV, 16, 13, 4, 3, 0, 6, Fraction(15), False, Fraction(14), (0, 4, 5, 6, 8, 9),
-     {"max_entries": 541, "nodes": 148, "width": 4}),
+     {"max_entries": 541, "nodes": 71, "width": 4}),
     (PAV, 18, 18, 4, 4, 11, 4, Fraction(37, 3), True, Fraction(37, 3), (0, 6, 7, 14),
-     {"max_entries": 279, "nodes": 159, "width": 6}),
+     {"max_entries": 279, "nodes": 122, "width": 6}),
     (PAV, 22, 20, 4, 3, 1, 5, Fraction(16), False, Fraction(15), (1, 3, 7, 12, 18),
-     {"max_entries": 1638, "nodes": 223, "width": 6}),
+     {"max_entries": 1638, "nodes": 125, "width": 6}),
     (CCAV, 12, 12, 4, 4, 11, 4, 11, False, Fraction(10), (0, 2, 4, 7),
-     {"max_entries": 82, "nodes": 114, "width": 5}),
+     {"max_entries": 82, "nodes": 71, "width": 5}),
     (CCAV, 14, 14, 4, 4, 3, 5, 13, True, Fraction(13), (3, 9, 11, 12, 13),
-     {"max_entries": 67, "nodes": 141, "width": 4}),
+     {"max_entries": 67, "nodes": 74, "width": 4}),
     (CCAV, 20, 20, 4, 3, 3, 6, 17, False, Fraction(16), (4, 7, 10, 17, 18, 19),
-     {"max_entries": 189, "nodes": 188, "width": 5}),
+     {"max_entries": 189, "nodes": 123, "width": 5}),
     (CCAV, 22, 22, 4, 4, 7, 3, 12, True, Fraction(12), (1, 4, 17),
-     {"max_entries": 76, "nodes": 193, "width": 6}),
+     {"max_entries": 76, "nodes": 136, "width": 6}),
     (MAV, 12, 12, 4, 3, 7, 3, 5, True, None, (0, 3, 7),
-     {"max_entries": 52, "nodes": 123, "width": 4}),
+     {"max_entries": 52, "nodes": 62, "width": 4}),
     (MAV, 16, 16, 4, 4, 7, 5, 6, False, None, None,
-     {"max_entries": 80, "nodes": 137, "width": 4}),
+     {"max_entries": 80, "nodes": 83, "width": 4}),
     (MAV, 18, 18, 4, 4, 7, 4, 5, False, None, None,
-     {"max_entries": 30, "nodes": 158, "width": 6}),
+     {"max_entries": 30, "nodes": 115, "width": 6}),
     (MAV, 22, 21, 4, 4, 6, 6, 8, True, None, (0, 1, 2, 3, 4, 6),
-     {"max_entries": 193, "nodes": 173, "width": 5}),
+     {"max_entries": 193, "nodes": 135, "width": 5}),
 ]
 
 
@@ -222,7 +325,7 @@ def test_witness_check_survives_optimisation():
     # the exact re-score is an explicit check, not an assert that -O strips
     script = textwrap.dedent("""
         from fractions import Fraction
-        from approvalwd import CCAV, core, Election, graphs, Instance, MAV, PAV, twdp
+        from approvalwd import CCAV, core, Election, Instance, MAV, PAV, twdp
         from approvalwd.core import InternalError
 
         assert False, "asserts are stripped under -O"
@@ -235,7 +338,7 @@ def test_witness_check_survives_optimisation():
         ]
         for solver, inst in cases:
             try:
-                solver(inst, graphs.to_nice(core.compute_params(inst).decomposition))
+                solver(inst, core.compute_params(inst).decomposition)
             except InternalError:
                 print(solver.__name__, "raised")
     """)
