@@ -79,8 +79,8 @@ class Election:
     def approver_sets(self):
         """V(c) for every candidate c, as an increasing list of vote indices.
 
-        One pass over the votes, made afresh on each call: nothing is cached
-        on the election.
+        One pass over the votes, made afresh on each call: unlike the counts,
+        the sets are not kept on the election.
         """
         sets = [[] for _ in range(self.m)]
         for j, v in enumerate(self.votes):
@@ -88,12 +88,14 @@ class Election:
                 sets[c].append(j)
         return sets
 
+    @functools.cached_property
     def approver_counts(self):
+        """|V(c)| for every candidate c, as a tuple: counted on first read and kept."""
         counts = [0] * self.m
         for v in self.votes:
             for c in v:
                 counts[c] += 1
-        return counts
+        return tuple(counts)
 
     @property
     def delta_v(self):
@@ -101,7 +103,7 @@ class Election:
 
     @property
     def delta_c(self):
-        return max(self.approver_counts(), default=0)
+        return max(self.approver_counts, default=0)
 
 
 @dataclass(frozen=True)

@@ -247,9 +247,9 @@ def mav_dual_grsp(instance):
     """
     e = instance.election
     k, d = instance.k, instance.d
-    if d < 0 or any(len(v) < k and d < k - len(v) for v in e.votes):
-        return answer(instance, "mav_dual_grsp", {"nodes": 0})
     floor_d = math.floor(d)
+    if floor_d < 0 or any(len(v) < k and floor_d < k - len(v) for v in e.votes):
+        return answer(instance, "mav_dual_grsp", {"nodes": 0})
     f = {j: (floor_d + len(v) - k) // 2 for j, v in enumerate(e.votes)}
     ok, removed, nodes = grsp_solve(tuple(map(frozenset, e.approver_sets())), f, e.m - k)
     w = set(range(e.m)).difference(removed) if ok else None
@@ -271,7 +271,7 @@ def ccav_bb_dual(instance):
     """
     e = instance.election
     k = instance.k
-    if sum(sorted(e.approver_counts())[e.m - k:]) < instance.d:
+    if sum(sorted(e.approver_counts)[e.m - k:]) < instance.d:
         return answer(instance, "ccav_bb_dual", {"nodes": 0})
 
     def solve(candset, votes, d):
@@ -418,7 +418,7 @@ def pav_bb_dv(instance):
         return answer(instance, "pav_bb_dv", stats, fill_committee((), k, range(e.m)))
     if k == 0:
         return answer(instance, "pav_bb_dv", stats)
-    counts = e.approver_counts()
+    counts = e.approver_counts
     for c in range(e.m):
         if counts[c] >= d:
             return answer(instance, "pav_bb_dv", stats, fill_committee((c,), k, range(e.m)))

@@ -1,12 +1,10 @@
-"""Ground-truth solvers by exhaustive enumeration.
+"""Ground truth for winner determination by exhaustive enumeration.
 
-Slow on purpose; every other solver is validated against these.
+Slow on purpose; every other solver is validated against it.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 
 from .core import MAV, all_committees, meets_threshold, score, SolveResult
@@ -44,42 +42,3 @@ def brute_force(instance, max_m=22):
         algorithm="brute_force",
         stats={"committees": checked},
     )
-
-
-def brute_force_grsp(universe, sets, f, kappa, max_choose=2 * 10**6):
-    """Exhaustive generalized set packing decision.
-
-    Is there a kappa-subset of `sets` (a list, multiset semantics) in which
-    every element u of the universe occurs at most f[u] times?
-    """
-    if kappa < 0 or kappa > len(sets):
-        return False
-    if math.comb(len(sets), kappa) > max_choose:
-        raise BudgetExceededError("too many set combinations")
-    for chosen in itertools.combinations(range(len(sets)), kappa):
-        counts = {}
-        for i in chosen:
-            for u in sets[i]:
-                counts[u] = counts.get(u, 0) + 1
-        if all(counts.get(u, 0) <= f[u] for u in universe):
-            return True
-    return False
-
-
-def brute_force_phs(universe, sets, a, b, max_choose=2 * 10**6):
-    """Exhaustive partial hitting set decision.
-
-    Is there an a-subset of the universe intersecting at least b of `sets`?
-    """
-    if b <= 0:
-        return True
-    universe = sorted(universe)
-    if a > len(universe):
-        a = len(universe)
-    if math.comb(len(universe), a) > max_choose:
-        raise BudgetExceededError("too many element combinations")
-    for chosen in itertools.combinations(universe, a):
-        s = frozenset(chosen)
-        if sum(1 for x in sets if s & frozenset(x)) >= b:
-            return True
-    return False

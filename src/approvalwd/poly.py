@@ -28,7 +28,7 @@ def av_optimal(election, k):
     With every vote approving at most one candidate this committee is
     simultaneously optimal under MAV, CCAV, and PAV.
     """
-    counts = election.approver_counts()
+    counts = election.approver_counts
     order = sorted(range(election.m), key=lambda c: (-counts[c], c))
     return tuple(sorted(order[:k]))
 

@@ -221,11 +221,10 @@ def _lower_bounds(election, delta_v, delta_c):
     so a count proves a cycle where there are at least as many; otherwise a
     union-find over the incidence edges looks for one.
     """
-    votes = election.votes
-    edges = sum(map(len, votes))
-    cycle = edges > 0 and edges >= len(set().union(*votes)) + sum(map(bool, votes))
+    votes, counts, m = election.votes, election.approver_counts, election.m
+    edges = sum(counts)
+    cycle = edges > 0 and edges >= m - counts.count(0) + sum(map(bool, votes))
     if not cycle:
-        m = election.m
         root = list(range(m + election.n))
         for j, vote in enumerate(votes):
             for c in vote:
@@ -406,6 +405,10 @@ def verify(corpus_dir, budget=22):
             try:
                 res = solver.run(instance, params)
             except BudgetExceededError:
+                continue
+            except AllSolversExceededError as exc:  # a refusal, not a disagreement
+                report.append({"instance": name, "status": "refused", "solver": solver.name,
+                               "detail": str(exc)})
                 continue
             problems = check_result(instance, res, truth)
             if problems:

@@ -1,4 +1,4 @@
-"""Converters between graph/set problems and winner-determination instances.
+"""Converters from graph problems to winner-determination instances.
 
 Used as instance generators for cross-validation.  Graphs travel as
 (num_vertices, ordered edge list) pairs; candidate and vote indices follow
@@ -43,12 +43,6 @@ def parse_graph(text):
     if declared != len(edges):
         raise FormatError(f"header declares {declared} edges, found {len(edges)}")
     return n, edges
-
-
-def format_graph(n, edges):
-    lines = [f"p {n} {len(edges)}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in edges)
-    return "\n".join(lines) + "\n"
 
 
 def _edge_election(n, edges):
@@ -101,33 +95,3 @@ def pvc_to_ccav(n, edges, kappa, ell):
     return Instance(
         election=_edge_election(n, edges), rule=CCAV, k=kappa, d=Fraction(ell)
     )
-
-
-def ccav_phs_convert(direction, payload):
-    """Lossless relabeling between CCAV instances and partial hitting set.
-
-    direction "to_phs": Instance -> (universe, sets, a, b);
-    direction "to_ccav": (universe, sets, a, b) -> Instance.
-    The universe is the candidate index range, so round-trips are exact.
-    """
-    if direction == "to_phs":
-        inst = payload
-        if inst.rule != CCAV:
-            raise ValueError("only ccav instances convert")
-        return (
-            tuple(range(inst.election.m)),
-            tuple(inst.election.votes),
-            inst.k,
-            inst.d,
-        )
-    if direction == "to_ccav":
-        universe, sets, a, b = payload
-        if tuple(universe) != tuple(range(len(universe))):
-            raise ValueError("universe must be the index range 0..m-1")
-        return Instance(
-            election=Election(m=len(universe), votes=tuple(sets)),
-            rule=CCAV,
-            k=a,
-            d=Fraction(b),
-        )
-    raise ValueError(f"unknown direction {direction!r}")

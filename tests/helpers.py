@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: seeded random inputs and tiny oracles."""
+"""Shared helpers for the test suite: seeded random inputs, tiny oracles and
+the reference converters that only the tests use."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from approvalwd import (
 from approvalwd.core import answer, fill_committee, scaled_harmonics, SolveResult
 from approvalwd.fpt import _depth_first
 from approvalwd.graphs import DecompositionError
-from approvalwd.oracle import brute_force
+from approvalwd.oracle import brute_force, BudgetExceededError
 
 
 def random_election(rng, max_m=7, max_n=6, max_dv=None, max_dc=None):
@@ -121,6 +122,81 @@ def exhaustive_b_edge_cover_exists(num_vertices, edges, f, kappa):
         if all(hit[v] >= f[v] for v in range(num_vertices)):
             return True
     return False
+
+
+def brute_force_grsp(universe, sets, f, kappa, max_choose=2 * 10**6):
+    """Exhaustive generalized set packing decision.
+
+    Is there a kappa-subset of `sets` (a list, multiset semantics) in which
+    every element u of the universe occurs at most f[u] times?
+    """
+    if kappa < 0 or kappa > len(sets):
+        return False
+    if math.comb(len(sets), kappa) > max_choose:
+        raise BudgetExceededError("too many set combinations")
+    for chosen in itertools.combinations(range(len(sets)), kappa):
+        counts = {}
+        for i in chosen:
+            for u in sets[i]:
+                counts[u] = counts.get(u, 0) + 1
+        if all(counts.get(u, 0) <= f[u] for u in universe):
+            return True
+    return False
+
+
+def brute_force_phs(universe, sets, a, b, max_choose=2 * 10**6):
+    """Exhaustive partial hitting set decision.
+
+    Is there an a-subset of the universe intersecting at least b of `sets`?
+    """
+    if b <= 0:
+        return True
+    universe = sorted(universe)
+    if a > len(universe):
+        a = len(universe)
+    if math.comb(len(universe), a) > max_choose:
+        raise BudgetExceededError("too many element combinations")
+    for chosen in itertools.combinations(universe, a):
+        s = frozenset(chosen)
+        if sum(1 for x in sets if s & frozenset(x)) >= b:
+            return True
+    return False
+
+
+def format_graph(n, edges):
+    lines = [f"p {n} {len(edges)}"]
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in edges)
+    return "\n".join(lines) + "\n"
+
+
+def ccav_phs_convert(direction, payload):
+    """Lossless relabeling between CCAV instances and partial hitting set.
+
+    direction "to_phs": Instance -> (universe, sets, a, b);
+    direction "to_ccav": (universe, sets, a, b) -> Instance.
+    The universe is the candidate index range, so round-trips are exact.
+    """
+    if direction == "to_phs":
+        inst = payload
+        if inst.rule != CCAV:
+            raise ValueError("only ccav instances convert")
+        return (
+            tuple(range(inst.election.m)),
+            tuple(inst.election.votes),
+            inst.k,
+            inst.d,
+        )
+    if direction == "to_ccav":
+        universe, sets, a, b = payload
+        if tuple(universe) != tuple(range(len(universe))):
+            raise ValueError("universe must be the index range 0..m-1")
+        return Instance(
+            election=Election(m=len(universe), votes=tuple(sets)),
+            rule=CCAV,
+            k=a,
+            d=Fraction(b),
+        )
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def e1():
@@ -581,7 +657,7 @@ def reference_pav_bb_dv(instance):
         return answer(instance, "pav_bb_dv", stats, fill_committee((), k, range(e.m)))
     if k == 0:
         return answer(instance, "pav_bb_dv", stats)
-    counts = e.approver_counts()
+    counts = e.approver_counts
     for c in range(e.m):
         if counts[c] >= d:
             return answer(instance, "pav_bb_dv", stats, fill_committee((c,), k, range(e.m)))

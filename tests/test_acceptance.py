@@ -28,7 +28,6 @@ from approvalwd import cli, fpt, graphs, poly, twdp
 from approvalwd.oracle import brute_force, BudgetExceededError
 from approvalwd.portfolio import applicable, generate, GeneratorConfig
 from approvalwd.reductions import (
-    ccav_phs_convert,
     ids_to_ccav,
     mvs_to_pav,
     pvc_to_ccav,
@@ -36,6 +35,7 @@ from approvalwd.reductions import (
 )
 
 from helpers import (
+    ccav_phs_convert,
     exact_decomposition,
     exhaustive_b_edge_cover_exists,
     exhaustive_max_matching_size,

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from approvalwd import CCAV, Election, format_instance, Instance, MAV, PAV, RULES
-from approvalwd import cli, fpt
+from approvalwd import cli, fpt, portfolio
 from approvalwd.cli import main
 from approvalwd.portfolio import generate, GeneratorConfig, SOLVERS
-from approvalwd.reductions import format_graph
 
-from helpers import deep_search_instances, e1
+from helpers import deep_search_instances, e1, format_graph
 
 
 def _write_e1_instance(path, rule, k, d):
@@ -199,3 +198,21 @@ def test_verify_and_bench(tmp_path, capsys):
     assert main(["bench", str(tmp_path), "--csv", str(csv_out)]) == 0
     assert csv_out.read_text().startswith("instance,rule")
     assert len(csv_out.read_text().splitlines()) == 7
+
+
+def test_verify_reports_a_refusal_and_goes_on(tmp_path, capsys, monkeypatch):
+    # with every cost over the cap, dispatch refuses the 8 x 8 PAV file: verify
+    # gives the auto route a refused row, which is no disagreement, and still
+    # reports the unreadable file and the file past the oracle's budget after it
+    monkeypatch.setattr(portfolio, "FPT_COST_CAP", 0)
+    e = generate(GeneratorConfig(8, 8, 3, 3), 1)
+    (tmp_path / "a-pav.appr").write_text(format_instance(Instance(e, PAV, 3, 3)))
+    (tmp_path / "b-cand5.appr").write_text("ccav 1 1 1\n2 1\n5\n")
+    (tmp_path / "c-m23.appr").write_text(format_instance(Instance(Election(23, ()), CCAV, 1, 0)))
+    assert main(["verify", str(tmp_path)]) == 0
+    *rows, last = capsys.readouterr().out.splitlines()
+    rows = [dict(cell.split("=", 1) for cell in row.split("\t")) for row in rows]
+    assert [(r["instance"], r["status"]) for r in rows] == [
+        ("a-pav.appr", "refused"), ("b-cand5.appr", "parse-error"), ("c-m23.appr", "skipped")]
+    assert rows[0]["solver"] == "dispatch"
+    assert last == "entries: 3, ok: True"

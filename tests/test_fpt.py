@@ -30,10 +30,11 @@ from approvalwd.fpt import (
     pav_bb_dv,
 )
 from approvalwd.cli import ALGOS
-from approvalwd.oracle import brute_force, brute_force_grsp, BudgetExceededError
+from approvalwd.oracle import brute_force, BudgetExceededError
 from approvalwd.portfolio import dispatch, generate, GeneratorConfig, SOLVERS
 
 from helpers import (
+    brute_force_grsp,
     check_against_oracle,
     deep_search_instances,
     e1,
@@ -502,7 +503,7 @@ def test_ccav_bb_dual_pinned(seed, k, d, decision, witness, nodes, monkeypatch):
     expected = {"nodes": 0 if seed in _CCAV_ROOT_NO else nodes}
     assert (res.decision, res.witness, res.stats) == (decision, witness, expected)
     # counts of n per candidate pass the root check, so the search runs
-    monkeypatch.setattr(Election, "approver_counts", lambda self: [self.n] * self.m)
+    monkeypatch.setattr(Election, "approver_counts", property(lambda self: (self.n,) * self.m))
     res = ccav_bb_dual(inst)
     assert (res.decision, res.witness, res.stats) == (decision, witness, {"nodes": nodes})
 

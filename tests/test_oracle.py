@@ -4,14 +4,9 @@ from fractions import Fraction
 import pytest
 
 from approvalwd import CCAV, Election, Instance, MAV, PAV, RULES, score
-from approvalwd.oracle import (
-    brute_force,
-    brute_force_grsp,
-    brute_force_phs,
-    BudgetExceededError,
-)
+from approvalwd.oracle import brute_force, BudgetExceededError
 
-from helpers import e1, random_election
+from helpers import brute_force_grsp, brute_force_phs, e1, random_election
 
 
 def test_brute_force_e1():

@@ -4,10 +4,8 @@ import random
 import pytest
 
 from approvalwd import CCAV, FormatError, Instance, MAV, PAV
-from approvalwd.oracle import brute_force, brute_force_phs
+from approvalwd.oracle import brute_force
 from approvalwd.reductions import (
-    ccav_phs_convert,
-    format_graph,
     ids_to_ccav,
     mvs_to_pav,
     parse_graph,
@@ -15,7 +13,15 @@ from approvalwd.reductions import (
     vc_to_mav,
 )
 
-from helpers import e1, random_election, random_graph, random_regular_graph
+from helpers import (
+    brute_force_phs,
+    ccav_phs_convert,
+    e1,
+    format_graph,
+    random_election,
+    random_graph,
+    random_regular_graph,
+)
 
 K3 = (3, [(0, 1), (1, 2), (0, 2)])
 C4 = (4, [(0, 1), (1, 2), (2, 3), (0, 3)])
