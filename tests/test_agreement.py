@@ -9,10 +9,12 @@ and the DP's optimum wherever it reports one.
 The FPT routes' parameters are unbounded on these shapes, so each route
 call gets a budget of search nodes and subinstances, and a call that runs
 past it is not compared: the budget counts work, not time, so every host
-compares the same calls.
+compares the same calls.  Each test requires a floor of compared calls per
+route, so a route that stops answering within the budget fails it.
 """
 
 import contextlib
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -29,6 +31,7 @@ mav_by_matching = ALGOS["mav-matching"]
 
 HALF = Fraction(1, 2)
 BUDGET = 1_000  # search nodes and matching subinstances per route call
+FLOOR = 55  # route calls compared per FPT route, of 75 (60-75 here)
 
 
 class _Overrun(Exception):
@@ -73,6 +76,15 @@ def _past(examples):
     return settings(max_examples=examples, derandomize=True, deadline=None)
 
 
+def _compare(cases, floor):
+    """Run the hypothesis examples of ``cases`` and require every route they
+    compare to be compared on at least ``floor`` calls."""
+    compared = Counter()
+    cases(compared)
+    short = {route: n for route, n in compared.items() if n < floor}
+    assert not short, short
+
+
 @st.composite
 def _elections(draw):
     """(election, k) of the shapes above, at min-fill width at most 6."""
@@ -83,9 +95,10 @@ def _elections(draw):
     return e, draw(st.integers(1, 4))
 
 
-def _agree(rule, e, k, routes, opt, step):
+def _agree(rule, e, k, routes, opt, step, compared):
     """Each route's decision is the DP's at opt - step, opt and opt + step, and
-    an optimum it reports is the DP's."""
+    an optimum it reports is the DP's; ``compared`` counts the calls compared
+    per route."""
     for d in (opt - step, opt, opt + step):
         inst = Instance(e, rule, k, d)
         expected = d >= opt if rule == MAV else d <= opt
@@ -97,6 +110,7 @@ def _agree(rule, e, k, routes, opt, step):
                 continue
             assert res.decision == expected, (route, d)
             assert res.opt_score in (None, opt), (route, d)
+            compared[route] += 1
 
 
 def _mav_opt(e, k, decide):
@@ -114,34 +128,50 @@ def _mav_opt(e, k, decide):
 
 @_past(25)
 @given(_elections())
-def test_pav_bb_dv_agrees_with_the_dp(case):
+def _pav_cases(compared, case):
     e, k = case
     opt = pav_tw_dp(Instance(e, PAV, k, 0)).opt_score
-    _agree(PAV, e, k, (fpt.pav_bb_dv, pav_tw_dp), opt, HALF)
+    _agree(PAV, e, k, (fpt.pav_bb_dv, pav_tw_dp), opt, HALF, compared)
 
 
 @_past(25)
 @given(_elections())
-def test_ccav_bb_dual_agrees_with_the_dp(case):
+def _ccav_cases(compared, case):
     e, k = case
     opt = ccav_tw_dp(Instance(e, CCAV, k, 0)).opt_score
-    _agree(CCAV, e, k, (fpt.ccav_bb_dual, ccav_tw_dp), opt, HALF)
+    _agree(CCAV, e, k, (fpt.ccav_bb_dual, ccav_tw_dp), opt, HALF, compared)
 
 
 @_past(25)
 @given(_elections())
-def test_the_mav_routes_agree_with_the_dp(case):
+def _mav_cases(compared, case):
     e, k = case
     opt = _mav_opt(e, k, mav_tw_dp)
-    _agree(MAV, e, k, (fpt.mav_dual_grsp, mav_by_matching, mav_tw_dp), opt, 1)
+    _agree(MAV, e, k, (fpt.mav_dual_grsp, mav_by_matching, mav_tw_dp), opt, 1, compared)
 
 
 @_past(15)
 @given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 10**6), st.data())
-def test_the_degree_two_routes_agree_with_the_dps(m, n, seed, data):
+def _degree_two_cases(compared, m, n, seed, data):
     e = generate(GeneratorConfig(m, n, 2, 2), seed)
     k = data.draw(st.integers(0, m))
     for rule, route, dp in ((CCAV, ccav_deg2, ccav_tw_dp), (PAV, pav_deg22, pav_tw_dp)):
         opt = dp(Instance(e, rule, k, 0)).opt_score
-        _agree(rule, e, k, (route, dp), opt, HALF)
-    _agree(MAV, e, k, (mav_deg2, mav_tw_dp), _mav_opt(e, k, mav_deg2), 1)
+        _agree(rule, e, k, (route, dp), opt, HALF, compared)
+    _agree(MAV, e, k, (mav_deg2, mav_tw_dp), _mav_opt(e, k, mav_deg2), 1, compared)
+
+
+def test_pav_bb_dv_agrees_with_the_dp():
+    _compare(_pav_cases, FLOOR)
+
+
+def test_ccav_bb_dual_agrees_with_the_dp():
+    _compare(_ccav_cases, FLOOR)
+
+
+def test_the_mav_routes_agree_with_the_dp():
+    _compare(_mav_cases, FLOOR)
+
+
+def test_the_degree_two_routes_agree_with_the_dps():
+    _compare(_degree_two_cases, 45)  # every call: they run no search
