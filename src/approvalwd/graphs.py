@@ -1,7 +1,8 @@
 """Graph machinery: incidence graphs, matchings, b-edge covers, tree decompositions.
 
-Vertices are nonnegative integers throughout.  The incidence graph of an
-election uses 0..m-1 for candidates and m..m+n-1 for votes.
+Vertices are nonnegative integers throughout, and a graph is its adjacency
+mapping: each vertex maps to the set of its neighbours.  The incidence graph
+of an election uses 0..m-1 for candidates and m..m+n-1 for votes.
 """
 
 from __future__ import annotations
@@ -16,50 +17,29 @@ class DecompositionError(ValueError):
     """Raised when a (nice) tree decomposition fails validation."""
 
 
-class Graph:
-    """Simple undirected graph on integer vertices (no loops, no parallels)."""
-
-    def __init__(self, vertices=(), edges=()):
-        adj = self.adj = {v: set() for v in vertices}
-        for u, v in edges:
-            if u == v:
-                raise ValueError("loops not allowed in a simple graph")
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-
-    def vertices(self):
-        return sorted(self.adj)
-
-    def edges(self):
-        return sorted(
-            (u, v) for u in self.adj for v in self.adj[u] if u < v
-        )
-
-    def neighbors(self, v):
-        return self.adj[v]
-
-    @property
-    def num_vertices(self):
-        return len(self.adj)
-
-
 def incidence_graph(election):
-    """Bipartite graph joining vote-vertex m+j to candidate-vertex c iff c in v_j."""
+    """The adjacency mapping of the bipartite graph joining vote-vertex m+j to
+    candidate-vertex c iff c in v_j, with vertices 0..m+n-1 inserted in order."""
     m = election.m
-    return Graph(range(m + election.n),
-                 ((c, m + j) for j, v in enumerate(election.votes) for c in v))
+    adj = {c: set() for c in range(m)}
+    for j, v in enumerate(election.votes):
+        adj[m + j] = set(v)
+        for c in v:
+            adj[c].add(m + j)
+    return adj
 
 
 # ---------------------------------------------------------------------------
 # Maximum matching
 # ---------------------------------------------------------------------------
 
-def max_matching(graph):
-    """A maximum-cardinality matching, as a set of frozenset edges: ``_mates``
-    on the graph's vertices in increasing order."""
-    verts = graph.vertices()
+def max_matching(adj):
+    """A maximum-cardinality matching of the graph with adjacency mapping
+    ``adj``, as a set of frozenset edges: ``_mates`` on its vertices in
+    increasing order."""
+    verts = sorted(adj)
     index = {v: i for i, v in enumerate(verts)}.__getitem__
-    mate = _mates([sorted(map(index, graph.neighbors(v))) for v in verts])
+    mate = _mates([sorted(map(index, adj[v])) for v in verts])
     return {frozenset((verts[v], verts[w])) for v, w in enumerate(mate) if v < w}
 
 
@@ -325,32 +305,21 @@ def simple_b_edge_cover_exact(num_vertices, edges, f, kappa):
 # ---------------------------------------------------------------------------
 
 class TreeDecomposition:
-    """Rooted tree of bags over graph vertices.
+    """Rooted tree of bags over graph vertices, children first: every bag
+    but the last, the root, has the later bag ``parent[i]`` as its parent."""
 
-    ``edges`` may list a tree edge either way round: a walk from the root
-    orients them, and a tree that does not reach every bag is rejected.
-    """
-
-    def __init__(self, bags, edges, root=0):
+    def __init__(self, bags, parent):
         self.bags = [frozenset(b) for b in bags]
-        self.edges = [tuple(e) for e in edges]
-        self.root = root
+        self.parent = list(parent)
         n = len(self.bags)
-        near = [[] for _ in range(n)]
-        for a, b in self.edges:
-            near[a].append(b)
-            near[b].append(a)
+        if not n or len(self.parent) != n - 1:
+            raise DecompositionError("a tree of bags needs a parent for every bag but the last")
+        self.root = n - 1
         self._children = kids = [[] for _ in range(n)]
-        seen = {root}
-        order = [root]
-        for x in order:
-            for y in near[x]:
-                if y not in seen:
-                    seen.add(y)
-                    kids[x].append(y)
-                    order.append(y)
-        if len(order) != n:
-            raise DecompositionError("decomposition tree is not connected")
+        for i, p in enumerate(self.parent):
+            if p not in range(i + 1, n):
+                raise DecompositionError(f"bag {i} has parent {p!r}, not a later bag")
+            kids[p].append(i)
 
     def children(self, x):
         return self._children[x]
@@ -358,16 +327,12 @@ class TreeDecomposition:
     def width(self):
         return max((len(b) for b in self.bags), default=0) - 1
 
-    def validate(self, graph):
-        """Check the three decomposition conditions against ``graph``, or an
-        adjacency mapping that holds every vertex and lists each edge from at
+    def validate(self, adj):
+        """Check the three decomposition conditions against the adjacency
+        mapping ``adj``, which holds every vertex and lists each edge from at
         least one end."""
-        if len(self.edges) != len(self.bags) - 1:
-            raise DecompositionError("decomposition graph is not a tree")
         bags = self.bags
-        _check_bags(graph.adj if isinstance(graph, Graph) else graph, bags[self.root], (
-            (bags[c], bags[x]) for x, kids in enumerate(self._children) for c in kids
-        ))
+        _check_bags(adj, bags[self.root], ((bags[i], bags[p]) for i, p in enumerate(self.parent)))
 
 
 def _check_bags(adj, root_bag, bags_and_parents):
@@ -400,14 +365,14 @@ def _check_bags(adj, root_bag, bags_and_parents):
                 raise DecompositionError(f"edge {(min(u, v), max(u, v))} covered by no bag")
 
 
-def min_fill_order(graph, max_bag=None):
+def min_fill_order(adj, max_width=None):
     """Elimination ordering by minimum fill-in, ties by degree then index.
 
     Returns (order, bags): bag i is the i-th eliminated vertex with its
     neighbourhood then, frozen at once rather than kept as the popped
     adjacency set, whose table earlier fill edges may have grown.  Given
-    ``max_bag``, it returns None instead as soon as a bag would hold more
-    than max_bag vertices, before that vertex is eliminated.
+    ``max_width``, it returns None instead as soon as a bag would hold more
+    than max_width + 1 vertices, before that vertex is eliminated.
 
     Beside each adjacency set sits the same neighbourhood as an int mask, so
     the fill of u, the pairs of its d neighbours that are not adjacent, is
@@ -419,7 +384,7 @@ def min_fill_order(graph, max_bag=None):
     at least two neighbours among them are recomputed; a popped entry that no
     longer equals its vertex's key is stale and skipped.
     """
-    adj = {v: set(nb) for v, nb in graph.adj.items()}
+    adj = {v: set(nb) for v, nb in adj.items()}
     # an isolated vertex is no vertex's neighbour, now or after any elimination
     one = {v: 1 << i for i, v in enumerate(v for v, nb in adj.items() if nb)}
     bits = dict.fromkeys(adj, 0)
@@ -447,7 +412,7 @@ def min_fill_order(graph, max_bag=None):
         v = entry[2]
         if keys.get(v) != entry:
             continue
-        if max_bag is not None and len(adj[v]) >= max_bag:
+        if max_width is not None and len(adj[v]) > max_width:
             return None
         del keys[v]
         nb = adj.pop(v)
@@ -482,7 +447,7 @@ def min_fill_order(graph, max_bag=None):
     return order, bags
 
 
-def tree_decomposition(graph, max_width=None):
+def tree_decomposition(adj, max_width=None):
     """A valid tree decomposition by the min-fill heuristic.
 
     Bag i is the i-th eliminated vertex with its neighbourhood at that time.
@@ -490,17 +455,15 @@ def tree_decomposition(graph, max_width=None):
     the last bag, the root, when it has none.  Given ``max_width``, the
     min-fill gives up, and this returns None, at its first bag wider than that.
     """
-    found = min_fill_order(graph, None if max_width is None else max_width + 1)
+    found = min_fill_order(adj, max_width)
     if found is None:
         return None
     order, bags = found
-    if not order:
-        return TreeDecomposition(bags=[frozenset()], edges=[], root=0)
     pos = {v: i for i, v in enumerate(order)}
-    last = len(order) - 1
-    edges = [(i, min((pos[u] for u in bag if u != v), default=last))
-             for i, (v, bag) in enumerate(zip(order, bags[:-1]))]
-    return TreeDecomposition(bags=bags, edges=edges, root=last)
+    parent = [min((pos[u] for u in bag if u != v), default=len(order) - 1)
+              for v, bag in zip(order, bags[:-1])]
+    # a graph without vertices gets one empty bag
+    return TreeDecomposition(bags or [frozenset()], parent)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +511,9 @@ class NiceTreeDecomposition:
     def width(self):
         return max((len(x.bag) for x in self.postorder()), default=0) - 1
 
-    def validate(self, graph=None):
-        """Check nice-ness; with a graph, or an adjacency mapping that holds every
-        vertex and lists each edge from at least one end, also check the
+    def validate(self, adj=None):
+        """Check nice-ness; with an adjacency mapping that holds every vertex
+        and lists each edge from at least one end, also check the
         decomposition conditions."""
         nodes = self.postorder()
         if self.root.bag:
@@ -577,10 +540,9 @@ class NiceTreeDecomposition:
                     raise DecompositionError("join bags differ")
             else:
                 raise DecompositionError(f"unknown node kind {x.kind!r}")
-        if graph is not None:
+        if adj is not None:
             # the tree is nice and its root bag empty, so a vertex leaves a
             # bag on the way up only at a forget node
-            adj = graph.adj if isinstance(graph, Graph) else graph
             _check_bags(adj, self.root.bag, (
                 (x.children[0].bag, x.bag) for x in nodes if x.kind == "forget"
             ))

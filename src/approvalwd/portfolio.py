@@ -404,7 +404,9 @@ def verify(corpus_dir, budget=22):
         for solver in applicable(instance, params):
             try:
                 res = solver.run(instance, params)
-            except BudgetExceededError:
+            except BudgetExceededError as exc:  # unchecked, but no disagreement
+                report.append({"instance": name, "status": "skipped", "solver": solver.name,
+                               "detail": str(exc)})
                 continue
             except AllSolversExceededError as exc:  # a refusal, not a disagreement
                 report.append({"instance": name, "status": "refused", "solver": solver.name,

@@ -9,19 +9,20 @@ propagation: every stored entry carries the best value together with a
 concrete committee achieving it, so missing entries play the role of minus
 infinity and witnesses come for free.
 
-The tables run on the decomposition's own bags, children before parents and
-without recursion, by the steps a nice tree decomposition would spell out
-(Cygan et al., *Parameterized Algorithms*, 2015, ch. 7): between a bag and
-its parent, forget the bag's vertices that the parent lacks in ascending
-order, introduce the parent's new vertices in descending order, votes first,
-and join the tables of the parent's children.  A bag with no child starts
-from the empty committee and introduces its whole bag.  A leaf bag with one
-vertex h outside its parent's bag is folded into the parent's table in one
-pass, as "introduce h, then forget h": h lies in no other bag, so its
-neighbours all lie in the parent's and C' alone fixes what h adds.  A vote h
-adds the term of its overlap with C', or for MAV keeps or drops the whole C'
-group; a candidate h gives each entry with k' < k a copy with h added, kept
-under the same C'.  So a leaf bag builds neither its own table nor a join.
+The tables run on the decomposition's own bags in index order, which puts
+children before parents, and without recursion, by the steps a nice tree
+decomposition would spell out (Cygan et al., *Parameterized Algorithms*,
+2015, ch. 7): between a bag and its parent, forget the bag's vertices that
+the parent lacks in ascending order, introduce the parent's new vertices in
+descending order, votes first, and join the tables of the parent's
+children.  A bag with no child starts from the empty committee and
+introduces its whole bag.  A leaf bag with one vertex h outside its
+parent's bag is folded into the parent's table in one pass, as "introduce
+h, then forget h": h lies in no other bag, so its neighbours all lie in
+the parent's and C' alone fixes what h adds.  A vote h adds the term of
+its overlap with C', or for MAV keeps or drops the whole C' group; a
+candidate h gives each entry with k' < k a copy with h added, kept under the
+same C'.  So a leaf bag builds neither its own table nor a join.
 Folded votes go in before the parent's joins, where MAV's dropped C' groups
 save the most, and folded candidates after them.  A leaf bag within its
 parent's adds nothing.  On a min-fill decomposition
@@ -262,16 +263,9 @@ def _run_mu_dp(instance, td):
         return chain(*sub, bags[c], bag)
 
     bags = td.bags
-    # a preorder, reversed: children before parents, and each subtree done
-    # before the next starts, so few tables wait for their parent at once
-    order, stack = [], [td.root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        stack += td.children(x)
     nodes = 0
     tables = {}  # bag index -> (table, the bag's votes, sorted)
-    for x in reversed(order):
+    for x in range(len(bags)):
         kids = td.children(x)
         if not kids and x != td.root:
             continue  # a leaf bag is taken up by its parent

@@ -70,6 +70,21 @@ def reference_score(election, rule, committee):
     return sum((harmonic(len(v & w)) for v in election.votes), Fraction(0))
 
 
+def adjacency(vertices=(), edges=()):
+    """The adjacency mapping of the graph on ``vertices`` and the ends of
+    ``edges``, in the form ``graphs`` takes."""
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
+
+
+def edge_list(adj):
+    """The edges of an adjacency mapping, each as (smaller end, larger), sorted."""
+    return sorted((u, v) for u in adj for v in adj[u] if u < v)
+
+
 def random_graph(rng, max_n=8, p=0.4):
     n = rng.randint(1, max_n)
     edges = [
@@ -261,7 +276,7 @@ def reference_min_fill_order(graph):
 
     Ties go to the smaller degree, then the smaller vertex.
     """
-    adj = {v: set(nb) for v, nb in graph.adj.items()}
+    adj = {v: set(nb) for v, nb in graph.items()}
 
     def fill(v):
         nb = sorted(adj[v])
@@ -294,8 +309,8 @@ def reference_td_from_elimination_order(graph, order):
     parent is the bag of its earliest eliminated neighbour, or the last bag.
     """
     if not order:
-        return graphs.TreeDecomposition(bags=[frozenset()], edges=[], root=0)
-    adj = {v: set(nb) for v, nb in graph.adj.items()}
+        return graphs.TreeDecomposition([frozenset()], [])
+    adj = {v: set(nb) for v, nb in graph.items()}
     pos = {v: i for i, v in enumerate(order)}
     bags = []
     parent_vertex = {}
@@ -311,8 +326,7 @@ def reference_td_from_elimination_order(graph, order):
             adj[u].discard(v)
         del adj[v]
     bags.append(frozenset([order[-1]]))
-    edges = [(pos[v], pos[parent_vertex[v]]) for v in order[:-1]]
-    return graphs.TreeDecomposition(bags=bags, edges=edges, root=pos[order[-1]])
+    return graphs.TreeDecomposition(bags, [pos[parent_vertex[v]] for v in order[:-1]])
 
 
 def _reach_through(graph, v, inside):
@@ -322,7 +336,7 @@ def _reach_through(graph, v, inside):
     queue = deque([v])
     while queue:
         u = queue.popleft()
-        for w in graph.neighbors(u):
+        for w in graph[u]:
             if w in seen:
                 continue
             seen.add(w)
@@ -339,7 +353,7 @@ def exact_elimination_order(graph):
     Exponential in the vertex count; meant for graphs of about a dozen
     vertices at most.
     """
-    verts = graph.vertices()
+    verts = sorted(graph)
     n = len(verts)
     full = (1 << n) - 1
     width = {0: -1}
@@ -405,7 +419,7 @@ def classify_component(vertices, edges):
 
 def reference_matching_order(mg, votes, cands):
     """The matching-first order of ``poly._matching_order``, over the votes
-    ``votes`` only, from a ``Graph`` of the candidate pairs and
+    ``votes`` only, from an adjacency mapping of the candidate pairs and
     ``graphs.max_matching`` on it.
 
     Loops are dropped and each set of parallel candidate-edges is kept as its
@@ -421,7 +435,7 @@ def reference_matching_order(mg, votes, cands):
             smallest.setdefault(v, c)
         if len(endpoints) == 2:
             pairs.setdefault(endpoints, c)
-    matching = graphs.max_matching(graphs.Graph(votes, pairs))
+    matching = graphs.max_matching(adjacency(votes, pairs))
     order = sorted(pairs[tuple(sorted(edge))] for edge in matching)
     touched = set().union(*matching)
     order += [smallest[v] for v in sorted(votes) if v not in touched and v in smallest]
@@ -509,12 +523,14 @@ def _tree_connected(nodes, edges):
 
 
 def reference_validate(bags, edges, graph):
-    """The decomposition conditions, each checked by scanning every bag."""
+    """The decomposition conditions, each checked by scanning every bag, on
+    the tree whose edges join the bag indices paired in ``edges``."""
+    edges = list(edges)
     union = set().union(*bags) if bags else set()
-    for v in graph.vertices():
+    for v in sorted(graph):
         if v not in union:
             raise DecompositionError(f"vertex {v} in no bag")
-    for u, v in graph.edges():
+    for u, v in edge_list(graph):
         if not any(u in b and v in b for b in bags):
             raise DecompositionError(f"edge {(u, v)} covered by no bag")
     for v in union:
@@ -534,10 +550,10 @@ def reference_nice_validate(ntd, graph):
 
 def reference_max_matching(graph):
     """The greedy start and blossom search with fresh search arrays per root."""
-    verts = graph.vertices()
+    verts = sorted(graph)
     index = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    adj = [sorted(index[w] for w in graph.neighbors(v)) for v in verts]
+    adj = [sorted(index[w] for w in graph[v]) for v in verts]
     match = [-1] * n
     for v in range(n):
         if match[v] == -1:

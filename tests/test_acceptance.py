@@ -35,6 +35,7 @@ from approvalwd.reductions import (
 )
 
 from helpers import (
+    adjacency,
     ccav_phs_convert,
     exact_decomposition,
     exhaustive_b_edge_cover_exists,
@@ -290,13 +291,13 @@ def test_criterion_6_infrastructure(capsys):
     for _ in range(500):
         n, edges = random_graph(rng, max_n=7, p=0.4)
         edges = edges[:10]
-        g = graphs.Graph(vertices=range(n), edges=edges)
+        g = adjacency(range(n), edges)
         matching = graphs.max_matching(g)
         used = set()
         valid = True
         for edge in matching:
             u, v = tuple(edge)
-            if u in used or v in used or v not in g.neighbors(u):
+            if u in used or v in used or v not in g[u]:
                 valid = False
             used.update(edge)
         if not valid or len(matching) != exhaustive_max_matching_size(edges):
@@ -327,7 +328,7 @@ def test_criterion_6_infrastructure(capsys):
 
     for _ in range(200):
         n, edges = random_graph(rng, max_n=8, p=0.4)
-        g = graphs.Graph(vertices=range(n), edges=edges)
+        g = adjacency(range(n), edges)
         td = graphs.tree_decomposition(g)
         ntd = graphs.to_nice(td)
         try:

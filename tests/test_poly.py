@@ -26,6 +26,7 @@ from approvalwd.poly import (
 from approvalwd.portfolio import generate, GeneratorConfig
 
 from helpers import (
+    adjacency,
     classify_component,
     e1,
     instances_around_opt,
@@ -307,7 +308,7 @@ def test_degree_two_routes_on_5000_disjoint_five_cycles_are_fast():
         res = route(Instance(e, rule, 2 * cycles, 0))
         assert time.perf_counter() - start < 2.0, route.__name__
         assert res.opt_score == 4 * cycles
-    ring = graphs.Graph(range(n), [(j, j - j % 5 + (j - 1) % 5) for j in range(n)])
+    ring = adjacency(range(n), [(j, j - j % 5 + (j - 1) % 5) for j in range(n)])
     assert len(graphs.max_matching(ring)) == 2 * cycles
 
 

@@ -36,6 +36,7 @@ from approvalwd.portfolio import (
 
 from helpers import (
     e1,
+    edge_list,
     near_path,
     random_election,
     reference_dispatch,
@@ -594,7 +595,7 @@ def test_lower_bounds_match_a_forest_check():
     sides = Counter()
     for e in hand_made + seeded:
         g = nx.Graph()
-        g.add_edges_from(graphs.incidence_graph(e).edges())
+        g.add_edges_from(edge_list(graphs.incidence_graph(e)))
         edges = g.number_of_edges()
         cycle = bool(nx.cycle_basis(g))
         bounds = portfolio._lower_bounds(e, e.delta_v, e.delta_c)
@@ -672,6 +673,20 @@ def test_verify_corrupt_file(tmp_path):
     errors = {r["instance"]: r["detail"] for r in report if r["status"] == "parse-error"}
     assert sorted(errors) == ["broken.appr", "folder.appr", "latin1.appr"]
     assert "utf-8" in errors["latin1.appr"]
+
+
+def test_verify_names_each_route_it_skips_past_its_budget(tmp_path):
+    # three routes consider more votes than fpt.CLASS_VOTE_BUDGET here: each
+    # gets a skipped row naming it, which is no disagreement
+    e = generate(GeneratorConfig(20, 30, 3, 5), 0)
+    for rule in (MAV, PAV):
+        (tmp_path / f"{rule}.appr").write_text(format_instance(Instance(e, rule, 4, 3)))
+    ok, report = verify(str(tmp_path))
+    assert ok
+    assert [(r["instance"], r["status"], r["solver"]) for r in report] == [
+        ("mav.appr", "skipped", "mav_by_classes"), ("mav.appr", "skipped", "mav_k_deltac"),
+        ("pav.appr", "skipped", "pav_by_matching")]
+    assert all(f"exceeds budget {fpt.CLASS_VOTE_BUDGET}" in r["detail"] for r in report)
 
 
 def test_verify_empty_corpus(tmp_path):

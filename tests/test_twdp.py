@@ -110,7 +110,7 @@ _TW_DPS = ((twdp.ccav_tw_dp, CCAV), (twdp.mav_tw_dp, MAV), (twdp.pav_tw_dp, PAV)
 def test_external_decomposition_rejected_if_invalid():
     # one empty bag holds no vertex of e1's incidence graph; MAV too is
     # validated before it answers that no committee is closer than d < 0
-    bogus = TreeDecomposition(bags=[frozenset()], edges=[])
+    bogus = TreeDecomposition([frozenset()], [])
     for solve, rule in _TW_DPS:
         for d in (-1, 0, 1):
             with pytest.raises(DecompositionError, match="vertex 0 in no bag"):
@@ -121,8 +121,7 @@ def test_external_decomposition_rejected_if_invalid():
 def test_external_decomposition_rejected_if_an_edge_is_uncovered(solve, rule):
     # every vertex of e1's incidence graph, in connected bags, but candidate 0
     # and vote 2 (vertex 5) share none
-    path = TreeDecomposition(bags=[{0, 3}, {1, 3}, {1, 4}, {2, 4}, {5}],
-                             edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
+    path = TreeDecomposition([{0, 3}, {1, 3}, {1, 4}, {2, 4}, {5}], [1, 2, 3, 4])
     with pytest.raises(DecompositionError, match=re.escape("edge (0, 5) covered by no bag")):
         solve(Instance(election=e1(), rule=rule, k=1, d=1), td=path)
 
@@ -163,14 +162,14 @@ HAND_BUILT = {
     # vote 2 meets candidate 0 in one child of the root and candidate 1 in
     # the other, and the root lacks it
     "occurrences of 2 not connected": (
-        lambda: TreeDecomposition(bags=[set(), {0, 2}, {1, 2}], edges=[(1, 0), (2, 0)]),
+        lambda: TreeDecomposition([{0, 2}, {1, 2}, set()], [2, 2]),
         lambda: NiceNode("join", frozenset(),
                          (_nice_chain(_visit(2, 0)), _nice_chain(_visit(2, 1))))),
     "edge (0, 2) covered by no bag": (
-        lambda: TreeDecomposition(bags=[{0}, {1, 2}], edges=[(0, 1)]),
+        lambda: TreeDecomposition([{0}, {1, 2}], [1]),
         lambda: _nice_chain(_visit(0) + _visit(2, 1))),
     "vertex 1 in no bag": (
-        lambda: TreeDecomposition(bags=[{0, 2}], edges=[]),
+        lambda: TreeDecomposition([{0, 2}], []),
         lambda: _nice_chain(_visit(2, 0))),
 }
 
@@ -187,7 +186,7 @@ def test_hand_built_nice_trees_are_rejected_alike(message):
         return ntd
 
     checks = [lambda: tree().validate(g),
-              lambda: reference_validate(tree().bags, tree().edges, g)]
+              lambda: reference_validate(tree().bags, enumerate(tree().parent), g)]
     checks += [lambda solve=solve, rule=rule, d=d: solve(Instance(e, rule, 1, d), tree())
                for solve, rule in _TW_DPS for d in (Fraction(-1), Fraction(1))]
     # the nice form's validators, while it stays in graphs
@@ -200,28 +199,26 @@ def test_hand_built_nice_trees_are_rejected_alike(message):
 
 def _leaves_below_a_root(e, rng):
     """A root bag with leaf bags below it: a leaf holds one or two vertices
-    of its own, with their neighbours, or lies inside the root's bag.  Edges
-    are listed either way round at random."""
+    of its own, with their neighbours, or lies inside the root's bag."""
     g = incidence_graph(e)
-    verts = g.vertices()
+    verts = sorted(g)
     rng.shuffle(verts)
     own, near, leaves = set(), set(), []
     for v in verts:
         if v in own or v in near or rng.random() < 0.3:
             continue
         group = {v}
-        free = sorted(u for u in g.neighbors(v) if u not in own and u not in near)
+        free = sorted(u for u in g[v] if u not in own and u not in near)
         if free and rng.random() < 0.4:
             group.add(rng.choice(free))
         own |= group
-        near |= set().union(*(g.neighbors(u) for u in group)) - group
-        leaves.append(group | set().union(*(g.neighbors(u) for u in group)))
+        near |= set().union(*(g[u] for u in group)) - group
+        leaves.append(group | set().union(*(g[u] for u in group)))
     root = set(verts) - own
     for _ in range(rng.randint(0, 2)):
         leaves.append(set(rng.sample(sorted(root), rng.randint(0, len(root)))))
     rng.shuffle(leaves)
-    edges = [(i, 0) if rng.random() < 0.5 else (0, i) for i in range(1, len(leaves) + 1)]
-    return TreeDecomposition(bags=[root] + leaves, edges=edges, root=0)
+    return TreeDecomposition(leaves + [root], [len(leaves)] * len(leaves))
 
 
 def test_hand_built_trees_against_brute_force():
@@ -234,10 +231,10 @@ def test_hand_built_trees_against_brute_force():
         e = random_election(rng, max_m=5, max_n=4)
         k = rng.randint(0, e.m)
         g = incidence_graph(e)
-        single = TreeDecomposition(bags=[g.vertices()], edges=[])
+        single = TreeDecomposition([sorted(g)], [])
         star = _leaves_below_a_root(e, rng)
-        for x in star.children(0):
-            own = star.bags[x] - star.bags[0]
+        for x in star.children(star.root):
+            own = star.bags[x] - star.bags[star.root]
             shapes.add("vote" if len(own) == 1 and min(own) >= e.m else len(own))
         for solve, rule in _TW_DPS:
             opt = brute_force(Instance(election=e, rule=rule, k=k, d=0)).opt_score
@@ -261,7 +258,7 @@ def test_a_path_deeper_than_the_recursion_limit(monkeypatch):
     bags = []
     for i in range(n):
         bags += [{i, m + i}, {m + i, i + 1}]
-    td = TreeDecomposition(bags=bags, edges=[(x, x + 1) for x in range(2 * n - 1)], root=0)
+    td = TreeDecomposition(bags, range(1, 2 * n))
     k = 5
     ccav = twdp.ccav_tw_dp(Instance(e, CCAV, k, 0), td)
     assert ccav.opt_score == ccav_deg2(Instance(e, CCAV, k, 0)).opt_score == 2 * k
