@@ -12,8 +12,10 @@ from fractions import Fraction
 from . import portfolio, reductions
 from .core import (
     compute_params,
+    format_election,
     format_instance,
     FormatError,
+    Instance,
     parse_instance,
     score,
 )
@@ -28,10 +30,28 @@ EXIT_BUDGET = 3
 # each entry checks the route's rule and degree gate before it runs
 ALGOS = {solver.algo: solver for solver in portfolio.SOLVERS if solver.algo}
 
+# each reduce --from source's converter, as (n, edges, kappa, ell) -> Instance
+REDUCTIONS = {
+    "vc": lambda n, edges, kappa, ell: reductions.vc_to_mav(n, edges, kappa),
+    "ids": lambda n, edges, kappa, ell: reductions.ids_to_ccav(n, edges, kappa),
+    "mvs": reductions.mvs_to_pav,
+    "pvc": reductions.pvc_to_ccav,
+}
+
 
 def _read_instance(path):
     with open(path, encoding="utf-8") as fh:
         return parse_instance(fh.read())
+
+
+def _write(text, path):
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_YES
 
 
 def cmd_solve(args):
@@ -73,44 +93,20 @@ def cmd_gen(args):
         m=args.m, n=args.n, max_dv=args.max_dv, max_dc=args.max_dc
     )
     election = portfolio.generate(config, args.seed)
-    from .core import format_election
-
     text = format_election(election)
     if args.rule is not None:
-        from .core import Instance
-
         d = Fraction(args.d) if args.d is not None else Fraction(0)
         text = format_instance(
             Instance(election=election, rule=args.rule, k=args.k, d=d)
         )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_YES
+    return _write(text, args.out)
 
 
 def cmd_reduce(args):
     with open(args.graphfile, encoding="utf-8") as fh:
         n, edges = reductions.parse_graph(fh.read())
-    if args.source == "vc":
-        instance = reductions.vc_to_mav(n, edges, args.kappa)
-    elif args.source == "ids":
-        instance = reductions.ids_to_ccav(n, edges, args.kappa)
-    elif args.source == "mvs":
-        instance = reductions.mvs_to_pav(n, edges, args.kappa, args.ell)
-    elif args.source == "pvc":
-        instance = reductions.pvc_to_ccav(n, edges, args.kappa, args.ell)
-    else:
-        raise ValueError(f"unknown reduction {args.source!r}")
-    text = format_instance(instance)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_YES
+    instance = REDUCTIONS[args.source](n, edges, args.kappa, args.ell)
+    return _write(format_instance(instance), args.out)
 
 
 def cmd_verify(args):
@@ -122,13 +118,7 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
-    text = portfolio.bench(args.dir)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_YES
+    return _write(portfolio.bench(args.dir), args.csv)
 
 
 def build_parser():
@@ -167,7 +157,7 @@ def build_parser():
 
     p = sub.add_parser("reduce", help="convert a graph problem to an instance")
     p.add_argument("graphfile")
-    p.add_argument("--from", dest="source", choices=("vc", "ids", "mvs", "pvc"), required=True)
+    p.add_argument("--from", dest="source", choices=tuple(REDUCTIONS), required=True)
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--ell", type=int, default=0)
     p.add_argument("--out", default=None)

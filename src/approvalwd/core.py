@@ -229,7 +229,8 @@ def meets_threshold(rule, value, d):
 def answer(instance, algorithm, stats, witness=None, opt=None, *, optimal=False):
     """A route's SolveResult, built once its witness passes the one exact check.
 
-    Every route returns through here.  No witness means "no", except for a
+    Every route, each called with the Instance it answers, and dispatch's
+    score bound return through here.  No witness means "no", except for a
     route that claims an optimum (``opt``, or ``optimal``): there it raises.
     A witness must be k distinct candidates of [0, m); it is re-scored once
     with ``score``, the re-score must lie in the rule's range, and a decision
@@ -332,7 +333,20 @@ def _content_lines(text):
     return [line for line in text.splitlines() if not line.startswith("#")]
 
 
-def _parse_vote_lines(lines, m, n):
+def _parse_election_lines(lines):
+    """The election of an `m n` header line and one vote line per vote, from
+    content lines; no lines at all read as an empty header."""
+    head = lines[0] if lines else ""
+    header = head.split()
+    if len(header) != 2:
+        raise FormatError(f"bad header {head!r}")
+    try:
+        m, n = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise FormatError(f"bad header {head!r}") from exc
+    if m < 0 or n < 0:
+        raise FormatError("negative m or n")
+    lines = lines[1:]
     if len(lines) < n:
         raise FormatError(f"expected {n} vote lines, found {len(lines)}")
     if len(lines) > n:
@@ -360,16 +374,7 @@ def parse_election(text):
     lines = _content_lines(text)
     if not lines:
         raise FormatError("empty election file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FormatError(f"bad header {lines[0]!r}")
-    try:
-        m, n = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise FormatError(f"bad header {lines[0]!r}") from exc
-    if m < 0 or n < 0:
-        raise FormatError("negative m or n")
-    return _parse_vote_lines(lines[1:], m, n)
+    return _parse_election_lines(lines)
 
 
 def format_election(election):
@@ -395,7 +400,7 @@ def parse_instance(text):
         d = Fraction(int(fields[2]), int(fields[3]))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad instance header {lines[0]!r}") from exc
-    election = parse_election("\n".join(lines[1:]) + "\n")
+    election = _parse_election_lines(lines[1:])
     try:
         return Instance(election=election, rule=rule, k=k, d=d)
     except ValueError as exc:

@@ -4,14 +4,15 @@ One class-count search (standing in for the ILP machinery) behind the MAV,
 annotated PAV and matching-parameter solvers, vote pruning for MAV, the
 set-packing route for MAV in the dual parameter, and branch and bound for CCAV
 and PAV.  Every search runs on one explicit-stack driver, so none recurses.
-The exhaustive route, for every rule, is one more such search.
+The exhaustive route, for every rule, is one more such search.  Every route
+takes the ``core.Instance`` it answers; the forced set of annotated PAV
+belongs to its search, ``_pav_class_search``, not to an instance.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -20,7 +21,6 @@ from .core import (
     checked_witness,
     class_partition,
     fill_committee,
-    Instance,
     MAV,
     PAV,
     scaled_harmonics,
@@ -28,23 +28,6 @@ from .core import (
 from .oracle import BudgetExceededError
 
 CLASS_VOTE_BUDGET = 16  # the most votes a class-count route considers
-
-
-@dataclass(frozen=True)
-class AnnotatedPavInstance:
-    """PAV winner determination with a forced committee subset."""
-
-    election: object
-    forced: frozenset
-    k: int
-    d: Fraction
-
-    def __post_init__(self):
-        if not len(self.forced) <= self.k <= self.election.m:
-            raise ValueError("need |forced| <= k <= m")
-        if any(not 0 <= c < self.election.m for c in self.forced):
-            raise ValueError(f"forced candidates outside [0, {self.election.m})")
-        object.__setattr__(self, "d", Fraction(self.d))
 
 
 # ---------------------------------------------------------------------------
@@ -317,30 +300,24 @@ def ccav_bb_dual(instance):
 # Annotated PAV via class counts
 # ---------------------------------------------------------------------------
 
-def pav_annotated(ann, decide=False):
-    """Exact annotated PAV optimum by search over per-class selection counts.
+def pav_annotated(instance, decide=False):
+    """Exact PAV optimum by the annotated PAV search over every vote, nothing forced.
 
     With ``decide`` the search stops at the first committee that scores d and
     reports no optimum; no such committee means "no".
     """
-    e, k = ann.election, ann.k
-    instance = Instance(e, PAV, k, ann.d)
-    solve = _pav_class_search(e, range(e.n), k)
+    e, k = instance.election, instance.k
     scale = scaled_harmonics(k)[0]
-    if decide:
-        _, witness, nodes = solve(ann.forced, math.ceil(ann.d * scale))
-        if witness is not None:
-            checked_witness(witness, ann.forced.issubset, "pav_annotated forced set")
-        return answer(instance, "pav_annotated", {"nodes": nodes}, witness)
-    value, witness, nodes = solve(ann.forced)
-    witness = checked_witness(witness, ann.forced.issubset, "pav_annotated forced set")
+    need = math.ceil(instance.d * scale) if decide else None
+    value, witness, nodes = _pav_class_search(e, range(e.n), k)(frozenset(), need)
     # the exact re-score guards the search's scaled integer values
-    return answer(instance, "pav_annotated", {"nodes": nodes}, witness, Fraction(value, scale))
+    opt = None if decide else Fraction(value, scale)
+    return answer(instance, "pav_annotated", {"nodes": nodes}, witness, opt)
 
 
 def _pav_class_search(e, votes, k):
     """``solve(forced, need=None)``: the annotated PAV search for k-committees
-    over votes of e.
+    over votes of e that hold the set ``forced``.
 
     The candidates are classed by ``class_partition(e, votes)``, so only the
     votes listed count towards a score.  The partition, the count search and
@@ -349,7 +326,7 @@ def _pav_class_search(e, votes, k):
     forced set (None if no count vector exists) and the nodes visited.  Given
     ``need``, a scaled value, it stops at the first witness whose value
     reaches need (None if none does), and the value it returns is only
-    whether one did.
+    whether one did.  A witness without the forced set raises InternalError.
     """
     if len(votes) > CLASS_VOTE_BUDGET:
         raise BudgetExceededError(f"n={len(votes)} exceeds budget {CLASS_VOTE_BUDGET}")
@@ -363,8 +340,13 @@ def _pav_class_search(e, votes, k):
 
     def solve(forced, need=None):
         if need is None:
-            return search(k, bound, forced)
-        return search(k, lambda *node: bound(*node) >= need, forced, floor=False, goal=True)
+            value, witness, nodes = search(k, bound, forced)
+        else:
+            value, witness, nodes = search(k, lambda *node: bound(*node) >= need, forced,
+                                           floor=False, goal=True)
+        if witness is not None:
+            checked_witness(witness, forced.issubset, "annotated PAV forced set")
+        return value, witness, nodes
 
     return solve
 

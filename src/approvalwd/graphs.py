@@ -2,13 +2,13 @@
 
 Vertices are nonnegative integers throughout, and a graph is its adjacency
 mapping: each vertex maps to the set of its neighbours.  The incidence graph
-of an election uses 0..m-1 for candidates and m..m+n-1 for votes.
+of an election uses 0..m-1 for candidates and m..m+n-1 for votes; its vote
+multigraph is a tuple of edges over the votes, read beside the vote count n.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .core import checked_witness
 
@@ -147,26 +147,13 @@ def _mates(adj):
 # Multigraph representation of an election (votes = vertices, candidates = edges)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultigraphRep:
-    """Hypergraph of an election: edge per candidate, endpoints = approving votes.
-
-    With every candidate approved by at most two votes this is a multigraph
-    with loops; endpoints tuples then have length 0, 1, or 2.
-    """
-
-    n: int
-    edges: tuple  # edges[c] = sorted tuple of vote indices approving candidate c
-
-    @property
-    def m(self):
-        return len(self.edges)
-
-
 def multigraph_rep(election):
     """The vote multigraph: each candidate's edge joins the votes in V(c).
 
-    Raises ValueError when a candidate is approved by more than two votes.
+    Returns the tuple of edges, edges[c] the increasing tuple of the votes
+    approving candidate c: with every candidate approved by at most two votes
+    a multigraph with loops, whose edges have 0, 1 or 2 endpoints.  Raises
+    ValueError when a candidate is approved by more than two votes.
     """
     edges = election.approver_sets()
     for c, endpoints in enumerate(edges):
@@ -174,7 +161,7 @@ def multigraph_rep(election):
             raise ValueError(
                 f"candidate {c} approved by {len(endpoints)} votes; not a multigraph"
             )
-    return MultigraphRep(n=election.n, edges=tuple(map(tuple, edges)))
+    return tuple(map(tuple, edges))
 
 
 def _find(parent, x):
@@ -185,15 +172,16 @@ def _find(parent, x):
     return x
 
 
-def multigraph_components(mg):
-    """Connected components of the vote vertices, plus zero-endpoint candidates.
+def multigraph_components(n, edges):
+    """Connected components of the n vote vertices of the vote multigraph
+    ``edges``, plus zero-endpoint candidates.
 
     Returns (components, free_candidates) where each component is a pair
     (frozenset of vote indices, tuple of candidate indices).
     """
-    parent = list(range(mg.n))
+    parent = list(range(n))
     free = []
-    for c, endpoints in enumerate(mg.edges):
+    for c, endpoints in enumerate(edges):
         if not endpoints:
             free.append(c)
         else:
@@ -201,10 +189,10 @@ def multigraph_components(mg):
             for v in endpoints[1:]:
                 parent[_find(parent, v)] = r
     groups = {}
-    for v in range(mg.n):
+    for v in range(n):
         groups.setdefault(_find(parent, v), []).append(v)
     cands = {}
-    for c, endpoints in enumerate(mg.edges):
+    for c, endpoints in enumerate(edges):
         if endpoints:
             cands.setdefault(_find(parent, endpoints[0]), []).append(c)
     comps = [

@@ -8,7 +8,8 @@ k-way merge of the components' marginal gains).
 CCAV and PAV read their committees off one matching-first candidate order of
 the vote multigraph: each j-prefix of the order, or of a component's part of
 it, is an optimal j-committee, so one maximum matching per election serves
-every committee size.
+every committee size.  Every route takes the ``core.Instance`` it answers
+and returns through ``core.answer``.
 """
 
 from __future__ import annotations
@@ -22,15 +23,16 @@ from . import graphs
 from .core import answer, fill_committee, scaled_harmonics
 
 
-def av_optimal(election, k):
+def av_optimal(instance):
     """The k candidates with most approvals, ties by smallest index.
 
     With every vote approving at most one candidate this committee is
     simultaneously optimal under MAV, CCAV, and PAV.
     """
-    counts = election.approver_counts
-    order = sorted(range(election.m), key=lambda c: (-counts[c], c))
-    return tuple(sorted(order[:k]))
+    e = instance.election
+    counts = e.approver_counts
+    order = sorted(range(e.m), key=lambda c: (-counts[c], c))
+    return answer(instance, "av_optimal", {}, order[: instance.k], optimal=True)
 
 
 def mav_deg2(instance):
@@ -49,16 +51,13 @@ def mav_deg2(instance):
     if not kept:
         return answer(instance, "mav_deg2", {"kept_votes": 0}, range(k))
     pos = {j: i for i, j in enumerate(kept)}
-    edges = [
-        tuple(pos[j] for j in endpoints if j in pos)
-        for endpoints in graphs.multigraph_rep(e).edges
-    ]
+    edges = [tuple(pos[j] for j in ends if j in pos) for ends in graphs.multigraph_rep(e)]
     f = [(len(e.votes[j]) + k - d + 1) // 2 for j in kept]
     cover = graphs.simple_b_edge_cover_exact(len(kept), edges, f, k)
     return answer(instance, "mav_deg2", {"kept_votes": len(kept)}, cover)
 
 
-def _matching_order(mg, cands):
+def _matching_order(n, edges, cands):
     """Matching-first order of ``cands`` (increasing) and its matching size.
 
     Loops are dropped and each set of parallel candidate-edges is kept as its
@@ -67,11 +66,11 @@ def _matching_order(mg, cands):
     candidate, and the rest by index.  No two unmatched votes share a
     candidate, or the matching would not be maximum.
     """
-    adj = [[] for _ in range(mg.n)]
-    smallest = [-1] * mg.n
+    adj = [[] for _ in range(n)]
+    smallest = [-1] * n
     pairs = {}
     for c in cands:
-        ends = mg.edges[c]
+        ends = edges[c]
         for v in ends:
             if smallest[v] < 0:
                 smallest[v] = c
@@ -98,7 +97,7 @@ def ccav_deg2(instance):
     committee.
     """
     e = instance.election
-    order, matched = _matching_order(graphs.multigraph_rep(e), range(e.m))
+    order, matched = _matching_order(e.n, graphs.multigraph_rep(e), range(e.m))
     return answer(instance, "ccav_deg2", {"matching": matched}, order[: instance.k], optimal=True)
 
 
@@ -145,10 +144,10 @@ def pav_deg22(instance):
     e = instance.election
     if any(len(v) > 2 for v in e.votes):
         raise ValueError("a vote approves more than two candidates")
-    mg = graphs.multigraph_rep(e)
+    edges = graphs.multigraph_rep(e)
     root = list(range(e.n))
     pairs, loops, free = [], [], []
-    for c, ends in enumerate(mg.edges):
+    for c, ends in enumerate(edges):
         if len(ends) == 2:
             pairs.append(c)
             root[graphs._find(root, ends[1])] = graphs._find(root, ends[0])
@@ -161,8 +160,8 @@ def pav_deg22(instance):
     cov = [0] * e.n
     # per component: (-gain, candidate) in order, after the free candidates
     profiles = [[(0, c) for c in free]] + [[] for _ in ids]
-    for c in _matching_order(mg, pairs)[0] + loops:
-        ends = mg.edges[c]
+    for c in _matching_order(e.n, edges, pairs)[0] + loops:
+        ends = edges[c]
         gain = 0
         for v in ends:
             gain += hsum[cov[v] + 1] - hsum[cov[v]]

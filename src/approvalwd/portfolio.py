@@ -131,9 +131,7 @@ SOLVERS = (
     # dispatch's last resort, never ranked: see dispatch
     Solver("exhaustive", "exhaustive", None, lambda inst, p: fpt.exhaustive(inst)),
     # the polynomial routes, in the order dispatch tries them
-    Solver("av", "av_optimal", None,
-           lambda inst, p: answer(inst, "av_optimal", {},
-                                  poly.av_optimal(inst.election, inst.k), optimal=True),
+    Solver("av", "av_optimal", None, lambda inst, p: poly.av_optimal(inst),
            degrees=lambda dv, dc: dv <= 1),
     Solver("mav-deg2", "mav_deg2", MAV, lambda inst, p: poly.mav_deg2(inst),
            degrees=lambda dv, dc: dc <= 2),
@@ -165,13 +163,9 @@ SOLVERS = (
            cost=_tw_cost(lambda k, width: 2 * (k + 1))),
     Solver("pav-bb", "pav_bb_dv", PAV, lambda inst, p: fpt.pav_bb_dv(inst),
            cost=_pav_bb_cost),
-    Solver(None, "pav_annotated", PAV,
-           lambda inst, p: fpt.pav_annotated(
-               fpt.AnnotatedPavInstance(inst.election, frozenset(), inst.k, inst.d)),
+    Solver(None, "pav_annotated", PAV, lambda inst, p: fpt.pav_annotated(inst),
            cost=_class_cost(2, lambda inst, p: p.n),
-           decide=lambda inst, p: fpt.pav_annotated(
-               fpt.AnnotatedPavInstance(inst.election, frozenset(), inst.k, inst.d),
-               decide=True)),
+           decide=lambda inst, p: fpt.pav_annotated(inst, decide=True)),
     Solver("pav-matching", "pav_by_matching", PAV,
            lambda inst, p: fpt.pav_by_matching(inst, p.matching),
            cost=_class_cost(4, lambda inst, p: p.alpha)),

@@ -417,7 +417,7 @@ def classify_component(vertices, edges):
     return "other"
 
 
-def reference_matching_order(mg, votes, cands):
+def reference_matching_order(edges, votes, cands):
     """The matching-first order of ``poly._matching_order``, over the votes
     ``votes`` only, from an adjacency mapping of the candidate pairs and
     ``graphs.max_matching`` on it.
@@ -430,7 +430,7 @@ def reference_matching_order(mg, votes, cands):
     pairs = {}
     smallest = {}
     for c in cands:
-        endpoints = mg.edges[c]
+        endpoints = edges[c]
         for v in endpoints:
             smallest.setdefault(v, c)
         if len(endpoints) == 2:
@@ -444,7 +444,7 @@ def reference_matching_order(mg, votes, cands):
     return order, len(matching)
 
 
-def pav_component_order(mg, votes, cands, kind):
+def pav_component_order(edges, votes, cands, kind):
     """Order of one component's candidates whose j-prefix is an optimal j-committee,
     from a matching of that component alone.
 
@@ -453,9 +453,9 @@ def pav_component_order(mg, votes, cands, kind):
     """
     if kind not in ("path", "cycle", "hairstick", "dh-hairstick"):
         raise ValueError(f"cannot optimize component kind {kind!r}")
-    loops = [c for c in cands if len(mg.edges[c]) == 1]
-    rest = [c for c in cands if len(mg.edges[c]) == 2]
-    return reference_matching_order(mg, votes, rest)[0] + loops
+    loops = [c for c in cands if len(edges[c]) == 1]
+    rest = [c for c in cands if len(edges[c]) == 2]
+    return reference_matching_order(edges, votes, rest)[0] + loops
 
 
 def reference_pav_deg22(instance):
@@ -466,18 +466,18 @@ def reference_pav_deg22(instance):
     """
     e = instance.election
     k = instance.k
-    mg = graphs.multigraph_rep(e)
-    comps, free = graphs.multigraph_components(mg)
+    edges = graphs.multigraph_rep(e)
+    comps, free = graphs.multigraph_components(e.n, edges)
 
     tables = []  # per component: list of (score, committee) indexed by j'
     for votes, cands in comps:
-        kind = classify_component(votes, {c: mg.edges[c] for c in cands})
-        order = pav_component_order(mg, votes, cands, kind)
+        kind = classify_component(votes, {c: edges[c] for c in cands})
+        order = pav_component_order(edges, votes, cands, kind)
         cov = dict.fromkeys(votes, 0)
         s = Fraction(0)
         rows = [(s, ())]
         for jj, c in enumerate(order, 1):
-            for v in mg.edges[c]:
+            for v in edges[c]:
                 cov[v] += 1
                 s += Fraction(1, cov[v])
             rows.append((s, tuple(sorted(order[:jj]))))

@@ -140,10 +140,9 @@ def test_criterion_2_poly_case_conformance(capsys):
         # deltaV <= 1: AV committee optimal under all three rules at once
         e = random_election(rng, max_m=6, max_n=6, max_dv=1)
         k = rng.randint(0, e.m)
-        w = poly.av_optimal(e, k)
         for rule in RULES:
-            opt = brute_force(Instance(election=e, rule=rule, k=k, d=0)).opt_score
-            if score(e, rule, w) != opt:
+            inst = Instance(election=e, rule=rule, k=k, d=0)
+            if poly.av_optimal(inst).opt_score != brute_force(inst).opt_score:
                 failures.append(("av_optimal", rule, format_election(e), k))
 
         # deltaC <= 2: MAV and CCAV special solvers

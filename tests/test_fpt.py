@@ -19,7 +19,7 @@ from approvalwd import (
     score,
 )
 from approvalwd.fpt import (
-    AnnotatedPavInstance,
+    _pav_class_search,
     ccav_bb_dual,
     exhaustive,
     grsp_solve,
@@ -153,45 +153,65 @@ def test_ccav_bb_dual_sweep_and_node_bound():
             assert res.stats["nodes"] <= bound
 
 
-def test_pav_annotated_examples():
-    res = pav_annotated(
-        AnnotatedPavInstance(e1(), frozenset(), 2, Fraction(7, 2))
+def _annotated(e, k, forced, need=None):
+    """(optimum or whether need was reached, witness as a sorted tuple, nodes)
+    of the annotated PAV search over every vote of e, the optimum a Fraction."""
+    value, witness, nodes = _pav_class_search(e, range(e.n), k)(frozenset(forced), need)
+    if need is None and value is not None:
+        value = Fraction(value, core.scaled_harmonics(k)[0])
+    return value, None if witness is None else tuple(sorted(witness)), nodes
+
+
+def _drop_the_forced_set(monkeypatch):
+    """Patch the class-count search to search as if nothing were forced."""
+    search = fpt._count_search
+    monkeypatch.setattr(
+        fpt, "_count_search",
+        lambda classes, nv: lambda k, bound, forced=frozenset(), **kw: search(classes, nv)(
+            k, bound, **kw),
     )
+
+
+def test_pav_annotated_examples():
+    res = pav_annotated(Instance(e1(), PAV, 2, Fraction(7, 2)))
     assert res.decision and res.witness == (0, 1)
-    res = pav_annotated(AnnotatedPavInstance(e1(), frozenset({2}), 2, Fraction(0)))
-    assert res.opt_score == 3 and 2 in res.witness
-    # fully forced committee: decision is just a score check
+    opt, witness, _ = _annotated(e1(), 2, {2})
+    assert opt == 3 and 2 in witness
+    # fully forced committee: the one committee, reaching a need or not
     w = frozenset({0, 2})
-    s = score(e1(), PAV, w)
-    assert pav_annotated(AnnotatedPavInstance(e1(), w, 2, s)).decision
-    assert not pav_annotated(AnnotatedPavInstance(e1(), w, 2, s + 1)).decision
-    with pytest.raises(ValueError):
-        AnnotatedPavInstance(e1(), frozenset({0, 1}), 1, Fraction(0))
-
-
-def test_annotated_pav_rejects_forced_candidates_out_of_range():
-    # a forced candidate outside [0, m) could only be dropped from the answer
-    e = Election(3, ({0, 1}, {1, 2}, {2}))
-    for forced in ({99}, {3}, {-1}, {0, 3}):
-        with pytest.raises(ValueError, match="outside"):
-            AnnotatedPavInstance(e, frozenset(forced), 2, 0)
+    s = score(e1(), PAV, w) * core.scaled_harmonics(2)[0]
+    assert _annotated(e1(), 2, w, s)[:2] == (True, (0, 2))
+    assert _annotated(e1(), 2, w, s + 1)[:2] == (False, None)
+    # more forced than k: no committee holds them
+    assert _annotated(e1(), 1, {0, 1})[:2] == (None, None)
 
 
 def test_pav_annotated_checks_its_forced_set(monkeypatch):
-    # a search that ignores the forced set answers with a committee that
-    # scores what it claims but leaves a forced candidate out
+    # a search that ignores the forced set finds a committee that scores
+    # what it claims but leaves a forced candidate out
+    # (the optimum, (1, 2), is the one committee that reaches 7 = 2 * 7/2)
     e = Election(3, ({0, 1}, {1, 2}, {2}))
-    search = fpt._pav_class_search
-    monkeypatch.setattr(
-        fpt, "_pav_class_search",
-        lambda e, votes, k: lambda forced: search(e, votes, k)(frozenset()),
-    )
-    assert pav_annotated(AnnotatedPavInstance(e, frozenset({1}), 2, 0)).witness == (1, 2)
-    with pytest.raises(core.InternalError, match="pav_annotated forced set"):
-        pav_annotated(AnnotatedPavInstance(e, frozenset({0}), 2, 0))
+    _drop_the_forced_set(monkeypatch)
+    for need in (None, 7):
+        assert _annotated(e, 2, {1}, need)[1] == (1, 2)
+    for need in (None, 7):
+        with pytest.raises(core.InternalError, match="annotated PAV forced set"):
+            _annotated(e, 2, {0}, need)
+
+
+def test_pav_by_matching_checks_its_forced_sets(monkeypatch):
+    # pav_by_matching forces each guessed intersection with the matched
+    # candidates on the annotated PAV search: a search that drops it is caught
+    # there, before the answer's re-score
+    inst = Instance(e1(), PAV, 2, 0)
+    assert pav_by_matching(inst).witness == (0, 1)
+    _drop_the_forced_set(monkeypatch)
+    with pytest.raises(core.InternalError, match="annotated PAV forced set"):
+        pav_by_matching(inst)
 
 
 def test_pav_annotated_matches_constrained_oracle():
+    # the annotated PAV search against every k-committee that holds the forced set
     rng = random.Random(45)
     import itertools
 
@@ -199,7 +219,7 @@ def test_pav_annotated_matches_constrained_oracle():
         e = random_election(rng, max_m=5, max_n=5)
         k = rng.randint(0, e.m)
         forced = frozenset(rng.sample(range(e.m), rng.randint(0, k)))
-        res = pav_annotated(AnnotatedPavInstance(e, forced, k, Fraction(0)))
+        opt, witness, _ = _annotated(e, k, forced)
         best = max(
             (
                 score(e, PAV, w)
@@ -208,9 +228,9 @@ def test_pav_annotated_matches_constrained_oracle():
             ),
             default=None,
         )
-        assert res.opt_score == best
-        if res.witness is not None:
-            assert forced <= set(res.witness)
+        assert opt == best
+        if witness is not None:
+            assert forced <= set(witness) and score(e, PAV, witness) == opt
 
 
 def test_pav_annotated_monotone_in_forced():
@@ -220,10 +240,10 @@ def test_pav_annotated_monotone_in_forced():
         if e.m == 0:
             continue
         k = rng.randint(1, e.m)
-        free = pav_annotated(AnnotatedPavInstance(e, frozenset(), k, Fraction(0)))
+        free = pav_annotated(Instance(e, PAV, k, Fraction(0)))
+        assert _annotated(e, k, ())[:2] == (free.opt_score, free.witness)
         forced = frozenset(rng.sample(range(e.m), rng.randint(0, k)))
-        res = pav_annotated(AnnotatedPavInstance(e, forced, k, Fraction(0)))
-        assert res.opt_score <= free.opt_score
+        assert _annotated(e, k, forced)[0] <= free.opt_score
 
 
 def test_pav_path_state_matches_the_gains_and_score_from_scratch():
@@ -370,9 +390,13 @@ _PINNED_BY_MATCHING = [
 @pytest.mark.parametrize("seed,k,forced,decision,opt,witness,nodes", _PINNED_ANNOTATED)
 def test_pav_annotated_pinned(seed, k, forced, decision, opt, witness, nodes):
     e = generate(GeneratorConfig(m=8 + seed % 5, n=8 + seed % 7, max_dv=4, max_dc=4), seed)
-    res = pav_annotated(AnnotatedPavInstance(e, frozenset(forced), k, Fraction(3 * seed, 2)))
-    assert (res.decision, res.opt_score, res.witness) == (decision, Fraction(opt), witness)
-    assert res.stats == {"nodes": nodes}
+    d = Fraction(3 * seed, 2)
+    value, found, visited = _annotated(e, k, forced)
+    assert (value >= d, value, found, visited) == (decision, Fraction(opt), witness, nodes)
+    if not forced:
+        res = pav_annotated(Instance(e, PAV, k, d))
+        assert (res.decision, res.opt_score, res.witness) == (decision, Fraction(opt), witness)
+        assert res.stats == {"nodes": nodes}
 
 
 @pytest.mark.parametrize("seed,k,decision,opt,witness,subinstances", _PINNED_BY_MATCHING)
@@ -650,8 +674,7 @@ def _decision_forms(inst):
     if inst.rule == MAV:
         forms["mav_k_deltac"] = lambda: mav_k_deltac(inst, decide=True)
     if inst.rule == PAV:
-        forms["pav_annotated"] = lambda: pav_annotated(
-            AnnotatedPavInstance(inst.election, frozenset(), inst.k, inst.d), decide=True)
+        forms["pav_annotated"] = lambda: pav_annotated(inst, decide=True)
     return forms
 
 

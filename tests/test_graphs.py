@@ -87,7 +87,7 @@ def test_max_matching_equals_the_reference():
     for seed in range(200):
         e = generate(GeneratorConfig(m=rng.randint(1, 40), n=rng.randint(1, 40),
                                      max_dv=rng.randint(1, 6), max_dc=2), seed)
-        pairs = [ends for ends in multigraph_rep(e).edges if len(ends) == 2]
+        pairs = [ends for ends in multigraph_rep(e) if len(ends) == 2]
         cases.append(adjacency(range(e.n), set(pairs)))
     # general graphs, whose odd cycles make blossoms
     cases += [_random_simple_graph(rng, max_n=30, p=rng.choice((0.05, 0.1, 0.2, 0.4)))
@@ -145,9 +145,9 @@ def test_bipartite_koenig():
 
 
 def test_multigraph_rep_and_components():
-    mg = multigraph_rep(e1())
-    assert mg.edges == ((0, 2), (0, 1), (1,))
-    comps, free = multigraph_components(mg)
+    edges = multigraph_rep(e1())
+    assert edges == ((0, 2), (0, 1), (1,))
+    comps, free = multigraph_components(3, edges)
     assert free == ()
     assert comps == [(frozenset({0, 1, 2}), (0, 1, 2))]
     with pytest.raises(ValueError, match="candidate 0 approved by 3 votes; not a multigraph"):
@@ -168,10 +168,10 @@ def test_classify_never_other_when_degrees_le_2():
     rng = random.Random(13)
     for _ in range(100):
         e = random_election(rng, max_dv=2, max_dc=2)
-        mg = multigraph_rep(e)
-        comps, _ = multigraph_components(mg)
+        edges = multigraph_rep(e)
+        comps, _ = multigraph_components(e.n, edges)
         for votes, cands in comps:
-            kind = classify_component(votes, {c: mg.edges[c] for c in cands})
+            kind = classify_component(votes, {c: edges[c] for c in cands})
             assert kind in ("path", "cycle", "hairstick", "dh-hairstick")
 
 

@@ -53,10 +53,11 @@ def _check_against_oracle(inst, res):
 
 def test_av_optimal_examples():
     e = Election(m=2, votes=(frozenset({0}), frozenset({0}), frozenset({1})))
-    assert av_optimal(e, 1) == (0,)
-    assert av_optimal(e, 0) == ()
+    res = av_optimal(Instance(e, CCAV, 1, 2))
+    assert (res.decision, res.opt_score, res.witness, res.algorithm) == (True, 2, (0,), "av_optimal")
+    assert av_optimal(Instance(e, MAV, 0, 0)).witness == ()
     e2 = Election(m=2, votes=(frozenset({0}), frozenset({1})))
-    assert av_optimal(e2, 2) == (0, 1)
+    assert av_optimal(Instance(e2, PAV, 2, 3)).witness == (0, 1)
 
 
 def test_av_optimal_simultaneous():
@@ -64,9 +65,10 @@ def test_av_optimal_simultaneous():
     for _ in range(100):
         e = random_election(rng, max_dv=1)
         k = rng.randint(0, e.m)
-        w = av_optimal(e, k)
+        w = av_optimal(Instance(e, RULES[0], k, 0)).witness
         for rule in RULES:
             truth = brute_force(Instance(election=e, rule=rule, k=k, d=0))
+            assert av_optimal(Instance(e, rule, k, 0)).opt_score == truth.opt_score
             assert score(e, rule, w) == truth.opt_score
 
 
@@ -105,10 +107,10 @@ def _component_score(e, votes, w):
 
 
 def _components(e):
-    mg = multigraph_rep(e)
-    comps, _ = multigraph_components(mg)
+    edges = multigraph_rep(e)
+    comps, _ = multigraph_components(e.n, edges)
     for votes, cands in comps:
-        yield votes, cands, classify_component(votes, {c: mg.edges[c] for c in cands})
+        yield votes, cands, classify_component(votes, {c: edges[c] for c in cands})
 
 
 def test_pav_component_optimal_examples():
@@ -155,9 +157,9 @@ def test_pav_component_gains_never_increase_along_the_order():
     profiles = 0
     for _ in range(2000):
         e = random_election(rng, max_m=10, max_n=10, max_dv=2, max_dc=2)
-        mg = multigraph_rep(e)
+        edges = multigraph_rep(e)
         for votes, cands, kind in _components(e):
-            order = pav_component_order(mg, votes, cands, kind)
+            order = pav_component_order(edges, votes, cands, kind)
             s = [_component_score(e, votes, order[:j]) for j in range(len(order) + 1)]
             gains = [b - a for a, b in zip(s, s[1:])]
             assert all(g >= h for g, h in zip(gains, gains[1:])), (e, votes, order)
@@ -240,7 +242,7 @@ def test_witness_check_survives_optimisation():
         cases = [
             (poly.pav_deg22, Instance(e, PAV, 2, 0)),
             (poly.mav_deg2, Instance(e, MAV, 1, 2)),
-            (fpt.pav_annotated, fpt.AnnotatedPavInstance(e, frozenset(), 2, 0)),
+            (fpt.pav_annotated, Instance(e, PAV, 2, 0)),
         ]
         for solver, inst in cases:
             try:
@@ -336,30 +338,31 @@ def test_degree_two_elections_have_every_feature():
     # the elections the order and component tests below run on
     seen = Counter()
     for e in _degree_two_elections(41, 400):
-        mg = multigraph_rep(e)
-        pairs = [ends for ends in mg.edges if len(ends) == 2]
+        edges = multigraph_rep(e)
+        pairs = [ends for ends in edges if len(ends) == 2]
         seen["parallel"] += len(set(pairs)) < len(pairs)
-        seen["loop"] += any(len(ends) == 1 for ends in mg.edges)
-        seen["free"] += any(not ends for ends in mg.edges)
+        seen["loop"] += any(len(ends) == 1 for ends in edges)
+        seen["free"] += any(not ends for ends in edges)
         seen["empty vote"] += any(not v for v in e.votes)
         seen["odd cycle"] += any(
-            len(votes) % 2 and classify_component(votes, {c: mg.edges[c] for c in cands}) == "cycle"
+            len(votes) % 2 and classify_component(votes, {c: edges[c] for c in cands}) == "cycle"
             for votes, cands, _ in _components(e))
     assert min(seen[x] for x in ("parallel", "loop", "free", "empty vote", "odd cycle")) >= 20, seen
 
 
 def test_matching_order_equals_the_reference():
     for e in _degree_two_elections(41, 400):
-        mg = multigraph_rep(e)
-        pairs = [c for c, ends in enumerate(mg.edges) if len(ends) == 2]
+        edges = multigraph_rep(e)
+        pairs = [c for c, ends in enumerate(edges) if len(ends) == 2]
         for cands in (range(e.m), pairs):
-            assert _matching_order(mg, cands) == reference_matching_order(mg, range(e.n), cands)
+            assert _matching_order(e.n, edges, cands) == reference_matching_order(
+                edges, range(e.n), cands)
 
 
 def test_pav_deg22_counts_the_components_of_multigraph_components():
     rng = random.Random(42)
     for e in _degree_two_elections(41, 400) + [_five_cycles(5000)]:
-        comps, free = multigraph_components(multigraph_rep(e))
+        comps, free = multigraph_components(e.n, multigraph_rep(e))
         res = pav_deg22(Instance(e, PAV, rng.randint(0, e.m), 0))
         assert (res.stats["components"], res.stats["free"]) == (len(comps), len(free))
 

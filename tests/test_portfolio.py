@@ -46,7 +46,9 @@ from helpers import (
 
 def test_every_route_rechecks_its_witness_under_optimisation():
     # core.answer's re-score is an explicit check, not an assert that -O
-    # strips: with score broken, every route that returns a witness raises
+    # strips: with score broken, every route that returns a witness raises.
+    # So is the annotated PAV search's forced-set check: with a count search
+    # that drops the forced set, pav_by_matching raises naming it
     script = textwrap.dedent("""
         from fractions import Fraction
         from approvalwd import core, Election, fpt, Instance, portfolio
@@ -62,11 +64,11 @@ def test_every_route_rechecks_its_witness_under_optimisation():
             (s.name, lambda s=s: s(on_name.get(s.name) or on_rule[s.rule]))
             for s in portfolio.SOLVERS if s.algo not in ("auto", "brute")
         ]
-        cases.append(("forced", lambda: fpt.pav_annotated(
-            fpt.AnnotatedPavInstance(e, frozenset({0}), 2, 0))))
         bound = Instance(Election(3, ({0, 1}, {0, 1}, {0, 2})), "mav", 1, 3)
         cases.append(("score_bound", lambda: portfolio.dispatch(bound)))
         found = {name: run() for name, run in cases}
+        matching = core.compute_params(on_rule["pav"]).matching
+        forced = fpt.pav_by_matching(on_rule["pav"], matching)
         core.score = lambda *args: Fraction(10**9)
         for name, run in cases:
             try:
@@ -76,6 +78,15 @@ def test_every_route_rechecks_its_witness_under_optimisation():
                 raised = True
             res = found[name]
             print(name, res.algorithm, res.witness is not None, raised)
+        search = fpt._count_search
+        fpt._count_search = lambda classes, nv: lambda k, value, forced, **kw: search(
+            classes, nv)(k, value, **kw)
+        try:
+            fpt.pav_by_matching(on_rule["pav"], matching)
+            raised = False
+        except core.InternalError as exc:
+            raised = "annotated PAV forced set" in str(exc)
+        print("forced", forced.algorithm, forced.witness is not None, raised)
     """)
     src = os.path.dirname(os.path.dirname(portfolio.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -87,8 +98,8 @@ def test_every_route_rechecks_its_witness_under_optimisation():
     routes = [s.name for s in portfolio.SOLVERS if s.algo not in ("auto", "brute")]
     assert rows == [
         (name, algorithm, "True", "True")
-        for name, algorithm in zip(routes + ["forced", "score_bound"],
-                                   routes + ["pav_annotated", "score_bound"])
+        for name, algorithm in zip(routes + ["score_bound", "forced"],
+                                   routes + ["score_bound", "pav_by_matching"])
     ]
 
 
