@@ -31,7 +31,7 @@ def checked_witness(witness, accept, what):
     """``witness``, once ``accept(witness)``, the caller's exact re-check, passes.
 
     For the checks that are not committee checks, which ``answer`` makes:
-    a b-edge cover, a route's split invariant, a forced set.  They are
+    a b-edge cover and the matching split's invariant.  They are
     explicit checks that survive ``python -O``: a missing or rejected
     witness raises InternalError.
     """

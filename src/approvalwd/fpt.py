@@ -5,8 +5,8 @@ annotated PAV and matching-parameter solvers, vote pruning for MAV, the
 set-packing route for MAV in the dual parameter, and branch and bound for CCAV
 and PAV.  Every search runs on one explicit-stack driver, so none recurses.
 The exhaustive route, for every rule, is one more such search.  Every route
-takes the ``core.Instance`` it answers; the forced set of annotated PAV
-belongs to its search, ``_pav_class_search``, not to an instance.
+takes the ``core.Instance`` it answers.  Both matching routes fix the
+committee's matched part exactly and search the rest on one split.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ def _count_search(classes, nv):
     """The search over how many members of each candidate class join the committee.
 
     ``classes`` holds (vote positions, members) pairs over ``nv`` considered
-    votes.  The returned ``search(k, bound, forced, ...)`` walks the count
-    vectors x with sum x_i = k and each x_i between the forced members of class
-    i and all of them, largest counts first, keeping cov[j], the number of
-    committee members that vote j approves.
+    votes.  The returned ``search(k, bound, ...)`` walks the count vectors x
+    with sum x_i = k and each x_i at most the size of class i, largest counts
+    first, keeping cov[j], the number of committee members that vote j
+    approves.
 
     ``bound(cov, reach, rem)`` is a node's whole value: it caps the value of
     every completion of the node, where reach[j] is the coverage the remaining
@@ -71,9 +71,9 @@ def _count_search(classes, nv):
     a complete count vector it is the exact value.  Values are maximised: a
     node is cut when its bound does not beat the best value so far (``floor``
     before the first), and the search stops once a value equals ``goal``.
-    Returns (best value, committee, nodes visited): the committee takes x_i
-    members of class i, its forced ones first (members of one class score
-    alike), and is None when no count vector beats ``floor``.
+    Returns (best value, committee, nodes visited): the committee takes the
+    first x_i members of class i (members of one class score alike), and is
+    None when no count vector beats ``floor``.
     """
     nc = len(classes)
     caps = [len(members) for _, members in classes]
@@ -86,12 +86,7 @@ def _count_search(classes, nv):
             row[j] += caps[i]
         suffix_cov[i] = row
 
-    def search(k, bound, forced=frozenset(), floor=None, goal=None):
-        ordered = [sorted(members, key=lambda c: c not in forced) for _, members in classes]
-        mins = [sum(c in forced for c in members) for _, members in classes]
-        suffix_min = [0] * (nc + 1)
-        for i in range(nc - 1, -1, -1):
-            suffix_min[i] = suffix_min[i + 1] + mins[i]
+    def search(k, bound, floor=None, goal=None):
         best_value, best = floor, None
         counts = [0] * nc
         cov = [0] * nv
@@ -100,19 +95,14 @@ def _count_search(classes, nv):
             # classes before i are counted; True once a value reaches goal
             nonlocal best_value, best
             value = bound(cov, suffix_cov[i], rem)
-            if best_value is not None and value <= best_value:
+            if best_value is not None and value <= best_value or rem > suffix_cap[i]:
                 return False
             if i == nc:
-                if rem:
-                    return False
                 best_value = value
-                best = [c for row, x in zip(ordered, counts) for c in row[:x]]
+                best = [c for (_, members), x in zip(classes, counts) for c in members[:x]]
                 return value == goal
-            if not suffix_min[i] <= rem <= suffix_cap[i]:
-                return False
             support = classes[i][0]
-            lo = max(mins[i], rem - suffix_cap[i + 1])
-            for x in range(min(caps[i], rem - suffix_min[i + 1]), lo - 1, -1):
+            for x in range(min(caps[i], rem), max(0, rem - suffix_cap[i + 1]) - 1, -1):
                 counts[i] = x
                 for j in support:
                     cov[j] += x
@@ -127,6 +117,13 @@ def _count_search(classes, nv):
         return best_value, best, nodes
 
     return search
+
+
+def _vote_class_search(e, votes):
+    """The count search over e's candidates classed by at most CLASS_VOTE_BUDGET votes."""
+    if len(votes) > CLASS_VOTE_BUDGET:
+        raise BudgetExceededError(f"{len(votes)} votes exceeds budget {CLASS_VOTE_BUDGET}")
+    return _count_search(class_partition(e, votes), len(votes))
 
 
 def mav_by_classes(instance):
@@ -158,10 +155,8 @@ def _mav_class_search(instance, considered, algorithm, decide=False):
     e = instance.election
     k = instance.k
     considered = sorted(considered)
-    if len(considered) > CLASS_VOTE_BUDGET:
-        raise BudgetExceededError(f"{len(considered)} votes exceeds budget {CLASS_VOTE_BUDGET}")
+    search = _vote_class_search(e, considered)
     sizes = [len(e.votes[j]) for j in considered]
-    search = _count_search(class_partition(e, considered), len(considered))
 
     def distance(cov, reach, rem):
         # the least largest distance any completion of the node can reach
@@ -301,54 +296,27 @@ def ccav_bb_dual(instance):
 # ---------------------------------------------------------------------------
 
 def pav_annotated(instance, decide=False):
-    """Exact PAV optimum by the annotated PAV search over every vote, nothing forced.
+    """Exact PAV optimum by the class-count search over every vote.
 
-    With ``decide`` the search stops at the first committee that scores d and
-    reports no optimum; no such committee means "no".
+    Values are PAV scores scaled by ``scaled_harmonics(k)``.  With ``decide``
+    the search stops at the first committee that scores d and reports no
+    optimum; no such committee means "no".
     """
     e, k = instance.election, instance.k
-    scale = scaled_harmonics(k)[0]
-    need = math.ceil(instance.d * scale) if decide else None
-    value, witness, nodes = _pav_class_search(e, range(e.n), k)(frozenset(), need)
-    # the exact re-score guards the search's scaled integer values
-    opt = None if decide else Fraction(value, scale)
-    return answer(instance, "pav_annotated", {"nodes": nodes}, witness, opt)
-
-
-def _pav_class_search(e, votes, k):
-    """``solve(forced, need=None)``: the annotated PAV search for k-committees
-    over votes of e that hold the set ``forced``.
-
-    The candidates are classed by ``class_partition(e, votes)``, so only the
-    votes listed count towards a score.  The partition, the count search and
-    its bound are built once.  ``solve`` returns the optimum over those votes
-    as a PAV value scaled by ``scaled_harmonics(k)``, a witness holding the
-    forced set (None if no count vector exists) and the nodes visited.  Given
-    ``need``, a scaled value, it stops at the first witness whose value
-    reaches need (None if none does), and the value it returns is only
-    whether one did.  A witness without the forced set raises InternalError.
-    """
-    if len(votes) > CLASS_VOTE_BUDGET:
-        raise BudgetExceededError(f"n={len(votes)} exceeds budget {CLASS_VOTE_BUDGET}")
-    classes = class_partition(e, votes)
-    search = _count_search(classes, len(votes))
-    hsum = scaled_harmonics(k)[1]
+    search = _vote_class_search(e, range(e.n))
+    scale, hsum = scaled_harmonics(k)
 
     def bound(cov, reach, rem):
         # a complete node scores sum_j hsum[cov[j]]; vote j can gain min(rem, reach[j])
         return sum(hsum[c + min(rem, r)] for c, r in zip(cov, reach))
 
-    def solve(forced, need=None):
-        if need is None:
-            value, witness, nodes = search(k, bound, forced)
-        else:
-            value, witness, nodes = search(k, lambda *node: bound(*node) >= need, forced,
-                                           floor=False, goal=True)
-        if witness is not None:
-            checked_witness(witness, forced.issubset, "annotated PAV forced set")
-        return value, witness, nodes
-
-    return solve
+    if decide:
+        need = math.ceil(instance.d * scale)
+        _, witness, nodes = search(k, lambda *node: bound(*node) >= need, floor=False, goal=True)
+        return answer(instance, "pav_annotated", {"nodes": nodes}, witness)
+    # the exact re-score guards the search's scaled integer values
+    value, witness, nodes = search(k, bound)
+    return answer(instance, "pav_annotated", {"nodes": nodes}, witness, Fraction(value, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +430,10 @@ def pav_bb_dv(instance):
 # ---------------------------------------------------------------------------
 
 def _matching_split(election, matching):
-    """The matched candidates and votes, sorted, and the other votes, which
-    approve only matched candidates when the matching is maximum."""
+    """The sorted matched candidates, the matched and the other votes, and the
+    count search over the unmatched candidates classed by the matched votes.
+    The other votes approve only matched candidates when the matching is
+    maximum."""
     m = election.m
     cands, votes = set(), set()
     for edge in matching:
@@ -472,7 +442,15 @@ def _matching_split(election, matching):
         votes.add(b - m)
     outside = [v for j, v in enumerate(election.votes) if j not in votes]
     checked_witness(outside, lambda vs: all(v <= cands for v in vs), "matching split")
-    return sorted(cands), sorted(votes), outside
+    votes = sorted(votes)
+    classes = []
+    for support, members in class_partition(election, votes):
+        unmatched = tuple(c for c in members if c not in cands)
+        if unmatched:
+            classes.append((support, unmatched))
+    classes.sort(key=lambda cls: cls[1])
+    matched = [election.votes[j] for j in votes]
+    return sorted(cands), matched, outside, _count_search(classes, len(votes))
 
 
 def _subsets(items, k):
@@ -492,16 +470,7 @@ def mav_by_matching(instance, matching):
     k, d = instance.k, instance.d
     if d < 0:
         return answer(instance, "mav_by_matching", {})
-    c_m, v_m, outside = _matching_split(e, matching)
-    c_m_set = set(c_m)
-    matched = [e.votes[j] for j in v_m]
-    classes = []
-    for support, members in class_partition(e, v_m):
-        unmatched = tuple(c for c in members if c not in c_m_set)
-        if unmatched:
-            classes.append((support, unmatched))
-    classes.sort(key=lambda cls: cls[1])
-    search = _count_search(classes, len(v_m))
+    c_m, matched, outside, search = _matching_split(e, matching)
     stats = {"subinstances": 0}
 
     for cprime in _subsets(c_m, k):
@@ -524,26 +493,29 @@ def mav_by_matching(instance, matching):
 def pav_by_matching(instance, matching):
     """Exact PAV optimum split over intersections with the matched candidates.
 
-    For each candidate-side intersection the unmatched votes contribute a
-    fixed amount and the rest is an annotated PAV question over the matched
-    votes only; the best subinstance total is the true optimum.
+    Each subinstance fixes the committee's matched part c': the outside votes
+    then score a fixed amount, and the count search picks the rest among the
+    unmatched candidates, each matched vote's bound starting at its overlap
+    with c'.  It cuts every node that cannot beat the best total so far.
     """
     e = instance.election
     k = instance.k
-    c_m, v_m, outside = _matching_split(e, matching)
-    solve = _pav_class_search(e, v_m, k)
+    c_m, matched, outside, search = _matching_split(e, matching)
     scale, hsum = scaled_harmonics(k)
-    best = None
-    best_w = None
+    best, best_w = None, None
     stats = {"subinstances": 0}
     for cprime in _subsets(c_m, k):
         stats["subinstances"] += 1
-        cp = frozenset(cprime)
-        value, witness, _ = solve(cp)
-        total = value + sum(hsum[len(v & cp)] for v in outside)
-        if best is None or total > best:
-            best = total
-            best_w = witness
+        cp = set(cprime)
+        fixed = sum(hsum[len(v & cp)] for v in outside)
+        overlap = [len(v & cp) for v in matched]
+
+        def bound(cov, reach, rem):
+            return sum(hsum[o + c + min(rem, r)] for o, c, r in zip(overlap, cov, reach))
+
+        value, picks, _ = search(k - len(cprime), bound, None if best is None else best - fixed)
+        if picks is not None:
+            best, best_w = fixed + value, [*cprime, *picks]
     return answer(instance, "pav_by_matching", stats, best_w, Fraction(best, scale))
 
 

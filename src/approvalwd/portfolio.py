@@ -86,10 +86,10 @@ class Solver:
         return self.run(instance, params)
 
 
-def _class_cost(base, size):
+def _class_cost(size):
     def cost(instance, p):
         s = size(instance, p)
-        return base ** s if s <= fpt.CLASS_VOTE_BUDGET else None
+        return 2 ** s if s <= fpt.CLASS_VOTE_BUDGET else None
     return cost
 
 
@@ -146,13 +146,13 @@ SOLVERS = (
     # (n <= k * deltaC + 1) mav_k_deltac considers every vote, the same search
     Solver("mav-classes", "mav_by_classes", MAV, lambda inst, p: fpt.mav_by_classes(inst)),
     Solver("mav-kdc", "mav_k_deltac", MAV, lambda inst, p: fpt.mav_k_deltac(inst),
-           cost=_class_cost(2, lambda inst, p: min(p.n, inst.k * p.delta_c + 1)),
+           cost=_class_cost(lambda inst, p: min(p.n, inst.k * p.delta_c + 1)),
            decide=lambda inst, p: fpt.mav_k_deltac(inst, decide=True)),
     Solver("mav-grsp", "mav_dual_grsp", MAV, lambda inst, p: fpt.mav_dual_grsp(inst),
            cost=_grsp_cost),
     Solver("mav-matching", "mav_by_matching", MAV,
            lambda inst, p: fpt.mav_by_matching(inst, p.matching),
-           cost=_class_cost(4, lambda inst, p: p.alpha)),
+           cost=lambda inst, p: 4 ** p.alpha),
     Solver("mav-tw", "mav_tw_dp", MAV,
            lambda inst, p: twdp.mav_tw_dp(inst, p.decomposition),
            cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),
@@ -164,11 +164,11 @@ SOLVERS = (
     Solver("pav-bb", "pav_bb_dv", PAV, lambda inst, p: fpt.pav_bb_dv(inst),
            cost=_pav_bb_cost),
     Solver(None, "pav_annotated", PAV, lambda inst, p: fpt.pav_annotated(inst),
-           cost=_class_cost(2, lambda inst, p: p.n),
+           cost=_class_cost(lambda inst, p: p.n),
            decide=lambda inst, p: fpt.pav_annotated(inst, decide=True)),
     Solver("pav-matching", "pav_by_matching", PAV,
            lambda inst, p: fpt.pav_by_matching(inst, p.matching),
-           cost=_class_cost(4, lambda inst, p: p.alpha)),
+           cost=lambda inst, p: 4 ** p.alpha),
     Solver("pav-tw", "pav_tw_dp", PAV,
            lambda inst, p: twdp.pav_tw_dp(inst, p.decomposition),
            cost=_tw_cost(lambda k, width: (k + 1) ** (width + 1))),

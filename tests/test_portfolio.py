@@ -46,12 +46,10 @@ from helpers import (
 
 def test_every_route_rechecks_its_witness_under_optimisation():
     # core.answer's re-score is an explicit check, not an assert that -O
-    # strips: with score broken, every route that returns a witness raises.
-    # So is the annotated PAV search's forced-set check: with a count search
-    # that drops the forced set, pav_by_matching raises naming it
+    # strips: with score broken, every route that returns a witness raises
     script = textwrap.dedent("""
         from fractions import Fraction
-        from approvalwd import core, Election, fpt, Instance, portfolio
+        from approvalwd import core, Election, Instance, portfolio
 
         assert False, "asserts are stripped under -O"
         e = Election(3, ({0, 1}, {1, 2}, {2}))
@@ -67,8 +65,6 @@ def test_every_route_rechecks_its_witness_under_optimisation():
         bound = Instance(Election(3, ({0, 1}, {0, 1}, {0, 2})), "mav", 1, 3)
         cases.append(("score_bound", lambda: portfolio.dispatch(bound)))
         found = {name: run() for name, run in cases}
-        matching = core.compute_params(on_rule["pav"]).matching
-        forced = fpt.pav_by_matching(on_rule["pav"], matching)
         core.score = lambda *args: Fraction(10**9)
         for name, run in cases:
             try:
@@ -78,15 +74,6 @@ def test_every_route_rechecks_its_witness_under_optimisation():
                 raised = True
             res = found[name]
             print(name, res.algorithm, res.witness is not None, raised)
-        search = fpt._count_search
-        fpt._count_search = lambda classes, nv: lambda k, value, forced, **kw: search(
-            classes, nv)(k, value, **kw)
-        try:
-            fpt.pav_by_matching(on_rule["pav"], matching)
-            raised = False
-        except core.InternalError as exc:
-            raised = "annotated PAV forced set" in str(exc)
-        print("forced", forced.algorithm, forced.witness is not None, raised)
     """)
     src = os.path.dirname(os.path.dirname(portfolio.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -98,8 +85,7 @@ def test_every_route_rechecks_its_witness_under_optimisation():
     routes = [s.name for s in portfolio.SOLVERS if s.algo not in ("auto", "brute")]
     assert rows == [
         (name, algorithm, "True", "True")
-        for name, algorithm in zip(routes + ["score_bound", "forced"],
-                                   routes + ["score_bound", "pav_by_matching"])
+        for name, algorithm in zip(routes + ["score_bound"], routes + ["score_bound"])
     ]
 
 
@@ -378,25 +364,27 @@ def _seeded_instances(rng, count, m, n, k=None):
 def test_a_ranked_route_with_a_cost_stays_within_its_budget():
     # dispatch runs the first route it ranks and catches no BudgetExceededError:
     # a class route raises it only where its cost is None, so it is never
-    # ranked there.  n and alpha fall on both sides of CLASS_VOTE_BUDGET = 16.
+    # ranked there.  n falls on both sides of CLASS_VOTE_BUDGET = 16.  The
+    # matching routes have no budget: pav_by_matching runs here at alpha 17
+    # and 18, and both answer at alpha = 18 in the verify test below.
     # ccav_bb_dual has no budget and runs here only within FPT_COST_CAP, as in
     # dispatch: at this size its no-instances take seconds
     rng = random.Random(16)
-    budgeted = {"pav_annotated": "n", "mav_by_matching": "alpha", "pav_by_matching": "alpha"}
-    ran, gated = set(), set()
+    ran, gated, alphas = set(), set(), set()
     for inst in _seeded_instances(rng, 120, m=(6, 22), n=(12, 22), k=(1, 2)):
         p = compute_params(inst)
         for solver in portfolio.SOLVERS:
             if not solver.cost or solver.rule != inst.rule:
                 continue
             cost = solver.cost(inst, p)
-            if solver.name in budgeted:
-                size = budgeted[solver.name]
-                (gated if cost is None else ran).add((size, getattr(p, size)))
+            if solver.name == "pav_annotated":
+                (gated if cost is None else ran).add(p.n)
             if cost is None or solver.name == "ccav_bb_dual" and cost > portfolio.FPT_COST_CAP:
                 continue
             solver.run(inst, p)
-    assert {("n", 16), ("alpha", 16)} <= ran and {("n", 17), ("alpha", 17)} <= gated
+            if solver.name == "pav_by_matching":
+                alphas.add(p.alpha)
+    assert 16 in ran and 17 in gated and {17, 18} <= alphas
 
 
 # Metamorphic properties of every FPT route, ranked or not, on elections small
@@ -687,16 +675,16 @@ def test_verify_corrupt_file(tmp_path):
 
 
 def test_verify_names_each_route_it_skips_past_its_budget(tmp_path):
-    # three routes consider more votes than fpt.CLASS_VOTE_BUDGET here: each
-    # gets a skipped row naming it, which is no disagreement
+    # two MAV routes consider more votes than fpt.CLASS_VOTE_BUDGET here: each
+    # gets a skipped row naming it, which is no disagreement.  The matching
+    # routes have no budget, and pav_by_matching answers at alpha = 18
     e = generate(GeneratorConfig(20, 30, 3, 5), 0)
     for rule in (MAV, PAV):
         (tmp_path / f"{rule}.appr").write_text(format_instance(Instance(e, rule, 4, 3)))
     ok, report = verify(str(tmp_path))
     assert ok
     assert [(r["instance"], r["status"], r["solver"]) for r in report] == [
-        ("mav.appr", "skipped", "mav_by_classes"), ("mav.appr", "skipped", "mav_k_deltac"),
-        ("pav.appr", "skipped", "pav_by_matching")]
+        ("mav.appr", "skipped", "mav_by_classes"), ("mav.appr", "skipped", "mav_k_deltac")]
     assert all(f"exceeds budget {fpt.CLASS_VOTE_BUDGET}" in r["detail"] for r in report)
 
 
