@@ -28,7 +28,7 @@ EXIT_ERROR = 2
 EXIT_BUDGET = 3
 
 # each entry checks the route's rule and degree gate before it runs
-ALGOS = {solver.algo: solver for solver in portfolio.SOLVERS if solver.algo}
+ALGOS = {solver.algo: solver for solver in portfolio.SOLVERS}
 
 # each reduce --from source's converter, as (n, edges, kappa, ell) -> Instance
 REDUCTIONS = {

@@ -1,12 +1,14 @@
 """Parameterized exact solvers.
 
-One class-count search (standing in for the ILP machinery) behind the MAV,
-annotated PAV and matching-parameter solvers, vote pruning for MAV, the
-set-packing route for MAV in the dual parameter, and branch and bound for CCAV
-and PAV.  Every search runs on one explicit-stack driver, so none recurses.
-The exhaustive route, for every rule, is one more such search.  Every route
-takes the ``core.Instance`` it answers.  Both matching routes fix the
-committee's matched part exactly and search the rest on one split.
+One split search over class counts (standing in for the ILP machinery)
+behind the MAV and PAV routes in n, in k + deltaC and in the matching number:
+the matching routes fix the committee's matched part exactly and search the
+rest, and the class routes are the split with nothing matched.  Besides it,
+vote pruning for MAV, the set-packing route for MAV in the dual parameter,
+and branch and bound for CCAV and PAV.  Every search runs on one
+explicit-stack driver, so none recurses.  The exhaustive route, for every
+rule, is one more such search.  Every route takes the ``core.Instance`` it
+answers.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from .core import (
 )
 from .oracle import BudgetExceededError
 
-CLASS_VOTE_BUDGET = 16  # the most votes a class-count route considers
+CLASS_VOTE_BUDGET = 16  # the most votes a class route considers
 
 
 # ---------------------------------------------------------------------------
-# Search driver and class-count search
+# Search driver and the split search over class counts
 # ---------------------------------------------------------------------------
 
 def _depth_first(root):
@@ -60,20 +62,20 @@ def _count_search(classes, nv):
     """The search over how many members of each candidate class join the committee.
 
     ``classes`` holds (vote positions, members) pairs over ``nv`` considered
-    votes.  The returned ``search(k, bound, ...)`` walks the count vectors x
-    with sum x_i = k and each x_i at most the size of class i, largest counts
-    first, keeping cov[j], the number of committee members that vote j
-    approves.
+    votes.  The returned ``search(k, bound, start, floor, goal)`` walks the
+    count vectors x with sum x_i = k and each x_i at most the size of class
+    i, largest counts first, keeping cov[j], the number of committee members
+    that vote j approves, which starts at start[j].
 
     ``bound(cov, reach, rem)`` is a node's whole value: it caps the value of
     every completion of the node, where reach[j] is the coverage the remaining
     classes can still add to vote j and rem the members still to pick, and at
     a complete count vector it is the exact value.  Values are maximised: a
     node is cut when its bound does not beat the best value so far (``floor``
-    before the first), and the search stops once a value equals ``goal``.
-    Returns (best value, committee, nodes visited): the committee takes the
-    first x_i members of class i (members of one class score alike), and is
-    None when no count vector beats ``floor``.
+    before the first, None for none), and the search stops once a value
+    reaches ``goal`` (None for never).  Returns (best value, committee, nodes
+    visited): the committee takes the first x_i members of class i (members of
+    one class score alike), and is None when no count vector beats ``floor``.
     """
     nc = len(classes)
     caps = [len(members) for _, members in classes]
@@ -86,10 +88,10 @@ def _count_search(classes, nv):
             row[j] += caps[i]
         suffix_cov[i] = row
 
-    def search(k, bound, floor=None, goal=None):
+    def search(k, bound, start, floor, goal):
         best_value, best = floor, None
         counts = [0] * nc
-        cov = [0] * nv
+        cov = list(start)
 
         def node(i, rem):
             # classes before i are counted; True once a value reaches goal
@@ -100,7 +102,7 @@ def _count_search(classes, nv):
             if i == nc:
                 best_value = value
                 best = [c for (_, members), x in zip(classes, counts) for c in members[:x]]
-                return value == goal
+                return goal is not None and value >= goal
             support = classes[i][0]
             for x in range(min(caps[i], rem), max(0, rem - suffix_cap[i + 1]) - 1, -1):
                 counts[i] = x
@@ -119,16 +121,97 @@ def _count_search(classes, nv):
     return search
 
 
-def _vote_class_search(e, votes):
-    """The count search over e's candidates classed by at most CLASS_VOTE_BUDGET votes."""
-    if len(votes) > CLASS_VOTE_BUDGET:
+def _subsets(items, k):
+    """The subsets of items with at most k members, smallest first."""
+    for size in range(min(k, len(items)) + 1):
+        yield from itertools.combinations(items, size)
+
+
+def _split_search(instance, votes, matched=(), outside=(), decide=False):
+    """The best MAV or PAV committee, or with ``decide`` the first that meets d.
+
+    The committee is split at the sorted candidates ``matched``: for each part
+    c' among them of at most k members (only the empty part when nothing is
+    matched), the count search picks the other k - |c'| members among the
+    other candidates, classed by the considered ``votes`` (vote indices), each
+    vote's coverage starting at its overlap with c'.  The ``outside`` votes
+    approve matched candidates only, so c' settles them: under PAV they add a
+    fixed score, and under MAV c' is skipped as soon as one of them cannot
+    beat the best total.  Totals are maximised, as PAV scores scaled by
+    ``scaled_harmonics(k)`` or as negated largest MAV distances, and every
+    node that cannot beat the best total so far is cut.  A decision is the
+    same search from the floor goal - 1 that stops once a total reaches goal,
+    the value of meeting d.  With nothing matched, at most CLASS_VOTE_BUDGET
+    votes are considered.
+
+    Returns (optimum, committee, nodes, subinstances): the optimum is None in
+    the decision form, the committee None where none is found, nodes sums the
+    count searches' nodes and subinstances counts the parts c'.
+    """
+    e, k = instance.election, instance.k
+    if not matched and len(votes) > CLASS_VOTE_BUDGET:
         raise BudgetExceededError(f"{len(votes)} votes exceeds budget {CLASS_VOTE_BUDGET}")
-    return _count_search(class_partition(e, votes), len(votes))
+    votes = sorted(votes)
+    taken = set(matched)
+    rests = ((support, tuple(c for c in members if c not in taken))
+             for support, members in class_partition(e, votes))
+    classes = sorted(((support, rest) for support, rest in rests if rest), key=lambda cls: cls[1])
+    search = _count_search(classes, len(votes))
+    considered = [e.votes[j] for j in votes]
+    part = 0  # the outside votes' share of a total with the current c'
+    mav = instance.rule == MAV
+    if mav:
+        scale, goal = 1, -math.floor(instance.d)
+        sizes = [len(v) + k for v in considered]
+
+        def bound(cov, reach, rem):
+            # the least largest distance of any completion, negated
+            return min(part, -max((s - 2 * (c + min(rem, r)) for s, c, r in zip(sizes, cov, reach)),
+                                  default=0))
+
+        def settle(cp, best):
+            # the outside votes' least value, or None once one cannot beat best
+            least = 0
+            for v in outside:
+                least = min(least, 2 * len(v & cp) - len(v) - k)
+                if best is not None and least <= best:
+                    return None
+            return least
+    else:
+        scale, hsum = scaled_harmonics(k)
+        goal = math.ceil(instance.d * scale)
+
+        def bound(cov, reach, rem):
+            # vote j holds cov[j] members and can gain min(rem, reach[j]) more
+            return part + sum(hsum[c + min(rem, r)] for c, r in zip(cov, reach))
+
+        def settle(cp, best):
+            return sum(hsum[len(v & cp)] for v in outside)
+
+    best, witness, nodes, subinstances = goal - 1 if decide else None, None, 0, 0
+    for cprime in _subsets(matched, k):
+        subinstances += 1
+        cp = set(cprime)
+        part = settle(cp, best)
+        if part is None:
+            continue
+        value, picks, visited = search(k - len(cprime), bound, [len(v & cp) for v in considered],
+                                       best, goal if decide else None)
+        nodes += visited
+        if picks is not None:
+            best, witness = value, [*cprime, *picks]
+            if decide:
+                break
+    if decide:
+        return None, witness, nodes, subinstances
+    # the exact re-score in ``answer`` guards the scaled integer totals
+    return Fraction(-best if mav else best, scale), witness, nodes, subinstances
 
 
 def mav_by_classes(instance):
     """Exact MAV optimum by search over per-class selection counts."""
-    return _mav_class_search(instance, range(instance.election.n), "mav_by_classes")
+    opt, witness, nodes, _ = _split_search(instance, range(instance.election.n))
+    return answer(instance, "mav_by_classes", {"nodes": nodes}, witness, opt)
 
 
 def mav_k_deltac(instance, decide=False):
@@ -136,42 +219,25 @@ def mav_k_deltac(instance, decide=False):
 
     Any k-committee leaves one of the kept votes completely unserved, and that
     vote's distance dominates every dropped (smaller) vote's distance, so
-    every committee's distance, and the optimum, is preserved exactly.
+    every committee's distance, and the optimum, is preserved exactly: the
+    classes are taken with respect to the kept votes only, and ``answer``
+    re-checks the optimum on every vote.
     """
     e = instance.election
     order = sorted(range(e.n), key=lambda j: (-len(e.votes[j]), j))
-    return _mav_class_search(instance, order[: instance.k * e.delta_c + 1], "mav_k_deltac",
-                             decide)
+    opt, witness, nodes, _ = _split_search(instance, order[: instance.k * e.delta_c + 1],
+                                           decide=decide)
+    return answer(instance, "mav_k_deltac", {"nodes": nodes}, witness, opt)
 
 
-def _mav_class_search(instance, considered, algorithm, decide=False):
-    """The MAV optimum over the considered votes by the class-count search.
+def pav_annotated(instance, decide=False):
+    """Exact PAV optimum by the class-count search over every vote.
 
-    The classes are taken with respect to the considered votes only; the
-    optimum holds on every vote, which ``answer`` re-checks.  With ``decide``
-    the search stops at the first committee within distance d and reports no
-    optimum.
+    Annotated PAV fixes part of the committee; ``pav_by_matching`` solves it
+    once for each guessed matched part, and here nothing is fixed.
     """
-    e = instance.election
-    k = instance.k
-    considered = sorted(considered)
-    search = _vote_class_search(e, considered)
-    sizes = [len(e.votes[j]) for j in considered]
-
-    def distance(cov, reach, rem):
-        # the least largest distance any completion of the node can reach
-        return max(
-            (size + k - 2 * (c + min(rem, r)) for size, c, r in zip(sizes, cov, reach)),
-            default=0,
-        )
-
-    if decide:
-        d = instance.d
-        _, witness, nodes = search(k, lambda *node: distance(*node) <= d, floor=False, goal=True)
-        return answer(instance, algorithm, {"nodes": nodes}, witness)
-    # the search maximises, so it gets the negated largest distance
-    value, witness, nodes = search(k, lambda *node: -distance(*node))
-    return answer(instance, algorithm, {"nodes": nodes}, witness, Fraction(-value))
+    opt, witness, nodes, _ = _split_search(instance, range(instance.election.n), decide=decide)
+    return answer(instance, "pav_annotated", {"nodes": nodes}, witness, opt)
 
 
 # ---------------------------------------------------------------------------
@@ -292,34 +358,6 @@ def ccav_bb_dual(instance):
 
 
 # ---------------------------------------------------------------------------
-# Annotated PAV via class counts
-# ---------------------------------------------------------------------------
-
-def pav_annotated(instance, decide=False):
-    """Exact PAV optimum by the class-count search over every vote.
-
-    Values are PAV scores scaled by ``scaled_harmonics(k)``.  With ``decide``
-    the search stops at the first committee that scores d and reports no
-    optimum; no such committee means "no".
-    """
-    e, k = instance.election, instance.k
-    search = _vote_class_search(e, range(e.n))
-    scale, hsum = scaled_harmonics(k)
-
-    def bound(cov, reach, rem):
-        # a complete node scores sum_j hsum[cov[j]]; vote j can gain min(rem, reach[j])
-        return sum(hsum[c + min(rem, r)] for c, r in zip(cov, reach))
-
-    if decide:
-        need = math.ceil(instance.d * scale)
-        _, witness, nodes = search(k, lambda *node: bound(*node) >= need, floor=False, goal=True)
-        return answer(instance, "pav_annotated", {"nodes": nodes}, witness)
-    # the exact re-score guards the search's scaled integer values
-    value, witness, nodes = search(k, bound)
-    return answer(instance, "pav_annotated", {"nodes": nodes}, witness, Fraction(value, scale))
-
-
-# ---------------------------------------------------------------------------
 # PAV path state and branch and bound: PAV in d + deltaV
 # ---------------------------------------------------------------------------
 
@@ -430,9 +468,8 @@ def pav_bb_dv(instance):
 # ---------------------------------------------------------------------------
 
 def _matching_split(election, matching):
-    """The sorted matched candidates, the matched and the other votes, and the
-    count search over the unmatched candidates classed by the matched votes.
-    The other votes approve only matched candidates when the matching is
+    """The sorted matched candidates, the sorted matched votes' indices and the
+    other votes, which approve only matched candidates when the matching is
     maximum."""
     m = election.m
     cands, votes = set(), set()
@@ -442,21 +479,7 @@ def _matching_split(election, matching):
         votes.add(b - m)
     outside = [v for j, v in enumerate(election.votes) if j not in votes]
     checked_witness(outside, lambda vs: all(v <= cands for v in vs), "matching split")
-    votes = sorted(votes)
-    classes = []
-    for support, members in class_partition(election, votes):
-        unmatched = tuple(c for c in members if c not in cands)
-        if unmatched:
-            classes.append((support, unmatched))
-    classes.sort(key=lambda cls: cls[1])
-    matched = [election.votes[j] for j in votes]
-    return sorted(cands), matched, outside, _count_search(classes, len(votes))
-
-
-def _subsets(items, k):
-    """The subsets of items with at most k members, smallest first."""
-    for size in range(min(k, len(items)) + 1):
-        yield from itertools.combinations(items, size)
+    return sorted(cands), sorted(votes), outside
 
 
 def mav_by_matching(instance, matching):
@@ -466,28 +489,11 @@ def mav_by_matching(instance, matching):
     committee's overlap with the matched candidates settles them outright;
     the matched votes reduce to a class-count covering question.
     """
-    e = instance.election
-    k, d = instance.k, instance.d
-    if d < 0:
+    if instance.d < 0:
         return answer(instance, "mav_by_matching", {})
-    c_m, matched, outside, search = _matching_split(e, matching)
-    stats = {"subinstances": 0}
-
-    for cprime in _subsets(c_m, k):
-        stats["subinstances"] += 1
-        cp = set(cprime)
-        if any(len(v) + k - 2 * len(v & cp) > d for v in outside):
-            continue
-        # a matched vote within distance d approves ceil((|v| + k - d) / 2) members
-        need = [max(0, math.ceil((len(v) + k - d) / 2 - len(v & cp))) for v in matched]
-
-        def feasible(cov, reach, rem):
-            return all(c + min(rem, r) >= n for c, r, n in zip(cov, reach, need))
-
-        _, picks, _ = search(k - len(cprime), feasible, floor=False, goal=True)
-        if picks is not None:
-            return answer(instance, "mav_by_matching", stats, [*cprime, *picks])
-    return answer(instance, "mav_by_matching", stats)
+    matched, votes, outside = _matching_split(instance.election, matching)
+    _, witness, _, subinstances = _split_search(instance, votes, matched, outside, decide=True)
+    return answer(instance, "mav_by_matching", {"subinstances": subinstances}, witness)
 
 
 def pav_by_matching(instance, matching):
@@ -495,28 +501,12 @@ def pav_by_matching(instance, matching):
 
     Each subinstance fixes the committee's matched part c': the outside votes
     then score a fixed amount, and the count search picks the rest among the
-    unmatched candidates, each matched vote's bound starting at its overlap
+    unmatched candidates, each matched vote's coverage starting at its overlap
     with c'.  It cuts every node that cannot beat the best total so far.
     """
-    e = instance.election
-    k = instance.k
-    c_m, matched, outside, search = _matching_split(e, matching)
-    scale, hsum = scaled_harmonics(k)
-    best, best_w = None, None
-    stats = {"subinstances": 0}
-    for cprime in _subsets(c_m, k):
-        stats["subinstances"] += 1
-        cp = set(cprime)
-        fixed = sum(hsum[len(v & cp)] for v in outside)
-        overlap = [len(v & cp) for v in matched]
-
-        def bound(cov, reach, rem):
-            return sum(hsum[o + c + min(rem, r)] for o, c, r in zip(overlap, cov, reach))
-
-        value, picks, _ = search(k - len(cprime), bound, None if best is None else best - fixed)
-        if picks is not None:
-            best, best_w = fixed + value, [*cprime, *picks]
-    return answer(instance, "pav_by_matching", stats, best_w, Fraction(best, scale))
+    matched, votes, outside = _matching_split(instance.election, matching)
+    opt, witness, _, subinstances = _split_search(instance, votes, matched, outside)
+    return answer(instance, "pav_by_matching", {"subinstances": subinstances}, witness, opt)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ class Solver:
     check.
     """
 
-    algo: str | None  # the --algo name; None for a route only dispatch takes
+    algo: str  # the --algo name
     name: str  # SolveResult.algorithm
     rule: str | None  # None: every rule
     run: Callable
@@ -163,7 +163,7 @@ SOLVERS = (
            cost=_tw_cost(lambda k, width: 2 * (k + 1))),
     Solver("pav-bb", "pav_bb_dv", PAV, lambda inst, p: fpt.pav_bb_dv(inst),
            cost=_pav_bb_cost),
-    Solver(None, "pav_annotated", PAV, lambda inst, p: fpt.pav_annotated(inst),
+    Solver("pav-classes", "pav_annotated", PAV, lambda inst, p: fpt.pav_annotated(inst),
            cost=_class_cost(lambda inst, p: p.n),
            decide=lambda inst, p: fpt.pav_annotated(inst, decide=True)),
     Solver("pav-matching", "pav_by_matching", PAV,
@@ -305,7 +305,7 @@ def applicable(instance, params):
     """
     return [
         solver for solver in SOLVERS
-        if solver.algo not in (None, "brute") and solver.applies(instance, params)
+        if solver.algo != "brute" and solver.applies(instance, params)
     ]
 
 

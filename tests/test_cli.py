@@ -48,7 +48,8 @@ def test_algo_names_are_pinned():
     assert sorted(cli.ALGOS) == [
         "auto", "av", "brute", "ccav-bb", "ccav-deg2", "ccav-tw", "exhaustive",
         "mav-classes", "mav-deg2", "mav-grsp", "mav-kdc", "mav-matching",
-        "mav-tw", "pav-bb", "pav-deg1", "pav-deg22", "pav-matching", "pav-tw",
+        "mav-tw", "pav-bb", "pav-classes", "pav-deg1", "pav-deg22", "pav-matching",
+        "pav-tw",
     ]
 
 
@@ -62,7 +63,7 @@ _GATES = {
 }
 
 
-@pytest.mark.parametrize("solver", [s for s in SOLVERS if s.algo], ids=lambda s: s.algo)
+@pytest.mark.parametrize("solver", SOLVERS, ids=lambda s: s.algo)
 def test_the_checked_entry_rejects_what_a_route_does_not_apply_to(tmp_path, solver):
     # cli.ALGOS is the registry entry: it checks the rule and the degree gate
     # before the route runs, and solve --algo exits 2, never 1 ("no")

@@ -167,10 +167,11 @@ def test_pav_annotated_matches_constrained_oracle(monkeypatch):
     # annotated PAV fixes part of the committee.  pav_by_matching solves it
     # once for each guessed matched part c': held to one guess, it answers
     # with the best committee whose part among the matched candidates is
-    # exactly c'.  pav_annotated fixes nothing and answers with the optimum
+    # exactly c'.  pav_annotated splits at nothing matched, so its one part is
+    # the empty one, and it answers with the optimum
     rng = random.Random(45)
     guess = []
-    monkeypatch.setattr(fpt, "_subsets", lambda items, k: guess)
+    monkeypatch.setattr(fpt, "_subsets", lambda items, k: guess if items else [()])
     for _ in range(60):
         e = random_election(rng, max_m=5, max_n=5)
         k = rng.randint(0, e.m)

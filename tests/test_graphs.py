@@ -497,3 +497,31 @@ def test_bipartite_matching_size_matches_networkx():
         # the matching maps each matched vertex to its mate, so holds each edge twice
         want = len(nx.bipartite.maximum_matching(h, top_nodes=range(e.m))) // 2
         assert len(max_matching(g)) == want
+
+
+def test_general_matching_size_matches_networkx():
+    # odd cycles make blossoms: odd cycles with a pendant at every vertex
+    # (each cycle vertex matches its pendant), odd cycles sharing a vertex, the
+    # Petersen graph and random graphs, sparse and dense; networkx's weighted
+    # blossom algorithm, at maximum cardinality, gives the size
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(71)
+    cases = [nx.petersen_graph()]
+    for n in (3, 5, 7, 9):
+        flower = nx.cycle_graph(n)
+        flower.add_edges_from((v, n + v) for v in range(n))
+        cases += [flower, nx.cycle_graph(n)]
+    for a, b in ((3, 3), (3, 5), (5, 7)):
+        bowtie = nx.cycle_graph(a)
+        bowtie.add_edges_from((a - 1 + i, a + i) for i in range(b - 1))
+        bowtie.add_edge(a + b - 2, a - 1)
+        cases.append(bowtie)
+    cases += [nx.gnp_random_graph(rng.randint(2, 40), rng.choice((0.05, 0.1, 0.2, 0.5)),
+                                  seed=rng.randrange(10**6)) for _ in range(200)]
+    for h in cases:
+        g = adjacency(h.nodes, h.edges)
+        matching = max_matching(g)
+        ends = [v for edge in matching for v in edge]
+        assert len(ends) == len(set(ends))
+        assert all(len(edge) == 2 and h.has_edge(*edge) for edge in matching)
+        assert len(matching) == len(nx.max_weight_matching(h, maxcardinality=True))

@@ -22,6 +22,7 @@ from approvalwd import (
     meets_threshold,
     PAV,
     RULES,
+    score,
 )
 from approvalwd import cli, fpt, graphs, oracle, portfolio, twdp
 from approvalwd.oracle import brute_force
@@ -625,6 +626,30 @@ def test_a_3000_class_mav_instance_is_decided_without_recursion():
     assert time.perf_counter() - start < 5.0
 
 
+def test_dispatch_decides_where_only_the_split_search_routes_answer():
+    # a later change to the ranking must not refuse these: 30 votes over 11
+    # hub candidates of 120 (alpha = 11) go to the matching routes, and 8
+    # votes over 200 candidates (vote j approves c iff bit j of c + 1 is set)
+    # to pav_annotated; each yes is re-scored, and the no is checked against
+    # pav_by_matching's optimum, 79/6
+    rng = random.Random(1)
+    hub = Election(120, tuple(frozenset(rng.sample(range(11), rng.randint(6, 11)))
+                              for _ in range(30)))
+    few = Election(200, tuple(frozenset(c for c in range(200) if (c + 1) >> j & 1)
+                              for j in range(8)))
+    for inst, algorithm, decision in (
+            (Instance(hub, MAV, 20, 22), "mav_by_matching", True),
+            (Instance(hub, PAV, 20, 40), "pav_by_matching", True),
+            (Instance(few, PAV, 3, Fraction(79, 6)), "pav_annotated", True),
+            (Instance(few, PAV, 3, Fraction(41, 3)), "pav_annotated", False)):
+        res = dispatch(inst)
+        assert (res.algorithm, res.decision) == (algorithm, decision)
+        if decision:
+            assert meets_threshold(inst.rule, score(inst.election, inst.rule, res.witness), inst.d)
+    res = fpt.pav_by_matching(inst, compute_params(inst).matching)
+    assert (res.decision, res.opt_score) == (False, Fraction(79, 6))
+
+
 def test_generator_determinism_and_caps():
     config = GeneratorConfig(m=5, n=4, max_dv=2, max_dc=None)
     assert generate(config, 1) == generate(config, 1)
@@ -675,16 +700,17 @@ def test_verify_corrupt_file(tmp_path):
 
 
 def test_verify_names_each_route_it_skips_past_its_budget(tmp_path):
-    # two MAV routes consider more votes than fpt.CLASS_VOTE_BUDGET here: each
-    # gets a skipped row naming it, which is no disagreement.  The matching
-    # routes have no budget, and pav_by_matching answers at alpha = 18
+    # the three class routes consider more votes than fpt.CLASS_VOTE_BUDGET
+    # here: each gets a skipped row naming it, which is no disagreement.  The
+    # matching routes have no budget, and pav_by_matching answers at alpha = 18
     e = generate(GeneratorConfig(20, 30, 3, 5), 0)
     for rule in (MAV, PAV):
         (tmp_path / f"{rule}.appr").write_text(format_instance(Instance(e, rule, 4, 3)))
     ok, report = verify(str(tmp_path))
     assert ok
     assert [(r["instance"], r["status"], r["solver"]) for r in report] == [
-        ("mav.appr", "skipped", "mav_by_classes"), ("mav.appr", "skipped", "mav_k_deltac")]
+        ("mav.appr", "skipped", "mav_by_classes"), ("mav.appr", "skipped", "mav_k_deltac"),
+        ("pav.appr", "skipped", "pav_annotated")]
     assert all(f"exceeds budget {fpt.CLASS_VOTE_BUDGET}" in r["detail"] for r in report)
 
 
