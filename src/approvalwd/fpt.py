@@ -5,14 +5,16 @@ behind the MAV and PAV routes in n, in k + deltaC and in the matching number:
 the matching routes fix the committee's matched part exactly and search the
 rest, and the class routes are the split with nothing matched.  Besides it,
 vote pruning for MAV, the set-packing route for MAV in the dual parameter,
-and branch and bound for CCAV and PAV.  Every search runs on one
-explicit-stack driver, so none recurses.  The exhaustive route, for every
-rule, is one more such search.  Every route takes the ``core.Instance`` it
-answers.
+and branch and bound for CCAV and PAV, whose root certificates (a greedy
+committee for yes, two submodular bounds for no) dispatch runs first.
+Every search runs on one explicit-stack driver, so none recurses.  The
+exhaustive route, for every rule, is one more such search.  Every route
+takes the ``core.Instance`` it answers.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -304,7 +306,7 @@ def mav_dual_grsp(instance):
 # Branch and bound: CCAV in the dual parameter
 # ---------------------------------------------------------------------------
 
-def ccav_bb_dual(instance):
+def ccav_bb_dual(instance, root_only=False):
     """CCAV decision branching on candidates excluded from the committee.
 
     State shrinks to the votes that a committee might still miss; a witness
@@ -312,7 +314,13 @@ def ccav_bb_dual(instance):
     instance because every dropped vote is guaranteed covered.  A committee
     covers at most the sum of its members' approval counts, so when the k
     largest counts sum below d the answer is no before the search starts.
+
+    With ``root_only``, which dispatch passes, the route runs only the root
+    certificates of ``_submodular_root``, with 0 nodes, and returns None
+    where they leave the instance undecided.
     """
+    if root_only:
+        return _root_answer(instance, "ccav_bb_dual", {"nodes": 0}, _submodular_root)
     e = instance.election
     k = instance.k
     if sum(sorted(e.approver_counts)[e.m - k:]) < instance.d:
@@ -358,28 +366,59 @@ def ccav_bb_dual(instance):
 
 
 # ---------------------------------------------------------------------------
-# PAV path state and branch and bound: PAV in d + deltaV
+# Path state, the CCAV and PAV root certificates, and branch and bound: PAV
+# in d + deltaV
 # ---------------------------------------------------------------------------
+
+def _steps(rule, k, delta_v):
+    """(scale, step): a CCAV or PAV score as a table of per-vote steps.
+
+    A vote approving x committee members gains step[x] from one more, in
+    integers over ``scale``, for 0 <= x <= deltaV.  CCAV steps are (1, 0,
+    ...).  PAV steps are those of ``scaled_harmonics(min(k, deltaV))``, 0 past
+    that bound: the truncated score is still submodular, and it equals PAV on
+    every committee of at most k members.
+    """
+    if rule == CCAV:
+        return 1, (1,) + (0,) * delta_v
+    bound = min(k, delta_v)
+    scale, _ = scaled_harmonics(bound)
+    return scale, tuple(scale // x for x in range(1, bound + 1)) + (0,) * (delta_v - bound + 1)
+
 
 class _PavPath:
     """Each vote's overlap cov[j] with a committee path and each candidate's gain[c].
 
-    In integers scaled by ``scaled_harmonics(bound)``, ``bound`` capping every
-    overlap: a vote's next member adds step[overlap], nothing past a full vote.
-    ``move(c, ±1)`` puts c on the path or takes it off, and updates only the
-    gains on c's votes (Minoux's accelerated greedy, by PAV's submodularity).
+    Under PAV or CCAV, by the table ``step`` of ``_steps``: gain[c] sums
+    step[cov[j]] over c's votes, what c adds to the path's scaled score
+    unless c is on it.  The path starts empty, or at the overlaps ``cov``.  ``move(c, ±1)`` puts c on
+    the path or takes it off, and updates only the gains on c's votes
+    (Minoux's accelerated greedy, by submodularity).  The approver sets that
+    ``move`` needs are built on the first move.
     """
 
-    def __init__(self, election, approvers, bound):
-        self.scale, self.hsum = scaled_harmonics(bound)
-        self.step = [b - a for a, b in zip(self.hsum, self.hsum[1:])] + [0]
-        self.cov = [0] * election.n
-        self.gain = [len(voters) * self.step[0] for voters in approvers]
-        self._votes, self._approvers = election.votes, approvers
+    def __init__(self, election, step, cov=None):
+        self.step, self._election, self._votes = step, election, election.votes
+        self._approvers = None
+        if cov is None:
+            self.cov = [0] * election.n
+            self.gain = [count * step[0] for count in election.approver_counts]
+        else:
+            self.cov, self.gain = cov, [0] * election.m
+            for v, x in zip(election.votes, cov):
+                if step[x]:
+                    for c in v:
+                        self.gain[c] += step[x]
+
+    @property
+    def approvers(self):
+        if self._approvers is None:
+            self._approvers = self._election.approver_sets()
+        return self._approvers
 
     def move(self, c, by):
         step, cov, gain, votes = self.step, self.cov, self.gain, self._votes
-        for j in self._approvers[c]:
+        for j in (self._approvers or self.approvers)[c]:
             before = step[cov[j]]
             cov[j] += by
             delta = step[cov[j]] - before
@@ -387,7 +426,112 @@ class _PavPath:
                 gain[x] += delta
 
 
-def pav_bb_dv(instance):
+def _forward_greedy(election, k, step, need):
+    """Picks of largest gain, first in candidate order, until the total reaches need.
+
+    Returns the picks, topped up to k members, once it does.  At every prefix
+    S, OPT <= f(S) + the k largest gains at S (Nemhauser, Wolsey & Fisher
+    1978; k, not k - |S|, as S need not lie in an optimum), so False once
+    that misses need; None after k picks that prove neither.
+    """
+    path = _PavPath(election, step)
+    gain, total, picks, free = path.gain, 0, [], list(range(election.m))
+    while total < need:
+        gains = [gain[c] for c in free]
+        best = max(gains)
+        # the k largest of the m - |S| >= k gains sum to at most k * best and
+        # at least best and k times their mean: sort them only where those
+        # bounds do not decide
+        if total + best < need and (total + k * best < need or (
+                total + k * sum(gains) // len(gains) < need
+                and total + sum(sorted(gains, reverse=True)[:k]) < need)):
+            return False
+        if len(picks) == k:
+            return None
+        c = free.pop(gains.index(best))
+        total += best
+        path.move(c, 1)
+        picks.append(c)
+    return fill_committee(picks, k, range(election.m))
+
+
+def _reverse_greedy(election, k, step, need):
+    """The candidates left after dropping the m - k of least loss, if they reach need.
+
+    From C, every candidate, each drop takes off the member whose removal
+    loses least.  Removing a set loses at least the sum of its members'
+    single losses at C, so OPT <= f(C) - the m - k smallest of them: False
+    when that misses need.  None when the greedy's total falls below need.
+    """
+    # with the table shifted by one, a member's gain is what removing it loses
+    cov = list(map(len, election.votes))
+    path = _PavPath(election, (0,) + step, cov)
+    loss, drops = path.gain, election.m - k
+    value = list(itertools.accumulate(step, initial=0))  # a vote's score at each overlap
+    total = sum(value[x] for x in cov)
+    if total - sum(sorted(loss)[:drops]) < need:
+        return False
+    # losses only grow as members go, so a heap entry that is still current
+    # is the least loss
+    heap = list(zip(loss, range(election.m)))
+    heapq.heapify(heap)
+    for _ in range(drops):
+        x, c = heapq.heappop(heap)
+        while x != loss[c]:
+            x, c = heapq.heappushpop(heap, (loss[c], c))
+        total -= x
+        if total < need:
+            return None
+        path.move(c, -1)
+    return [c for _, c in heap]
+
+
+def _count_root(instance):
+    """What settles a CCAV or PAV instance before any search: a committee, False or None.
+
+    d <= 0 takes any committee and k = 0 none, and one candidate whose
+    approval count meets d is a yes, the first such one topped up.
+    """
+    e, k, d = instance.election, instance.k, instance.d
+    if d <= 0:
+        return fill_committee((), k, range(e.m))
+    if k == 0:
+        return False
+    counts, single = e.approver_counts, math.ceil(d)
+    if max(counts) >= single:
+        first = next(c for c, x in enumerate(counts) if x >= single)
+        return fill_committee((first,), k, range(e.m))
+    return None
+
+
+def _submodular_root(instance):
+    """A CCAV or PAV committee that meets d, False where none can, or None.
+
+    Both scores are monotone submodular, and the checks run on ``_steps``'
+    scaled integers, cheapest first: ``_count_root``; the k largest counts
+    summing below d is a no; then, where 2k <= m, ``_forward_greedy``, and
+    otherwise ``_reverse_greedy``.  The caller re-scores a yes exactly.
+    """
+    found = _count_root(instance)
+    if found is not None:
+        return found
+    e, k, d = instance.election, instance.k, instance.d
+    if sum(sorted(e.approver_counts)[e.m - k:]) < d:
+        return False
+    scale, step = _steps(instance.rule, k, e.delta_v)
+    need = math.ceil(d * scale)
+    return (_forward_greedy if 2 * k <= e.m else _reverse_greedy)(e, k, step, need)
+
+
+def _root_answer(instance, algorithm, stats, root):
+    """The route's answer from ``root``, or None where it leaves the instance undecided."""
+    found = root(instance)
+    if found is None:
+        return None
+    return answer(instance, algorithm, stats, None if found is False else found)
+
+
+def pav_bb_dv(instance, root_only=False):
     """PAV decision branching toward a high-scoring committee.
 
     At each node the best-marginal candidate c defines the branch set: the
@@ -398,30 +542,31 @@ def pav_bb_dv(instance):
     under the cap, misses d holds no committee meeting d and is cut
     (``stats["pruned"]``).  A cut subtree holds no success, so the search
     returns the committee the unpruned search would.
+
+    With ``root_only``, which dispatch passes, the route runs only the root
+    certificates of ``_submodular_root``, with 0 nodes, and returns None
+    where they leave the instance undecided.
     """
     e = instance.election
     k, d = instance.k, instance.d
     stats = {"nodes": 0, "max_branch": 0, "pruned": 0}
-    if d <= 0:
-        return answer(instance, "pav_bb_dv", stats, fill_committee((), k, range(e.m)))
-    if k == 0:
-        return answer(instance, "pav_bb_dv", stats)
+    res = _root_answer(instance, "pav_bb_dv", stats,
+                       _submodular_root if root_only else _count_root)
+    if root_only or res is not None:
+        return res
     counts = e.approver_counts
-    for c in range(e.m):
-        if counts[c] >= d:
-            return answer(instance, "pav_bb_dv", stats, fill_committee((c,), k, range(e.m)))
     # a committee meets d iff its scaled score reaches need; an overlap never
     # exceeds min(k, |v|), so the path state scales by lcm(1..min(k, deltaV))
     delta_v = e.delta_v
-    approvers = e.approver_sets()
-    state = _PavPath(e, approvers, min(k, delta_v))
-    gain, move = state.gain, state.move
-    need = math.ceil(d * state.scale)
+    scale, step = _steps(PAV, k, delta_v)
+    state = _PavPath(e, step)
+    approvers, gain, move = state.approvers, state.gain, state.move
+    need = math.ceil(d * scale)
     capp = [c for c in range(e.m) if counts[c] > 0]
     k2 = min(k, len(capp))
     if k2 == len(capp):
         # every approved candidate fits: vote v's overlap is |v| <= k
-        ok = sum(state.hsum[len(v)] for v in e.votes) >= need
+        ok = sum(sum(step[:len(v)]) for v in e.votes) >= need
         w = fill_committee(capp, k, range(e.m)) if ok else None
         return answer(instance, "pav_bb_dv", stats, w)
     depth_cap = min(k2, math.ceil(d * delta_v))
@@ -533,10 +678,9 @@ def exhaustive(instance, decide=False):
     k, m, rule = instance.k, e.m, instance.rule
     if k == 0:
         return answer(instance, "exhaustive", {"nodes": 0}, (), optimal=True)
-    approvers = e.approver_sets()
     scale = 1
     if rule == CCAV:
-        masks = [sum(1 << j for j in voters) for voters in approvers]
+        masks = [sum(1 << j for j in voters) for voters in e.approver_sets()]
 
         def join(mask, c):
             return mask | masks[c]
@@ -547,8 +691,9 @@ def exhaustive(instance, decide=False):
         def leaves(mask, lo):
             return [(mask | bits).bit_count() for bits in masks[lo:]]
     elif rule == PAV:
-        state = _PavPath(e, approvers, min(k, e.delta_v))
-        scale, gain, move = state.scale, state.gain, state.move
+        scale, step = _steps(PAV, k, e.delta_v)
+        state = _PavPath(e, step)
+        gain, move = state.gain, state.move
 
         def join(total, c):
             total += gain[c]
@@ -565,6 +710,7 @@ def exhaustive(instance, decide=False):
         # the last member c, the largest is top while a vote at top does not
         # approve c, else top - 1 while a vote at top - 1 does not, else top - 2,
         # where c's approvers at top now lie
+        approvers = e.approver_sets()
         dist = [len(v) + k for v in e.votes]
 
         def join(_, c):

@@ -238,7 +238,12 @@ def dispatch(instance, params=None):
     never exceeds k + deltaV, and a CCAV or PAV score never exceeds
     k * deltaC.  All of these read the degrees from the parameters, which
     are computed first unless the caller passes them; their incidence-graph
-    values wait for a read.  Then the FPT route of least estimated cost runs.
+    values wait for a read.  A CCAV or PAV instance then goes to its rule's
+    branch-and-bound route, ``ccav_bb_dual`` or ``pav_bb_dv``, with
+    ``root_only``: the route's root certificates, a greedy committee for yes
+    and two submodular bounds for no, answer under its name, and only where
+    they leave the instance undecided does the ranking below run.  Then the
+    FPT route of least estimated cost runs.
     When none is within the caps, the exhaustive route runs if its C(m + 1, k)
     search-tree nodes, ``_grsp_cost``'s bound with k in place of kbar, are
     within FPT_COST_CAP.  It is not ranked beside the others: one of their
@@ -271,6 +276,11 @@ def dispatch(instance, params=None):
         return answer(instance, "score_bound", {}, range(k))
     if instance.rule != MAV and d > k * delta_c:
         return answer(instance, "score_bound", {})
+    if instance.rule != MAV:
+        res = (fpt.ccav_bb_dual if instance.rule == CCAV else fpt.pav_bb_dv)(
+            instance, root_only=True)
+        if res is not None:
+            return res
     bounds = _lower_bounds(e, delta_v, delta_c)
     heap = []  # (cost, name, the bounds the cost read, solver)
 

@@ -635,7 +635,9 @@ def reference_dispatch(instance):
     """Dispatch with every parameter computed first and every FPT route ranked
     on the real alpha and tw_upper; the first in (cost, name) order runs, and
     the exhaustive route where none is within the cap, each in its decision
-    form where it has one."""
+    form where it has one.  As in dispatch, a CCAV or PAV instance first goes
+    to its rule's branch-and-bound route with ``root_only``, and is ranked
+    only where the root leaves it undecided."""
     e = instance.election
     k, d = instance.k, instance.d
     params = compute_params(instance)
@@ -646,6 +648,9 @@ def reference_dispatch(instance):
         return SolveResult(True, None, tuple(range(k)), "score_bound", {})
     if instance.rule != MAV and d > k * params.delta_c:
         return SolveResult(False, None, None, "score_bound", {})
+    bb = {CCAV: fpt.ccav_bb_dual, PAV: fpt.pav_bb_dv}.get(instance.rule)
+    if bb is not None and (res := bb(instance, root_only=True)) is not None:
+        return res
     _ = params.alpha, params.tw_upper  # computed whatever the ranking needs
     ranked = []
     for solver in portfolio.SOLVERS:

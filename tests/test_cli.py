@@ -202,12 +202,14 @@ def test_verify_and_bench(tmp_path, capsys):
 
 
 def test_verify_reports_a_refusal_and_goes_on(tmp_path, capsys, monkeypatch):
-    # with every cost over the cap, dispatch refuses the 8 x 8 PAV file: verify
-    # gives the auto route a refused row, which is no disagreement, and still
-    # reports the unreadable file and the file past the oracle's budget after it
+    # with every cost over the cap, dispatch refuses the 8 x 8 PAV file, whose
+    # d = 8 is past the optimum, 7, and which the root certificates leave
+    # undecided: verify gives the auto route a refused row, which is no
+    # disagreement, and still reports the unreadable file and the file past
+    # the oracle's budget after it
     monkeypatch.setattr(portfolio, "FPT_COST_CAP", 0)
     e = generate(GeneratorConfig(8, 8, 3, 3), 1)
-    (tmp_path / "a-pav.appr").write_text(format_instance(Instance(e, PAV, 3, 3)))
+    (tmp_path / "a-pav.appr").write_text(format_instance(Instance(e, PAV, 3, 8)))
     (tmp_path / "b-cand5.appr").write_text("ccav 1 1 1\n2 1\n5\n")
     (tmp_path / "c-m23.appr").write_text(format_instance(Instance(Election(23, ()), CCAV, 1, 0)))
     assert main(["verify", str(tmp_path)]) == 0

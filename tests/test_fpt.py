@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -207,16 +208,19 @@ def test_pav_by_matching_cuts_by_the_best_total(monkeypatch):
 
 
 def test_pav_path_state_matches_the_gains_and_score_from_scratch():
-    # pav_bb_dv and exhaustive read their PAV gains off one path state; after
-    # every push or pop, each gain is the per-node sum over the candidate's
-    # votes, and the gains read before each push add up to the path's score
+    # pav_bb_dv, exhaustive and the root greedies read their gains off one
+    # path state; after every push or pop, each gain is the per-node sum over
+    # the candidate's votes, and the gains read before each push add up to
+    # the path's score, under PAV's table and CCAV's
     rng = random.Random(1919)
-    for _ in range(80):
+    for i in range(160):
+        rule = (PAV, CCAV)[i % 2]
         e = random_election(rng, max_m=9, max_n=8)
         k = rng.randint(1, e.m)
         approvers = e.approver_sets()
         bound = min(k, e.delta_v)
-        state = fpt._PavPath(e, approvers, bound)
+        scale, step = fpt._steps(rule, k, e.delta_v)
+        state = fpt._PavPath(e, step)
         path, total = [], 0
         for _ in range(3 * k):
             if path and (len(path) == k or rng.random() < 0.4):
@@ -232,7 +236,7 @@ def test_pav_path_state_matches_the_gains_and_score_from_scratch():
             assert max(state.cov, default=0) <= bound
             assert state.gain == [sum(state.step[state.cov[j]] for j in approvers[c])
                                   for c in range(e.m)]
-            assert total == score(e, PAV, path) * state.scale
+            assert total == score(e, rule, path) * scale
 
 
 def test_pav_bb_dv_examples():
@@ -655,3 +659,36 @@ def test_the_decision_forms_agree_with_the_oracle_around_the_optimum():
                     assert meets_threshold(rule, score(e, rule, res.witness), d)
             first = next((w for w, s in scored if meets_threshold(rule, s, d)), None)
             assert exhaustive(inst, decide=True).witness == (first if k else ())
+
+
+def test_the_submodular_root_is_sound():
+    # 1,000 seeded elections, both rules, every k and d at opt - 1, opt,
+    # opt + 1/60 and opt + 1: a root yes is k candidates whose exact score
+    # meets d, and a root no never falls on a yes case.  k runs up to m, so
+    # the forward greedy (2k <= m) and the removal side (2k > m) both answer,
+    # each past the single-count and k-largest-counts checks
+    rng = random.Random(2032)
+    decided, checks = Counter(), 0
+    for i in range(1000):
+        rule = (CCAV, PAV)[i % 2]
+        e = random_election(rng, max_m=9, max_n=8)
+        counts = e.approver_counts
+        for k in range(e.m + 1):
+            opt = brute_force(Instance(e, rule, k, 0)).opt_score
+            for d in (opt - 1, opt, opt + Fraction(1, 60), opt + 1):
+                found = fpt._submodular_root(Instance(e, rule, k, d))
+                checks += 1
+                if found is None:
+                    continue
+                past_counts = 0 < d and k and max(counts) < d <= sum(sorted(counts)[e.m - k:])
+                side = "forward" if 2 * k <= e.m else "removal"
+                if found is False:
+                    assert d > opt, (e, rule, k, d)
+                    decided[side, "no"] += past_counts
+                else:
+                    assert len(set(found)) == len(found) == k, (e, rule, k, d, found)
+                    assert meets_threshold(rule, score(e, rule, found), d), (e, rule, k, d, found)
+                    decided[side, "yes"] += past_counts
+    assert checks >= 12000
+    assert min(decided[side, answer] for side in ("forward", "removal")
+               for answer in ("yes", "no")) >= 50, decided

@@ -179,23 +179,44 @@ FPT_ROUTES = [
 ]
 
 
-def test_dispatch_route_choice_is_pinned():
-    bounded = 0
-    for inst, route in zip(_fpt_instances(), FPT_ROUTES, strict=True):
+# the CCAV and PAV rows of _fpt_instances() that the root certificates answer
+# before the ranking runs, through the rule's branch-and-bound route with 0
+# nodes; FPT_ROUTES keeps the ranking's pick for them, which the test checks
+# with the root stubbed out
+ROOT_ROWS = {1, 4, 5, 7, 8, 10, 11, 13, 16, 17, 19, 22, 26, 28, 29, 31, 34}
+
+
+def test_dispatch_route_choice_is_pinned(monkeypatch):
+    bounded = set()
+    rows = list(enumerate(zip(_fpt_instances(), FPT_ROUTES, strict=True)))
+    for i, (inst, route) in rows:
         e = inst.election
         if inst.rule == MAV and inst.d >= inst.k + e.delta_v or (
             inst.rule != MAV and inst.d > inst.k * e.delta_c
         ):
             route = "score_bound"
-            bounded += 1
-        assert dispatch(inst).algorithm == route
-    assert bounded == 3
+            bounded.add(i)
+        elif i in ROOT_ROWS:
+            route = {CCAV: "ccav_bb_dual", PAV: "pav_bb_dv"}[inst.rule]
+        res = dispatch(inst)
+        assert res.algorithm == route
+        if i in ROOT_ROWS:
+            assert res.stats["nodes"] == 0
+    assert len(bounded) == 3
+    # with the root leaving every instance undecided, the ranking picks the
+    # pinned route on every row inside no score bound
+    monkeypatch.setattr(fpt, "_submodular_root", lambda instance: None)
+    for i, (inst, route) in rows:
+        if i not in bounded:
+            assert dispatch(inst).algorithm == route
 
 
 @pytest.mark.parametrize("rule", RULES)
 def test_dispatch_counts_the_approvals_once(rule, monkeypatch):
     # deltaV = 4 and deltaC = 3: no polynomial route or score bound answers,
-    # so dispatch reads the degrees, computes the parameters and picks a route
+    # so dispatch reads the degrees, computes the parameters and picks a route;
+    # under CCAV and PAV the stand-in for the rule's branch-and-bound route
+    # first leaves the root undecided, so the ranked route runs after it
     e = generate(GeneratorConfig(14, 12, 4, 4), 3)
     passes, at_route = [], []
     counts = Election.__dict__["approver_counts"]
@@ -205,9 +226,9 @@ def test_dispatch_counts_the_approvals_once(rule, monkeypatch):
         passes.append(self)
         return count(self)
 
-    def route(*args):
+    def route(*args, root_only=False):
         at_route.append(len(passes))
-        return "route"
+        return None if root_only else "route"
 
     monkeypatch.setattr(counts, "func", counted)
     for solver in portfolio.SOLVERS:
@@ -215,7 +236,7 @@ def test_dispatch_counts_the_approvals_once(rule, monkeypatch):
             monkeypatch.setattr(twdp if hasattr(twdp, solver.name) else portfolio.fpt,
                                 solver.name, route)
     assert dispatch(Instance(election=e, rule=rule, k=4, d=3)) == "route"
-    assert at_route == [1]
+    assert at_route == [1] * (1 if rule == MAV else 2)
 
 
 def test_dispatch_matches_oracle():
@@ -239,12 +260,18 @@ def test_dispatch_budget_exhaustion():
 
 
 # vote j approves {j, j + 1, j + 2}: every degree is 3 and the width 2, and
-# every other FPT route is over its cap, so dispatch ends in a treewidth route
+# every other FPT route is over its cap, so dispatch ends in a treewidth route.
+# The root certificates settle every CCAV question on it, and PAV's at k = 7
+# up to the optimum, 41/2: the treewidth tests ask PAV d = 21, past it
 _THICK_PATH = Election(m=22, votes=tuple(frozenset({j, j + 1, j + 2}) for j in range(20)))
+# the 3 x 5 grid graph, a vote per edge: width 3, and at k = 6, d = 19 (the
+# optimum) the root certificates leave CCAV undecided and the treewidth DP wins
+_GRID = Election(m=15, votes=tuple(frozenset({c, c + step}) for c in range(15)
+                                   for step in (1, 5) if c + step < 15 and (step == 5 or c % 5 < 4)))
 
 
 @pytest.mark.parametrize("rule,k,d,route", [
-    (MAV, 6, 8, "mav_tw_dp"), (CCAV, 6, 10, "ccav_tw_dp"), (PAV, 6, 8, "pav_tw_dp"),
+    (MAV, 6, 8, "mav_tw_dp"), (CCAV, 6, 19, "ccav_tw_dp"), (PAV, 7, 21, "pav_tw_dp"),
 ])
 def test_dispatch_to_a_treewidth_route_runs_min_fill_once(rule, k, d, route, monkeypatch):
     calls = []
@@ -255,7 +282,7 @@ def test_dispatch_to_a_treewidth_route_runs_min_fill_once(rule, k, d, route, mon
         return min_fill_order(graph, *args)
 
     monkeypatch.setattr(graphs, "min_fill_order", spy)
-    inst = Instance(election=_THICK_PATH, rule=rule, k=k, d=d)
+    inst = Instance(election=_GRID if rule == CCAV else _THICK_PATH, rule=rule, k=k, d=d)
     res = dispatch(inst)
     assert res.algorithm == route
     assert len(calls) == 1
@@ -266,11 +293,13 @@ def test_dispatch_to_a_treewidth_route_runs_min_fill_once(rule, k, d, route, mon
 
 
 @pytest.mark.parametrize("config,seed,rule,k,d,width,route", [
-    # the s10 stratum of perfbench's fpt-mixed: width 12, over TW_WIDTH_CAP
-    ((22, 36, 6, 6), 10000, CCAV, 4, 20, 12, "exhaustive"),
+    # the s10 stratum of perfbench's fpt-mixed: width 12, over TW_WIDTH_CAP;
+    # d = 21 is past the optimum, 20, where the root leaves it undecided
+    ((22, 36, 6, 6), 10000, CCAV, 4, 21, 12, "exhaustive"),
     # the s08 stratum: the treewidth route's lower bound ranks first, but past
-    # width 3 it costs more than pav_bb_dv, and the width is 7
-    ((24, 26, 5, 5), 0, PAV, 5, 6, 7, "pav_bb_dv"),
+    # width 3 it costs more than pav_bb_dv, and the width is 7; d = 21 is past
+    # the optimum, 20, where the root leaves it undecided
+    ((24, 26, 5, 5), 0, PAV, 5, 21, 7, "pav_bb_dv"),
 ])
 def test_dispatch_finishes_no_min_fill_where_the_treewidth_route_loses(
         config, seed, rule, k, d, width, route, monkeypatch):
@@ -298,7 +327,7 @@ def test_dispatch_to_a_treewidth_route_builds_the_incidence_graph_once(monkeypat
         return incidence_graph(election)
 
     monkeypatch.setattr(graphs, "incidence_graph", spy)
-    res = dispatch(Instance(election=_THICK_PATH, rule=PAV, k=6, d=8))
+    res = dispatch(Instance(election=_THICK_PATH, rule=PAV, k=7, d=21))
     assert res.algorithm == "pav_tw_dp"
     assert len(calls) == 1
 
@@ -450,6 +479,13 @@ def test_dispatch_matches_the_eager_reference():
                                   rule=CCAV, k=k, d=d))
     e = Election(m=30, votes=tuple(frozenset({c, (c + 1) % 30, (c + 2) % 30}) for c in range(30)))
     instances.append(Instance(election=e, rule=PAV, k=15, d=40))
+    # PAV questions that the root certificates leave to the treewidth and
+    # matching routes: the thick path past its optimum, and the 11-hub
+    # election at k = 6 past its optimum, 1361/20
+    rng = random.Random(1)
+    hub = Election(120, tuple(frozenset(rng.sample(range(11), rng.randint(6, 11)))
+                              for _ in range(30)))
+    instances += [Instance(_THICK_PATH, PAV, 7, 21), Instance(hub, PAV, 6, Fraction(1021, 15))]
     routes = set()
     for inst in instances:
         got = _outcome(dispatch, inst)
@@ -464,10 +500,12 @@ def test_dispatch_matches_the_eager_reference():
 def test_dispatch_decides_the_dense_shape_past_m_22():
     # m 23-29, n 36, both degrees 6, k = 4, d at the optimum and half a point
     # above: no ranked route is within the cap for CCAV, so the exhaustive
-    # route decides it, past the oracle's m <= 22.  Where the min-fill width
-    # is at most 12, a treewidth DP called directly checks the optimum
+    # route decides it, past the oracle's m <= 22, wherever the root
+    # certificates leave it undecided (23 of the 28 CCAV questions; the root
+    # answers the other 5 yes, with 0 nodes).  Where the min-fill width is at
+    # most 12, a treewidth DP called directly checks the optimum
     tw_routes = {CCAV: twdp.ccav_tw_dp, PAV: twdp.pav_tw_dp}
-    checked = set()
+    checked, exhausted = set(), 0
     for m in range(23, 30):
         for seed in (0, 1):
             e = generate(GeneratorConfig(m, 36, 6, 6), seed)
@@ -476,13 +514,15 @@ def test_dispatch_decides_the_dense_shape_past_m_22():
                 for d in (opt, opt + Fraction(1, 2)):
                     res = dispatch(Instance(e, rule, 4, d))
                     assert res.decision == (d == opt)
-                    assert rule == PAV or res.algorithm == "exhaustive"
+                    assert rule == PAV or res.algorithm == "exhaustive" or (
+                        res.algorithm, res.decision, res.stats) == ("ccav_bb_dual", True, {"nodes": 0})
+                    exhausted += res.algorithm == "exhaustive"
                 inst = Instance(e, rule, 4, opt)
                 p = compute_params(inst)
                 if p.tw_upper <= 12:
                     assert tw_route(inst, p.decomposition).opt_score == opt
                     checked.add(rule)
-    assert checked == {CCAV, PAV}
+    assert checked == {CCAV, PAV} and exhausted == 23
 
 
 def test_dispatch_never_calls_the_oracle(monkeypatch):
@@ -493,9 +533,10 @@ def test_dispatch_never_calls_the_oracle(monkeypatch):
     calls = []
     monkeypatch.setattr(oracle, "brute_force", lambda *args, **kw: calls.append(args))
     instances = list(_seeded_instances(random.Random(2022), 150, m=(4, 12), n=(3, 12)))
-    # and two yes- and two no-instances that no ranked route takes
+    # and two yes- and two no-instances that neither the root certificates
+    # nor a ranked route take: each CCAV one at or past its optimum, 24 and 20
     for config, seed, rule, k, d in (
-            ((22, 36, 6, 6), 0, CCAV, 4, 21), ((18, 21, 6, 6), 19, CCAV, 6, 32),
+            ((22, 36, 6, 6), 0, CCAV, 4, 24), ((22, 36, 6, 6), 10000, CCAV, 4, 21),
             ((15, 20, 5, 5), 0, PAV, 6, Fraction(49, 2)), ((15, 20, 5, 5), 0, PAV, 6, 25)):
         instances.append(Instance(generate(GeneratorConfig(*config), seed), rule, k, d))
     exhausted = []
@@ -534,7 +575,7 @@ def test_bench_runs_neither_matching_nor_min_fill_on_dual_scale_shapes(tmp_path,
         inst = Instance(election=e, rule=rule, k=k, d=d)
         (tmp_path / f"{rule}.appr").write_text(format_instance(inst))
     thick = tmp_path / "thick.appr"
-    thick.write_text(format_instance(Instance(election=_THICK_PATH, rule=PAV, k=6, d=8)))
+    thick.write_text(format_instance(Instance(election=_THICK_PATH, rule=PAV, k=7, d=21)))
     rows = [line.split(",")[7:10] for line in bench(str(tmp_path)).strip().splitlines()]
     assert rows[-1] == ["2", "", "pav_tw_dp"]
     thick.unlink()
@@ -628,26 +669,58 @@ def test_a_3000_class_mav_instance_is_decided_without_recursion():
 
 def test_dispatch_decides_where_only_the_split_search_routes_answer():
     # a later change to the ranking must not refuse these: 30 votes over 11
-    # hub candidates of 120 (alpha = 11) go to the matching routes, and 8
-    # votes over 200 candidates (vote j approves c iff bit j of c + 1 is set)
-    # to pav_annotated; each yes is re-scored, and the no is checked against
-    # pav_by_matching's optimum, 79/6
+    # hub candidates of 120 (alpha = 11) go to the matching routes, and few
+    # votes over many candidates to pav_annotated: 8 votes over 200 (vote j
+    # approves c iff bit j of c + 1 is set), and 9 generated votes over 50.
+    # The root certificates answer the PAV yes at k = 20 on the hubs and at
+    # 79/6 on the 200 candidates; the PAV questions they leave undecided go
+    # to the split search.  Each yes is re-scored, and each no is checked
+    # against an optimum: 1361/20 on the hubs (exhaustive on the 11 hubs),
+    # and 79/6 and 17/2 from pav_by_matching
     rng = random.Random(1)
     hub = Election(120, tuple(frozenset(rng.sample(range(11), rng.randint(6, 11)))
                               for _ in range(30)))
     few = Election(200, tuple(frozenset(c for c in range(200) if (c + 1) >> j & 1)
                               for j in range(8)))
+    nine = generate(GeneratorConfig(50, 9, 14, 3), 7)
     for inst, algorithm, decision in (
             (Instance(hub, MAV, 20, 22), "mav_by_matching", True),
-            (Instance(hub, PAV, 20, 40), "pav_by_matching", True),
-            (Instance(few, PAV, 3, Fraction(79, 6)), "pav_annotated", True),
-            (Instance(few, PAV, 3, Fraction(41, 3)), "pav_annotated", False)):
+            (Instance(hub, PAV, 20, 40), "pav_bb_dv", True),
+            (Instance(hub, PAV, 6, Fraction(1021, 15)), "pav_by_matching", False),
+            (Instance(few, PAV, 3, Fraction(79, 6)), "pav_bb_dv", True),
+            (Instance(few, PAV, 3, Fraction(41, 3)), "pav_annotated", False),
+            (Instance(nine, PAV, 3, Fraction(17, 2)), "pav_annotated", True),
+            (Instance(nine, PAV, 3, Fraction(511, 60)), "pav_annotated", False)):
         res = dispatch(inst)
         assert (res.algorithm, res.decision) == (algorithm, decision)
         if decision:
             assert meets_threshold(inst.rule, score(inst.election, inst.rule, res.witness), inst.d)
-    res = fpt.pav_by_matching(inst, compute_params(inst).matching)
-    assert (res.decision, res.opt_score) == (False, Fraction(79, 6))
+    assert fpt.exhaustive(Instance(Election(11, hub.votes), PAV, 6, 0)).opt_score == Fraction(1361, 20)
+    for e, opt in ((few, Fraction(79, 6)), (nine, Fraction(17, 2))):
+        inst = Instance(e, PAV, 3, opt + Fraction(1, 60))
+        res = fpt.pav_by_matching(inst, compute_params(inst).matching)
+        assert (res.decision, res.opt_score) == (False, opt)
+
+
+def test_dispatch_decides_the_probe_files_it_refused():
+    # the CCAV and PAV files of the refusal probe, generate(GeneratorConfig(m,
+    # n, dv, dc), 0) with d = k * min(dc, 3) / 2, that dispatch refused while
+    # it only ranked routes: the root certificates answer each yes, with 0
+    # nodes, and the witness is re-scored here too
+    for m, n, dv, dc, k in ((80, 120, 4, 4, 8), (120, 200, 3, 3, 10), (200, 300, 4, 5, 12),
+                            (50, 50, 5, 5, 25), (400, 800, 3, 3, 20)):
+        e = generate(GeneratorConfig(m, n, dv, dc), 0)
+        for rule, route in ((CCAV, "ccav_bb_dual"), (PAV, "pav_bb_dv")):
+            inst = Instance(e, rule, k, Fraction(k * min(dc, 3), 2))
+            res = dispatch(inst)
+            assert (res.algorithm, res.decision, res.stats["nodes"]) == (route, True, 0)
+            assert meets_threshold(rule, score(e, rule, res.witness), inst.d)
+    # k = 42 of m = 44, d = 203/4 just past the optimum, 201/4: the removal
+    # bound proves the no at the root, where pav_bb_dv's search runs for minutes
+    e = generate(GeneratorConfig(44, 35, 4, 2), 118705)
+    res = dispatch(Instance(e, PAV, 42, Fraction(203, 4)))
+    assert (res.algorithm, res.decision, res.stats["nodes"]) == ("pav_bb_dv", False, 0)
+    assert fpt.exhaustive(Instance(e, PAV, 42, 0)).opt_score == Fraction(201, 4)
 
 
 def test_generator_determinism_and_caps():
@@ -745,21 +818,23 @@ def test_bench_computes_params_once_per_instance(tmp_path, monkeypatch):
 
 
 def test_bench_keeps_a_row_for_a_refused_instance(tmp_path):
-    # C(41, 12) committees is over FPT_COST_CAP and every ranked route is over
-    # its cap: dispatch refuses the m = 40 instance.  A candidate outside
-    # [0, m) and a byte that is not UTF-8 each make a parse-error row.  bench
-    # still writes every other row
+    # the root certificates leave the m = 30 PAV ring of
+    # test_dispatch_budget_exhaustion undecided, C(31, 15) committees is over
+    # FPT_COST_CAP and every ranked route is over its cap: dispatch refuses
+    # it.  A candidate outside [0, m) and a byte that is not UTF-8 each make a
+    # parse-error row.  bench still writes every other row
     _write_corpus(tmp_path, 3, seed=83)
-    refused = Instance(generate(GeneratorConfig(40, 36, 6, 6), 0), CCAV, 12, 30)
+    ring = Election(m=30, votes=tuple(frozenset({c, (c + 1) % 30, (c + 2) % 30}) for c in range(30)))
+    refused = Instance(ring, PAV, 15, 40)
     with pytest.raises(AllSolversExceededError):
         dispatch(refused)
-    (tmp_path / "m40.appr").write_text(format_instance(refused))
+    (tmp_path / "ring30.appr").write_text(format_instance(refused))
     (tmp_path / "cand5.appr").write_text("ccav 1 1 1\n2 1\n5\n")
     (tmp_path / "latin1.appr").write_bytes(b"ccav 1 1 1\n2 1\n0 1\n\xff\n")
     rows = [line.split(",") for line in bench(str(tmp_path)).strip().splitlines()]
     assert rows[0][9:12] == ["solver", "decision", "nodes"]
     assert [row[0] for row in rows[1:]] == ["cand5.appr", "inst000.appr", "inst001.appr",
-                                            "inst002.appr", "latin1.appr", "m40.appr"]
+                                            "inst002.appr", "latin1.appr", "ring30.appr"]
     for row in (rows[1], rows[5]):
         assert row[1:] == [""] * 8 + ["parse-error"] + [""] * 3
     assert rows[-1][9:12] == ["refused", "", ""]
