@@ -7,6 +7,8 @@ rest, and the class routes are the split with nothing matched.  Besides it,
 vote pruning for MAV, the set-packing route for MAV in the dual parameter,
 and branch and bound for CCAV and PAV, whose root certificates (a greedy
 committee for yes, two submodular bounds for no) dispatch runs first.
+The count search adds up, at each node, only the votes that a class can
+still reach; the settled votes ride one running total down the search.
 Every search runs on one explicit-stack driver, so none recurses.  The
 exhaustive route, for every rule, is one more such search.  Every route
 takes the ``core.Instance`` it answers.
@@ -60,45 +62,81 @@ def _depth_first(root):
             value = None
 
 
-def _count_search(classes, nv):
+def _count_search(classes, nv, mav, table):
     """The search over how many members of each candidate class join the committee.
 
     ``classes`` holds (vote positions, members) pairs over ``nv`` considered
-    votes.  The returned ``search(k, bound, start, floor, goal)`` walks the
+    votes.  The returned ``search(k, start, part, floor, goal)`` walks the
     count vectors x with sum x_i = k and each x_i at most the size of class
     i, largest counts first, keeping cov[j], the number of committee members
     that vote j approves, which starts at start[j].
 
-    ``bound(cov, reach, rem)`` is a node's whole value: it caps the value of
-    every completion of the node, where reach[j] is the coverage the remaining
-    classes can still add to vote j and rem the members still to pick, and at
-    a complete count vector it is the exact value.  Values are maximised: a
-    node is cut when its bound does not beat the best value so far (``floor``
-    before the first, None for none), and the search stops once a value
-    reaches ``goal`` (None for never).  Returns (best value, committee, nodes
-    visited): the committee takes the first x_i members of class i (members of
-    one class score alike), and is None when no count vector beats ``floor``.
+    A node's value caps the value of every completion of the node, and at a
+    complete count vector it is the exact value.  Here reach[j] is the
+    coverage that the classes from the node's level on can still add to vote
+    j, and rem the members still to pick.  Under PAV (``mav`` false, ``table``
+    hsum) the value is ``part`` plus every vote's hsum[cov[j] + min(rem,
+    reach[j])]; under MAV (``table`` holds |v_j| + k per vote) it is the
+    least of ``part`` and every vote's 2 * (cov[j] + min(rem, reach[j])) -
+    table[j], a negated distance.  A vote with reach 0 is settled: its term
+    is fixed for the whole subtree.  So the settled votes' share rides down
+    the search as one running total, which each child updates by the votes
+    that settle on entering it, and a node adds only the active votes' terms.
+
+    Values are maximised: a node is cut when its value does not beat the best
+    value so far (``floor`` before the first, None for none), and the search
+    stops once a value reaches ``goal`` (None for never).  Returns (best
+    value, committee, nodes visited): the committee takes the first x_i
+    members of class i (members of one class score alike), and is None when
+    no count vector beats ``floor``.
     """
     nc = len(classes)
     caps = [len(members) for _, members in classes]
     suffix_cap = [0] * (nc + 1)
-    suffix_cov = [[0] * nv for _ in range(nc + 1)]
+    # active[i]: (vote, reach) for each vote that a class from level i on
+    # reaches; settles[i]: the votes whose last class is level i - 1, or that
+    # no class reaches at all (level 0)
+    active = [()] * (nc + 1)
+    settles = [[] for _ in range(nc + 1)]
+    reach, last = [0] * nv, [0] * nv
     for i in range(nc - 1, -1, -1):
         suffix_cap[i] = suffix_cap[i + 1] + caps[i]
-        row = list(suffix_cov[i + 1])
         for j in classes[i][0]:
-            row[j] += caps[i]
-        suffix_cov[i] = row
+            reach[j] += caps[i]
+            last[j] = last[j] or i + 1
+        active[i] = [(j, r) for j, r in enumerate(reach) if r]
+    for j, level in enumerate(last):
+        settles[level].append(j)
 
-    def search(k, bound, start, floor, goal):
+    def search(k, start, part, floor, goal):
         best_value, best = floor, None
         counts = [0] * nc
         cov = list(start)
 
-        def node(i, rem):
+        def settle(i, total):
+            # the running total once the votes settling at level i join it
+            if mav:
+                for j in settles[i]:
+                    term = 2 * cov[j] - table[j]
+                    if term < total:
+                        total = term
+            else:
+                for j in settles[i]:
+                    total += table[cov[j]]
+            return total
+
+        def node(i, rem, settled):
             # classes before i are counted; True once a value reaches goal
             nonlocal best_value, best
-            value = bound(cov, suffix_cov[i], rem)
+            value = settled
+            if mav:
+                for j, r in active[i]:
+                    term = 2 * (cov[j] + (rem if rem < r else r)) - table[j]
+                    if term < value:
+                        value = term
+            else:
+                for j, r in active[i]:
+                    value += table[cov[j] + (rem if rem < r else r)]
             if best_value is not None and value <= best_value or rem > suffix_cap[i]:
                 return False
             if i == nc:
@@ -110,14 +148,14 @@ def _count_search(classes, nv):
                 counts[i] = x
                 for j in support:
                     cov[j] += x
-                if (yield node(i + 1, rem - x)):
+                if (yield node(i + 1, rem - x, settle(i + 1, settled))):
                     return True
                 for j in support:
                     cov[j] -= x
             counts[i] = 0
             return False
 
-        _, nodes = _depth_first(node(0, k))
+        _, nodes = _depth_first(node(0, k, settle(0, part)))
         return best_value, best, nodes
 
     return search
@@ -143,8 +181,11 @@ def _split_search(instance, votes, matched=(), outside=(), decide=False):
     ``scaled_harmonics(k)`` or as negated largest MAV distances, and every
     node that cannot beat the best total so far is cut.  A decision is the
     same search from the floor goal - 1 that stops once a total reaches goal,
-    the value of meeting d.  With nothing matched, at most CLASS_VOTE_BUDGET
-    votes are considered.
+    the value of meeting d.  The count search takes the rule's per-vote table
+    (PAV's hsum, MAV's |v| + k) and the outside votes' fixed part, and sums
+    at each node only the votes that a class can still reach: the others are
+    settled, and ride one running total.  With nothing matched, at most
+    CLASS_VOTE_BUDGET votes are considered.
 
     Returns (optimum, committee, nodes, subinstances): the optimum is None in
     the decision form, the committee None where none is found, nodes sums the
@@ -158,18 +199,11 @@ def _split_search(instance, votes, matched=(), outside=(), decide=False):
     rests = ((support, tuple(c for c in members if c not in taken))
              for support, members in class_partition(e, votes))
     classes = sorted(((support, rest) for support, rest in rests if rest), key=lambda cls: cls[1])
-    search = _count_search(classes, len(votes))
     considered = [e.votes[j] for j in votes]
-    part = 0  # the outside votes' share of a total with the current c'
     mav = instance.rule == MAV
     if mav:
         scale, goal = 1, -math.floor(instance.d)
-        sizes = [len(v) + k for v in considered]
-
-        def bound(cov, reach, rem):
-            # the least largest distance of any completion, negated
-            return min(part, -max((s - 2 * (c + min(rem, r)) for s, c, r in zip(sizes, cov, reach)),
-                                  default=0))
+        table = [len(v) + k for v in considered]
 
         def settle(cp, best):
             # the outside votes' least value, or None once one cannot beat best
@@ -180,16 +214,13 @@ def _split_search(instance, votes, matched=(), outside=(), decide=False):
                     return None
             return least
     else:
-        scale, hsum = scaled_harmonics(k)
+        scale, table = scaled_harmonics(k)
         goal = math.ceil(instance.d * scale)
 
-        def bound(cov, reach, rem):
-            # vote j holds cov[j] members and can gain min(rem, reach[j]) more
-            return part + sum(hsum[c + min(rem, r)] for c, r in zip(cov, reach))
-
         def settle(cp, best):
-            return sum(hsum[len(v & cp)] for v in outside)
+            return sum(table[len(v & cp)] for v in outside)
 
+    search = _count_search(classes, len(votes), mav, table)
     best, witness, nodes, subinstances = goal - 1 if decide else None, None, 0, 0
     for cprime in _subsets(matched, k):
         subinstances += 1
@@ -197,8 +228,8 @@ def _split_search(instance, votes, matched=(), outside=(), decide=False):
         part = settle(cp, best)
         if part is None:
             continue
-        value, picks, visited = search(k - len(cprime), bound, [len(v & cp) for v in considered],
-                                       best, goal if decide else None)
+        value, picks, visited = search(k - len(cprime), [len(v & cp) for v in considered],
+                                       part, best, goal if decide else None)
         nodes += visited
         if picks is not None:
             best, witness = value, [*cprime, *picks]

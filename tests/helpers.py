@@ -22,8 +22,14 @@ from approvalwd import (
     portfolio,
     score,
 )
-from approvalwd.core import answer, fill_committee, scaled_harmonics, SolveResult
-from approvalwd.fpt import _depth_first
+from approvalwd.core import (
+    answer,
+    class_partition,
+    fill_committee,
+    scaled_harmonics,
+    SolveResult,
+)
+from approvalwd.fpt import _depth_first, _subsets, CLASS_VOTE_BUDGET
 from approvalwd.graphs import DecompositionError
 from approvalwd.oracle import brute_force, BudgetExceededError
 
@@ -721,3 +727,152 @@ def reference_pav_bb_dv(instance):
     found, stats["nodes"] = _depth_first(dfs(frozenset(), 0))
     return answer(instance, "pav_bb_dv", stats,
                   None if found is None else fill_committee(found, k, range(e.m)))
+
+
+def reference_count_search(classes, nv):
+    """The whole-node-bound count search that ``fpt._count_search`` replaced,
+    kept as its reference.
+
+    The search over how many members of each candidate class join the committee.
+
+    ``classes`` holds (vote positions, members) pairs over ``nv`` considered
+    votes.  The returned ``search(k, bound, start, floor, goal)`` walks the
+    count vectors x with sum x_i = k and each x_i at most the size of class
+    i, largest counts first, keeping cov[j], the number of committee members
+    that vote j approves, which starts at start[j].
+
+    ``bound(cov, reach, rem)`` is a node's whole value: it caps the value of
+    every completion of the node, where reach[j] is the coverage the remaining
+    classes can still add to vote j and rem the members still to pick, and at
+    a complete count vector it is the exact value.  Values are maximised: a
+    node is cut when its bound does not beat the best value so far (``floor``
+    before the first, None for none), and the search stops once a value
+    reaches ``goal`` (None for never).  Returns (best value, committee, nodes
+    visited): the committee takes the first x_i members of class i (members of
+    one class score alike), and is None when no count vector beats ``floor``.
+    """
+    nc = len(classes)
+    caps = [len(members) for _, members in classes]
+    suffix_cap = [0] * (nc + 1)
+    suffix_cov = [[0] * nv for _ in range(nc + 1)]
+    for i in range(nc - 1, -1, -1):
+        suffix_cap[i] = suffix_cap[i + 1] + caps[i]
+        row = list(suffix_cov[i + 1])
+        for j in classes[i][0]:
+            row[j] += caps[i]
+        suffix_cov[i] = row
+
+    def search(k, bound, start, floor, goal):
+        best_value, best = floor, None
+        counts = [0] * nc
+        cov = list(start)
+
+        def node(i, rem):
+            # classes before i are counted; True once a value reaches goal
+            nonlocal best_value, best
+            value = bound(cov, suffix_cov[i], rem)
+            if best_value is not None and value <= best_value or rem > suffix_cap[i]:
+                return False
+            if i == nc:
+                best_value = value
+                best = [c for (_, members), x in zip(classes, counts) for c in members[:x]]
+                return goal is not None and value >= goal
+            support = classes[i][0]
+            for x in range(min(caps[i], rem), max(0, rem - suffix_cap[i + 1]) - 1, -1):
+                counts[i] = x
+                for j in support:
+                    cov[j] += x
+                if (yield node(i + 1, rem - x)):
+                    return True
+                for j in support:
+                    cov[j] -= x
+            counts[i] = 0
+            return False
+
+        _, nodes = _depth_first(node(0, k))
+        return best_value, best, nodes
+
+    return search
+
+
+def reference_split_search(instance, votes, matched=(), outside=(), decide=False):
+    """``fpt._split_search`` over ``reference_count_search``, its reference.
+
+    The best MAV or PAV committee, or with ``decide`` the first that meets d.
+
+    The committee is split at the sorted candidates ``matched``: for each part
+    c' among them of at most k members (only the empty part when nothing is
+    matched), the count search picks the other k - |c'| members among the
+    other candidates, classed by the considered ``votes`` (vote indices), each
+    vote's coverage starting at its overlap with c'.  The ``outside`` votes
+    approve matched candidates only, so c' settles them: under PAV they add a
+    fixed score, and under MAV c' is skipped as soon as one of them cannot
+    beat the best total.  Totals are maximised, as PAV scores scaled by
+    ``scaled_harmonics(k)`` or as negated largest MAV distances, and every
+    node that cannot beat the best total so far is cut.  A decision is the
+    same search from the floor goal - 1 that stops once a total reaches goal,
+    the value of meeting d.  With nothing matched, at most CLASS_VOTE_BUDGET
+    votes are considered.
+
+    Returns (optimum, committee, nodes, subinstances): the optimum is None in
+    the decision form, the committee None where none is found, nodes sums the
+    count searches' nodes and subinstances counts the parts c'.
+    """
+    e, k = instance.election, instance.k
+    if not matched and len(votes) > CLASS_VOTE_BUDGET:
+        raise BudgetExceededError(f"{len(votes)} votes exceeds budget {CLASS_VOTE_BUDGET}")
+    votes = sorted(votes)
+    taken = set(matched)
+    rests = ((support, tuple(c for c in members if c not in taken))
+             for support, members in class_partition(e, votes))
+    classes = sorted(((support, rest) for support, rest in rests if rest), key=lambda cls: cls[1])
+    search = reference_count_search(classes, len(votes))
+    considered = [e.votes[j] for j in votes]
+    part = 0  # the outside votes' share of a total with the current c'
+    mav = instance.rule == MAV
+    if mav:
+        scale, goal = 1, -math.floor(instance.d)
+        sizes = [len(v) + k for v in considered]
+
+        def bound(cov, reach, rem):
+            # the least largest distance of any completion, negated
+            return min(part, -max((s - 2 * (c + min(rem, r)) for s, c, r in zip(sizes, cov, reach)),
+                                  default=0))
+
+        def settle(cp, best):
+            # the outside votes' least value, or None once one cannot beat best
+            least = 0
+            for v in outside:
+                least = min(least, 2 * len(v & cp) - len(v) - k)
+                if best is not None and least <= best:
+                    return None
+            return least
+    else:
+        scale, hsum = scaled_harmonics(k)
+        goal = math.ceil(instance.d * scale)
+
+        def bound(cov, reach, rem):
+            # vote j holds cov[j] members and can gain min(rem, reach[j]) more
+            return part + sum(hsum[c + min(rem, r)] for c, r in zip(cov, reach))
+
+        def settle(cp, best):
+            return sum(hsum[len(v & cp)] for v in outside)
+
+    best, witness, nodes, subinstances = goal - 1 if decide else None, None, 0, 0
+    for cprime in _subsets(matched, k):
+        subinstances += 1
+        cp = set(cprime)
+        part = settle(cp, best)
+        if part is None:
+            continue
+        value, picks, visited = search(k - len(cprime), bound, [len(v & cp) for v in considered],
+                                       best, goal if decide else None)
+        nodes += visited
+        if picks is not None:
+            best, witness = value, [*cprime, *picks]
+            if decide:
+                break
+    if decide:
+        return None, witness, nodes, subinstances
+    # the exact re-score in ``answer`` guards the scaled integer totals
+    return Fraction(-best if mav else best, scale), witness, nodes, subinstances

@@ -42,6 +42,7 @@ from helpers import (
     instances_around_opt,
     random_election,
     reference_pav_bb_dv,
+    reference_split_search,
     sweep_against_oracle,
 )
 
@@ -205,6 +206,78 @@ def test_pav_by_matching_cuts_by_the_best_total(monkeypatch):
     res = pav_by_matching(inst)
     assert res.opt_score == Fraction(29, 2) == ALGOS["pav-tw"](inst).opt_score
     assert sum(nodes) <= 20_000
+
+
+def _both_searches(inst, votes, matched=(), outside=(), decide=False):
+    """(fpt._split_search, its whole-node-bound reference) on one split."""
+    return (fpt._split_search(inst, votes, matched, outside, decide),
+            reference_split_search(inst, votes, matched, outside, decide))
+
+
+def test_the_split_search_matches_its_whole_node_bound_reference():
+    # the settled votes' running total plus the active votes' terms is the
+    # whole-node bound's integer at every node, so on 600 seeded elections,
+    # MAV and PAV, with nothing matched and split at a maximum matching, both
+    # forms return the same (optimum, committee, nodes, subinstances).  The
+    # decision thresholds sit at the optimum and a step to either side
+    rng = random.Random(3303)
+    seen = Counter()
+    for trial in range(600):
+        e = random_election(rng, max_m=9, max_n=8, max_dv=5, max_dc=4)
+        rule, k = (MAV, PAV)[trial % 2], rng.randint(0, e.m)
+        inst = Instance(e, rule, k, 0)
+        step = Fraction(1, 2 * core.lcm_upto(k)) if rule == PAV else Fraction(1, 2)
+        matched, votes, outside = fpt._matching_split(e, compute_params(inst).matching)
+        for split in ((range(e.n), (), ()), (votes, matched, outside)):
+            new, old = _both_searches(inst, *split)
+            assert new == old, (e, rule, k, split)
+            d = new[0] + rng.choice((-step, 0, step))
+            new, old = _both_searches(Instance(e, rule, k, d), *split, decide=True)
+            assert new == old, (e, rule, k, d, split)
+            seen[rule, bool(split[1]), new[1] is not None] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 50, seen
+
+
+# (election, rule, k, d, matched, considered votes, outside votes), each a
+# corner of the settled total
+_SETTLED_ROWS = {
+    "an empty vote, settled at level 0": (
+        Election(3, (frozenset({0, 1}), frozenset(), frozenset({2}))), 2, 2, (), (0, 1, 2), ()),
+    "a vote approving only matched candidates, settled at level 0": (
+        Election(4, (frozenset({0}), frozenset({0, 1, 2}), frozenset({3}), frozenset({0}))),
+        2, 1, (0,), (0, 1, 2), (frozenset({0}),)),
+    "no considered votes": (Election(3, ()), 2, 0, (), (), ()),
+    "no considered votes past the matched part": (
+        Election(2, (frozenset({0}), frozenset({1}))), 1, 1, (0, 1), (),
+        (frozenset({0}), frozenset({1}))),
+    "k = 0": (Election(3, (frozenset({0, 1}), frozenset({2}))), 0, 0, (), (0, 1), ()),
+    "a single class": (
+        Election(3, (frozenset({0, 1, 2}), frozenset({0, 1, 2}))), 2, 1, (), (0, 1), ()),
+}
+
+
+@pytest.mark.parametrize("rule", [MAV, PAV])
+@pytest.mark.parametrize("row", _SETTLED_ROWS)
+def test_the_settled_total_at_its_edges(row, rule):
+    e, k, d, matched, votes, outside = _SETTLED_ROWS[row]
+    for decide in (False, True):
+        new, old = _both_searches(Instance(e, rule, k, d), votes, matched, outside, decide)
+        assert new == old
+        if row == "no considered votes" and rule == MAV and not decide:
+            # the empty largest distance reads 0
+            assert new == (0, [0, 1], 2, 1)
+
+
+@pytest.mark.parametrize("rule", [MAV, PAV])
+def test_a_decision_stops_at_goal_in_its_first_leaf(rule):
+    # every committee meets d (a PAV score of 0, a MAV distance of m + k), so
+    # the decision form walks the first path, the root and one node per
+    # class, and stops at its leaf
+    e = generate(GeneratorConfig(m=9, n=8, max_dv=3, max_dc=3), 5)
+    inst = Instance(e, rule, 3, e.m + 3 if rule == MAV else 0)
+    classes = class_partition(e, range(e.n))
+    new, old = _both_searches(inst, range(e.n), decide=True)
+    assert new == old and new[1] is not None and new[2] == len(classes) + 1
 
 
 def test_pav_path_state_matches_the_gains_and_score_from_scratch():
