@@ -6,7 +6,9 @@ the matching routes fix the committee's matched part exactly and search the
 rest, and the class routes are the split with nothing matched.  Besides it,
 vote pruning for MAV, the set-packing route for MAV in the dual parameter,
 and branch and bound for CCAV and PAV, whose root certificates (a greedy
-committee for yes, two submodular bounds for no) dispatch runs first.
+committee for yes, two submodular bounds for no) dispatch runs first.  Each
+branch-and-bound search reaches a committee once: a later sibling never
+re-adds (PAV) or re-excludes (CCAV) a candidate that an earlier one tried.
 The count search adds up, at each node, only the votes that a class can
 still reach; the settled votes ride one running total down the search.
 Every search runs on one explicit-stack driver, so none recurses.  The
@@ -346,6 +348,13 @@ def ccav_bb_dual(instance, root_only=False):
     covers at most the sum of its members' approval counts, so when the k
     largest counts sum below d the answer is no before the search starts.
 
+    Each committee is searched once: once excluding x fails, no committee
+    that keeps the node's ``kept`` candidates excludes x, so every later
+    sibling and its subtree keep x too.  A kept candidate is neither
+    dropped as unapproved nor branched on: cstar, the candidate of fewest
+    single-member votes, is chosen among the others, and a node with none
+    returns None.
+
     With ``root_only``, which dispatch passes, the route runs only the root
     certificates of ``_submodular_root``, with 0 nodes, and returns None
     where they leave the instance undecided.
@@ -357,13 +366,14 @@ def ccav_bb_dual(instance, root_only=False):
     if sum(sorted(e.approver_counts)[e.m - k:]) < instance.d:
         return answer(instance, "ccav_bb_dual", {"nodes": 0})
 
-    def solve(candset, votes, d):
-        # a search node: a witness, or None when this state has none
+    def solve(candset, votes, d, kept):
+        # a search node: a witness, or None when no committee of this state
+        # that keeps every member of kept meets d
         ve = [v & candset for v in votes]
         ve = [v for v in ve if v]
         approved = set().union(*ve) if ve else set()
         kbar = len(candset) - k
-        unapproved = sorted(candset - approved, reverse=True)
+        unapproved = sorted(candset - approved - kept, reverse=True)
         drop = unapproved[: min(len(unapproved), kbar)]
         candset = candset - set(drop)
         kbar = len(candset) - k
@@ -379,20 +389,24 @@ def ccav_bb_dual(instance, root_only=False):
             if len(ve) >= d:
                 return fill_committee(b, k, sorted(candset))
             return None
+        open_b = [c for c in b if c not in kept]
+        if not open_b:
+            return None
         singles = {c: 0 for c in b}
         for v in u_votes:
             if len(v) == 1:
                 singles[next(iter(v))] += 1
-        cstar = min(b, key=lambda c: (singles[c], c))
-        branch_set = sorted(set().union(*[v for v in u_votes if cstar in v]))
+        cstar = min(open_b, key=lambda c: (singles[c], c))
+        branch_set = sorted(set().union(*[v for v in u_votes if cstar in v]) - kept)
         d_next = d - (len(ve) - len(u_votes))
         for x in branch_set:
-            res = yield solve(candset - {x}, u_votes, d_next)
+            res = yield solve(candset - {x}, u_votes, d_next, kept)
             if res is not None:
                 return res
+            kept = kept | {x}
         return None
 
-    w, nodes = _depth_first(solve(frozenset(range(e.m)), list(e.votes), instance.d))
+    w, nodes = _depth_first(solve(frozenset(range(e.m)), list(e.votes), instance.d, frozenset()))
     return answer(instance, "ccav_bb_dual", {"nodes": nodes}, w)
 
 
@@ -571,8 +585,16 @@ def pav_bb_dv(instance, root_only=False):
     monotone submodular, so r more picks add at most the r largest marginal
     gains at a node: a node whose score plus that sum, for the picks left
     under the cap, misses d holds no committee meeting d and is cut
-    (``stats["pruned"]``).  A cut subtree holds no success, so the search
-    returns the committee the unpruned search would.
+    (``stats["pruned"]``).
+
+    Each committee is searched once: once child x fails, no committee
+    meeting d holds s_set and x and avoids the node's closed candidates, so
+    x is closed to every later sibling and its subtree.  cbest, the cut's
+    gains and the branch set read only the candidates that are neither on
+    the path nor closed, and a node with none returns None.  cbest is the
+    best of those allowed candidates, so the exchange argument still holds
+    and the decision is exact; the witness, whichever committee the search
+    meets first, is re-scored by ``core.answer``.
 
     With ``root_only``, which dispatch passes, the route runs only the root
     certificates of ``_submodular_root``, with 0 nodes, and returns None
@@ -602,14 +624,18 @@ def pav_bb_dv(instance, root_only=False):
         return answer(instance, "pav_bb_dv", stats, w)
     depth_cap = min(k2, math.ceil(d * delta_v))
 
-    def dfs(s_set, total):
-        # a search node: a committee meeting need, or None below s_set
+    def dfs(s_set, total, closed):
+        # a search node: a committee meeting need that holds s_set and
+        # avoids the rest of closed, or None; closed holds s_set and every
+        # candidate an earlier sibling on the path added
         if total >= need:
             return s_set
         if len(s_set) >= depth_cap:
             return None
-        # cbest is the first of the largest gains in capp order
-        free = [c for c in capp if c not in s_set]
+        # cbest is the first of the largest allowed gains in capp order
+        free = [c for c in capp if c not in closed]
+        if not free:
+            return None
         cbest = max(free, key=gain.__getitem__)
         mbest = gain[cbest]
         # the left largest gains sum to between mbest and left * mbest:
@@ -623,18 +649,20 @@ def pav_bb_dv(instance, root_only=False):
         branch = set()
         for j in approvers[cbest]:
             branch.update(e.votes[j])
-        branch -= s_set
+        branch -= closed
         stats["max_branch"] = max(stats["max_branch"], len(branch))
         for x in sorted(branch):
+            # x joins this child and is closed to every later sibling
+            closed = closed | {x}
             step = gain[x]
             move(x, 1)
-            res = yield dfs(s_set | {x}, total + step)
+            res = yield dfs(s_set | {x}, total + step, closed)
             move(x, -1)
             if res is not None:
                 return res
         return None
 
-    found, stats["nodes"] = _depth_first(dfs(frozenset(), 0))
+    found, stats["nodes"] = _depth_first(dfs(frozenset(), 0, frozenset()))
     return answer(instance, "pav_bb_dv", stats,
                   None if found is None else fill_committee(found, k, range(e.m)))
 

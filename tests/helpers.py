@@ -729,6 +729,56 @@ def reference_pav_bb_dv(instance):
                   None if found is None else fill_committee(found, k, range(e.m)))
 
 
+def reference_ccav_bb_dual(instance):
+    """``fpt.ccav_bb_dual``'s search before its siblings kept what an earlier
+    sibling failed to exclude: a no-instance reaches each committee once per
+    order of its excluded candidates.  Same root check, branch order and
+    node count as the route had then, so that pinned searches can be read
+    against it: the route must return the same decision."""
+    e = instance.election
+    k = instance.k
+    if sum(sorted(e.approver_counts)[e.m - k:]) < instance.d:
+        return answer(instance, "ccav_bb_dual", {"nodes": 0})
+
+    def solve(candset, votes, d):
+        # a search node: a witness, or None when this state has none
+        ve = [v & candset for v in votes]
+        ve = [v for v in ve if v]
+        approved = set().union(*ve) if ve else set()
+        kbar = len(candset) - k
+        unapproved = sorted(candset - approved, reverse=True)
+        drop = unapproved[: min(len(unapproved), kbar)]
+        candset = candset - set(drop)
+        kbar = len(candset) - k
+        if d <= 0:
+            return tuple(sorted(candset)[:k])
+        if kbar == 0:
+            if len(ve) >= d:
+                return tuple(sorted(candset))
+            return None
+        u_votes = [v for v in ve if len(v) <= kbar]
+        b = sorted(set().union(*u_votes)) if u_votes else []
+        if not u_votes or len(b) <= k:
+            if len(ve) >= d:
+                return fill_committee(b, k, sorted(candset))
+            return None
+        singles = {c: 0 for c in b}
+        for v in u_votes:
+            if len(v) == 1:
+                singles[next(iter(v))] += 1
+        cstar = min(b, key=lambda c: (singles[c], c))
+        branch_set = sorted(set().union(*[v for v in u_votes if cstar in v]))
+        d_next = d - (len(ve) - len(u_votes))
+        for x in branch_set:
+            res = yield solve(candset - {x}, u_votes, d_next)
+            if res is not None:
+                return res
+        return None
+
+    w, nodes = _depth_first(solve(frozenset(range(e.m)), list(e.votes), instance.d))
+    return answer(instance, "ccav_bb_dual", {"nodes": nodes}, w)
+
+
 def reference_count_search(classes, nv):
     """The whole-node-bound count search that ``fpt._count_search`` replaced,
     kept as its reference.

@@ -41,6 +41,7 @@ from helpers import (
     e1,
     instances_around_opt,
     random_election,
+    reference_ccav_bb_dual,
     reference_pav_bb_dv,
     reference_split_search,
     sweep_against_oracle,
@@ -463,11 +464,12 @@ _PINNED_BB_DV = [
     (18, True, (2, 3, 6, 8, 11), 18, 5),
     (19, True, (0, 1, 2, 3, 4, 5), 3, 6),
 ]
-# seed: (nodes, max_branch, pruned) of pav_bb_dv with its submodular cut,
-# where they differ from the depth-only search's (nodes, max_branch, 0)
+# seed: (nodes, max_branch, pruned) of pav_bb_dv with its submodular cut and
+# its sibling exclusion, where they differ from the depth-only search's
+# (nodes, max_branch, 0)
 _CUT_BB_DV = {
-    0: (1, 0, 1), 3: (1, 0, 1), 4: (13, 5, 5), 9: (1, 0, 1),
-    12: (1, 0, 1), 15: (1, 0, 1), 16: (1, 0, 1), 18: (10, 5, 4),
+    0: (1, 0, 1), 3: (1, 0, 1), 4: (11, 5, 5), 9: (1, 0, 1),
+    12: (1, 0, 1), 15: (1, 0, 1), 16: (1, 0, 1), 18: (9, 5, 3),
 }
 
 
@@ -496,7 +498,8 @@ def test_pav_bb_dv_pinned(seed, decision, witness, nodes, max_branch, monkeypatc
 
 # (seed, k, d, decision, witness, nodes) for ccav_bb_dual and (seed, decision,
 # opt, witness, nodes) for mav_k_deltac, recorded from the searches that kept
-# their own node counters: the search driver must count the same nodes
+# their own node counters: the search driver must count the same nodes.  The
+# CCAV nodes are helpers.reference_ccav_bb_dual's
 _PINNED_CCAV_BB = [
     (0, 3, 6, True, (1, 5, 6), 13),
     (1, 4, 9, False, None, 304),
@@ -546,19 +549,28 @@ _PINNED_K_DELTAC = [
 # the seeds of _PINNED_CCAV_BB whose k largest approval counts sum below d:
 # ccav_bb_dual answers them at its root check, before the pinned search
 _CCAV_ROOT_NO = {1, 3, 7, 9, 19}
+# seed: the nodes of ccav_bb_dual, whose later siblings keep what an earlier
+# one failed to exclude, where they differ from the reference's
+_KEPT_CCAV_BB = {
+    0: 11, 1: 101, 3: 482, 5: 31, 7: 784, 9: 212, 11: 69, 14: 38, 15: 84,
+    17: 35, 19: 410,
+}
 
 
 @pytest.mark.parametrize("seed,k,d,decision,witness,nodes", _PINNED_CCAV_BB)
 def test_ccav_bb_dual_pinned(seed, k, d, decision, witness, nodes, monkeypatch):
     e = generate(GeneratorConfig(m=8 + seed % 4, n=10 + seed % 5, max_dv=3, max_dc=2), 500 + seed)
     inst = Instance(election=e, rule=CCAV, k=k, d=d)
+    own = _KEPT_CCAV_BB.get(seed, nodes)
     res = ccav_bb_dual(inst)
-    expected = {"nodes": 0 if seed in _CCAV_ROOT_NO else nodes}
+    expected = {"nodes": 0 if seed in _CCAV_ROOT_NO else own}
     assert (res.decision, res.witness, res.stats) == (decision, witness, expected)
     # counts of n per candidate pass the root check, so the search runs
     monkeypatch.setattr(Election, "approver_counts", property(lambda self: (self.n,) * self.m))
+    ref = reference_ccav_bb_dual(inst)
+    assert (ref.decision, ref.witness, ref.stats) == (decision, witness, {"nodes": nodes})
     res = ccav_bb_dual(inst)
-    assert (res.decision, res.witness, res.stats) == (decision, witness, {"nodes": nodes})
+    assert (res.decision, res.witness, res.stats) == (decision, witness, {"nodes": own})
 
 
 @pytest.mark.parametrize("seed,decision,opt,witness,nodes", _PINNED_K_DELTAC)
@@ -765,3 +777,44 @@ def test_the_submodular_root_is_sound():
     assert checks >= 12000
     assert min(decided[side, answer] for side in ("forward", "removal")
                for answer in ("yes", "no")) >= 50, decided
+
+
+def test_the_branch_and_bound_searches_are_sound_on_generated_elections():
+    # 1,000 generated elections, m 8-16 and k anywhere in 1..m, both rules
+    # at d = opt, a yes, and one score step above, a no (PAV scores of k
+    # members are multiples of 1 / lcm(1..k)): each search closes what an
+    # earlier sibling tried to every later sibling, and a search that shared
+    # one such set across levels would close the wrong candidates
+    rng = random.Random(3434)
+    calls = 0
+    for _ in range(1000):
+        config = GeneratorConfig(m=rng.randint(8, 16), n=rng.randint(6, 18),
+                                 max_dv=rng.randint(2, 5), max_dc=rng.randint(2, 5))
+        e = generate(config, rng.randrange(10**9))
+        k = rng.randint(1, e.m)
+        for rule, route in ((CCAV, ccav_bb_dual), (PAV, pav_bb_dv)):
+            opt = exhaustive(Instance(e, rule, k, 0)).opt_score
+            step = 1 if rule == CCAV else Fraction(1, math.lcm(*range(1, k + 1)))
+            for d in (opt, opt + step):
+                res = route(Instance(e, rule, k, d))
+                calls += 1
+                assert res.decision == (d == opt), (config, e, rule, k, d)
+                if res.decision:
+                    assert len(set(res.witness)) == k, (e, rule, k, d, res.witness)
+                    assert meets_threshold(rule, score(e, rule, res.witness), d)
+    assert calls == 4000
+
+
+@pytest.mark.parametrize("config,seed,decision,witness,ceiling", [
+    ((15, 17, 4, 4), 5, False, None, 1585),
+    ((20, 19, 4, 4), 7, True, (2, 19), 10689),
+])
+def test_ccav_bb_dual_decides_the_small_slow_instances(config, seed, decision, witness, ceiling):
+    # k = 2, d = 8: the search that tried every order of the excluded
+    # candidates took 618,736 nodes to say no on the first, and ran past
+    # 15 s on the second
+    inst = Instance(generate(GeneratorConfig(*config), seed), CCAV, 2, 8)
+    res = ccav_bb_dual(inst)
+    assert (res.decision, res.witness) == (decision, witness)
+    assert exhaustive(inst).decision == decision
+    assert res.stats["nodes"] <= ceiling
