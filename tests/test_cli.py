@@ -103,7 +103,10 @@ def test_solve_crash_exits_2(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("algo", ["mav-grsp", "ccav-bb", "pav-bb"])
-def test_solve_decides_searches_deeper_than_the_recursion_limit(tmp_path, algo):
+def test_solve_decides_searches_deeper_than_the_recursion_limit(tmp_path, monkeypatch, algo):
+    # the branch-and-bound routes' root certificates answer these at once;
+    # without them the searches run
+    monkeypatch.setattr(fpt, "_submodular_root", lambda instance: None)
     path = tmp_path / "deep.appr"
     path.write_text(format_instance(deep_search_instances()[algo]))
     assert main(["solve", str(path), "--algo", algo]) == 0

@@ -339,9 +339,12 @@ def _greedy_pav_score(e, k):
     return score(e, PAV, w)
 
 
-def test_pav_bb_dv_cut_keeps_every_answer_and_the_costs_bound_the_searches():
+def test_pav_bb_dv_cut_keeps_every_answer_and_the_costs_bound_the_searches(monkeypatch):
     # thresholds at and just above the greedy score, where the searches are
-    # deepest; the reference is the search cut by depth only
+    # deepest; the reference is the search cut by depth only.  The route
+    # answers from its root certificates where they decide (0 nodes, a yes
+    # re-scored) and otherwise as the search alone, which must keep the
+    # reference's every answer
     cost = {solver.name: solver.cost for solver in SOLVERS}
     rng = random.Random(1414)
     cut = 0
@@ -352,9 +355,17 @@ def test_pav_bb_dv_cut_keeps_every_answer_and_the_costs_bound_the_searches():
         k = rng.randint(1, min(e.m, 6))
         inst = Instance(e, PAV, k, _greedy_pav_score(e, k) + Fraction(rng.randint(0, 3), 2))
         res, ref = pav_bb_dv(inst), reference_pav_bb_dv(inst)
-        assert (res.decision, res.witness) == (ref.decision, ref.witness)
+        with monkeypatch.context() as patch:
+            patch.setattr(fpt, "_submodular_root", lambda instance: None)
+            alone = pav_bb_dv(inst)
+        assert (alone.decision, alone.witness) == (ref.decision, ref.witness)
+        assert res.decision == ref.decision
         assert res.stats["nodes"] <= ref.stats["nodes"] <= cost["pav_bb_dv"](inst, compute_params(inst))
-        cut += res.stats["nodes"] < ref.stats["nodes"]
+        if res.stats["nodes"]:
+            assert (res.witness, res.stats) == (alone.witness, alone.stats)
+        elif res.decision:
+            assert meets_threshold(PAV, score(e, PAV, res.witness), inst.d)
+        cut += alone.stats["nodes"] < ref.stats["nodes"]
         mav = Instance(e, MAV, rng.randint(0, e.m), rng.randint(0, e.delta_v + 2))
         nodes = mav_dual_grsp(mav).stats["nodes"]
         assert nodes <= cost["mav_dual_grsp"](mav, compute_params(mav))
@@ -464,12 +475,21 @@ _PINNED_BB_DV = [
     (18, True, (2, 3, 6, 8, 11), 18, 5),
     (19, True, (0, 1, 2, 3, 4, 5), 3, 6),
 ]
-# seed: (nodes, max_branch, pruned) of pav_bb_dv with its submodular cut and
-# its sibling exclusion, where they differ from the depth-only search's
-# (nodes, max_branch, 0)
+# seed: (nodes, max_branch, pruned) of pav_bb_dv's search with its submodular
+# cut and its sibling exclusion, where they differ from the depth-only
+# search's (nodes, max_branch, 0)
 _CUT_BB_DV = {
     0: (1, 0, 1), 3: (1, 0, 1), 4: (11, 5, 5), 9: (1, 0, 1),
     12: (1, 0, 1), 15: (1, 0, 1), 16: (1, 0, 1), 18: (9, 5, 3),
+}
+# seed: the witness with which pav_bb_dv's root certificates answer, with 0
+# nodes, every row but seed 4 (None: the root's no)
+_ROOT_BB_DV = {
+    0: None, 1: (0, 1, 2, 3), 2: (0, 1, 2, 6, 8), 3: None, 5: (0, 4, 5, 6),
+    6: (0, 3, 7, 13, 16), 7: (0, 1, 2, 3, 5, 10), 8: (0, 8, 13), 9: None,
+    10: (0, 2, 6, 7, 10), 11: (0, 1, 2, 4, 5, 9), 12: None, 13: (0, 1, 9, 13),
+    14: (0, 1, 2, 3, 12), 15: None, 16: None, 17: (0, 11, 14, 19),
+    18: (0, 3, 6, 8, 11), 19: (0, 1, 2, 3, 4, 5),
 }
 
 
@@ -488,12 +508,22 @@ def test_pav_bb_dv_pinned(seed, decision, witness, nodes, max_branch, monkeypatc
         return score(*args)
 
     monkeypatch.setattr(core, "score", spy)
-    res = pav_bb_dv(inst)
-    assert (res.decision, res.witness) == (decision, witness)
     nodes, max_branch, pruned = _CUT_BB_DV.get(seed, (nodes, max_branch, 0))
-    assert res.stats == {"nodes": nodes, "max_branch": max_branch, "pruned": pruned}
-    # the search scores in integers; only a yes is re-scored, once
+    searched = {"nodes": nodes, "max_branch": max_branch, "pruned": pruned}
+    res = pav_bb_dv(inst)
+    if seed in _ROOT_BB_DV:
+        assert (res.decision, res.witness) == (decision, _ROOT_BB_DV[seed])
+        assert res.stats == {"nodes": 0, "max_branch": 0, "pruned": 0}
+    else:
+        assert (res.decision, res.witness, res.stats) == (decision, witness, searched)
+    # the route scores in integers; only a yes is re-scored, once
     assert len(calls) == decision
+    assert not decision or score(e, PAV, res.witness) >= d
+    # the search alone, where the root leaves every instance undecided
+    monkeypatch.setattr(fpt, "_submodular_root", lambda instance: None)
+    res = pav_bb_dv(inst)
+    assert (res.decision, res.witness, res.stats) == (decision, witness, searched)
+    assert len(calls) == 2 * decision
 
 
 # (seed, k, d, decision, witness, nodes) for ccav_bb_dual and (seed, decision,
@@ -546,14 +576,19 @@ _PINNED_K_DELTAC = [
 ]
 
 
-# the seeds of _PINNED_CCAV_BB whose k largest approval counts sum below d:
-# ccav_bb_dual answers them at its root check, before the pinned search
-_CCAV_ROOT_NO = {1, 3, 7, 9, 19}
-# seed: the nodes of ccav_bb_dual, whose later siblings keep what an earlier
-# one failed to exclude, where they differ from the reference's
+# seed: the nodes of ccav_bb_dual's search, whose later siblings keep what an
+# earlier one failed to exclude, where they differ from the reference's
 _KEPT_CCAV_BB = {
     0: 11, 1: 101, 3: 482, 5: 31, 7: 784, 9: 212, 11: 69, 14: 38, 15: 84,
     17: 35, 19: 410,
+}
+# seed: the witness with which ccav_bb_dual's root certificates answer, with
+# 0 nodes, every row but seeds 13, 15 and 16 (None: the root's no)
+_ROOT_CCAV_BB = {
+    0: (0, 2, 4), 1: None, 2: (0, 1, 2, 6, 7), 3: None, 4: (0, 1, 2, 4),
+    5: None, 6: (0, 6, 7), 7: None, 8: (2, 4, 5, 6, 7), 9: None,
+    10: (0, 3, 5, 6), 11: None, 12: (0, 1, 2), 14: (0, 1, 2, 5, 8), 17: None,
+    18: (0, 2, 4), 19: None,
 }
 
 
@@ -563,14 +598,19 @@ def test_ccav_bb_dual_pinned(seed, k, d, decision, witness, nodes, monkeypatch):
     inst = Instance(election=e, rule=CCAV, k=k, d=d)
     own = _KEPT_CCAV_BB.get(seed, nodes)
     res = ccav_bb_dual(inst)
-    expected = {"nodes": 0 if seed in _CCAV_ROOT_NO else own}
-    assert (res.decision, res.witness, res.stats) == (decision, witness, expected)
-    # counts of n per candidate pass the root check, so the search runs
+    if seed in _ROOT_CCAV_BB:
+        assert (res.decision, res.witness, res.stats) == (decision, _ROOT_CCAV_BB[seed], {"nodes": 0})
+    else:
+        assert (res.decision, res.witness, res.stats) == (decision, witness, {"nodes": own})
+    assert not decision or score(e, CCAV, res.witness) >= d
+    # the search alone, where the root leaves every instance undecided
+    monkeypatch.setattr(fpt, "_submodular_root", lambda instance: None)
+    res = ccav_bb_dual(inst)
+    assert (res.decision, res.witness, res.stats) == (decision, witness, {"nodes": own})
+    # counts of n per candidate pass the reference's root check, so its search runs
     monkeypatch.setattr(Election, "approver_counts", property(lambda self: (self.n,) * self.m))
     ref = reference_ccav_bb_dual(inst)
     assert (ref.decision, ref.witness, ref.stats) == (decision, witness, {"nodes": nodes})
-    res = ccav_bb_dual(inst)
-    assert (res.decision, res.witness, res.stats) == (decision, witness, {"nodes": own})
 
 
 @pytest.mark.parametrize("seed,decision,opt,witness,nodes", _PINNED_K_DELTAC)
@@ -675,12 +715,16 @@ def test_mav_dual_grsp_deeper_than_the_recursion_limit():
     assert mav_dual_grsp(deep_search_instances()["mav-grsp"]).decision
 
 
-def test_ccav_bb_dual_deeper_than_the_recursion_limit():
+def test_ccav_bb_dual_deeper_than_the_recursion_limit(monkeypatch):
+    # the root certificates answer at once; without them the search runs
+    monkeypatch.setattr(fpt, "_submodular_root", lambda instance: None)
     res = ccav_bb_dual(deep_search_instances()["ccav-bb"])
     assert res.decision and res.stats == {"nodes": 1010}
 
 
-def test_pav_bb_dv_deeper_than_the_recursion_limit():
+def test_pav_bb_dv_deeper_than_the_recursion_limit(monkeypatch):
+    # the root certificates answer at once; without them the search runs
+    monkeypatch.setattr(fpt, "_submodular_root", lambda instance: None)
     res = pav_bb_dv(deep_search_instances()["pav-bb"])
     assert res.decision and res.stats == {"nodes": 1002, "max_branch": 3, "pruned": 0}
 
@@ -779,12 +823,15 @@ def test_the_submodular_root_is_sound():
                for answer in ("yes", "no")) >= 50, decided
 
 
-def test_the_branch_and_bound_searches_are_sound_on_generated_elections():
+def test_the_branch_and_bound_searches_are_sound_on_generated_elections(monkeypatch):
     # 1,000 generated elections, m 8-16 and k anywhere in 1..m, both rules
     # at d = opt, a yes, and one score step above, a no (PAV scores of k
     # members are multiples of 1 / lcm(1..k)): each search closes what an
     # earlier sibling tried to every later sibling, and a search that shared
-    # one such set across levels would close the wrong candidates
+    # one such set across levels would close the wrong candidates.  The
+    # root certificates, which test_the_submodular_root_is_sound checks,
+    # would answer most of these before any search, so they are left out
+    monkeypatch.setattr(fpt, "_submodular_root", lambda instance: None)
     rng = random.Random(3434)
     calls = 0
     for _ in range(1000):
@@ -805,16 +852,58 @@ def test_the_branch_and_bound_searches_are_sound_on_generated_elections():
     assert calls == 4000
 
 
+def test_the_routes_answer_from_their_root_as_dispatch_does():
+    # k near m, d just above the optimum: the full search took 646,010 and
+    # 159,609 nodes to say no here, and the root's removal bound says no
+    for config, seed, k, d, opt in (
+            ((44, 35, 4, 2), 118705, 42, Fraction(203, 4), Fraction(201, 4)),
+            ((39, 58, 4, 2), 69229, 36, Fraction(163, 3), Fraction(323, 6))):
+        e = generate(GeneratorConfig(*config), seed)
+        assert exhaustive(Instance(e, PAV, k, 0)).opt_score == opt
+        res = ALGOS["pav-bb"](Instance(e, PAV, k, d))
+        assert (res.decision, res.stats["nodes"]) == (False, 0)
+    # a seeded sweep: wherever the root decides, the route gives the answer
+    # of its root_only form, with 0 nodes; every other election has k at
+    # least its approved candidates, which the root always decides
+    rng = random.Random(3535)
+    decided = fits = 0
+    for i in range(400):
+        e = random_election(rng, max_m=10, max_n=8)
+        approved = sum(1 for x in e.approver_counts if x)
+        k = rng.randint(approved, e.m) if i % 2 else rng.randint(0, e.m)
+        for rule, route in ((CCAV, ccav_bb_dual), (PAV, pav_bb_dv)):
+            opt = exhaustive(Instance(e, rule, k, 0)).opt_score
+            for d in (opt - 1, opt, opt + Fraction(1, 60), opt + 1):
+                inst = Instance(e, rule, k, d)
+                root, res = route(inst, root_only=True), route(inst)
+                if k >= approved:
+                    assert root is not None and root.decision == (d <= opt), (e, rule, k, d)
+                    fits += 1
+                if root is not None:
+                    assert (res, res.stats) == (root, root.stats)
+                    assert res.stats["nodes"] == 0
+                    decided += 1
+                else:
+                    assert res.decision == (d <= opt) and res.stats["nodes"] > 0
+    assert fits >= 2000 and 3000 <= decided < 3200, (fits, decided)
+
+
 @pytest.mark.parametrize("config,seed,decision,witness,ceiling", [
     ((15, 17, 4, 4), 5, False, None, 1585),
     ((20, 19, 4, 4), 7, True, (2, 19), 10689),
 ])
-def test_ccav_bb_dual_decides_the_small_slow_instances(config, seed, decision, witness, ceiling):
+def test_ccav_bb_dual_decides_the_small_slow_instances(config, seed, decision, witness, ceiling,
+                                                       monkeypatch):
     # k = 2, d = 8: the search that tried every order of the excluded
     # candidates took 618,736 nodes to say no on the first, and ran past
-    # 15 s on the second
+    # 15 s on the second.  The route's root certificates answer the yes at
+    # once; the search alone, without them, must decide both
     inst = Instance(generate(GeneratorConfig(*config), seed), CCAV, 2, 8)
+    assert exhaustive(inst).decision == decision
+    res = ccav_bb_dual(inst)
+    assert res.decision == decision and res.stats["nodes"] <= ceiling
+    assert not decision or score(inst.election, CCAV, res.witness) >= 8
+    monkeypatch.setattr(fpt, "_submodular_root", lambda instance: None)
     res = ccav_bb_dual(inst)
     assert (res.decision, res.witness) == (decision, witness)
-    assert exhaustive(inst).decision == decision
     assert res.stats["nodes"] <= ceiling
